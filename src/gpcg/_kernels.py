@@ -1,90 +1,26 @@
 """Low-level CSR and incomplete-factorization kernels.
 
-Two backends are provided for every hot loop: a compiled one (numba, the
-default whenever numba imports cleanly) and a pure-numpy interpretation.
-Set the environment variable ``GPCG_NO_NUMBA=1`` before import to force the
-numpy backend.  Both backends are deterministic for fixed inputs; they may
-differ from each other by rounding because vectorized reductions do not sum
-in the same order as the loops.
+There is one implementation of each kernel.  Submatrix extraction and the
+ILU(k) symbolic phase are vectorized with numpy and ``scipy.sparse``.  The
+ILU numeric phase and the triangular solves are row loops whose arithmetic
+order is part of their contract; they index ``memoryview``s of the numpy
+arrays, which yields plain Python floats instead of numpy scalars but the
+same IEEE double results.
 """
 
-import os
-
 import numpy as np
+import scipy.sparse as sp
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-_flag = os.environ.get("GPCG_NO_NUMBA", "").strip()
-JIT_ENABLED = NUMBA_AVAILABLE and _flag in ("", "0")
-
-
-# ---------------------------------------------------------------------------
-# matrix-vector product
-# ---------------------------------------------------------------------------
-
-def _csr_matvec_py(indptr, indices, data, x, out):
-    n = indptr.shape[0] - 1
-    for i in range(n):
-        s = 0.0
-        for t in range(indptr[i], indptr[i + 1]):
-            s += data[t] * x[indices[t]]
-        out[i] = s
-    return out
-
-
-def _csr_matvec_np(indptr, indices, data, x, out):
-    out[:] = 0.0
-    if data.shape[0] == 0:
-        return out
-    prod = data * x[indices]
-    counts = indptr[1:] - indptr[:-1]
-    nonempty = counts > 0
-    out[nonempty] = np.add.reduceat(prod, indptr[:-1][nonempty])
-    return out
+# No compiled backend exists; the constant stays for readers of the
+# benchmark's environment record.
+JIT_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
 # principal/rectangular submatrix extraction
 # ---------------------------------------------------------------------------
 
-def _csr_extract_py(indptr, indices, data, rows, colmap):
-    m = rows.shape[0]
-    out_indptr = np.zeros(m + 1, dtype=np.int64)
-    for p in range(m):
-        i = rows[p]
-        cnt = 0
-        for t in range(indptr[i], indptr[i + 1]):
-            if colmap[indices[t]] >= 0 and data[t] != 0.0:
-                cnt += 1
-        out_indptr[p + 1] = out_indptr[p] + cnt
-    nnz = out_indptr[m]
-    out_indices = np.empty(nnz, dtype=np.int64)
-    out_data = np.empty(nnz, dtype=np.float64)
-    pos = 0
-    for p in range(m):
-        i = rows[p]
-        for t in range(indptr[i], indptr[i + 1]):
-            q = colmap[indices[t]]
-            if q >= 0 and data[t] != 0.0:
-                out_indices[pos] = q
-                out_data[pos] = data[t]
-                pos += 1
-    return out_indptr, out_indices, out_data
-
-
-def _csr_extract_np(indptr, indices, data, rows, colmap):
+def csr_extract(indptr, indices, data, rows, colmap):
     m = rows.shape[0]
     counts = indptr[rows + 1] - indptr[rows] if m else np.zeros(0, dtype=np.int64)
     total = int(counts.sum())
@@ -107,175 +43,133 @@ def _csr_extract_np(indptr, indices, data, rows, colmap):
 # ILU(k): level-of-fill symbolic phase, pattern-restricted numeric phase
 # ---------------------------------------------------------------------------
 
-def _ilu_symbolic_py(n, a_indptr, a_indices, fill_level):
-    cap = int(max(16, 2 * (a_indptr[n] + n)))
-    lu_indices = np.empty(cap, dtype=np.int64)
-    lu_levels = np.empty(cap, dtype=np.int64)
+def _keys(n, indptr, indices):
+    """Row-major keys ``row * n + col`` of an n-row CSR pattern; sorted when
+    the indices are sorted within each row."""
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr[:n + 1]))
+    keys *= n
+    keys += indices[:indptr[n]]
+    return keys
+
+
+def _triangles(n, keys):
+    """Strictly lower and strictly upper parts of the pattern given by the
+    sorted row-major keys ``row * n + col``, as boolean CSR matrices."""
+    rows, cols = np.divmod(keys, n)
+    parts = []
+    for sel in (rows > cols, rows < cols):
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[sel], minlength=n), out=indptr[1:])
+        parts.append(sp.csr_array((np.ones(indptr[n], dtype=bool), cols[sel], indptr),
+                                  shape=(n, n)))
+    return parts
+
+
+def ilu_symbolic(n, a_indptr, a_indices, fill_level):
+    """Pattern of the ILU(k) factor of an n x n CSR pattern.
+
+    Entry (i, j) has level min over p < min(i, j) of lev(i, p) + lev(p, j) + 1,
+    with input entries at level 0, and is kept when its level is at most
+    ``fill_level``.  So the level-l entries are the pattern of the sum over
+    a + b = l - 1 of tril(level a) @ triu(level b), minus the entries of lower
+    levels.  Returns the factor's indptr, sorted indices, per-entry levels
+    and the position of each row's diagonal entry (-1 where it is absent).
+    """
+    keys = _keys(n, a_indptr, a_indices)  # of the pattern so far
+    levels = np.zeros(keys.size, dtype=np.int64)
+    lower, upper = [], []
+    fresh = keys  # the entries of the last level
+    top = 0       # highest level with an entry
+    lev = 1
+    # a level-l entry needs two entries whose levels sum to l - 1
+    while lev <= fill_level and lev - 1 <= 2 * top:
+        low, up = _triangles(n, fresh)
+        lower.append(low)
+        upper.append(up)
+        cand = None
+        for a in range(lev):
+            if lower[a].nnz and upper[lev - 1 - a].nnz:
+                prod = lower[a] @ upper[lev - 1 - a]
+                cand = prod if cand is None else cand + prod
+        fresh = np.empty(0, dtype=np.int64)
+        if cand is not None:
+            cand = cand.tocoo()
+            ck = cand.row.astype(np.int64) * n + cand.col
+            fresh = np.sort(ck[keys.take(np.searchsorted(keys, ck), mode="clip") != ck])
+        if fresh.size:
+            at = np.searchsorted(keys, fresh)
+            keys = np.insert(keys, at, fresh)
+            levels = np.insert(levels, at, lev)
+            top = lev
+        lev += 1
+    rows, lu_indices = np.divmod(keys, n)
     lu_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=lu_indptr[1:])
     lu_diag = np.full(n, -1, dtype=np.int64)
-    nxt = np.empty(n, dtype=np.int64)
-    lev = np.empty(n, dtype=np.int64)
-    nnz = 0
-    for i in range(n):
-        # seed the working row (a sorted linked list over columns) from the input
-        head = -1
-        last = -1
-        for t in range(a_indptr[i], a_indptr[i + 1]):
-            c = a_indices[t]
-            lev[c] = 0
-            if last == -1:
-                head = c
-            else:
-                nxt[last] = c
-            last = c
-        if last != -1:
-            nxt[last] = -1
-        # merge fill candidates from each pivot row's upper part
-        p = head
-        while p != -1 and p < i:
-            lev_p = lev[p]
-            scan = p
-            for t in range(lu_diag[p] + 1, lu_indptr[p + 1]):
-                q = lu_indices[t]
-                new_lev = lev_p + lu_levels[t] + 1
-                if new_lev > fill_level:
-                    continue
-                while nxt[scan] != -1 and nxt[scan] < q:
-                    scan = nxt[scan]
-                if nxt[scan] == q:
-                    if new_lev < lev[q]:
-                        lev[q] = new_lev
-                else:
-                    nxt[q] = nxt[scan]
-                    nxt[scan] = q
-                    lev[q] = new_lev
-            p = nxt[p]
-        cnt = 0
-        c = head
-        while c != -1:
-            cnt += 1
-            c = nxt[c]
-        while nnz + cnt > cap:
-            cap *= 2
-            grown_idx = np.empty(cap, dtype=np.int64)
-            grown_lev = np.empty(cap, dtype=np.int64)
-            grown_idx[:nnz] = lu_indices[:nnz]
-            grown_lev[:nnz] = lu_levels[:nnz]
-            lu_indices = grown_idx
-            lu_levels = grown_lev
-        c = head
-        while c != -1:
-            lu_indices[nnz] = c
-            lu_levels[nnz] = lev[c]
-            if c == i:
-                lu_diag[i] = nnz
-            nnz += 1
-            c = nxt[c]
-        lu_indptr[i + 1] = nnz
-    return lu_indptr, lu_indices[:nnz].copy(), lu_levels[:nnz].copy(), lu_diag
+    on_diag = np.flatnonzero(rows == lu_indices)
+    lu_diag[rows[on_diag]] = on_diag
+    return lu_indptr, lu_indices, levels, lu_diag
 
 
-def _ilu_numeric_py(n, a_indptr, a_indices, a_data, lu_indptr, lu_indices, lu_diag):
-    nnz = lu_indptr[n]
-    lu_data = np.zeros(nnz, dtype=np.float64)
-    pos = np.full(n, -1, dtype=np.int64)
-    # scatter input values onto the (sorted) factor pattern
+def ilu_numeric(n, a_indptr, a_indices, a_data, lu_indptr, lu_indices, lu_diag):
+    """Values of the combined LU factor on a symbolic pattern.
+
+    Row-wise Gaussian elimination restricted to the pattern, without
+    pivoting; the pattern must contain the input's, as the one from
+    ``ilu_symbolic`` does.  Returns the factor values and the first row whose
+    pivot is exactly zero (-1 when there is none); the values are then
+    incomplete.
+    """
+    lu_data = np.zeros(int(lu_indptr[n]), dtype=np.float64)
+    # scatter the input values onto the (sorted) factor pattern
+    at = np.searchsorted(_keys(n, lu_indptr, lu_indices), _keys(n, a_indptr, a_indices))
+    lu_data[at] = a_data[:at.size]
+
+    ptr = memoryview(lu_indptr)
+    ind = memoryview(lu_indices)
+    dg = memoryview(lu_diag)
+    val = memoryview(lu_data)
+    pos = [-1] * n
     for i in range(n):
-        ta = a_indptr[i]
-        ea = a_indptr[i + 1]
-        for t in range(lu_indptr[i], lu_indptr[i + 1]):
-            c = lu_indices[t]
-            while ta < ea and a_indices[ta] < c:
-                ta += 1
-            if ta < ea and a_indices[ta] == c:
-                lu_data[t] = a_data[ta]
-                ta += 1
-    for i in range(n):
-        rs = lu_indptr[i]
-        re = lu_indptr[i + 1]
+        rs = ptr[i]
+        re = ptr[i + 1]
         for t in range(rs, re):
-            pos[lu_indices[t]] = t
+            pos[ind[t]] = t
         t = rs
-        while t < re and lu_indices[t] < i:
-            p = lu_indices[t]
-            mult = lu_data[t] / lu_data[lu_diag[p]]
-            lu_data[t] = mult
-            for s in range(lu_diag[p] + 1, lu_indptr[p + 1]):
-                tq = pos[lu_indices[s]]
+        while t < re and ind[t] < i:
+            p = ind[t]
+            mult = val[t] / val[dg[p]]
+            val[t] = mult
+            for s in range(dg[p] + 1, ptr[p + 1]):
+                tq = pos[ind[s]]
                 if tq != -1:
-                    lu_data[tq] -= mult * lu_data[s]
+                    val[tq] -= mult * val[s]
             t += 1
         for t in range(rs, re):
-            pos[lu_indices[t]] = -1
-        if lu_data[lu_diag[i]] == 0.0:
+            pos[ind[t]] = -1
+        if val[dg[i]] == 0.0:
             return lu_data, i
     return lu_data, -1
 
 
-def _lu_solve_py(lu_indptr, lu_indices, lu_data, lu_diag, r, z):
-    n = r.shape[0]
-    for i in range(n):
-        s = r[i]
-        for t in range(lu_indptr[i], lu_diag[i]):
-            s -= lu_data[t] * z[lu_indices[t]]
-        z[i] = s
-    for i in range(n - 1, -1, -1):
-        s = z[i]
-        for t in range(lu_diag[i] + 1, lu_indptr[i + 1]):
-            s -= lu_data[t] * z[lu_indices[t]]
-        z[i] = s / lu_data[lu_diag[i]]
-    return z
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-if NUMBA_AVAILABLE:
-    _csr_matvec_jit = njit(cache=True)(_csr_matvec_py)
-    _csr_extract_jit = njit(cache=True)(_csr_extract_py)
-    _ilu_symbolic_jit = njit(cache=True)(_ilu_symbolic_py)
-    _ilu_numeric_jit = njit(cache=True)(_ilu_numeric_py)
-    _lu_solve_jit = njit(cache=True)(_lu_solve_py)
-else:
-    _csr_matvec_jit = None
-    _csr_extract_jit = None
-    _ilu_symbolic_jit = None
-    _ilu_numeric_jit = None
-    _lu_solve_jit = None
-
-if JIT_ENABLED:
-    _matvec_impl = _csr_matvec_jit
-    _extract_impl = _csr_extract_jit
-    _ilu_symbolic_impl = _ilu_symbolic_jit
-    _ilu_numeric_impl = _ilu_numeric_jit
-    _lu_solve_impl = _lu_solve_jit
-else:
-    _matvec_impl = _csr_matvec_np
-    _extract_impl = _csr_extract_np
-    _ilu_symbolic_impl = _ilu_symbolic_py
-    _ilu_numeric_impl = _ilu_numeric_py
-    _lu_solve_impl = _lu_solve_py
-
-
-def csr_matvec(indptr, indices, data, x):
-    out = np.empty(indptr.shape[0] - 1, dtype=np.float64)
-    return _matvec_impl(indptr, indices, data, x, out)
-
-
-def csr_extract(indptr, indices, data, rows, colmap):
-    return _extract_impl(indptr, indices, data, rows, colmap)
-
-
-def ilu_symbolic(n, a_indptr, a_indices, fill_level):
-    return _ilu_symbolic_impl(n, a_indptr, a_indices, fill_level)
-
-
-def ilu_numeric(n, a_indptr, a_indices, a_data, lu_indptr, lu_indices, lu_diag):
-    return _ilu_numeric_impl(n, a_indptr, a_indices, a_data,
-                             lu_indptr, lu_indices, lu_diag)
-
-
 def lu_solve(lu_indptr, lu_indices, lu_data, lu_diag, r):
-    z = np.empty(r.shape[0], dtype=np.float64)
-    return _lu_solve_impl(lu_indptr, lu_indices, lu_data, lu_diag, r, z)
+    """Forward substitution with unit-diagonal L, then back substitution
+    with U; each row subtracts its terms left to right."""
+    z = np.array(r, dtype=np.float64)
+    ptr = memoryview(lu_indptr)
+    ind = memoryview(lu_indices)
+    val = memoryview(lu_data)
+    dg = memoryview(lu_diag)
+    zv = memoryview(z)
+    n = z.shape[0]
+    for i in range(n):
+        s = zv[i]
+        for t in range(ptr[i], dg[i]):
+            s -= val[t] * zv[ind[t]]
+        zv[i] = s
+    for i in range(n - 1, -1, -1):
+        s = zv[i]
+        for t in range(dg[i] + 1, ptr[i + 1]):
+            s -= val[t] * zv[ind[t]]
+        zv[i] = s / val[dg[i]]
+    return z

@@ -25,13 +25,11 @@ from .model import BoundQP
 def write_matrix(path: str, M: SparseMatrixCSR) -> None:
     """Write in Matrix Market coordinate format (symmetric storage when the
     matrix is flagged symmetric)."""
-    S = scipy.sparse.csr_matrix((M.data, M.indices, M.indptr),
-                                shape=(M.nrows, M.ncols))
     if M.symmetric:
-        scipy.io.mmwrite(path, scipy.sparse.tril(S, format="coo"),
+        scipy.io.mmwrite(path, scipy.sparse.tril(M.scipy, format="coo"),
                          symmetry="symmetric")
     else:
-        scipy.io.mmwrite(path, S.tocoo(), symmetry="general")
+        scipy.io.mmwrite(path, M.scipy.tocoo(), symmetry="general")
 
 
 def read_matrix(path: str) -> SparseMatrixCSR:

@@ -1,13 +1,15 @@
 """Dense vectors, CSR matrices, index sets, and the gather/scatter kernels.
 
 Vectors are plain float64 numpy arrays.  Bound vectors may hold +/-inf; all
-other vectors are expected to be finite.  Reductions use a fixed summation
-order so repeated runs are bit-identical.
+other vectors are expected to be finite.  ``mat_vec`` sums each row left to
+right, so its result does not depend on the machine or thread count;
+``dot`` and ``norm2`` call BLAS, whose summation order may depend on both.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import _kernels
 
@@ -80,7 +82,8 @@ class SparseMatrixCSR:
     ``symmetric`` flag that is verified on construction.
     """
 
-    __slots__ = ("nrows", "ncols", "indptr", "indices", "data", "symmetric")
+    __slots__ = ("nrows", "ncols", "indptr", "indices", "data", "symmetric",
+                 "_scipy")
 
     def __init__(self, nrows, ncols, indptr, indices, data,
                  symmetric: bool = False, validate: bool = True):
@@ -90,6 +93,7 @@ class SparseMatrixCSR:
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.symmetric = bool(symmetric)
+        self._scipy = None
         if validate:
             self._validate()
 
@@ -132,6 +136,15 @@ class SparseMatrixCSR:
     @property
     def nnz(self) -> int:
         return self.indices.size
+
+    @property
+    def scipy(self) -> sp.csr_array:
+        """A ``scipy.sparse`` view sharing this matrix's arrays, built on
+        first use."""
+        if self._scipy is None:
+            self._scipy = sp.csr_array((self.data, self.indices, self.indptr),
+                                       shape=(self.nrows, self.ncols), copy=False)
+        return self._scipy
 
     @classmethod
     def from_coo(cls, rows, cols, vals, nrows, ncols,
@@ -189,10 +202,10 @@ class SparseMatrixCSR:
 # ---------------------------------------------------------------------------
 
 def mat_vec(A: SparseMatrixCSR, x: np.ndarray) -> np.ndarray:
-    """Return A @ x with a fixed left-to-right summation order per row."""
+    """Return A @ x; each row is summed left to right, starting from zero."""
     if A.ncols != x.shape[0]:
         raise ValueError(f"matrix has {A.ncols} columns but vector has {x.shape[0]}")
-    return _kernels.csr_matvec(A.indptr, A.indices, A.data, x)
+    return A.scipy @ x
 
 
 def extract_submatrix(A: SparseMatrixCSR, rows: IndexSet, cols: IndexSet) -> SparseMatrixCSR:

@@ -45,6 +45,9 @@ class CGResult:
     iterations: int
     decreases: np.ndarray
     termination: CGStop
+    # on BREAKDOWN, what lost positivity: "preconditioner" (r'z <= 0) or
+    # "reduced matrix" (p'Ap <= 0)
+    breakdown: str | None = None
 
 
 def build_reduced(qp: BoundQP, x: np.ndarray, g: np.ndarray,
@@ -81,14 +84,15 @@ def pcg_progress(sys: ReducedSystem, P: Preconditioner, w0: np.ndarray,
     rho = dot(res, z)
     p = z
     termination = CGStop.MAX_ITER
+    breakdown = None
     for j in range(1, cap + 1):
         if rho <= 0.0:
-            termination = CGStop.BREAKDOWN  # preconditioner lost positivity
+            termination, breakdown = CGStop.BREAKDOWN, "preconditioner"
             break
         Ap = mat_vec(sys.A_k, p)
         pAp = dot(p, Ap)
         if pAp <= 0.0:
-            termination = CGStop.BREAKDOWN
+            termination, breakdown = CGStop.BREAKDOWN, "reduced matrix"
             break
         alpha = rho / pAp
         # exact decrease of the quadratic: alpha*<res,p> - alpha^2/2*<p,Ap>
@@ -105,4 +109,5 @@ def pcg_progress(sys: ReducedSystem, P: Preconditioner, w0: np.ndarray,
         rho_next = dot(res, z)
         p = z + (rho_next / rho) * p
         rho = rho_next
-    return CGResult(w, len(decreases), np.asarray(decreases), termination)
+    return CGResult(w, len(decreases), np.asarray(decreases), termination,
+                    breakdown)

@@ -184,8 +184,8 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                             stats.trace.append(TraceRecord(
                                 outer, "cg", objective(qp, x), pg_norm,
                                 sys.m, cg.iterations, eta2))
-                            raise GPCGError("CG breakdown: reduced system is "
-                                            "not positive definite")
+                            raise GPCGError(f"CG breakdown: the {cg.breakdown} "
+                                            "is not positive definite")
                         d = scatter(cg.w, free, np.zeros(n))
                         try:
                             x, alpha = projected_search_cg(

@@ -139,6 +139,22 @@ class TestPCG:
         assert out.termination is CGStop.BREAKDOWN
         assert out.iterations == 0
 
+    def test_breakdown_names_what_lost_positivity(self):
+        class Negated(Preconditioner):
+            def apply(self, r):
+                return -r
+
+        sys = _system(np.diag([1.0, -1.0]), np.array([0.0, 1.0]))
+        out = pcg_progress(sys, Preconditioner(), np.zeros(2), 0.05)
+        assert out.breakdown == "reduced matrix"  # p'Ap <= 0
+        sys = _system(np.eye(2), np.ones(2))
+        out = pcg_progress(sys, Negated(), np.zeros(2), 0.05)
+        assert out.termination is CGStop.BREAKDOWN
+        assert out.breakdown == "preconditioner"  # r'z <= 0
+        out = pcg_progress(sys, Preconditioner(), np.zeros(2), 0.05)
+        assert out.termination is not CGStop.BREAKDOWN
+        assert out.breakdown is None
+
     def test_invalid_tolerance_and_start(self):
         sys = _system(np.eye(2), np.ones(2))
         with pytest.raises(ValueError):

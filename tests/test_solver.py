@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse
 from numpy.testing import assert_allclose, assert_array_equal
 
 from gpcg import (BearingSpec, BoundQP, SearchFailed, SolveStatus,
@@ -125,6 +126,28 @@ class TestSolveTermination:
         assert out.status is SolveStatus.FAILED
         assert "SearchFailed" in out.failure_reason
         _trace_invariant(out)
+
+    def test_cg_breakdown_names_the_indefinite_preconditioner(self):
+        # A = R R' + 1e-2 I is SPD, but its ILU(0) factor is not: CG under
+        # bjacobi-ilu0 breaks down on r'z <= 0, and without a
+        # preconditioner the same problem converges
+        rng = np.random.default_rng(0)
+        n = 30
+        R = scipy.sparse.random(n, n, density=0.08, format="csr",
+                                random_state=rng, data_rvs=rng.standard_normal)
+        M = (R @ R.T + 1e-2 * scipy.sparse.identity(n, format="csr")).tocsr()
+        M = (0.5 * (M + M.T)).tocsr()
+        M.eliminate_zeros()
+        M.sort_indices()
+        A = SparseMatrixCSR(n, n, M.indptr, M.indices, M.data, symmetric=True)
+        qp = BoundQP(A, rng.standard_normal(n), 0.0, -np.ones(n), np.ones(n))
+        out = solve(qp, np.zeros(n), SolverConfig(precond="bjacobi-ilu0"))
+        assert out.status is SolveStatus.FAILED
+        assert out.failure_reason == ("GPCGError: CG breakdown: the "
+                                      "preconditioner is not positive definite")
+        _trace_invariant(out)
+        plain = solve(qp, np.zeros(n), SolverConfig(precond="none"))
+        assert plain.status is SolveStatus.CONVERGED
 
     def test_max_outer_reached(self):
         qp = generate(BearingSpec(16, 16, 0.5))
