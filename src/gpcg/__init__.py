@@ -8,13 +8,13 @@ from .errors import (AlreadyStationary, GPCGError, NoFreeVariables,
 from .gradproj import GPResult, GPStop, cauchy_step_size, gp_phase, projected_search_gp
 from .ilu import ILUFactorization, ilu_k
 from .io import load_problem, read_matrix, read_vector, save_problem, write_matrix, write_trace, write_vector
-from .linalg import (IndexSet, SparseMatrixCSR, axpy, dot, extract_submatrix,
-                     gather, mat_vec, norm2, norm_inf, pointwise_median, scatter)
+from .linalg import (IndexSet, SparseMatrixCSR, dot, extract_submatrix,
+                     gather, mat_vec, norm2, pointwise_median, scatter)
 from .model import (BoundQP, active_set, binding_set, converged, free_set,
                     gradient, objective, project, projected_gradient)
 from .oracle import dense_solve, solve_enum
 from .precond import (BlockJacobiILU, PointJacobi, Preconditioner,
-                      apply_precond, make_preconditioner, parse_precond)
+                      make_preconditioner, parse_precond)
 from .reduced import CGResult, CGStop, ReducedSystem, build_reduced, pcg_progress
 from .solver import (SolveOutcome, SolveStatus, SolverConfig, SolverStats,
                      TraceRecord, projected_search_cg, solve)
@@ -28,11 +28,11 @@ __all__ = [
     "PointJacobi", "Preconditioner", "ReducedSystem", "SearchFailed",
     "SolveOutcome", "SolveStatus", "SolverConfig", "SolverStats",
     "SparseMatrixCSR", "TraceRecord", "ZeroPivot", "active_set",
-    "apply_precond", "axpy", "binding_set", "build_reduced",
+    "binding_set", "build_reduced",
     "cauchy_step_size", "converged", "dense_solve", "dot",
     "extract_submatrix", "free_set", "gather", "generate", "gp_phase",
     "gradient", "ilu_k", "load_problem", "make_preconditioner", "mat_vec",
-    "norm2", "norm_inf", "objective", "parse_precond", "pcg_progress",
+    "norm2", "objective", "parse_precond", "pcg_progress",
     "pointwise_median", "project", "projected_gradient",
     "projected_search_cg", "projected_search_gp", "read_matrix",
     "read_vector", "save_problem", "scatter", "solve", "solve_enum",

@@ -259,20 +259,7 @@ def dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x, y))
 
 
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return y + alpha * x."""
-    if x.shape != y.shape:
-        raise ValueError("shape mismatch")
-    return y + alpha * x
-
-
 def norm2(x: np.ndarray) -> float:
     if x.size == 0:
         return 0.0
     return float(np.linalg.norm(x))
-
-
-def norm_inf(x: np.ndarray) -> float:
-    if x.size == 0:
-        return 0.0
-    return float(np.abs(x).max())

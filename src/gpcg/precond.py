@@ -132,8 +132,3 @@ def make_preconditioner(M: SparseMatrixCSR, spec: PrecondSpec | str,
         return PointJacobi(M)
     blocks = spec.blocks if spec.blocks is not None else default_blocks
     return BlockJacobiILU(M, spec.fill_level, blocks)
-
-
-def apply_precond(P: Preconditioner, r: np.ndarray) -> np.ndarray:
-    """Apply the preconditioner to a residual vector."""
-    return P.apply(r)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NoFreeVariables
 from .linalg import IndexSet, SparseMatrixCSR, dot, extract_submatrix, gather, mat_vec, norm2
 from .model import BoundQP
-from .precond import Preconditioner, apply_precond
+from .precond import Preconditioner
 
 
 @dataclass
@@ -80,7 +80,7 @@ def pcg_progress(sys: ReducedSystem, P: Preconditioner, w0: np.ndarray,
     decreases: list[float] = []
     if norm2(res) <= exact_tol:
         return CGResult(w, 0, np.zeros(0), CGStop.EXACT_SOLVE)
-    z = apply_precond(P, res)
+    z = P.apply(res)
     rho = dot(res, z)
     p = z
     termination = CGStop.MAX_ITER
@@ -105,7 +105,7 @@ def pcg_progress(sys: ReducedSystem, P: Preconditioner, w0: np.ndarray,
         if j >= 2 and decreases[-1] <= eta2 * max(decreases[:-1]):
             termination = CGStop.PROGRESS_TEST
             break
-        z = apply_precond(P, res)
+        z = P.apply(res)
         rho_next = dot(res, z)
         p = z + (rho_next / rho) * p
         rho = rho_next

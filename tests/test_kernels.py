@@ -2,15 +2,18 @@
 
 The reference loops below are the straightforward interpreted forms of the
 kernels (level-of-fill row merge, row-wise elimination, forward/back
-substitution, left-to-right matvec).  The kernels must reproduce them byte
-for byte, not just to a tolerance: the arithmetic order is the same.
+substitution, left-to-right matvec).  The kernels, row-loop and
+level-scheduled forms alike, must reproduce them byte for byte, not just to
+a tolerance: the arithmetic order is the same.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from gpcg import SparseMatrixCSR, ZeroPivot, ilu_k, mat_vec
-from gpcg import _kernels
+from gpcg import _kernels, ilu
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +162,20 @@ def grid_laplacian(side):
 CASES = ([(seed, n, d, sym) for seed, (n, d) in enumerate(
              [(7, 0.3), (20, 0.15), (35, 0.08), (60, 0.05), (60, 0.02)])
           for sym in (True, False)])
+# Above ilu.LEVEL_MIN_ROWS, with levels wide enough that ilu_k factors and
+# solves them level by level for k up to 2 (grid20 at k = 3 falls back to
+# the row loops).  Full fill (k = n) is left out: the reference loops would
+# take minutes.
+LARGE_CASES = [(5, 300, 0.01, True), (5, 300, 0.01, False), "grid20"]
+FACTOR_CASES = ([(case, k) for k in (0, 1, 2, 3, "n") for case in CASES + ["grid"]]
+                + [(case, k) for k in (0, 1, 2, 3) for case in LARGE_CASES])
 
 
 def case_matrix(case):
     if case == "grid":
         return grid_laplacian(7)
+    if case == "grid20":
+        return grid_laplacian(20)
     return random_pattern_matrix(*case)
 
 
@@ -173,8 +185,8 @@ def assert_bytes_equal(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("case", CASES + ["grid"], ids=str)
-@pytest.mark.parametrize("k", [0, 1, 2, 3, "n"])
+@pytest.mark.parametrize("case, k", FACTOR_CASES,
+                         ids=[f"{k}-{case}" for case, k in FACTOR_CASES])
 def test_factor_and_solve_match_reference_loops(case, k):
     A = case_matrix(case)
     n = A.nrows
@@ -184,15 +196,46 @@ def test_factor_and_solve_match_reference_loops(case, k):
     for got, want in zip(sym, ref):
         assert_bytes_equal(got, want)
     lu_indptr, lu_indices, _levels, lu_diag = ref
-    data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
-                                      lu_indptr, lu_indices, lu_diag)
     ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
                                          lu_indptr, lu_indices, lu_diag)
-    assert fail == ref_fail == -1
-    assert_bytes_equal(data, ref_data)
-    r = np.random.default_rng(n).standard_normal(n)
-    assert_bytes_equal(_kernels.lu_solve(lu_indptr, lu_indices, data, lu_diag, r),
-                       ref_lu_solve(lu_indptr, lu_indices, ref_data, lu_diag, r))
+    assert ref_fail == -1
+    # both kernel forms on every case, and ilu_k's choice between them
+    forward = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag)
+    backward = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag, upper=True)
+    for schedule in (None, forward):
+        data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
+                                          lu_indptr, lu_indices, lu_diag, schedule)
+        assert fail == -1
+        assert_bytes_equal(data, ref_data)
+    factor = ilu_k(A, fill)
+    assert_bytes_equal(factor.data, ref_data)
+    plan = _kernels.SolvePlan(lu_indptr, lu_indices, ref_data, lu_diag,
+                              forward, backward)
+    rng = np.random.default_rng(n)
+    # the second right-hand side is mostly signed zeros, so most of the
+    # solution's entries are zeros whose sign the row loops fix
+    signed = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    signed[rng.random(n) < 0.1] = 1.0
+    for r in (rng.standard_normal(n), signed):
+        want = ref_lu_solve(lu_indptr, lu_indices, ref_data, lu_diag, r)
+        assert_bytes_equal(_kernels.lu_solve(lu_indptr, lu_indices, ref_data,
+                                             lu_diag, r), want)
+        assert_bytes_equal(plan.solve(r), want)
+        assert_bytes_equal(factor.solve(r), want)
+
+
+def test_ilu_k_solves_by_levels_only_on_large_blocks_with_wide_levels():
+    assert ilu_k(grid_laplacian(20), 0).plan is not None
+    assert ilu_k(random_pattern_matrix(5, 300, 0.01, False), 2).plan is not None
+    assert ilu_k(grid_laplacian(7), 0).plan is None  # n = 49
+    # a tridiagonal block is one chain: n levels of one row each
+    n = 2 * ilu.LEVEL_MIN_ROWS
+    chain = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    assert ilu_k(SparseMatrixCSR.from_dense(chain, symmetric=True), 0).plan is None
+    # strict L is empty (one level), strict U one chain: the numeric phase
+    # may run by levels, the solves may not
+    upper_chain = 2.0 * np.eye(n) - np.eye(n, k=1)
+    assert ilu_k(SparseMatrixCSR.from_dense(upper_chain), 0).plan is None
 
 
 def test_full_fill_level_gives_the_full_elimination_pattern():
@@ -217,14 +260,62 @@ def test_zero_pivot_row_matches_reference(dense, row):
     n = A.nrows
     lu_indptr, lu_indices, _levels, lu_diag = _kernels.ilu_symbolic(
         n, A.indptr, A.indices, n)
-    _data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
-                                       lu_indptr, lu_indices, lu_diag)
     _ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
                                           lu_indptr, lu_indices, lu_diag)
-    assert fail == ref_fail == row
+    assert ref_fail == row
+    forward = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag)
+    for schedule in (None, forward):
+        _data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
+                                           lu_indptr, lu_indices, lu_diag, schedule)
+        assert fail == row
     with pytest.raises(ZeroPivot) as err:
         ilu_k(A, n)
     assert err.value.row == row
+
+
+def planted_zero_pivots(n=400):
+    """2x2 blocks [[2, 1], [1, 2]] on the diagonal, except [[2, 2], [1, 1]]
+    at rows 100-101 and 300-301: their second pivot is exactly
+    1 - (1/2) * 2 = 0.  Row 100 depends on row 99, so row 101 is at level 3
+    and row 301 at level 1.  Every other later row depends on row 101, whose
+    strict U reaches the last column, so later levels divide by the zero
+    pivot and meet inf - inf."""
+    M = np.zeros((n, n))
+    for i in range(0, n, 2):
+        M[i:i + 2, i:i + 2] = [[2.0, 1.0], [1.0, 2.0]]
+    for i in (100, 300):
+        M[i:i + 2, i:i + 2] = [[2.0, 2.0], [1.0, 1.0]]
+    M[100, 99] = 1.0
+    M[102:300, 101] = 1.0
+    M[302:, 101] = 1.0
+    M[101, n - 1] = 1.0
+    return SparseMatrixCSR.from_dense(M)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_zero_pivot_on_the_level_path(k):
+    A = planted_zero_pivots()
+    n = A.nrows
+    lu_indptr, lu_indices, _levels, lu_diag = _kernels.ilu_symbolic(
+        n, A.indptr, A.indices, k)
+    order, bounds = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag)
+    # large and wide enough for ilu_k to take the level path
+    assert n >= ilu.LEVEL_MIN_ROWS
+    assert (bounds.size - 1) * ilu.LEVEL_MIN_WIDTH <= n
+    level = np.empty(n, dtype=np.int64)
+    level[order] = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    assert level[301] < level[101]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
+                                           lu_indptr, lu_indices, lu_diag,
+                                           (order, bounds))
+        with pytest.raises(ZeroPivot) as err:
+            ilu_k(A, k)
+    _ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
+                                          lu_indptr, lu_indices, lu_diag)
+    assert fail == ref_fail == 101
+    assert err.value.row == 101
 
 
 @pytest.mark.parametrize("seed", range(4))

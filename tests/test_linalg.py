@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gpcg import (IndexSet, SparseMatrixCSR, axpy, dot, extract_submatrix,
-                  gather, mat_vec, norm2, norm_inf, pointwise_median, scatter)
+import gpcg
+from gpcg import (IndexSet, SparseMatrixCSR, dot, extract_submatrix,
+                  gather, mat_vec, norm2, pointwise_median, scatter)
 
 from conftest import random_sparse_spd
 
@@ -214,19 +215,20 @@ class TestVectorOps:
         with pytest.raises(ValueError):
             dot(np.zeros(2), np.zeros(3))
 
-    def test_axpy_matches_loop(self):
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal(15)
-        y = rng.standard_normal(15)
-        expected = np.array([2.5 * x[i] + y[i] for i in range(15)])
-        assert_allclose(axpy(2.5, x, y), expected, rtol=0, atol=0)
+    def test_forward_only_helpers_are_gone(self):
+        # axpy, norm_inf and apply_precond only forwarded to numpy or to
+        # Preconditioner.apply; they are deleted, not kept as aliases
+        for module, name in [(gpcg, "axpy"), (gpcg, "norm_inf"),
+                             (gpcg, "apply_precond"), (gpcg.linalg, "axpy"),
+                             (gpcg.linalg, "norm_inf"),
+                             (gpcg.precond, "apply_precond")]:
+            assert not hasattr(module, name)
+        assert not {"axpy", "norm_inf", "apply_precond"} & set(gpcg.__all__)
 
     def test_norms(self):
         v = np.array([3.0, -4.0])
         assert norm2(v) == 5.0
-        assert norm_inf(v) == 4.0
         assert norm2(np.zeros(0)) == 0.0
-        assert norm_inf(np.zeros(0)) == 0.0
 
 
 class TestIndexSet:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gpcg import (SparseMatrixCSR, apply_precond, make_preconditioner,
-                  parse_precond)
+from gpcg import SparseMatrixCSR, make_preconditioner, parse_precond
 from gpcg.precond import (BlockJacobiILU, PointJacobi, PrecondKind,
                           PrecondSpec, Preconditioner, block_ranges)
 
@@ -68,7 +67,7 @@ class TestApply:
     def test_identity_returns_copy(self):
         P = Preconditioner()
         r = np.array([1.0, 2.0])
-        z = apply_precond(P, r)
+        z = P.apply(r)
         assert_array_equal(z, r)
         z[0] = 9.0
         assert r[0] == 1.0
@@ -76,7 +75,7 @@ class TestApply:
     def test_point_jacobi_divides_by_diagonal(self):
         M = SparseMatrixCSR.from_dense(np.diag([2.0, 4.0]), symmetric=True)
         P = PointJacobi(M)
-        assert_array_equal(apply_precond(P, np.array([2.0, 2.0])),
+        assert_array_equal(P.apply(np.array([2.0, 2.0])),
                            [1.0, 0.5])
 
     def test_point_jacobi_requires_positive_diagonal(self):
@@ -90,7 +89,7 @@ class TestApply:
         M, D = random_sparse_spd(rng, 16, 3)
         P = BlockJacobiILU(M, 16, 1)
         r = rng.standard_normal(16)
-        assert_allclose(apply_precond(P, r), np.linalg.solve(D, r),
+        assert_allclose(P.apply(r), np.linalg.solve(D, r),
                         rtol=0, atol=1e-10)
 
     def test_blocks_solve_independent_diagonal_pieces(self):
@@ -98,7 +97,7 @@ class TestApply:
         M, D = random_sparse_spd(rng, 12, 3)
         P = BlockJacobiILU(M, 12, 3)
         r = rng.standard_normal(12)
-        z = apply_precond(P, r)
+        z = P.apply(r)
         expected = np.empty(12)
         for lo, hi in ((0, 4), (4, 8), (8, 12)):
             expected[lo:hi] = np.linalg.solve(D[lo:hi, lo:hi], r[lo:hi])
@@ -112,7 +111,7 @@ class TestApply:
                   BlockJacobiILU(M, 0, 1), BlockJacobiILU(M, 2, 5)):
             for _ in range(5):
                 r = rng.standard_normal(30)
-                assert np.dot(r, apply_precond(P, r)) > 0.0
+                assert np.dot(r, P.apply(r)) > 0.0
 
     def test_dimension_check(self):
         M = SparseMatrixCSR.from_dense(np.eye(3), symmetric=True)
