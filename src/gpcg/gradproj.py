@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import AlreadyStationary, NotConvexError, SearchFailed
 from .linalg import dot, mat_vec, norm2
-from .model import (BoundQP, _active_mask, gradient, objective, project,
-                    projected_gradient)
+from .model import (BoundQP, _active_mask, _project, _projected_gradient,
+                    gradient, objective)
 
 
 class GPStop(enum.Enum):
@@ -36,71 +36,79 @@ class GPIterate:
 
 @dataclass
 class GPResult:
+    """Where the phase ended: x_out with Ax = A x_out, q = q(x_out) and
+    g = grad q(x_out), computed exactly as ``objective``/``gradient`` would."""
     x_out: np.ndarray
     iterates_taken: int
     termination: GPStop
     decreases: np.ndarray
+    Ax: np.ndarray
+    q: float
+    g: np.ndarray
     records: list[GPIterate] = field(default_factory=list)
 
 
-def cauchy_step_size(qp: BoundQP, y: np.ndarray, d: np.ndarray) -> float:
-    """Exact minimizer of the quadratic along -d from y:
-    <grad q(y), d> / <d, Ad>."""
+def cauchy_step_size(qp: BoundQP, g: np.ndarray, d: np.ndarray) -> float:
+    """Exact minimizer of the quadratic along -d from a point whose gradient
+    is g: <g, d> / <d, Ad>.  One matvec, A d."""
     if not d.any():
         raise AlreadyStationary("direction is zero")
-    g = gradient(qp, y)
     curvature = dot(d, mat_vec(qp.A, d))
     if curvature <= 0.0:
         raise NotConvexError(f"curvature along the step is {curvature}")
     return dot(g, d) / curvature
 
 
-def projected_search_gp(qp: BoundQP, y: np.ndarray, g: np.ndarray,
-                        alpha0: float, mu: float,
-                        max_halvings: int = 50) -> tuple[np.ndarray, float, int]:
+def projected_search_gp(qp: BoundQP, y: np.ndarray, g: np.ndarray, q_y: float,
+                        alpha0: float, mu: float, max_halvings: int = 50
+                        ) -> tuple[np.ndarray, float, int, np.ndarray, float]:
     """Backtrack over alpha0 * (1/2)^j until the projected full-gradient step
-    satisfies the sufficient decrease test."""
+    from y satisfies the sufficient decrease test; one matvec per trial.
+    Returns (y+, alpha, halvings, A y+, q(y+)); q_y is q(y)."""
     if not 0.0 < mu < 0.5:
         raise ValueError("sufficient decrease constant must lie in (0, 1/2)")
     if alpha0 <= 0.0:
         raise ValueError("initial step size must be positive")
-    q_y = objective(qp, y)
     alpha = alpha0
     for halvings in range(max_halvings + 1):
-        y_trial = project(qp, y - alpha * g)
-        if objective(qp, y_trial) <= q_y + mu * dot(g, y_trial - y):
-            return y_trial, alpha, halvings
+        y_trial = _project(qp, y - alpha * g)
+        Ay = mat_vec(qp.A, y_trial)
+        q_trial = objective(qp, y_trial, Ay)
+        if q_trial <= q_y + mu * dot(g, y_trial - y):
+            return y_trial, alpha, halvings, Ay, q_trial
         alpha *= 0.5
     raise SearchFailed(f"no acceptable step within {max_halvings} halvings")
 
 
 def gp_phase(qp: BoundQP, x: np.ndarray, eta1: float, mu: float, tau: float,
-             cap: int, max_halvings: int = 50) -> GPResult:
+             cap: int, max_halvings: int = 50,
+             Ax: np.ndarray | None = None) -> GPResult:
     """Run projected-gradient iterates from x until the active set repeats,
     the decrease falls below eta1 times the best decrease so far, the
-    convergence test fires, or the iterate cap is hit."""
+    convergence test fires, or the iterate cap is hit.  Given Ax = A x, each
+    iterate costs one matvec for the Cauchy step and one per search trial."""
     if not 0.0 < eta1 < 1.0:
         raise ValueError("progress tolerance must lie in (0, 1)")
     y = x
-    q_y = objective(qp, y)
-    g = gradient(qp, y)
-    pg_norm = norm2(projected_gradient(qp, y, g))
+    Ay = mat_vec(qp.A, y) if Ax is None else Ax
+    q_y = objective(qp, y, Ay)
+    g = gradient(qp, y, Ay)
+    pg = _projected_gradient(qp, y, g)
     decreases: list[float] = []
     records: list[GPIterate] = []
-    if pg_norm <= tau:
-        return GPResult(y, 0, GPStop.CONVERGED, np.zeros(0), records)
+    if norm2(pg) <= tau:
+        return GPResult(y, 0, GPStop.CONVERGED, np.zeros(0), Ay, q_y, g, records)
     prev_active = _active_mask(qp, y)
     termination = GPStop.ITERATION_CAP
     for j in range(1, cap + 1):
-        pg = projected_gradient(qp, y, g)
-        alpha0 = cauchy_step_size(qp, y, pg)
-        y_next, alpha, halvings = projected_search_gp(qp, y, g, alpha0, mu,
-                                                      max_halvings)
-        q_next = objective(qp, y_next)
+        alpha0 = cauchy_step_size(qp, g, pg)
+        y_next, alpha, halvings, Ay, q_next = projected_search_gp(
+            qp, y, g, q_y, alpha0, mu, max_halvings)
         decreases.append(q_y - q_next)
         y, q_y = y_next, q_next
-        g = gradient(qp, y)
-        pg_norm = norm2(projected_gradient(qp, y, g))
+        g = gradient(qp, y, Ay)
+        pg = _projected_gradient(qp, y, g)
+        pg_norm = norm2(pg)
         cur_active = _active_mask(qp, y)
         records.append(GPIterate(j, q_y, alpha, halvings,
                                  int(cur_active.sum()), pg_norm))
@@ -114,5 +122,5 @@ def gp_phase(qp: BoundQP, x: np.ndarray, eta1: float, mu: float, tau: float,
             termination = GPStop.INSUFFICIENT_PROGRESS
             break
         prev_active = cur_active
-    return GPResult(y, len(decreases), termination,
-                    np.asarray(decreases), records)
+    return GPResult(y, len(decreases), termination, np.asarray(decreases),
+                    Ay, q_y, g, records)

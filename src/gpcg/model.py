@@ -63,14 +63,18 @@ def _check_feasible(qp: BoundQP, x: np.ndarray):
         raise ValueError("point is infeasible")
 
 
-def objective(qp: BoundQP, x: np.ndarray) -> float:
+def objective(qp: BoundQP, x: np.ndarray, Ax: np.ndarray | None = None) -> float:
+    """q(x); pass Ax = mat_vec(qp.A, x) to reuse a product already made."""
     _check_dim(qp, x)
-    return 0.5 * dot(x, mat_vec(qp.A, x)) + dot(qp.b, x) + qp.c
+    Ax = mat_vec(qp.A, x) if Ax is None else Ax
+    return 0.5 * dot(x, Ax) + dot(qp.b, x) + qp.c
 
 
-def gradient(qp: BoundQP, x: np.ndarray) -> np.ndarray:
+def gradient(qp: BoundQP, x: np.ndarray, Ax: np.ndarray | None = None) -> np.ndarray:
+    """Ax + b; pass Ax = mat_vec(qp.A, x) to reuse a product already made."""
     _check_dim(qp, x)
-    return mat_vec(qp.A, x) + qp.b
+    Ax = mat_vec(qp.A, x) if Ax is None else Ax
+    return Ax + qp.b
 
 
 def project(qp: BoundQP, x: np.ndarray) -> np.ndarray:
@@ -78,10 +82,20 @@ def project(qp: BoundQP, x: np.ndarray) -> np.ndarray:
     return pointwise_median(qp.l, qp.u, x)
 
 
+def _project(qp: BoundQP, x: np.ndarray) -> np.ndarray:
+    """``project`` without the checks, for points made inside the solver."""
+    return np.minimum(np.maximum(x, qp.l), qp.u)
+
+
 def projected_gradient(qp: BoundQP, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient with components clipped at active bounds; zero exactly at
     optimal points."""
     _check_feasible(qp, x)
+    return _projected_gradient(qp, x, g)
+
+
+def _projected_gradient(qp: BoundQP, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``projected_gradient`` without the feasibility check."""
     at_l = x == qp.l
     at_u = x == qp.u
     pg = g.copy()

@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import GPCGError, NoFreeVariables, SearchFailed
 from .gradproj import gp_phase
-from .linalg import dot, gather, norm2, scatter
-from .model import (BoundQP, _active_mask, _binding_mask, free_set, gradient,
-                    objective, project, projected_gradient)
+from .linalg import IndexSet, dot, mat_vec, norm2, scatter
+from .model import (BoundQP, _active_mask, _binding_mask, _project,
+                    _projected_gradient, gradient, objective, project)
 from .precond import make_preconditioner, parse_precond
 from .reduced import CGStop, build_reduced, pcg_progress
 
@@ -37,7 +37,6 @@ class SolverConfig:
     gp_cap: int = 100                 # GP iterates per phase
     precond: str = "none"
     blocks: int = 1
-    warm_start_cg: bool = False
     max_refines: int = 30             # CG re-entries per outer iterate
     max_halvings: int = 50
     cg_maxiter: int | None = None     # None: the reduced dimension
@@ -97,30 +96,29 @@ class SolveOutcome:
     failure_reason: str | None = None
 
 
-def projected_search_cg(qp: BoundQP, x: np.ndarray, d: np.ndarray, mu: float,
-                        max_halvings: int = 50) -> tuple[np.ndarray, float]:
+def projected_search_cg(qp: BoundQP, x: np.ndarray, g: np.ndarray, q_x: float,
+                        d: np.ndarray, mu: float, max_halvings: int = 50
+                        ) -> tuple[np.ndarray, float, np.ndarray, float]:
     """Backtrack over alpha in {1, 1/2, 1/4, ...} until the projected step
-    along d satisfies the sufficient decrease test."""
+    along d satisfies the sufficient decrease test; one matvec per trial.
+    Returns (x+, alpha, A x+, q(x+)); g and q_x are the gradient and q at x."""
     if not 0.0 < mu < 0.5:
         raise ValueError("sufficient decrease constant must lie in (0, 1/2)")
-    g = gradient(qp, x)
-    q_x = objective(qp, x)
     alpha = 1.0
     for _ in range(max_halvings + 1):
-        x_trial = project(qp, x + alpha * d)
-        if objective(qp, x_trial) <= q_x + mu * dot(g, x_trial - x):
-            return x_trial, alpha
+        x_trial = _project(qp, x + alpha * d)
+        Ax = mat_vec(qp.A, x_trial)
+        q_trial = objective(qp, x_trial, Ax)
+        if q_trial <= q_x + mu * dot(g, x_trial - x):
+            return x_trial, alpha, Ax, q_trial
         alpha *= 0.5
     raise SearchFailed(f"no acceptable step within {max_halvings} halvings")
 
 
-def _free_count(qp: BoundQP, x: np.ndarray) -> int:
-    return int((~_active_mask(qp, x)).sum())
-
-
 def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> SolveOutcome:
     """Minimize the bound-constrained quadratic starting from x0 (projected
-    onto the box first)."""
+    onto the box first).  The iterate x travels with Ax = A x, q = q(x) and
+    g = grad q(x), so each is computed once per point."""
     if cfg is None:
         cfg = SolverConfig()
     start = time.perf_counter()
@@ -128,112 +126,90 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
     precond_spec = parse_precond(cfg.precond)
     n = qp.n
     x = project(qp, x0)
-    g = gradient(qp, x)
-    pg_norm = norm2(projected_gradient(qp, x, g))
+    Ax = mat_vec(qp.A, x)
+    q = objective(qp, x, Ax)
+    g = gradient(qp, x, Ax)
+    pg_norm = norm2(_projected_gradient(qp, x, g))
     faces: set[bytes] = set()
     status = SolveStatus.MAX_OUTER_REACHED
     reason = None
-    if pg_norm <= cfg.tol:
-        status = SolveStatus.CONVERGED
-    else:
-        try:
-            for outer in range(1, cfg.max_outer + 1):
-                stats.outer_iters = outer
-                converged_now = False
-                eta2 = cfg.cg_progress
-                outer_cg_iters = 0
-                try:
-                    gp = gp_phase(qp, x, cfg.gp_progress,
-                                  cfg.sufficient_decrease, cfg.tol,
-                                  cfg.gp_cap, cfg.max_halvings)
-                    x = gp.x_out
-                    g = gradient(qp, x)
-                    stats.gp_iters_total += gp.iterates_taken
-                    for rec in gp.records:
-                        stats.trace.append(TraceRecord(
-                            outer, "gp", rec.q, rec.pg_norm,
-                            n - rec.n_active, 0, eta2))
-                    pg_norm = norm2(projected_gradient(qp, x, g))
-                    log.info("outer %d: gp took %d iterates (%s), pg_norm=%.3e",
-                             outer, gp.iterates_taken, gp.termination.value,
-                             pg_norm)
-                    if pg_norm <= cfg.tol:
-                        converged_now = True
-                    refines = 0
-                    last_d = None
-                    last_alpha = 1.0
-                    while not converged_now:
-                        free = free_set(qp, x)
-                        if len(free) == 0:
-                            raise NoFreeVariables(
-                                "degenerate iterate: every variable is on a "
-                                "bound but the projected gradient is above "
-                                "the tolerance")
-                        sys = build_reduced(qp, x, g, free)
-                        P = make_preconditioner(sys.A_k, precond_spec,
-                                                cfg.blocks)
-                        if cfg.warm_start_cg and refines > 0 and last_d is not None:
-                            w0 = (1.0 - last_alpha) * gather(last_d, free)
-                        else:
-                            w0 = np.zeros(sys.m)
-                        cg = pcg_progress(sys, P, w0, eta2, cfg.cg_maxiter)
-                        stats.cg_iters_total += cg.iterations
-                        outer_cg_iters += cg.iterations
-                        stats.cg_calls += 1
+    try:
+        for outer in range(1, cfg.max_outer + 1):
+            if pg_norm <= cfg.tol:
+                break
+            stats.outer_iters = outer
+            eta2 = cfg.cg_progress
+            outer_cg_iters = 0
+            try:
+                gp = gp_phase(qp, x, cfg.gp_progress, cfg.sufficient_decrease,
+                              cfg.tol, cfg.gp_cap, cfg.max_halvings, Ax)
+                x, Ax, q, g = gp.x_out, gp.Ax, gp.q, gp.g
+                stats.gp_iters_total += gp.iterates_taken
+                for rec in gp.records:
+                    stats.trace.append(TraceRecord(
+                        outer, "gp", rec.q, rec.pg_norm, n - rec.n_active, 0,
+                        eta2))
+                pg_norm = norm2(_projected_gradient(qp, x, g))
+                log.info("outer %d: gp took %d iterates (%s), pg_norm=%.3e",
+                         outer, gp.iterates_taken, gp.termination.value,
+                         pg_norm)
+                refines = 0
+                while pg_norm > cfg.tol:
+                    free = IndexSet.from_mask(~_active_mask(qp, x))
+                    m = len(free)
+                    if m == 0:
+                        raise NoFreeVariables(
+                            "degenerate iterate: every variable is on a bound "
+                            "but the projected gradient is above the tolerance")
+                    sys = build_reduced(qp, x, g, free)
+                    P = make_preconditioner(sys.A_k, precond_spec, cfg.blocks)
+                    cg = pcg_progress(sys, P, np.zeros(m), eta2, cfg.cg_maxiter)
+                    # let the factor go before the next one is built
+                    P = sys = None
+                    stats.cg_iters_total += cg.iterations
+                    outer_cg_iters += cg.iterations
+                    stats.cg_calls += 1
+                    try:
                         if cg.termination is CGStop.BREAKDOWN:
-                            stats.trace.append(TraceRecord(
-                                outer, "cg", objective(qp, x), pg_norm,
-                                sys.m, cg.iterations, eta2))
                             raise GPCGError(f"CG breakdown: the {cg.breakdown} "
                                             "is not positive definite")
-                        d = scatter(cg.w, free, np.zeros(n))
-                        try:
-                            x, alpha = projected_search_cg(
-                                qp, x, d, cfg.sufficient_decrease,
-                                cfg.max_halvings)
-                        except SearchFailed:
-                            stats.trace.append(TraceRecord(
-                                outer, "cg", objective(qp, x), pg_norm,
-                                sys.m, cg.iterations, eta2))
-                            raise
-                        g = gradient(qp, x)
-                        pg_norm = norm2(projected_gradient(qp, x, g))
+                        x, alpha, Ax, q = projected_search_cg(
+                            qp, x, g, q, scatter(cg.w, free, np.zeros(n)),
+                            cfg.sufficient_decrease, cfg.max_halvings)
+                        g = gradient(qp, x, Ax)
+                        pg_norm = norm2(_projected_gradient(qp, x, g))
+                    finally:  # the row describes the point kept
                         stats.trace.append(TraceRecord(
-                            outer, "cg", objective(qp, x), pg_norm,
-                            sys.m, cg.iterations, eta2))
-                        log.debug("outer %d: cg %d iters (%s), step %.3g, "
-                                  "pg_norm=%.3e, eta2=%.2e", outer,
-                                  cg.iterations, cg.termination.value, alpha,
-                                  pg_norm, eta2)
-                        last_d, last_alpha = d, alpha
-                        if pg_norm <= cfg.tol:
-                            converged_now = True
-                            break
-                        if not np.array_equal(_binding_mask(qp, x, g),
-                                              _active_mask(qp, x)):
-                            break  # face not yet optimal: back to a GP phase
-                        if (eta2 <= cfg.cg_progress_floor
-                                or refines >= cfg.max_refines):
-                            break
-                        eta2 = max(eta2 * cfg.cg_progress_shrink,
-                                   cfg.cg_progress_floor)
-                        refines += 1
-                finally:
-                    faces.add(_active_mask(qp, x).tobytes())
-                    stats.trace.append(TraceRecord(
-                        outer, "outer", objective(qp, x), pg_norm,
-                        _free_count(qp, x), outer_cg_iters, eta2))
-                if converged_now:
-                    status = SolveStatus.CONVERGED
-                    break
-        except GPCGError as exc:
-            status = SolveStatus.FAILED
-            reason = f"{type(exc).__name__}: {exc}"
-            log.info("solve failed: %s", reason)
+                            outer, "cg", q, pg_norm, m, cg.iterations, eta2))
+                    log.debug("outer %d: cg %d iters (%s), step %.3g, "
+                              "pg_norm=%.3e, eta2=%.2e", outer, cg.iterations,
+                              cg.termination.value, alpha, pg_norm, eta2)
+                    if not np.array_equal(_binding_mask(qp, x, g),
+                                          _active_mask(qp, x)):
+                        break  # face not yet optimal: back to a GP phase
+                    if (eta2 <= cfg.cg_progress_floor
+                            or refines >= cfg.max_refines):
+                        break
+                    eta2 = max(eta2 * cfg.cg_progress_shrink,
+                               cfg.cg_progress_floor)
+                    refines += 1
+            finally:
+                active = _active_mask(qp, x)
+                faces.add(active.tobytes())
+                stats.trace.append(TraceRecord(
+                    outer, "outer", q, pg_norm, n - int(active.sum()),
+                    outer_cg_iters, eta2))
+        if pg_norm <= cfg.tol:
+            status = SolveStatus.CONVERGED
+    except GPCGError as exc:
+        status = SolveStatus.FAILED
+        reason = f"{type(exc).__name__}: {exc}"
+        log.info("solve failed: %s", reason)
 
     stats.faces_visited = len(faces)
-    stats.free_fraction_final = _free_count(qp, x) / n if n else 0.0
-    stats.final_pg_norm = norm2(projected_gradient(qp, x, gradient(qp, x)))
-    stats.objective_final = objective(qp, x)
+    stats.free_fraction_final = (
+        int((~_active_mask(qp, x)).sum()) / n if n else 0.0)
+    stats.final_pg_norm = pg_norm
+    stats.objective_final = q
     stats.wall_time_seconds = time.perf_counter() - start
     return SolveOutcome(x, stats, status, reason)

@@ -5,8 +5,9 @@ from numpy.testing import assert_allclose
 
 from gpcg import (AlreadyStationary, BearingSpec, BoundQP, GPStop,
                   NotConvexError, SearchFailed, SparseMatrixCSR,
-                  cauchy_step_size, generate, gp_phase, gradient, objective,
-                  projected_gradient, projected_search_gp)
+                  cauchy_step_size, dot, generate, gp_phase, gradient,
+                  mat_vec, norm2, objective, project, projected_gradient,
+                  projected_search_gp)
 
 from conftest import random_bound_qp, unconstrained_qp
 
@@ -21,8 +22,9 @@ class TestCauchyStepSize:
         # q(x) = x^2 - 4x: step from 0 along -pg lands on the minimizer 2
         qp = _one_d(2.0, -4.0, -10.0, 10.0)
         y = np.zeros(1)
-        d = projected_gradient(qp, y, gradient(qp, y))
-        alpha = cauchy_step_size(qp, y, d)
+        g = gradient(qp, y)
+        d = projected_gradient(qp, y, g)
+        alpha = cauchy_step_size(qp, g, d)
         assert alpha == 0.5
         assert (y - alpha * d)[0] == 2.0
 
@@ -35,14 +37,15 @@ class TestCauchyStepSize:
         g = gradient(qp, y)
         d = projected_gradient(qp, y, g)
         assert_allclose(d, [0.0, -1.0], rtol=0, atol=0)
-        assert cauchy_step_size(qp, y, d) == 0.5
+        assert cauchy_step_size(qp, g, d) == 0.5
 
     def test_matches_scalar_minimization(self):
         rng = np.random.default_rng(30)
         qp = random_bound_qp(rng, 8, inf_prob=0.0)
         y = np.clip(rng.standard_normal(8), qp.l, qp.u)
-        d = projected_gradient(qp, y, gradient(qp, y))
-        alpha = cauchy_step_size(qp, y, d)
+        g = gradient(qp, y)
+        d = projected_gradient(qp, y, g)
+        alpha = cauchy_step_size(qp, g, d)
         # independent check: minimize q(y - a d) over a by golden section
         res = scipy.optimize.minimize_scalar(
             lambda a: objective(qp, y - a * d), bounds=(0.0, 10.0 * alpha),
@@ -60,7 +63,8 @@ class TestCauchyStepSize:
                                        symmetric=True)
         qp = BoundQP(A, np.zeros(2), 0.0, np.full(2, -5.0), np.full(2, 5.0))
         with pytest.raises(NotConvexError):
-            cauchy_step_size(qp, np.zeros(2), np.array([1.0, -1.0]))
+            cauchy_step_size(qp, gradient(qp, np.zeros(2)),
+                             np.array([1.0, -1.0]))
 
 
 class TestProjectedSearchGP:
@@ -68,7 +72,8 @@ class TestProjectedSearchGP:
         qp = _one_d(1.0, 0.0, -np.inf, np.inf)
         y = np.ones(1)
         g = gradient(qp, y)
-        y_next, alpha, halvings = projected_search_gp(qp, y, g, 1.0, 0.1)
+        y_next, alpha, halvings, _, _ = projected_search_gp(
+            qp, y, g, objective(qp, y), 1.0, 0.1)
         assert y_next[0] == 0.0
         assert alpha == 1.0
         assert halvings == 0
@@ -79,7 +84,8 @@ class TestProjectedSearchGP:
         qp = _one_d(1.0, 0.0, -np.inf, np.inf)
         y = np.ones(1)
         g = gradient(qp, y)
-        y_next, alpha, halvings = projected_search_gp(qp, y, g, 8.0, 0.1)
+        y_next, alpha, halvings, _, _ = projected_search_gp(
+            qp, y, g, objective(qp, y), 8.0, 0.1)
         assert alpha == 1.0
         assert halvings == 3
         assert y_next[0] == 0.0
@@ -90,7 +96,8 @@ class TestProjectedSearchGP:
         qp = _one_d(1.0, 3.0, 0.0, np.inf)
         y = np.full(1, 2.0)
         g = gradient(qp, y)
-        y_next, alpha, halvings = projected_search_gp(qp, y, g, 1.0, 0.1)
+        y_next, alpha, halvings, _, _ = projected_search_gp(
+            qp, y, g, objective(qp, y), 1.0, 0.1)
         assert y_next[0] == 0.0
         assert halvings == 0
 
@@ -102,20 +109,22 @@ class TestProjectedSearchGP:
         g = gradient(qp, y)
         # trial alpha=1 gives q drop 0.5 and <g, dy> = -1; accepted iff
         # 0 <= 0.5 - mu, true for every valid mu
-        _, alpha, _ = projected_search_gp(qp, y, g, 1.0, 0.49)
+        _, alpha, _, _, _ = projected_search_gp(qp, y, g, objective(qp, y),
+                                                1.0, 0.49)
         assert alpha == 1.0
 
     def test_invalid_mu_rejected(self):
         qp = _one_d(1.0, 0.0, -1.0, 1.0)
         with pytest.raises(ValueError):
-            projected_search_gp(qp, np.ones(1), np.ones(1), 1.0, 0.5)
+            projected_search_gp(qp, np.ones(1), np.ones(1), 0.5, 1.0, 0.5)
 
     def test_exhaustion_raises(self):
         qp = _one_d(1.0, 0.0, -np.inf, np.inf)
         y = np.ones(1)
         g = gradient(qp, y)
         with pytest.raises(SearchFailed):
-            projected_search_gp(qp, y, g, 2.0 ** 40, 0.1, max_halvings=3)
+            projected_search_gp(qp, y, g, objective(qp, y), 2.0 ** 40, 0.1,
+                                max_halvings=3)
 
 
 class TestGPPhase:
@@ -162,6 +171,39 @@ class TestGPPhase:
         with pytest.raises(ValueError):
             gp_phase(qp, np.zeros(1), 1.0, 0.1, 1e-8, 10)
 
+    @pytest.mark.parametrize("given_ax", [False, True])
+    def test_result_carries_exact_product_objective_and_gradient(self,
+                                                                given_ax):
+        qp = generate(BearingSpec(16, 16, 0.8))
+        for cap in (0, 1, 40):
+            Ax = mat_vec(qp.A, qp.l) if given_ax else None
+            out = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6, cap, Ax=Ax)
+            assert np.array_equal(out.Ax, mat_vec(qp.A, out.x_out))
+            assert out.q == objective(qp, out.x_out)
+            assert np.array_equal(out.g, gradient(qp, out.x_out))
+
+    def test_search_returns_product_and_objective_of_accepted_point(self):
+        qp = generate(BearingSpec(8, 8, 0.5))
+        y = qp.l
+        g = gradient(qp, y)
+        y_next, _, _, Ay, q_next = projected_search_gp(
+            qp, y, g, objective(qp, y), 64.0, 0.1)
+        assert np.array_equal(Ay, mat_vec(qp.A, y_next))
+        assert q_next == objective(qp, y_next)
+
+    def test_same_bits_as_recomputing_every_value(self):
+        # the carried products change no value: every record and the final
+        # point match a loop that recomputes q, g and the projected gradient
+        # from scratch at each use
+        for spec in (BearingSpec(16, 16, 0.8), BearingSpec(20, 12, 0.1)):
+            qp = generate(spec)
+            out = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6, 40)
+            x_ref, qs, steps = _uncached_gp_reference(qp, qp.l, 0.1, 0.1,
+                                                      1e-6, 40)
+            assert out.x_out.tobytes() == x_ref.tobytes()
+            assert [rec.q for rec in out.records] == qs
+            assert [rec.step for rec in out.records] == steps
+
     def test_matches_independent_dense_reference(self):
         # same iterates as a freshly coded dense implementation
         qp = generate(BearingSpec(16, 16, 0.8))
@@ -173,6 +215,37 @@ class TestGPPhase:
         assert_allclose(got_qs, ref_qs, rtol=1e-10, atol=1e-12)
         assert out.iterates_taken <= 25
         assert out.records[-1].n_active < qp.n
+
+
+def _uncached_gp_reference(qp, y, eta1, mu, tau, cap):
+    """The phase with every product recomputed where it is used."""
+    qs, steps, drops = [], [], []
+    if norm2(projected_gradient(qp, y, gradient(qp, y))) <= tau:
+        return y, qs, steps
+    prev_active = (y == qp.l) | (y == qp.u)
+    for _ in range(cap):
+        g = gradient(qp, y)
+        d = projected_gradient(qp, y, g)
+        alpha = dot(g, d) / dot(d, mat_vec(qp.A, d))
+        q_y = objective(qp, y)
+        while True:
+            trial = project(qp, y - alpha * g)
+            if objective(qp, trial) <= q_y + mu * dot(g, trial - y):
+                break
+            alpha *= 0.5
+        drops.append(q_y - objective(qp, trial))
+        y = trial
+        qs.append(objective(qp, y))
+        steps.append(alpha)
+        active = (y == qp.l) | (y == qp.u)
+        if norm2(projected_gradient(qp, y, gradient(qp, y))) <= tau:
+            break
+        if np.array_equal(active, prev_active):
+            break
+        if len(drops) >= 2 and drops[-1] <= eta1 * max(drops[:-1]):
+            break
+        prev_active = active
+    return y, qs, steps
 
 
 def _dense_gp_reference(A, b, l, u, y, eta1, mu, tau, cap):
