@@ -8,8 +8,7 @@ from .errors import (AlreadyStationary, GPCGError, NoFreeVariables,
 from .gradproj import GPResult, GPStop, cauchy_step_size, gp_phase, projected_search_gp
 from .ilu import ILUFactorization, ilu_k
 from .io import load_problem, read_matrix, read_vector, save_problem, write_matrix, write_trace, write_vector
-from .linalg import (IndexSet, SparseMatrixCSR, dot, extract_submatrix,
-                     gather, mat_vec, norm2, pointwise_median, scatter)
+from .linalg import SparseMatrixCSR, dot, extract_submatrix, mat_vec, norm2
 from .model import (BoundQP, active_set, binding_set, converged, free_set,
                     gradient, objective, project, projected_gradient)
 from .oracle import dense_solve, solve_enum
@@ -24,17 +23,16 @@ __version__ = "1.0.0"
 __all__ = [
     "AlreadyStationary", "BearingSpec", "BlockJacobiILU", "BoundQP",
     "CGResult", "CGStop", "GPCGError", "GPResult", "GPStop",
-    "ILUFactorization", "IndexSet", "NoFreeVariables", "NotConvexError",
+    "ILUFactorization", "NoFreeVariables", "NotConvexError",
     "PointJacobi", "Preconditioner", "ReducedSystem", "SearchFailed",
     "SolveOutcome", "SolveStatus", "SolverConfig", "SolverStats",
     "SparseMatrixCSR", "TraceRecord", "ZeroPivot", "active_set",
-    "binding_set", "build_reduced",
-    "cauchy_step_size", "converged", "dense_solve", "dot",
-    "extract_submatrix", "free_set", "gather", "generate", "gp_phase",
-    "gradient", "ilu_k", "load_problem", "make_preconditioner", "mat_vec",
-    "norm2", "objective", "parse_precond", "pcg_progress",
-    "pointwise_median", "project", "projected_gradient",
-    "projected_search_cg", "projected_search_gp", "read_matrix",
-    "read_vector", "save_problem", "scatter", "solve", "solve_enum",
-    "wl", "wq", "write_matrix", "write_trace", "write_vector",
+    "binding_set", "build_reduced", "cauchy_step_size", "converged",
+    "dense_solve", "dot", "extract_submatrix", "free_set", "generate",
+    "gp_phase", "gradient", "ilu_k", "load_problem", "make_preconditioner",
+    "mat_vec", "norm2", "objective", "parse_precond", "pcg_progress",
+    "project", "projected_gradient", "projected_search_cg",
+    "projected_search_gp", "read_matrix", "read_vector", "save_problem",
+    "solve", "solve_enum", "wl", "wq", "write_matrix", "write_trace",
+    "write_vector",
 ]

@@ -51,8 +51,8 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--mu", type=float, default=0.1,
                    help="sufficient decrease constant")
     p.add_argument("--precond", default="none",
-                   help="none | jacobi | bjacobi-ilu0 | bjacobi-ilu2 "
-                        "(optionally ':blocks=<p>')")
+                   help="none | jacobi | bjacobi-ilu<k>, e.g. bjacobi-ilu2 "
+                        "(block count: --blocks)")
     p.add_argument("--blocks", type=int, default=1,
                    help="diagonal block count for block Jacobi")
     p.add_argument("--max-outer", type=int, default=500)

@@ -1,7 +1,9 @@
-"""Dense vectors, CSR matrices, index sets, and the gather/scatter kernels.
+"""Dense vectors, CSR matrices and the products and principal submatrices
+the solver takes of them.
 
 Vectors are plain float64 numpy arrays.  Bound vectors may hold +/-inf; all
-other vectors are expected to be finite.  ``mat_vec`` sums each row left to
+other vectors are expected to be finite.  An index set is a strictly
+increasing int64 array, as ``np.flatnonzero`` returns it.  ``mat_vec`` sums each row left to
 right, so its result does not depend on the machine or thread count;
 ``dot`` and ``norm2`` call BLAS, whose summation order may depend on both.
 """
@@ -20,59 +22,6 @@ def as_vector(values) -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     return v
-
-
-class IndexSet:
-    """Strictly increasing set of integer indices in [0, n)."""
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices, n: int | None = None, validate: bool = True):
-        idx = np.ascontiguousarray(indices, dtype=np.int64)
-        if idx.ndim != 1:
-            raise ValueError("index set must be one dimensional")
-        if validate and idx.size:
-            if not (np.diff(idx) > 0).all():
-                raise ValueError("indices must be strictly increasing")
-            if idx[0] < 0:
-                raise ValueError("negative index")
-            if n is not None and idx[-1] >= n:
-                raise ValueError(f"index {idx[-1]} out of range for n={n}")
-        self.indices = idx
-
-    @classmethod
-    def from_mask(cls, mask) -> "IndexSet":
-        return cls(np.flatnonzero(mask), validate=False)
-
-    @classmethod
-    def full(cls, n: int) -> "IndexSet":
-        return cls(np.arange(n, dtype=np.int64), validate=False)
-
-    @classmethod
-    def empty(cls) -> "IndexSet":
-        return cls(np.empty(0, dtype=np.int64), validate=False)
-
-    def complement(self, n: int) -> "IndexSet":
-        mask = np.ones(n, dtype=bool)
-        mask[self.indices] = False
-        return IndexSet.from_mask(mask)
-
-    def __len__(self) -> int:
-        return self.indices.size
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.indices, dtype=dtype, copy=bool(copy))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, IndexSet):
-            return np.array_equal(self.indices, other.indices)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.indices.tobytes())
-
-    def __repr__(self) -> str:
-        return f"IndexSet({self.indices.tolist()!r})"
 
 
 class SparseMatrixCSR:
@@ -208,49 +157,18 @@ def mat_vec(A: SparseMatrixCSR, x: np.ndarray) -> np.ndarray:
     return A.scipy @ x
 
 
-def extract_submatrix(A: SparseMatrixCSR, rows: IndexSet, cols: IndexSet) -> SparseMatrixCSR:
-    """Return the submatrix A[rows, cols]; entries stored as zero are dropped."""
-    r = rows.indices
-    c = cols.indices
-    if r.size and (r[0] < 0 or r[-1] >= A.nrows):
-        raise ValueError("row index out of range")
-    if c.size and (c[0] < 0 or c[-1] >= A.ncols):
-        raise ValueError("column index out of range")
+def extract_submatrix(A: SparseMatrixCSR, idx: np.ndarray) -> SparseMatrixCSR:
+    """Return the principal submatrix A[idx, idx] for a strictly increasing
+    index array; entries stored as zero are dropped.  It keeps A's symmetry
+    flag."""
+    if idx.size and (idx[0] < 0 or idx[-1] >= A.nrows):
+        raise ValueError("index out of range")
     colmap = np.full(A.ncols, -1, dtype=np.int64)
-    colmap[c] = np.arange(c.size, dtype=np.int64)
-    indptr, indices, data = _kernels.csr_extract(A.indptr, A.indices, A.data, r, colmap)
-    sym = A.symmetric and np.array_equal(r, c)
-    return SparseMatrixCSR(r.size, c.size, indptr, indices, data,
-                           symmetric=sym, validate=False)
-
-
-def gather(v: np.ndarray, s: IndexSet) -> np.ndarray:
-    """Pick out v at the indices of s, in order."""
-    idx = s.indices
-    if idx.size and (idx[0] < 0 or idx[-1] >= v.shape[0]):
-        raise ValueError("index out of range")
-    return v[idx]
-
-
-def scatter(w: np.ndarray, s: IndexSet, base: np.ndarray) -> np.ndarray:
-    """Write w into a copy of base at the indices of s."""
-    idx = s.indices
-    if w.shape[0] != idx.size:
-        raise ValueError(f"got {w.shape[0]} values for {idx.size} indices")
-    if idx.size and (idx[0] < 0 or idx[-1] >= base.shape[0]):
-        raise ValueError("index out of range")
-    out = base.copy()
-    out[idx] = w
-    return out
-
-
-def pointwise_median(l: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Componentwise median of (l, u, x); clips x into the box [l, u]."""
-    if not (l.shape == u.shape == x.shape):
-        raise ValueError("shape mismatch")
-    if (l > u).any():
-        raise ValueError("lower bound exceeds upper bound")
-    return np.minimum(np.maximum(x, l), u)
+    colmap[idx] = np.arange(idx.size, dtype=np.int64)
+    indptr, indices, data = _kernels.csr_extract(A.indptr, A.indices, A.data,
+                                                 idx, colmap)
+    return SparseMatrixCSR(idx.size, idx.size, indptr, indices, data,
+                           symmetric=A.symmetric, validate=False)
 
 
 def dot(x: np.ndarray, y: np.ndarray) -> float:

@@ -3,15 +3,15 @@
 The objective is q(x) = 0.5 x'Ax + b'x + c with A symmetric positive
 definite, minimized over the box l <= x <= u.  Bounds may be infinite;
 equal bounds (fixed variables) are allowed and count as permanently active
-with a zero projected-gradient component.
+with a zero projected-gradient component.  The active, free and binding
+sets are returned as strictly increasing int64 index arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (IndexSet, SparseMatrixCSR, as_vector, dot, mat_vec,
-                     norm2, pointwise_median)
+from .linalg import SparseMatrixCSR, as_vector, dot, mat_vec, norm2
 
 
 class BoundQP:
@@ -78,8 +78,9 @@ def gradient(qp: BoundQP, x: np.ndarray, Ax: np.ndarray | None = None) -> np.nda
 
 
 def project(qp: BoundQP, x: np.ndarray) -> np.ndarray:
+    """Componentwise median of (l, x, u): x clipped into the box."""
     _check_dim(qp, x)
-    return pointwise_median(qp.l, qp.u, x)
+    return _project(qp, x)
 
 
 def _project(qp: BoundQP, x: np.ndarray) -> np.ndarray:
@@ -111,26 +112,26 @@ def _active_mask(qp: BoundQP, x: np.ndarray) -> np.ndarray:
     return (x == qp.l) | (x == qp.u)
 
 
-def active_set(qp: BoundQP, x: np.ndarray) -> IndexSet:
+def active_set(qp: BoundQP, x: np.ndarray) -> np.ndarray:
     """Indices sitting exactly on a bound (floating-point equality)."""
     _check_feasible(qp, x)
-    return IndexSet.from_mask(_active_mask(qp, x))
+    return np.flatnonzero(_active_mask(qp, x))
 
 
-def free_set(qp: BoundQP, x: np.ndarray) -> IndexSet:
+def free_set(qp: BoundQP, x: np.ndarray) -> np.ndarray:
     """Complement of the active set."""
     _check_feasible(qp, x)
-    return IndexSet.from_mask(~_active_mask(qp, x))
+    return np.flatnonzero(~_active_mask(qp, x))
 
 
 def _binding_mask(qp: BoundQP, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return ((x == qp.l) & (g >= 0.0)) | ((x == qp.u) & (g <= 0.0))
 
 
-def binding_set(qp: BoundQP, x: np.ndarray, g: np.ndarray) -> IndexSet:
+def binding_set(qp: BoundQP, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Active indices whose gradient sign certifies staying on the bound."""
     _check_feasible(qp, x)
-    return IndexSet.from_mask(_binding_mask(qp, x, g))
+    return np.flatnonzero(_binding_mask(qp, x, g))
 
 
 def converged(qp: BoundQP, x: np.ndarray, g: np.ndarray, tau: float) -> bool:

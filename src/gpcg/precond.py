@@ -2,8 +2,8 @@
 block Jacobi with an incomplete LU solve per diagonal block.
 
 Selection strings: ``none``, ``jacobi``, ``bjacobi-ilu<k>`` (for example
-``bjacobi-ilu0`` or ``bjacobi-ilu2``), each optionally suffixed with
-``:blocks=<p>``.
+``bjacobi-ilu0`` or ``bjacobi-ilu2``).  The block count of block Jacobi is
+a separate argument, ``SolverConfig.blocks`` in the solver.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ilu import ILUFactorization, ilu_k
-from .linalg import IndexSet, SparseMatrixCSR, extract_submatrix
+from .linalg import SparseMatrixCSR, extract_submatrix
 
 
 class PrecondKind(enum.Enum):
@@ -27,7 +27,6 @@ class PrecondKind(enum.Enum):
 class PrecondSpec:
     kind: PrecondKind
     fill_level: int = 0
-    blocks: int | None = None  # None defers to the solver config
 
     def label(self) -> str:
         if self.kind is PrecondKind.BLOCK_JACOBI_ILU:
@@ -37,19 +36,11 @@ class PrecondSpec:
 
 def parse_precond(text: str) -> PrecondSpec:
     """Parse a selection string into a PrecondSpec."""
-    body, _, suffix = text.strip().partition(":")
-    blocks = None
-    if suffix:
-        key, _, val = suffix.partition("=")
-        if key != "blocks" or not val:
-            raise ValueError(f"unrecognized preconditioner option {suffix!r}")
-        blocks = int(val)
-        if blocks < 1:
-            raise ValueError("block count must be at least 1")
+    body = text.strip()
     if body == "none":
-        return PrecondSpec(PrecondKind.NONE, blocks=blocks)
+        return PrecondSpec(PrecondKind.NONE)
     if body == "jacobi":
-        return PrecondSpec(PrecondKind.POINT_JACOBI, blocks=blocks)
+        return PrecondSpec(PrecondKind.POINT_JACOBI)
     if body.startswith("bjacobi-ilu"):
         try:
             fill = int(body[len("bjacobi-ilu"):])
@@ -57,7 +48,7 @@ def parse_precond(text: str) -> PrecondSpec:
             raise ValueError(f"unrecognized preconditioner {text!r}") from None
         if fill < 0:
             raise ValueError("fill level must be nonnegative")
-        return PrecondSpec(PrecondKind.BLOCK_JACOBI_ILU, fill, blocks)
+        return PrecondSpec(PrecondKind.BLOCK_JACOBI_ILU, fill)
     raise ValueError(f"unrecognized preconditioner {text!r}")
 
 
@@ -108,9 +99,8 @@ class BlockJacobiILU(Preconditioner):
         self.fill_level = fill_level
         self.factors: list[ILUFactorization] = []
         for lo, hi in self.ranges:
-            span = IndexSet(np.arange(lo, hi, dtype=np.int64), validate=False)
-            self.factors.append(ilu_k(extract_submatrix(M, span, span),
-                                      fill_level))
+            span = np.arange(lo, hi, dtype=np.int64)
+            self.factors.append(ilu_k(extract_submatrix(M, span), fill_level))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         if r.shape[0] != self.m:
@@ -122,13 +112,13 @@ class BlockJacobiILU(Preconditioner):
 
 
 def make_preconditioner(M: SparseMatrixCSR, spec: PrecondSpec | str,
-                        default_blocks: int = 1) -> Preconditioner:
-    """Build the selected preconditioner for M."""
+                        blocks: int = 1) -> Preconditioner:
+    """Build the selected preconditioner for M; ``blocks`` is the diagonal
+    block count of block Jacobi."""
     if isinstance(spec, str):
         spec = parse_precond(spec)
     if spec.kind is PrecondKind.NONE:
         return Preconditioner()
     if spec.kind is PrecondKind.POINT_JACOBI:
         return PointJacobi(M)
-    blocks = spec.blocks if spec.blocks is not None else default_blocks
     return BlockJacobiILU(M, spec.fill_level, blocks)

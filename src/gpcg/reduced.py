@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoFreeVariables
-from .linalg import IndexSet, SparseMatrixCSR, dot, extract_submatrix, gather, mat_vec, norm2
+from .linalg import SparseMatrixCSR, dot, extract_submatrix, mat_vec, norm2
 from .model import BoundQP
 from .precond import Preconditioner
 
@@ -25,7 +25,6 @@ from .precond import Preconditioner
 class ReducedSystem:
     A_k: SparseMatrixCSR
     r_k: np.ndarray
-    free: IndexSet
 
     @property
     def m(self) -> int:
@@ -51,31 +50,28 @@ class CGResult:
 
 
 def build_reduced(qp: BoundQP, x: np.ndarray, g: np.ndarray,
-                  free: IndexSet) -> ReducedSystem:
-    """Restrict the Hessian and gradient to the free variables."""
-    if len(free) == 0:
+                  free: np.ndarray) -> ReducedSystem:
+    """Restrict the Hessian and gradient to the free variables, given as a
+    strictly increasing index array."""
+    if free.size == 0:
         raise NoFreeVariables("every variable is on a bound")
-    A_k = extract_submatrix(qp.A, free, free)
-    r_k = gather(g, free)
-    return ReducedSystem(A_k, r_k, free)
+    return ReducedSystem(extract_submatrix(qp.A, free), g[free])
 
 
 def _reduced_objective(sys: ReducedSystem, w: np.ndarray) -> float:
     return 0.5 * dot(w, mat_vec(sys.A_k, w)) + dot(sys.r_k, w)
 
 
-def pcg_progress(sys: ReducedSystem, P: Preconditioner, w0: np.ndarray,
-                 eta2: float, maxiter: int | None = None) -> CGResult:
-    """Preconditioned CG on the reduced objective starting from w0."""
+def pcg_progress(sys: ReducedSystem, P: Preconditioner, eta2: float,
+                 maxiter: int | None = None) -> CGResult:
+    """Preconditioned CG on the reduced objective starting from w = 0."""
     if eta2 <= 0.0:
         raise ValueError("progress tolerance must be positive")
     m = sys.m
-    if w0.shape[0] != m:
-        raise ValueError(f"start vector has length {w0.shape[0]}, expected {m}")
     cap = m if maxiter is None else min(maxiter, m)
-    w = w0.copy()
-    # residual of A_k w = -r_k, i.e. the negative reduced gradient at w
-    res = -(mat_vec(sys.A_k, w) + sys.r_k) if w.any() else -sys.r_k
+    w = np.zeros(m)
+    # residual of A_k w = -r_k, i.e. the negative reduced gradient at w = 0
+    res = -sys.r_k
     exact_tol = 1e-14 * (1.0 + norm2(sys.r_k))
     decreases: list[float] = []
     if norm2(res) <= exact_tol:

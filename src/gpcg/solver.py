@@ -15,13 +15,18 @@ import numpy as np
 
 from .errors import GPCGError, NoFreeVariables, SearchFailed
 from .gradproj import gp_phase
-from .linalg import IndexSet, dot, mat_vec, norm2, scatter
+from .linalg import dot, mat_vec, norm2
 from .model import (BoundQP, _active_mask, _binding_mask, _project,
                     _projected_gradient, gradient, objective, project)
 from .precond import make_preconditioner, parse_precond
 from .reduced import CGStop, build_reduced, pcg_progress
 
 log = logging.getLogger("gpcg")
+
+GP_CAP = 100                # GP iterates per phase
+MAX_REFINES = 30            # CG re-entries per outer iterate
+CG_PROGRESS_SHRINK = 0.1    # refinement factor of eta2 on the optimal face
+CG_PROGRESS_FLOOR = 1e-12   # smallest eta2
 
 
 @dataclass
@@ -30,14 +35,10 @@ class SolverConfig:
     tol: float = 1e-4                 # projected-gradient norm target
     gp_progress: float = 0.1          # decrease ratio ending the GP phase
     cg_progress: float = 0.05         # initial CG decrease ratio
-    cg_progress_shrink: float = 0.1   # refinement factor on the optimal face
-    cg_progress_floor: float = 1e-12
     sufficient_decrease: float = 0.1  # fraction of the linear model required
     max_outer: int = 500
-    gp_cap: int = 100                 # GP iterates per phase
     precond: str = "none"
-    blocks: int = 1
-    max_refines: int = 30             # CG re-entries per outer iterate
+    blocks: int = 1                   # diagonal blocks of block Jacobi
     max_halvings: int = 50
     cg_maxiter: int | None = None     # None: the reduced dimension
 
@@ -48,8 +49,6 @@ class SolverConfig:
             raise ValueError("GP progress tolerance must lie in (0, 1)")
         if not 0.0 < self.cg_progress < 1.0:
             raise ValueError("CG progress tolerance must lie in (0, 1)")
-        if not 0.0 < self.cg_progress_shrink < 1.0:
-            raise ValueError("CG progress shrink factor must lie in (0, 1)")
         if self.tol <= 0.0:
             raise ValueError("convergence tolerance must be positive")
         if self.blocks < 1:
@@ -142,7 +141,7 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
             outer_cg_iters = 0
             try:
                 gp = gp_phase(qp, x, cfg.gp_progress, cfg.sufficient_decrease,
-                              cfg.tol, cfg.gp_cap, cfg.max_halvings, Ax)
+                              cfg.tol, GP_CAP, cfg.max_halvings, Ax)
                 x, Ax, q, g = gp.x_out, gp.Ax, gp.q, gp.g
                 stats.gp_iters_total += gp.iterates_taken
                 for rec in gp.records:
@@ -155,15 +154,15 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                          pg_norm)
                 refines = 0
                 while pg_norm > cfg.tol:
-                    free = IndexSet.from_mask(~_active_mask(qp, x))
-                    m = len(free)
+                    free = np.flatnonzero(~_active_mask(qp, x))
+                    m = free.size
                     if m == 0:
                         raise NoFreeVariables(
                             "degenerate iterate: every variable is on a bound "
                             "but the projected gradient is above the tolerance")
                     sys = build_reduced(qp, x, g, free)
                     P = make_preconditioner(sys.A_k, precond_spec, cfg.blocks)
-                    cg = pcg_progress(sys, P, np.zeros(m), eta2, cfg.cg_maxiter)
+                    cg = pcg_progress(sys, P, eta2, cfg.cg_maxiter)
                     # let the factor go before the next one is built
                     P = sys = None
                     stats.cg_iters_total += cg.iterations
@@ -173,9 +172,11 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                         if cg.termination is CGStop.BREAKDOWN:
                             raise GPCGError(f"CG breakdown: the {cg.breakdown} "
                                             "is not positive definite")
+                        d = np.zeros(n)
+                        d[free] = cg.w
                         x, alpha, Ax, q = projected_search_cg(
-                            qp, x, g, q, scatter(cg.w, free, np.zeros(n)),
-                            cfg.sufficient_decrease, cfg.max_halvings)
+                            qp, x, g, q, d, cfg.sufficient_decrease,
+                            cfg.max_halvings)
                         g = gradient(qp, x, Ax)
                         pg_norm = norm2(_projected_gradient(qp, x, g))
                     finally:  # the row describes the point kept
@@ -187,11 +188,9 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                     if not np.array_equal(_binding_mask(qp, x, g),
                                           _active_mask(qp, x)):
                         break  # face not yet optimal: back to a GP phase
-                    if (eta2 <= cfg.cg_progress_floor
-                            or refines >= cfg.max_refines):
+                    if eta2 <= CG_PROGRESS_FLOOR or refines >= MAX_REFINES:
                         break
-                    eta2 = max(eta2 * cfg.cg_progress_shrink,
-                               cfg.cg_progress_floor)
+                    eta2 = max(eta2 * CG_PROGRESS_SHRINK, CG_PROGRESS_FLOOR)
                     refines += 1
             finally:
                 active = _active_mask(qp, x)

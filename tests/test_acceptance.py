@@ -139,7 +139,8 @@ def test_criterion_09_descent_and_certificates(bearing_runs):
         out = solve(qp, qp.l.copy(), SolverConfig(tol=1e-6, precond=ILU2))
         assert out.status is SolveStatus.CONVERGED
         g = gradient(qp, out.x_star)
-        assert binding_set(qp, out.x_star, g) == active_set(qp, out.x_star)
+        assert np.array_equal(binding_set(qp, out.x_star, g),
+                              active_set(qp, out.x_star))
 
 
 def test_criterion_10_determinism_is_bit_identical(tmp_path):

@@ -32,6 +32,12 @@ class TestBoundQP:
         with pytest.raises(ValueError):
             BoundQP(M, np.zeros(2), 0.0, np.ones(2), np.zeros(2))
 
+    def test_rejects_crossed_bounds_in_one_component(self):
+        M = SparseMatrixCSR.from_dense(np.eye(2), symmetric=True)
+        with pytest.raises(ValueError):
+            BoundQP(M, np.zeros(2), 0.0, np.array([0.0, 1.0]),
+                    np.array([1.0, 0.0]))
+
     def test_rejects_empty_interval_from_infinite_bounds(self):
         M = SparseMatrixCSR.from_dense(np.eye(1), symmetric=True)
         with pytest.raises(ValueError):
@@ -79,6 +85,12 @@ class TestObjectiveGradient:
 
 
 class TestProjection:
+    def test_clips_to_box(self):
+        M = SparseMatrixCSR.from_dense(np.eye(3), symmetric=True)
+        qp = BoundQP(M, np.zeros(3), 0.0, np.zeros(3), np.ones(3))
+        assert_array_equal(project(qp, np.array([-5.0, 0.5, 5.0])),
+                           [0.0, 0.5, 1.0])
+
     def test_project_clips(self):
         qp = _tiny_qp()
         assert_array_equal(project(qp, np.array([-2.0, 5.0])), [0.0, 1.0])
@@ -87,6 +99,20 @@ class TestProjection:
         qp = _tiny_qp()
         x = np.array([0.5, 0.0])
         assert_array_equal(project(qp, x), x)
+
+    def test_infinite_bounds_pass_through(self):
+        M = SparseMatrixCSR.from_dense(np.eye(2), symmetric=True)
+        qp = BoundQP(M, np.zeros(2), 0.0, np.array([-np.inf, 0.0]),
+                     np.array([0.0, np.inf]))
+        assert_array_equal(project(qp, np.array([-7.0, 7.0])), [-7.0, 7.0])
+
+    def test_idempotent(self):
+        rng = np.random.default_rng(7)
+        M = SparseMatrixCSR.from_dense(np.eye(20), symmetric=True)
+        qp = BoundQP(M, np.zeros(20), 0.0, np.full(20, -0.5),
+                     np.full(20, 0.5))
+        once = project(qp, rng.standard_normal(20))
+        assert_array_equal(project(qp, once), once)
 
 
 class TestProjectedGradient:
@@ -141,14 +167,15 @@ class TestIndexSets:
         x = np.array([0.0, 0.5])
         act = active_set(qp, x)
         fre = free_set(qp, x)
-        assert_array_equal(act.indices, [0])
-        assert_array_equal(fre.indices, [1])
+        assert_array_equal(act, [0])
+        assert_array_equal(fre, [1])
+        assert act.dtype == fre.dtype == np.int64
 
     def test_fixed_variable_is_active(self):
         M = SparseMatrixCSR.from_dense(np.eye(2), symmetric=True)
         qp = BoundQP(M, np.zeros(2), 0.0, np.array([1.0, 0.0]),
                      np.array([1.0, 2.0]))
-        assert_array_equal(active_set(qp, np.array([1.0, 0.5])).indices, [0])
+        assert_array_equal(active_set(qp, np.array([1.0, 0.5])), [0])
 
     def test_binding_requires_matching_sign(self):
         qp = _tiny_qp()
@@ -156,7 +183,7 @@ class TestIndexSets:
         # g = (1, -3): x1 at lower with g >= 0 binds; x2 at lower with g < 0
         # does not
         g = gradient(qp, x)
-        assert_array_equal(binding_set(qp, x, g).indices, [0])
+        assert_array_equal(binding_set(qp, x, g), [0])
 
     def test_binding_subset_of_active(self):
         rng = np.random.default_rng(11)
@@ -164,8 +191,8 @@ class TestIndexSets:
             qp = random_bound_qp(rng, 6)
             x = project(qp, rng.standard_normal(6))
             g = gradient(qp, x)
-            act = set(active_set(qp, x).indices.tolist())
-            bnd = set(binding_set(qp, x, g).indices.tolist())
+            act = set(active_set(qp, x).tolist())
+            bnd = set(binding_set(qp, x, g).tolist())
             assert bnd <= act
 
 

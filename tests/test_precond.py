@@ -11,9 +11,7 @@ from conftest import random_sparse_spd
 
 class TestParse:
     def test_none(self):
-        spec = parse_precond("none")
-        assert spec.kind is PrecondKind.NONE
-        assert spec.blocks is None
+        assert parse_precond("none").kind is PrecondKind.NONE
 
     def test_jacobi(self):
         assert parse_precond("jacobi").kind is PrecondKind.POINT_JACOBI
@@ -24,11 +22,6 @@ class TestParse:
             assert spec.kind is PrecondKind.BLOCK_JACOBI_ILU
             assert spec.fill_level == k
 
-    def test_blocks_suffix(self):
-        spec = parse_precond("bjacobi-ilu1:blocks=4")
-        assert spec.fill_level == 1
-        assert spec.blocks == 4
-
     def test_labels_round_trip(self):
         for text in ("none", "jacobi", "bjacobi-ilu0", "bjacobi-ilu3"):
             assert parse_precond(text).label() == text
@@ -36,6 +29,8 @@ class TestParse:
     @pytest.mark.parametrize("bad", [
         "ilu", "bjacobi-ilu", "bjacobi-iluX", "bjacobi-ilu-1", "jacoby",
         "jacobi:block=4", "jacobi:blocks=", "jacobi:blocks=0", "",
+        # the block count is SolverConfig.blocks, not a suffix
+        "bjacobi-ilu1:blocks=4", "jacobi:blocks=2",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
@@ -129,18 +124,15 @@ class TestFactory:
         assert isinstance(make_preconditioner(M, "bjacobi-ilu0"),
                           BlockJacobiILU)
 
-    def test_default_blocks_used_without_suffix(self):
+    def test_blocks_argument_sets_block_count(self):
         M, _ = random_sparse_spd(np.random.default_rng(54), 10, 2)
-        P = make_preconditioner(M, "bjacobi-ilu0", default_blocks=5)
+        assert len(make_preconditioner(M, "bjacobi-ilu0").ranges) == 1
+        P = make_preconditioner(M, "bjacobi-ilu0", blocks=5)
         assert len(P.ranges) == 5
-
-    def test_suffix_overrides_default(self):
-        M, _ = random_sparse_spd(np.random.default_rng(55), 10, 2)
-        P = make_preconditioner(M, "bjacobi-ilu0:blocks=2", default_blocks=5)
-        assert len(P.ranges) == 2
 
     def test_accepts_spec_object(self):
         M, _ = random_sparse_spd(np.random.default_rng(56), 6, 2)
         P = make_preconditioner(M, PrecondSpec(PrecondKind.BLOCK_JACOBI_ILU,
-                                               fill_level=1, blocks=2))
+                                               fill_level=1), blocks=2)
         assert P.fill_level == 1
+        assert len(P.ranges) == 2

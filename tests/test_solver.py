@@ -171,7 +171,7 @@ class TestSolveTermination:
         for kwargs in ({"sufficient_decrease": 0.5},
                        {"sufficient_decrease": 0.0},
                        {"gp_progress": 1.0}, {"cg_progress": 0.0},
-                       {"cg_progress_shrink": 1.0}, {"tol": 0.0},
+                       {"tol": 0.0},
                        {"blocks": 0}, {"precond": "nope"}):
             with pytest.raises(ValueError):
                 SolverConfig(**kwargs)
@@ -181,6 +181,11 @@ class TestSolveTermination:
         # count on the bearing problems and was removed
         with pytest.raises(TypeError):
             SolverConfig(warm_start_cg=True)
+        # constants of the solver module, not config fields
+        for name in ("gp_cap", "max_refines", "cg_progress_floor",
+                     "cg_progress_shrink"):
+            with pytest.raises(TypeError):
+                SolverConfig(**{name: 1})
 
 
 class TestSolveOnBearing:
