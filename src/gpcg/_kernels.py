@@ -4,25 +4,37 @@ Submatrix extraction and the ILU(k) symbolic phase are vectorized with numpy
 and ``scipy.sparse``.  The ILU numeric phase and the triangular solves have
 two forms with the same arithmetic, operation for operation:
 
-* row loops (``ilu_numeric`` without a schedule, ``lu_solve``), which index
+* row loops (``ilu_numeric`` without ``by_steps``, ``lu_solve``), which index
   ``memoryview``s of the numpy arrays and so work on plain Python floats;
-* level-scheduled forms (``ilu_numeric`` with a schedule from
-  ``level_schedule``, and ``SolvePlan``).  Rows of equal dependency depth
-  do not depend on each other, so each level is one vectorized step
-  (Anderson & Saad 1989; Saad, *Iterative Methods for Sparse Linear
-  Systems*, 2nd ed., section 11.6).  Every row still performs its
-  subtractions in column order, so the results are bit-for-bit those of
-  the row loops.
+* level-scheduled forms (``ilu_numeric`` with ``by_steps``, and
+  ``SolvePlan``).  Rows of equal dependency depth do not depend on each
+  other, so each level is one vectorized step (Anderson & Saad 1989; Saad,
+  *Iterative Methods for Sparse Linear Systems*, 2nd ed., section 11.6).
+  The numeric phase schedules single strict-L entries instead of whole
+  rows, each as soon as its pivot row is complete; ``SolvePlan`` needs
+  levels only for U, as its forward substitution is one compiled call.
+  Every row still performs its subtractions in column order, so the
+  results are bit-for-bit those of the row loops, whichever valid schedule
+  orders the rows.
 
-The level forms cost a schedule and a plan per factor, which only pays off
-on large blocks; ``ilu.ilu_k`` picks the form.
+The level forms cost schedules and a plan per factor, which only pays off
+on large blocks; ``ilu.ilu_k`` picks the form from the width of the levels
+of strict L (``level_schedule``).  Strict U gets a schedule of its own
+unless the factor's pattern is symmetric, as ILU(k) keeps the pattern of a
+symmetric block: then ``backward_schedule`` reuses the L levels in reverse
+order.
 """
+
+from operator import add
 
 import numpy as np
 import scipy.sparse as sp
 # Accumulates into its output array and sums each row left to right; the
 # public ``csr_array @ x`` starts every row from +0.0 instead.
 from scipy.sparse._sparsetools import csr_matvec
+# Position of each (row, column) pair in a canonical CSR pattern, -1 where
+# the pattern has no such entry.
+from scipy.sparse._sparsetools import csr_sample_offsets
 
 # No compiled backend exists; the constant stays for readers of the
 # benchmark's environment record.
@@ -130,6 +142,77 @@ def ilu_symbolic(n, a_indptr, a_indices, fill_level):
     return lu_indptr, lu_indices, levels, lu_diag
 
 
+# Chunks of fewer rows, with fewer than twice as many dependencies, go
+# through ``_longest_paths``'s row loop: a vectorized chunk costs about as
+# much as 10-15 short rows of it, but long rows cost the loop far more.
+CHUNK_MIN_ROWS = 16
+
+
+def _longest_paths(n, ptr, deps, weight, base):
+    """value(i) = max(base, value(d) + w over the dependencies d of row i),
+    for a DAG whose row i depends on the rows ``deps[ptr[i]:ptr[i + 1]]``,
+    all less than i and ascending, through edges of weight
+    ``weight[ptr[i]:ptr[i + 1]]``; an edge to row i - 1 that comes last in
+    its row must weigh 1.
+
+    The rows run in chunks [s, e) whose rows depend on one another only
+    through their predecessor: the other dependencies of row i lie before s.
+    Within a chunk, value(i) = max(ext(i), value(i - 1) + 1) along each run
+    of rows that depend on their predecessor, where ext(i) is the best over
+    base and the other dependencies.  So value(i) - i is a running maximum
+    of ext(k) - k over the run, one vectorized step per chunk.  On a grid in
+    natural order a chunk is about one grid line.  Small chunks take the row
+    loop, 1-2 us a row.
+    """
+    ends = ptr[1:]
+    link = np.zeros(n, dtype=bool)  # row i depends on row i - 1, last
+    rows = np.flatnonzero(ends > ptr[:-1])
+    link[rows] = deps[ends[rows] - 1] == rows - 1
+    others = np.diff(ptr) - link
+    keep = np.ones(deps.size, dtype=bool)
+    keep[ends[link] - 1] = False
+    # each row's other dependencies, then row n (value 0) at weight base
+    at = np.cumsum(others)
+    other = np.insert(deps[keep], at, n)
+    other_weight = np.insert(weight[keep], at, base)
+    other_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(others + 1, out=other_ptr[1:])
+    last_other = np.where(others > 0, other[other_ptr[1:] - 2], -1)
+    # a chunk starting at s ends at the first row with another dependency >= s
+    reach = np.searchsorted(np.maximum.accumulate(last_other), np.arange(n))
+    # Run offsets: a new run starts above anything the last one reached.  A
+    # path meets every row once, so values lie in [base, deps.size].
+    shift = np.cumsum(~link) * (deps.size + n + 2) - np.arange(n)
+    value = np.zeros(n + 1, dtype=np.int64)
+    vv = memoryview(value)
+    get = vv.__getitem__
+    ov, wv = memoryview(other), memoryview(other_weight)
+    pv, lv = memoryview(other_ptr), memoryview(link)
+    s = 0
+    while s < n:
+        e = int(reach[s])
+        if e - s < CHUNK_MIN_ROWS and pv[e] - pv[s] < 2 * CHUNK_MIN_ROWS:
+            for i in range(s, e):
+                a = pv[i]
+                b = pv[i + 1]
+                v = max(map(add, map(get, ov[a:b]), wv[a:b]))
+                if lv[i]:
+                    v = max(v, vv[i - 1] + 1)
+                vv[i] = v
+        else:
+            a, b = other_ptr[s], other_ptr[e]
+            ext = np.maximum.reduceat(value[other[a:b]] + other_weight[a:b],
+                                      other_ptr[s:e] - a)
+            if link[s]:
+                ext[0] = max(ext[0], vv[s - 1] + 1)
+            ext += shift[s:e]
+            np.maximum.accumulate(ext, out=ext)
+            ext -= shift[s:e]
+            value[s:e] = ext
+        s = e
+    return value[:n]
+
+
 def level_schedule(lu_indptr, lu_indices, lu_diag, upper=False):
     """Level schedule of strict L (or, with ``upper``, strict U) of a
     combined LU pattern.
@@ -140,52 +223,79 @@ def level_schedule(lu_indptr, lu_indices, lu_diag, upper=False):
     bounds)``: the rows of level l are ``order[bounds[l]:bounds[l + 1]]``,
     in ascending order.
     """
-    # An interpreted loop, about 1 us a row: a vectorized form with a handful
-    # of numpy calls per level measured no faster on bearing factors.  It
-    # indexes memoryviews, as lists of Python ints would take 3 MB more.
     n = lu_diag.size
-    ind = memoryview(lu_indices)
     if upper:
-        lo, hi = memoryview(lu_diag + 1), memoryview(lu_indptr[1:])
-        visit = range(n - 1, -1, -1)
+        counts = lu_indptr[1:] - lu_diag - 1
+        pos = _spans(lu_diag + 1, counts)[::-1]
+        # rows numbered from the end, so that U's dependencies come first
+        counts = counts[::-1]
+        deps = n - 1 - lu_indices[pos]
     else:
-        lo, hi, visit = memoryview(lu_indptr), memoryview(lu_diag), range(n)
-    depth = np.zeros(n, dtype=np.int64)
-    dv = memoryview(depth)
-    get = dv.__getitem__
-    for i in visit:
-        a = lo[i]
-        b = hi[i]
-        if a < b:
-            dv[i] = max(map(get, ind[a:b])) + 1
+        counts = lu_diag - lu_indptr[:-1]
+        deps = lu_indices[_spans(lu_indptr[:-1], counts)]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    depth = _longest_paths(n, ptr, deps, np.ones(deps.size, dtype=np.int64), 0)
+    if upper:
+        depth = depth[::-1]
     order = np.argsort(depth, kind="stable")
     bounds = np.zeros(int(depth.max(initial=-1)) + 2, dtype=np.int64)
     np.cumsum(np.bincount(depth), out=bounds[1:])
     return order, bounds
 
 
+def _symmetric_pattern(lu_indptr, lu_indices, lu_diag):
+    """Whether the strict-U entries are the transposed strict-L entries."""
+    n = lu_diag.size
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(lu_indptr))
+    lower = lu_indices < rows
+    upper = lu_indices > rows
+    # row-major keys of strict U, against those of transposed strict L
+    lower_t = np.sort(lu_indices[lower] * n + rows[lower])
+    return np.array_equal(rows[upper] * n + lu_indices[upper], lower_t)
+
+
+def backward_schedule(lu_indptr, lu_indices, lu_diag, forward):
+    """Level schedule of strict U, given ``forward``, that of strict L, in
+    the form ``level_schedule`` returns.
+
+    On a symmetric pattern a strict-U entry (i, j) is the strict-L entry
+    (j, i), so row j sits in a later L level than row i: the L levels in
+    reverse order, each still ascending, are a U schedule (with as many
+    levels as ``level_schedule(..., upper=True)``, the longest dependency
+    chain being the same).  Other patterns get their own.
+    """
+    if not _symmetric_pattern(lu_indptr, lu_indices, lu_diag):
+        return level_schedule(lu_indptr, lu_indices, lu_diag, upper=True)
+    order, bounds = forward
+    counts = np.diff(bounds)[::-1]
+    reverse_bounds = np.zeros_like(bounds)
+    np.cumsum(counts, out=reverse_bounds[1:])
+    return order[_spans(bounds[-2::-1], counts)], reverse_bounds
+
+
 def ilu_numeric(n, a_indptr, a_indices, a_data, lu_indptr, lu_indices, lu_diag,
-                forward=None):
+                by_steps=False):
     """Values of the combined LU factor on a symbolic pattern.
 
     Row-wise Gaussian elimination restricted to the pattern, without
     pivoting; the pattern must contain the input's, as the one from
-    ``ilu_symbolic`` does.  With ``forward``, the schedule of strict L from
-    ``level_schedule``, the rows of a level are eliminated together, with the
-    same result.  Returns the factor values and the first row whose pivot is
-    exactly zero (-1 when there is none); the values are then incomplete.
+    ``ilu_symbolic`` does.  With ``by_steps``, the strict-L entries of many
+    rows are eliminated together (``_steps``), with the same result.
+    Returns the factor values and the first row whose pivot is exactly zero
+    (-1 when there is none); the values are then incomplete.
     """
     lu_data = np.zeros(int(lu_indptr[n]), dtype=np.float64)
     # scatter the input values onto the (sorted) factor pattern
     keys = _keys(n, lu_indptr, lu_indices)
     at = np.searchsorted(keys, _keys(n, a_indptr, a_indices))
     lu_data[at] = a_data[:at.size]
-    if forward is None:
+    if not by_steps:
         return lu_data, _eliminate_rows(n, lu_indptr, lu_indices, lu_diag, lu_data)
-    # Later levels divide by the zero pivot, if there is one; the row loop
+    # Later steps divide by the zero pivot, if there is one; the row loop
     # would have stopped there, so the values are incomplete either way.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _eliminate_levels(n, lu_indptr, lu_indices, lu_diag, lu_data, keys, *forward)
+        _eliminate_steps(n, lu_indptr, lu_indices, lu_diag, lu_data)
     zero = np.flatnonzero(lu_data[lu_diag] == 0.0)
     return lu_data, int(zero[0]) if zero.size else -1
 
@@ -218,42 +328,56 @@ def _eliminate_rows(n, lu_indptr, lu_indices, lu_diag, lu_data):
     return -1
 
 
-def _steps(lu_indptr, lu_indices, lu_diag, order, bounds):
-    """The strict-L entries t in step order, where step (l, k) holds the
-    k-th strict-L entry of every row of level l; with each entry's row, step
-    and pivot position, the number of strict-U entries of its pivot row, and
-    where each step starts in these arrays, plus the end."""
-    nl = (lu_diag - lu_indptr[:-1])[order]        # strict-L entries, level order
-    width = np.maximum.reduceat(nl, bounds[:-1])  # steps of each level
-    first = np.cumsum(width) - width
-    starts = lu_indptr[:-1][order]
-    t = _spans(starts, nl)
-    step = t + np.repeat(np.repeat(first, np.diff(bounds)) - starts, nl)
+def _steps(lu_indptr, lu_indices, lu_diag):
+    """The strict-L entries t in step order, with each entry's row, step and
+    pivot position, the number of strict-U entries of its pivot row, and
+    where each step starts in these arrays, plus the end.
+
+    Row i takes its strict-L entries in column order, and the one with pivot
+    row p only after row p is complete: its k-th entry runs at step
+    T(i, k) = max(T(i, k - 1), F(p)) + 1, where F(p) is the step of row p's
+    last strict-L entry (-1 without one).  Unrolled, T(i, k) = k + 1 + the
+    largest F(p_j) - j over j <= k, and F is the longest path over strict L
+    with weight n_i - j on the j-th of row i's n_i entries.  Rows need not
+    wait for a whole level, so there are fewer steps than in a level
+    schedule's (level, entry) steps: 447 against 1382 on a 5200-row
+    bearing factor.
+    """
+    n = lu_diag.size
+    nl = lu_diag - lu_indptr[:-1]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(nl, out=ptr[1:])
+    t = _spans(lu_indptr[:-1], nl)
+    p = lu_indices[t]
+    k = np.arange(t.size) - np.repeat(ptr[:-1], nl)
+    last = _longest_paths(n, ptr, p, np.repeat(nl, nl) - k, -1)
+    # running maximum of F(p_j) - j within each row
+    offset = np.repeat(np.arange(n) * (t.size + n + 2), nl)
+    step = np.maximum.accumulate(last[p] - k + offset) - offset + k + 1
     by_step = np.argsort(step, kind="stable")
     t, step = t[by_step], step[by_step]
-    row = np.repeat(order, nl)[by_step]
+    row = np.repeat(np.arange(n), nl)[by_step]
     pivot = lu_diag[lu_indices[t]]
     u_count = lu_indptr[lu_indices[t] + 1] - pivot - 1
-    step_starts = np.searchsorted(step, np.arange(int(width.sum()) + 1))
+    step_starts = np.searchsorted(step, np.arange(int(last.max(initial=-1)) + 2))
     return t, row, step, pivot, u_count, step_starts
 
 
 # Largest number of candidate (L entry, pivot-row U entry) pairs that
-# ``_eliminate_levels`` expands at once; bounds its temporary memory to
+# ``_eliminate_steps`` expands at once; bounds its temporary memory to
 # about 1 MB whatever the factor's size.
 PAIR_CHUNK = 1 << 14
 
 
-def _eliminate_levels(n, lu_indptr, lu_indices, lu_diag, lu_data, keys, order, bounds):
-    """The row loop of ``_eliminate_rows``, run one step per (level, pivot
-    position): step (l, k) takes the k-th strict-L entry t of every row i of
-    level l, sets ``val[t] /= val[diag[p]]`` for its pivot row p, and
-    subtracts ``val[t] * val[s]`` from row i's entry in the column of every
-    entry s of U's row p.  The rows of a level and the columns of a row are
-    distinct, so no step updates an entry twice, and every entry sees its
-    updates in the row loop's order."""
-    t, row, step, pivot, u_count, step_starts = _steps(
-        lu_indptr, lu_indices, lu_diag, order, bounds)
+def _eliminate_steps(n, lu_indptr, lu_indices, lu_diag, lu_data):
+    """The row loop of ``_eliminate_rows``, run by the steps of ``_steps``:
+    a step takes the next strict-L entry t of each of its rows i, sets
+    ``val[t] /= val[diag[p]]`` for its pivot row p, and subtracts
+    ``val[t] * val[s]`` from row i's entry in the column of every entry s of
+    U's row p.  The rows of a step are distinct and their pivot rows
+    complete, and the columns of a row are distinct, so no step updates an
+    entry twice, and every entry sees its updates in the row loop's order."""
+    t, row, step, pivot, u_count, step_starts = _steps(lu_indptr, lu_indices, lu_diag)
     nsteps = step_starts.size - 1
     # chunks of whole steps, of about PAIR_CHUNK candidate pairs each
     before = np.concatenate(([0], np.cumsum(u_count)))[step_starts]
@@ -266,9 +390,10 @@ def _eliminate_levels(n, lu_indptr, lu_indices, lu_diag, lu_data, keys, order, b
         a, b = ss[c0], ss[c1]
         cnt = u_count[a:b]
         src = _spans(pivot[a:b] + 1, cnt)             # U entries of the pivot rows
-        key = np.repeat(row[a:b] * n, cnt) + lu_indices[src]
-        dst = np.searchsorted(keys, key)              # same column in row i
-        hit = keys.take(dst, mode="clip") == key
+        dst = np.empty(src.size, dtype=np.int64)      # same column in row i
+        csr_sample_offsets(n, n, lu_indptr, lu_indices, src.size,
+                           np.repeat(row[a:b], cnt), lu_indices[src], dst)
+        hit = dst >= 0
         src, dst = src[hit], dst[hit]
         mult = np.repeat(t[a:b], cnt)[hit]
         ps = np.searchsorted(np.repeat(step[a:b], cnt)[hit],
@@ -303,57 +428,54 @@ def lu_solve(lu_indptr, lu_indices, lu_data, lu_diag, r):
     return z
 
 
-def _level_rows(lu_indices, lu_data, order, starts, counts, rank):
+def _rows(lu_indices, lu_data, order, starts, counts):
     """The entries ``starts[i] .. starts[i] + counts[i] - 1`` of the rows
-    ``order``, as CSR with columns renumbered by ``rank`` and values negated;
-    each row keeps its column order."""
+    ``order``, as CSR with values negated; each row keeps its column order."""
     counts = counts[order]
     pos = _spans(starts[order], counts)
     indptr = np.zeros(order.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return indptr, rank[lu_indices[pos]], -lu_data[pos]
+    return indptr, lu_indices[pos], -lu_data[pos]
 
 
 class SolvePlan:
-    """``lu_solve`` by levels.
+    """``lu_solve`` in a few compiled calls.
 
-    The vector is permuted so that each level is a contiguous slice, and
-    strict L and strict U are stored in level order with negated values.
-    Level by level, ``csr_matvec`` adds ``(-L) z`` into the level's slice of
-    z itself: every row starts from its own z_i and adds ``(-v) * z_j`` in
-    column order, which is bit for bit the row loop's ``s -= v * z_j``
-    (signed zeros included).  The rows it reads belong to lower levels.
+    Strict L and strict U are stored with negated values, and ``csr_matvec``
+    adds ``(-L) z`` into z itself: every row starts from its own z_i and adds
+    ``(-v) * z_j`` in column order, which is bit for bit the row loop's
+    ``s -= v * z_j`` (signed zeros included).
+
+    Forward substitution is one call over all rows: the call takes its rows
+    in order and reads z as it writes it, so row i reads the final z_j of
+    every j < i.  Back substitution divides each row by its pivot before
+    other rows may read it, so it runs one call and one division per level
+    of ``backward``, the U schedule, on z permuted so that each level is a
+    contiguous slice, with U stored in that order.
     """
 
-    __slots__ = ("forward", "lower", "lower_levels", "to_backward", "upper",
-                 "pivots", "upper_levels", "restore")
+    __slots__ = ("lower", "backward", "upper", "pivots", "upper_levels", "restore")
 
-    def __init__(self, lu_indptr, lu_indices, lu_data, lu_diag, forward, backward):
+    def __init__(self, lu_indptr, lu_indices, lu_data, lu_diag, backward):
         n = lu_diag.size
-        (f_order, f_bounds), (b_order, b_bounds) = forward, backward
-        f_rank = np.empty(n, dtype=np.int64)
-        f_rank[f_order] = np.arange(n)
-        b_rank = np.empty(n, dtype=np.int64)
-        b_rank[b_order] = np.arange(n)
-        self.forward = f_order
-        self.lower = _level_rows(lu_indices, lu_data, f_order, lu_indptr[:-1],
-                                 lu_diag - lu_indptr[:-1], f_rank)
-        # level 0 has no strict-L entries
-        self.lower_levels = list(zip(f_bounds[1:-1].tolist(), f_bounds[2:].tolist()))
-        self.to_backward = f_rank[b_order]
-        self.upper = _level_rows(lu_indices, lu_data, b_order, lu_diag + 1,
-                                 lu_indptr[1:] - lu_diag - 1, b_rank)
-        self.pivots = lu_data[lu_diag[b_order]]
-        self.upper_levels = list(zip(b_bounds[:-1].tolist(), b_bounds[1:].tolist()))
-        self.restore = b_rank
+        order, bounds = backward
+        self.lower = _rows(lu_indices, lu_data, np.arange(n), lu_indptr[:-1],
+                           lu_diag - lu_indptr[:-1])
+        self.backward = order
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        indptr, indices, data = _rows(lu_indices, lu_data, order, lu_diag + 1,
+                                      lu_indptr[1:] - lu_diag - 1)
+        self.upper = indptr, rank[indices], data
+        self.pivots = lu_data[lu_diag[order]]
+        self.upper_levels = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        self.restore = rank
 
     def solve(self, r):
-        z = np.asarray(r, dtype=np.float64)[self.forward]
+        z = np.array(r, dtype=np.float64)
         n = z.size
-        indptr, indices, data = self.lower
-        for a, b in self.lower_levels:
-            csr_matvec(b - a, n, indptr[a:b + 1], indices, data, z, z[a:b])
-        z = z[self.to_backward]
+        csr_matvec(n, n, *self.lower, z, z)
+        z = z[self.backward]
         indptr, indices, data = self.upper
         # the row loop's float division overflows silently
         with np.errstate(over="ignore", invalid="ignore"):

@@ -17,14 +17,18 @@ from .errors import ZeroPivot
 from .linalg import SparseMatrixCSR
 
 
-# Level scheduling costs a schedule per triangle, a plan per factor and a
-# few numpy calls per level, so it pays only on large blocks whose levels are
-# wide.  Measured on a 2-vCPU host (numeric phase plus four solves, the row
-# loops against the level forms): the level forms win from n = 150-300 on
-# 2-D grid Laplacians (ILU(0) and ILU(2)) and random SPD patterns (ILU(0)),
-# and lose 1.4x on the n = 60 random-SPD blocks.  At n = 1024-4096 they lose
-# 2-5x when levels average one row (chain-like patterns), break even near
-# four rows a level and win by about 30 % at five.
+# Level scheduling costs a schedule for strict L and one for strict U (on a
+# symmetric pattern, the L levels reversed), an elimination schedule and a
+# plan per factor and a few numpy calls per level, so it pays only on large
+# blocks whose levels are wide.  Measured on a 2-vCPU host (numeric phase
+# plus four solves, the row loops against the level forms): the level forms
+# win from n = 150-300 on 2-D grid Laplacians (ILU(0) and ILU(2)) and random
+# SPD patterns (ILU(0)), and lose 1.4x on the n = 60 random-SPD blocks.  At
+# n = 1024-4096 they lose 2-5x when levels average one row (chain-like
+# patterns), break even near four rows a level and win by about 30 % at
+# five.  Those figures predate the vectorized schedules, the entry-wise
+# elimination steps and the one-call forward substitution, which all made
+# the level forms cheaper; the crossover has not been measured again.
 LEVEL_MIN_ROWS = 256
 LEVEL_MIN_WIDTH = 5
 
@@ -82,13 +86,13 @@ def ilu_k(M: SparseMatrixCSR, k: int) -> ILUFactorization:
         if not _wide(forward, n):
             forward = None
     lu_data, fail_row = _kernels.ilu_numeric(
-        n, M.indptr, M.indices, M.data, lu_indptr, lu_indices, lu_diag, forward)
+        n, M.indptr, M.indices, M.data, lu_indptr, lu_indices, lu_diag,
+        forward is not None)
     if fail_row >= 0:
         raise ZeroPivot(int(fail_row))
     plan = None
     if forward is not None:
-        backward = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag, upper=True)
+        backward = _kernels.backward_schedule(lu_indptr, lu_indices, lu_diag, forward)
         if _wide(backward, n):
-            plan = _kernels.SolvePlan(lu_indptr, lu_indices, lu_data, lu_diag,
-                                      forward, backward)
+            plan = _kernels.SolvePlan(lu_indptr, lu_indices, lu_data, lu_diag, backward)
     return ILUFactorization(n, lu_indptr, lu_indices, lu_data, lu_diag, k, plan)

@@ -49,8 +49,7 @@ class CGResult:
     breakdown: str | None = None
 
 
-def build_reduced(qp: BoundQP, x: np.ndarray, g: np.ndarray,
-                  free: np.ndarray) -> ReducedSystem:
+def build_reduced(qp: BoundQP, g: np.ndarray, free: np.ndarray) -> ReducedSystem:
     """Restrict the Hessian and gradient to the free variables, given as a
     strictly increasing index array."""
     if free.size == 0:

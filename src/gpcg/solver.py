@@ -160,7 +160,7 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                         raise NoFreeVariables(
                             "degenerate iterate: every variable is on a bound "
                             "but the projected gradient is above the tolerance")
-                    sys = build_reduced(qp, x, g, free)
+                    sys = build_reduced(qp, g, free)
                     P = make_preconditioner(sys.A_k, precond_spec, cfg.blocks)
                     cg = pcg_progress(sys, P, eta2, cfg.cg_maxiter)
                     # let the factor go before the next one is built

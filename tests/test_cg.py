@@ -24,7 +24,7 @@ class TestBuildReduced:
         x = np.clip(rng.standard_normal(9), qp.l, qp.u)
         g = gradient(qp, x)
         free = np.array([0, 3, 4, 8])
-        sys = build_reduced(qp, x, g, free)
+        sys = build_reduced(qp, g, free)
         D = qp.A.to_dense()
         assert_array_equal(sys.A_k.to_dense(), D[np.ix_(free, free)])
         assert_array_equal(sys.r_k, g[free])
@@ -36,8 +36,7 @@ class TestBuildReduced:
         qp = random_bound_qp(rng, 4)
         x = np.clip(np.zeros(4), qp.l, qp.u)
         with pytest.raises(NoFreeVariables):
-            build_reduced(qp, x, gradient(qp, x),
-                          np.empty(0, dtype=np.int64))
+            build_reduced(qp, gradient(qp, x), np.empty(0, dtype=np.int64))
 
 
 class TestPCG:

@@ -2,7 +2,7 @@
 
 The reference loops below are the straightforward interpreted forms of the
 kernels (level-of-fill row merge, row-wise elimination, forward/back
-substitution, left-to-right matvec).  The kernels, row-loop and
+substitution, left-to-right matvec, row-by-row level schedule).  The kernels, row-loop and
 level-scheduled forms alike, must reproduce them byte for byte, not just to
 a tolerance: the arithmetic order is the same.
 """
@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gpcg import SparseMatrixCSR, ZeroPivot, ilu_k, mat_vec
+from gpcg import SparseMatrixCSR, ZeroPivot, extract_submatrix, ilu_k, mat_vec
 from gpcg import _kernels, ilu
 
 
@@ -123,6 +123,19 @@ def ref_lu_solve(lu_indptr, lu_indices, lu_data, lu_diag, r):
     return z
 
 
+def ref_level_schedule(lu_indptr, lu_indices, lu_diag, upper=False):
+    n = lu_diag.size
+    depth = np.zeros(n, dtype=np.int64)
+    for i in (range(n - 1, -1, -1) if upper else range(n)):
+        cols = (lu_indices[lu_diag[i] + 1:lu_indptr[i + 1]] if upper
+                else lu_indices[lu_indptr[i]:lu_diag[i]])
+        if cols.size:
+            depth[i] = depth[cols].max() + 1
+    order = np.argsort(depth, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(depth))))
+    return order, bounds
+
+
 def ref_matvec(A, x):
     out = np.empty(A.nrows)
     for i in range(A.nrows):
@@ -200,17 +213,15 @@ def test_factor_and_solve_match_reference_loops(case, k):
                                          lu_indptr, lu_indices, lu_diag)
     assert ref_fail == -1
     # both kernel forms on every case, and ilu_k's choice between them
-    forward = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag)
     backward = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag, upper=True)
-    for schedule in (None, forward):
+    for by_steps in (False, True):
         data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
-                                          lu_indptr, lu_indices, lu_diag, schedule)
+                                          lu_indptr, lu_indices, lu_diag, by_steps)
         assert fail == -1
         assert_bytes_equal(data, ref_data)
     factor = ilu_k(A, fill)
     assert_bytes_equal(factor.data, ref_data)
-    plan = _kernels.SolvePlan(lu_indptr, lu_indices, ref_data, lu_diag,
-                              forward, backward)
+    plan = _kernels.SolvePlan(lu_indptr, lu_indices, ref_data, lu_diag, backward)
     rng = np.random.default_rng(n)
     # the second right-hand side is mostly signed zeros, so most of the
     # solution's entries are zeros whose sign the row loops fix
@@ -263,10 +274,9 @@ def test_zero_pivot_row_matches_reference(dense, row):
     _ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
                                           lu_indptr, lu_indices, lu_diag)
     assert ref_fail == row
-    forward = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag)
-    for schedule in (None, forward):
+    for by_steps in (False, True):
         _data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
-                                           lu_indptr, lu_indices, lu_diag, schedule)
+                                           lu_indptr, lu_indices, lu_diag, by_steps)
         assert fail == row
     with pytest.raises(ZeroPivot) as err:
         ilu_k(A, n)
@@ -276,10 +286,10 @@ def test_zero_pivot_row_matches_reference(dense, row):
 def planted_zero_pivots(n=400):
     """2x2 blocks [[2, 1], [1, 2]] on the diagonal, except [[2, 2], [1, 1]]
     at rows 100-101 and 300-301: their second pivot is exactly
-    1 - (1/2) * 2 = 0.  Row 100 depends on row 99, so row 101 is at level 3
-    and row 301 at level 1.  Every other later row depends on row 101, whose
-    strict U reaches the last column, so later levels divide by the zero
-    pivot and meet inf - inf."""
+    1 - (1/2) * 2 = 0.  Row 100 depends on row 99, so row 101 completes at a
+    later elimination step than row 301.  Every other later row depends on
+    row 101, whose strict U reaches the last column, so later steps divide
+    by the zero pivot and meet inf - inf."""
     M = np.zeros((n, n))
     for i in range(0, n, 2):
         M[i:i + 2, i:i + 2] = [[2.0, 1.0], [1.0, 2.0]]
@@ -298,24 +308,139 @@ def test_zero_pivot_on_the_level_path(k):
     n = A.nrows
     lu_indptr, lu_indices, _levels, lu_diag = _kernels.ilu_symbolic(
         n, A.indptr, A.indices, k)
-    order, bounds = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag)
+    _order, bounds = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag)
     # large and wide enough for ilu_k to take the level path
     assert n >= ilu.LEVEL_MIN_ROWS
     assert (bounds.size - 1) * ilu.LEVEL_MIN_WIDTH <= n
-    level = np.empty(n, dtype=np.int64)
-    level[order] = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-    assert level[301] < level[101]
+    _t, row, step, *_ = _kernels._steps(lu_indptr, lu_indices, lu_diag)
+    assert step[row == 301].max() < step[row == 101].max()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
-                                           lu_indptr, lu_indices, lu_diag,
-                                           (order, bounds))
+                                           lu_indptr, lu_indices, lu_diag, True)
         with pytest.raises(ZeroPivot) as err:
             ilu_k(A, k)
     _ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
                                           lu_indptr, lu_indices, lu_diag)
     assert fail == ref_fail == 101
     assert err.value.row == 101
+
+
+def grid_block(side, seed):
+    """The principal submatrix of a grid Laplacian on a random 70 % of its
+    points, as the solver factors on a face of the bearing."""
+    rng = np.random.default_rng(seed)
+    A = grid_laplacian(side)
+    return extract_submatrix(A, np.flatnonzero(rng.random(A.nrows) < 0.7))
+
+
+def chain_with_jumps(n=400):
+    """Tridiagonal plus the entries (i, i - 9) for every seventh i: runs of
+    rows that depend only on their predecessor, cut by longer jumps."""
+    M = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    for i in range(9, n, 7):
+        M[i, i - 9] = M[i - 9, i] = -0.5
+    return SparseMatrixCSR.from_dense(M, symmetric=True)
+
+
+SCHEDULE_PATTERNS = ([(case, k) for k in (0, 2) for case in CASES + LARGE_CASES]
+                     + [(grid_block(30, seed), k) for seed in (1, 2) for k in (0, 1, 2)]
+                     + [(chain_with_jumps(), 0), (chain_with_jumps(), 2)])
+
+
+@pytest.mark.parametrize("case, k", SCHEDULE_PATTERNS,
+                         ids=[f"{i}-k{k}" for i, (_c, k) in enumerate(SCHEDULE_PATTERNS)])
+def test_level_schedule_matches_reference_loop(case, k):
+    A = case if isinstance(case, SparseMatrixCSR) else case_matrix(case)
+    lu_indptr, lu_indices, _levels, lu_diag = _kernels.ilu_symbolic(
+        A.nrows, A.indptr, A.indices, k)
+    for upper in (False, True):
+        got = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag, upper=upper)
+        want = ref_level_schedule(lu_indptr, lu_indices, lu_diag, upper=upper)
+        for g, w in zip(got, want):
+            assert_bytes_equal(g, w)
+
+
+# ---------------------------------------------------------------------------
+# the strict-U schedule: L levels reversed on symmetric patterns
+# ---------------------------------------------------------------------------
+
+def skewed_grid():
+    """grid20 with entry (0, 1) moved to (0, 2): strict L and strict U keep
+    their sizes, but the pattern is no longer symmetric."""
+    M = grid_laplacian(20).to_dense()
+    M[0, 1], M[0, 2] = 0.0, -1.0
+    return SparseMatrixCSR.from_dense(M)
+
+
+# (matrix, whether its pattern is symmetric), all solved by levels at k = 0, 2
+SCHEDULE_CASES = [("grid20", grid_laplacian(20), True),
+                  ("sym300", random_pattern_matrix(5, 300, 0.01, True), True),
+                  ("unsym300", random_pattern_matrix(5, 300, 0.01, False), False),
+                  ("skewed-grid20", skewed_grid(), False)]
+
+
+def level_of_row(schedule, n):
+    order, bounds = schedule
+    level = np.empty(n, dtype=np.int64)
+    level[order] = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+    return level
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("name, A, symmetric", SCHEDULE_CASES,
+                         ids=[c[0] for c in SCHEDULE_CASES])
+def test_backward_schedule_orders_every_row_after_its_strict_u_columns(
+        name, A, symmetric, k):
+    n = A.nrows
+    lu_indptr, lu_indices, _levels, lu_diag = _kernels.ilu_symbolic(
+        n, A.indptr, A.indices, k)
+    forward = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag)
+    order, bounds = _kernels.backward_schedule(lu_indptr, lu_indices, lu_diag, forward)
+    assert_bytes_equal(np.sort(order), np.arange(n))
+    level = level_of_row((order, bounds), n)
+    rows = np.repeat(np.arange(n), np.diff(lu_indptr))
+    upper = lu_indices > rows
+    assert upper.any()
+    # a row's strict-U columns are solved in earlier backward levels
+    assert (level[lu_indices[upper]] < level[rows[upper]]).all()
+    # levels list their rows in ascending order
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        assert (np.diff(order[a:b]) > 0).all()
+    computed = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag, upper=True)
+    assert bounds.size == computed[1].size
+    if symmetric:
+        assert_bytes_equal(level, level_of_row(forward, n).max() - level_of_row(forward, n))
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("name, A, symmetric", SCHEDULE_CASES,
+                         ids=[c[0] for c in SCHEDULE_CASES])
+def test_ilu_k_computes_a_u_schedule_only_for_unsymmetric_patterns(
+        monkeypatch, name, A, symmetric, k):
+    level_schedule = _kernels.level_schedule
+    calls = []
+
+    def spy(*args, upper=False):
+        calls.append(upper)
+        return level_schedule(*args, upper=upper)
+
+    monkeypatch.setattr(_kernels, "level_schedule", spy)
+    factor = ilu_k(A, k)
+    assert factor.plan is not None
+    assert calls == ([False] if symmetric else [False, True])
+    # whichever U schedule it used, the plan solves as the row loop does,
+    # and as a plan on the computed U schedule does
+    computed = _kernels.SolvePlan(
+        factor.indptr, factor.indices, factor.data, factor.diag,
+        level_schedule(factor.indptr, factor.indices, factor.diag, upper=True))
+    rng = np.random.default_rng(A.nrows)
+    signed = np.where(rng.random(A.nrows) < 0.5, -0.0, 0.0)
+    for r in (rng.standard_normal(A.nrows), signed):
+        want = _kernels.lu_solve(factor.indptr, factor.indices, factor.data,
+                                 factor.diag, r)
+        assert_bytes_equal(factor.solve(r), want)
+        assert_bytes_equal(computed.solve(r), want)
 
 
 @pytest.mark.parametrize("seed", range(4))
