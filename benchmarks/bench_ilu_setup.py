@@ -5,7 +5,9 @@ tol 1e-4) once per size, keeps every block that ``ilu_k`` factors during
 that solve, and then times ILU's layers on those blocks, each on its own:
 
   symbolic   ``_kernels.ilu_symbolic``
-  forward    ``_kernels.level_schedule`` (strict L)
+  forward    ``_kernels.lower_schedule``: the strict-L schedule and the
+             numeric phase's elimination steps (trees without it:
+             ``level_schedule``, the L schedule only)
   backward   the strict-U schedule: ``_kernels.backward_schedule`` where it
              exists, else ``level_schedule(..., upper=True)``
   numeric    ``_kernels.ilu_numeric`` in the form ``ilu_k`` would use
@@ -44,8 +46,12 @@ ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("symbolic", "forward", "backward", "numeric", "plan", "apply", "ilu_k")
 
 
-def captured_blocks(gpcg, nx, fill_level):
-    """The (matrix, fill level) of every ilu_k call in one bearing solve."""
+FILL_LEVEL = 2
+
+
+def captured_blocks(gpcg, nx):
+    """The (matrix, fill level) of every ilu_k call in one ILU(2) bearing
+    solve."""
     blocks = []
     real = gpcg.precond.ilu_k
 
@@ -54,7 +60,7 @@ def captured_blocks(gpcg, nx, fill_level):
         return real(M, k)
 
     qp = gpcg.generate(gpcg.BearingSpec(nx, nx, 0.1))
-    cfg = gpcg.SolverConfig(precond=f"bjacobi-ilu{fill_level}", tol=1e-4)
+    cfg = gpcg.SolverConfig(precond=f"bjacobi-ilu{FILL_LEVEL}", tol=1e-4)
     gpcg.precond.ilu_k = record
     try:
         gpcg.solve(qp, qp.l.copy(), cfg)
@@ -74,29 +80,32 @@ def best_of(repeat, fn):
 
 def time_block(gpcg, M, k, repeat, rng):
     kern, ilu = gpcg._kernels, gpcg.ilu
-    # Trees before backward_schedule compute the U schedule in full, give
-    # the numeric phase the L schedule and their plans both schedules.
-    legacy = not hasattr(kern, "backward_schedule")
+    # Trees before lower_schedule compute the U schedule in full, give the
+    # numeric phase the L schedule and their plans both schedules.
+    legacy = not hasattr(kern, "lower_schedule")
     if legacy:
+        def lower_schedule(ip, ix, dg):
+            forward = kern.level_schedule(ip, ix, dg)
+            return forward, forward
+
         def backward_schedule(ip, ix, dg, forward):
             return kern.level_schedule(ip, ix, dg, upper=True)
     else:
-        backward_schedule = kern.backward_schedule
+        lower_schedule, backward_schedule = kern.lower_schedule, kern.backward_schedule
     n = M.nrows
     t = dict.fromkeys(LAYERS, 0.0)
     t["symbolic"], (ip, ix, _lev, dg) = best_of(
         repeat, lambda: kern.ilu_symbolic(n, M.indptr, M.indices, k))
-    forward = backward = None
+    forward = steps = backward = None
     levels = 0
     if n >= ilu.LEVEL_MIN_ROWS:
-        t["forward"], forward = best_of(repeat, lambda: kern.level_schedule(ip, ix, dg))
+        t["forward"], (forward, steps) = best_of(repeat, lambda: lower_schedule(ip, ix, dg))
         levels = forward[1].size - 1
         if not ilu._wide(forward, n):
-            forward = None
-    by_levels = forward if legacy else forward is not None
+            forward = steps = None
     t["numeric"], (data, _fail) = best_of(
         repeat, lambda: kern.ilu_numeric(n, M.indptr, M.indices, M.data, ip, ix, dg,
-                                         by_levels))
+                                         steps))
     if forward is not None:
         t["backward"], backward = best_of(
             repeat, lambda: backward_schedule(ip, ix, dg, forward))
@@ -138,7 +147,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--sizes", type=int, nargs="+", default=[100, 200],
                     help="bearing grid sizes nx = ny")
-    ap.add_argument("--fill", type=int, default=2, help="ILU fill level")
     ap.add_argument("--repeat", type=int, default=5, help="runs per layer and block")
     ap.add_argument("--label", default="change")
     ap.add_argument("--src", default=str(ROOT / "src"),
@@ -151,7 +159,7 @@ def main():
 
     runs = {}
     for nx in args.sizes:
-        blocks = captured_blocks(gpcg, nx, args.fill)
+        blocks = captured_blocks(gpcg, nx)
         rng = np.random.default_rng(nx)
         totals = dict.fromkeys(LAYERS, 0.0)
         shapes = []
@@ -160,7 +168,7 @@ def main():
             for layer in LAYERS:
                 totals[layer] += t[layer]
             shapes.append(shape)
-        name = f"bearing-{nx}-eps0.1-ilu{args.fill}"
+        name = f"bearing-{nx}-eps0.1-ilu{FILL_LEVEL}"
         runs[name] = {"blocks": len(blocks),
                       "seconds_per_solve": {k: round(v, 6) for k, v in totals.items()},
                       "block_shapes": shapes}

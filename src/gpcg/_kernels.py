@@ -4,9 +4,10 @@ Submatrix extraction and the ILU(k) symbolic phase are vectorized with numpy
 and ``scipy.sparse``.  The ILU numeric phase and the triangular solves have
 two forms with the same arithmetic, operation for operation:
 
-* row loops (``ilu_numeric`` without ``by_steps``, ``lu_solve``), which index
-  ``memoryview``s of the numpy arrays and so work on plain Python floats;
-* level-scheduled forms (``ilu_numeric`` with ``by_steps``, and
+* row loops (``ilu_numeric`` without ``finish``, ``lu_solve``), which
+  index ``memoryview``s of the numpy arrays and so work on plain Python
+  floats;
+* level-scheduled forms (``ilu_numeric`` with ``finish``, and
   ``SolvePlan``).  Rows of equal dependency depth do not depend on each
   other, so each level is one vectorized step (Anderson & Saad 1989; Saad,
   *Iterative Methods for Sparse Linear Systems*, 2nd ed., section 11.6).
@@ -19,13 +20,12 @@ two forms with the same arithmetic, operation for operation:
 
 The level forms cost schedules and a plan per factor, which only pays off
 on large blocks; ``ilu.ilu_k`` picks the form from the width of the levels
-of strict L (``level_schedule``).  Strict U gets a schedule of its own
-unless the factor's pattern is symmetric, as ILU(k) keeps the pattern of a
-symmetric block: then ``backward_schedule`` reuses the L levels in reverse
-order.
+of strict L.  One longest-path pass over strict L (``lower_schedule``)
+gives both those levels and the steps of the numeric phase.  Strict U gets
+a pass of its own (``upper_schedule``) unless the factor's pattern is
+symmetric, as ILU(k) keeps the pattern of a symmetric block: then
+``backward_schedule`` reuses the L levels in reverse order.
 """
-
-from operator import add
 
 import numpy as np
 import scipy.sparse as sp
@@ -142,106 +142,131 @@ def ilu_symbolic(n, a_indptr, a_indices, fill_level):
     return lu_indptr, lu_indices, levels, lu_diag
 
 
-# Chunks of fewer rows, with fewer than twice as many dependencies, go
-# through ``_longest_paths``'s row loop: a vectorized chunk costs about as
-# much as 10-15 short rows of it, but long rows cost the loop far more.
-CHUNK_MIN_ROWS = 16
-
-
-def _longest_paths(n, ptr, deps, weight, base):
-    """value(i) = max(base, value(d) + w over the dependencies d of row i),
-    for a DAG whose row i depends on the rows ``deps[ptr[i]:ptr[i + 1]]``,
-    all less than i and ascending, through edges of weight
-    ``weight[ptr[i]:ptr[i + 1]]``; an edge to row i - 1 that comes last in
-    its row must weigh 1.
+def _longest_paths(n, ptr, deps, weights, bases, limit=None):
+    """For each weight vector w and its base: value(i) = max(base, value(d)
+    + w over the dependencies d of row i), for a DAG whose row i depends on
+    the rows ``deps[ptr[i]:ptr[i + 1]]``, all less than i and ascending,
+    through edges of weight ``w[ptr[i]:ptr[i + 1]]``; an edge to row i - 1
+    that comes last in its row must weigh 1.  Returns one value array per
+    weight vector, or None once the last value of a chunk (see below) of
+    the first vector exceeds ``limit``.
 
     The rows run in chunks [s, e) whose rows depend on one another only
     through their predecessor: the other dependencies of row i lie before s.
     Within a chunk, value(i) = max(ext(i), value(i - 1) + 1) along each run
     of rows that depend on their predecessor, where ext(i) is the best over
     base and the other dependencies.  So value(i) - i is a running maximum
-    of ext(k) - k over the run, one vectorized step per chunk.  On a grid in
-    natural order a chunk is about one grid line.  Small chunks take the row
-    loop, 1-2 us a row.
+    of ext(k) - k over the run, one vectorized step per chunk and weight
+    vector.  On a grid in natural order a chunk is about one grid line; on
+    chain-like patterns chunks are a few rows long, and the per-chunk numpy
+    calls cost more than a row loop would.
     """
     ends = ptr[1:]
     link = np.zeros(n, dtype=bool)  # row i depends on row i - 1, last
     rows = np.flatnonzero(ends > ptr[:-1])
     link[rows] = deps[ends[rows] - 1] == rows - 1
-    others = np.diff(ptr) - link
     keep = np.ones(deps.size, dtype=bool)
     keep[ends[link] - 1] = False
     # each row's other dependencies, then row n (value 0) at weight base
-    at = np.cumsum(others)
-    other = np.insert(deps[keep], at, n)
-    other_weight = np.insert(weight[keep], at, base)
+    others = np.diff(ptr) - link
     other_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(others + 1, out=other_ptr[1:])
+    slot = np.ones(int(other_ptr[n]), dtype=bool)
+    slot[other_ptr[1:] - 1] = False
+    other = np.full(slot.size, n, dtype=np.int64)
+    other[slot] = deps[keep]
+    other_weights = []
+    for weight, base in zip(weights, bases):
+        other_weight = np.full(slot.size, base, dtype=np.int64)
+        other_weight[slot] = weight[keep]
+        other_weights.append(other_weight)
     last_other = np.where(others > 0, other[other_ptr[1:] - 2], -1)
     # a chunk starting at s ends at the first row with another dependency >= s
-    reach = np.searchsorted(np.maximum.accumulate(last_other), np.arange(n))
+    reach = np.searchsorted(np.maximum.accumulate(last_other), np.arange(n)).tolist()
     # Run offsets: a new run starts above anything the last one reached.  A
     # path meets every row once, so values lie in [base, deps.size].
     shift = np.cumsum(~link) * (deps.size + n + 2) - np.arange(n)
-    value = np.zeros(n + 1, dtype=np.int64)
-    vv = memoryview(value)
-    get = vv.__getitem__
-    ov, wv = memoryview(other), memoryview(other_weight)
-    pv, lv = memoryview(other_ptr), memoryview(link)
+    values = [np.zeros(n + 1, dtype=np.int64) for _ in other_weights]
     s = 0
     while s < n:
-        e = int(reach[s])
-        if e - s < CHUNK_MIN_ROWS and pv[e] - pv[s] < 2 * CHUNK_MIN_ROWS:
-            for i in range(s, e):
-                a = pv[i]
-                b = pv[i + 1]
-                v = max(map(add, map(get, ov[a:b]), wv[a:b]))
-                if lv[i]:
-                    v = max(v, vv[i - 1] + 1)
-                vv[i] = v
-        else:
-            a, b = other_ptr[s], other_ptr[e]
-            ext = np.maximum.reduceat(value[other[a:b]] + other_weight[a:b],
-                                      other_ptr[s:e] - a)
+        e = reach[s]
+        a, b = other_ptr[s], other_ptr[e]
+        chunk, starts, chunk_shift = other[a:b], other_ptr[s:e] - a, shift[s:e]
+        for value, other_weight in zip(values, other_weights):
+            ext = np.maximum.reduceat(value[chunk] + other_weight[a:b], starts)
             if link[s]:
-                ext[0] = max(ext[0], vv[s - 1] + 1)
-            ext += shift[s:e]
+                ext[0] = max(ext[0], value[s - 1] + 1)
+            ext += chunk_shift
             np.maximum.accumulate(ext, out=ext)
-            ext -= shift[s:e]
+            ext -= chunk_shift
             value[s:e] = ext
+        if limit is not None and values[0][e - 1] > limit:
+            return None
         s = e
-    return value[:n]
+    return [value[:n] for value in values]
 
 
-def level_schedule(lu_indptr, lu_indices, lu_diag, upper=False):
-    """Level schedule of strict L (or, with ``upper``, strict U) of a
-    combined LU pattern.
-
-    Level 0 holds the rows without strict-L entries; level l > 0 the rows
-    whose strict-L entries reach rows of level l - 1 at most, and one at
-    least.  For U, the same with strict-U entries.  Returns ``(order,
-    bounds)``: the rows of level l are ``order[bounds[l]:bounds[l + 1]]``,
-    in ascending order.
-    """
-    n = lu_diag.size
-    if upper:
-        counts = lu_indptr[1:] - lu_diag - 1
-        pos = _spans(lu_diag + 1, counts)[::-1]
-        # rows numbered from the end, so that U's dependencies come first
-        counts = counts[::-1]
-        deps = n - 1 - lu_indices[pos]
-    else:
-        counts = lu_diag - lu_indptr[:-1]
-        deps = lu_indices[_spans(lu_indptr[:-1], counts)]
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    depth = _longest_paths(n, ptr, deps, np.ones(deps.size, dtype=np.int64), 0)
-    if upper:
-        depth = depth[::-1]
+def _by_level(depth):
+    """``(order, bounds)``: the rows of depth l are ``order[bounds[l]:bounds[l
+    + 1]]``, in ascending order."""
     order = np.argsort(depth, kind="stable")
     bounds = np.zeros(int(depth.max(initial=-1)) + 2, dtype=np.int64)
     np.cumsum(np.bincount(depth), out=bounds[1:])
     return order, bounds
+
+
+def lower_schedule(lu_indptr, lu_indices, lu_diag, max_levels=None):
+    """Level schedule of strict L of a combined LU pattern, and ``finish``,
+    the elimination step at which each row of ``ilu_numeric``'s level form
+    is complete (-1 for rows without strict-L entries), from one pass over
+    strict L; or None when there are more than ``max_levels`` levels.  The
+    pass stops at the first chunk that ends that deep, so a chain-like
+    pattern costs a fraction of its full schedule.
+
+    Level 0 holds the rows without strict-L entries; level l > 0 the rows
+    whose strict-L entries reach rows of level l - 1 at most, and one at
+    least.  The schedule is ``(order, bounds)``: the rows of level l are
+    ``order[bounds[l]:bounds[l + 1]]``, in ascending order.
+
+    Row i takes its strict-L entries in column order, and the one with pivot
+    row p only after row p is complete: its k-th entry runs at step
+    T(i, k) = max(T(i, k - 1), F(p)) + 1, where F(p) = ``finish[p]``.
+    Unrolled, T(i, k) = k + 1 + the largest F(p_j) - j over j <= k, and F is
+    the longest path over strict L with weight n_i - j on the j-th of row
+    i's n_i entries.
+    """
+    n = lu_diag.size
+    counts = lu_diag - lu_indptr[:-1]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    deps = lu_indices[_spans(lu_indptr[:-1], counts)]
+    k = np.arange(deps.size) - np.repeat(ptr[:-1], counts)
+    paths = _longest_paths(
+        n, ptr, deps, (np.ones(deps.size, dtype=np.int64), np.repeat(counts, counts) - k),
+        (0, -1), None if max_levels is None else max_levels - 1)
+    if paths is None:
+        return None
+    depth, finish = paths
+    if max_levels is not None and depth.max(initial=-1) >= max_levels:
+        return None
+    return _by_level(depth), finish
+
+
+def upper_schedule(lu_indptr, lu_indices, lu_diag):
+    """Level schedule of strict U of a combined LU pattern, in the form of
+    ``lower_schedule``'s: level 0 holds the rows without strict-U entries,
+    level l > 0 the rows whose strict-U entries reach rows of level l - 1 at
+    most, and one at least."""
+    n = lu_diag.size
+    counts = lu_indptr[1:] - lu_diag - 1
+    pos = _spans(lu_diag + 1, counts)[::-1]
+    # rows numbered from the end, so that U's dependencies come first
+    counts = counts[::-1]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    deps = n - 1 - lu_indices[pos]
+    [depth] = _longest_paths(n, ptr, deps, (np.ones(deps.size, dtype=np.int64),), (0,))
+    return _by_level(depth[::-1])
 
 
 def _symmetric_pattern(lu_indptr, lu_indices, lu_diag):
@@ -256,17 +281,16 @@ def _symmetric_pattern(lu_indptr, lu_indices, lu_diag):
 
 
 def backward_schedule(lu_indptr, lu_indices, lu_diag, forward):
-    """Level schedule of strict U, given ``forward``, that of strict L, in
-    the form ``level_schedule`` returns.
+    """Level schedule of strict U, given ``forward``, that of strict L.
 
     On a symmetric pattern a strict-U entry (i, j) is the strict-L entry
     (j, i), so row j sits in a later L level than row i: the L levels in
     reverse order, each still ascending, are a U schedule (with as many
-    levels as ``level_schedule(..., upper=True)``, the longest dependency
-    chain being the same).  Other patterns get their own.
+    levels as ``upper_schedule``'s, the longest dependency chain being the
+    same).  Other patterns get their own.
     """
     if not _symmetric_pattern(lu_indptr, lu_indices, lu_diag):
-        return level_schedule(lu_indptr, lu_indices, lu_diag, upper=True)
+        return upper_schedule(lu_indptr, lu_indices, lu_diag)
     order, bounds = forward
     counts = np.diff(bounds)[::-1]
     reverse_bounds = np.zeros_like(bounds)
@@ -275,13 +299,14 @@ def backward_schedule(lu_indptr, lu_indices, lu_diag, forward):
 
 
 def ilu_numeric(n, a_indptr, a_indices, a_data, lu_indptr, lu_indices, lu_diag,
-                by_steps=False):
+                finish=None):
     """Values of the combined LU factor on a symbolic pattern.
 
     Row-wise Gaussian elimination restricted to the pattern, without
     pivoting; the pattern must contain the input's, as the one from
-    ``ilu_symbolic`` does.  With ``by_steps``, the strict-L entries of many
-    rows are eliminated together (``_steps``), with the same result.
+    ``ilu_symbolic`` does.  Given ``finish`` from ``lower_schedule``, the
+    strict-L entries of many rows are eliminated together (``_steps``),
+    with the same result.
     Returns the factor values and the first row whose pivot is exactly zero
     (-1 when there is none); the values are then incomplete.
     """
@@ -290,12 +315,12 @@ def ilu_numeric(n, a_indptr, a_indices, a_data, lu_indptr, lu_indices, lu_diag,
     keys = _keys(n, lu_indptr, lu_indices)
     at = np.searchsorted(keys, _keys(n, a_indptr, a_indices))
     lu_data[at] = a_data[:at.size]
-    if not by_steps:
+    if finish is None:
         return lu_data, _eliminate_rows(n, lu_indptr, lu_indices, lu_diag, lu_data)
     # Later steps divide by the zero pivot, if there is one; the row loop
     # would have stopped there, so the values are incomplete either way.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _eliminate_steps(n, lu_indptr, lu_indices, lu_diag, lu_data)
+        _eliminate_steps(n, lu_indptr, lu_indices, lu_diag, lu_data, finish)
     zero = np.flatnonzero(lu_data[lu_diag] == 0.0)
     return lu_data, int(zero[0]) if zero.size else -1
 
@@ -328,20 +353,16 @@ def _eliminate_rows(n, lu_indptr, lu_indices, lu_diag, lu_data):
     return -1
 
 
-def _steps(lu_indptr, lu_indices, lu_diag):
+def _steps(lu_indptr, lu_indices, lu_diag, finish):
     """The strict-L entries t in step order, with each entry's row, step and
     pivot position, the number of strict-U entries of its pivot row, and
     where each step starts in these arrays, plus the end.
 
-    Row i takes its strict-L entries in column order, and the one with pivot
-    row p only after row p is complete: its k-th entry runs at step
-    T(i, k) = max(T(i, k - 1), F(p)) + 1, where F(p) is the step of row p's
-    last strict-L entry (-1 without one).  Unrolled, T(i, k) = k + 1 + the
-    largest F(p_j) - j over j <= k, and F is the longest path over strict L
-    with weight n_i - j on the j-th of row i's n_i entries.  Rows need not
-    wait for a whole level, so there are fewer steps than in a level
-    schedule's (level, entry) steps: 447 against 1382 on a 5200-row
-    bearing factor.
+    The k-th strict-L entry of row i, with pivot row p_k, runs at step
+    T(i, k) = k + 1 + the largest F(p_j) - j over j <= k, F being
+    ``finish`` (see ``lower_schedule``).  Rows need not wait for a whole
+    level, so there are fewer steps than in a level schedule's (level,
+    entry) steps: 447 against 1382 on a 5200-row bearing factor.
     """
     n = lu_diag.size
     nl = lu_diag - lu_indptr[:-1]
@@ -350,16 +371,15 @@ def _steps(lu_indptr, lu_indices, lu_diag):
     t = _spans(lu_indptr[:-1], nl)
     p = lu_indices[t]
     k = np.arange(t.size) - np.repeat(ptr[:-1], nl)
-    last = _longest_paths(n, ptr, p, np.repeat(nl, nl) - k, -1)
     # running maximum of F(p_j) - j within each row
     offset = np.repeat(np.arange(n) * (t.size + n + 2), nl)
-    step = np.maximum.accumulate(last[p] - k + offset) - offset + k + 1
+    step = np.maximum.accumulate(finish[p] - k + offset) - offset + k + 1
     by_step = np.argsort(step, kind="stable")
     t, step = t[by_step], step[by_step]
     row = np.repeat(np.arange(n), nl)[by_step]
     pivot = lu_diag[lu_indices[t]]
     u_count = lu_indptr[lu_indices[t] + 1] - pivot - 1
-    step_starts = np.searchsorted(step, np.arange(int(last.max(initial=-1)) + 2))
+    step_starts = np.searchsorted(step, np.arange(int(finish.max(initial=-1)) + 2))
     return t, row, step, pivot, u_count, step_starts
 
 
@@ -369,7 +389,7 @@ def _steps(lu_indptr, lu_indices, lu_diag):
 PAIR_CHUNK = 1 << 14
 
 
-def _eliminate_steps(n, lu_indptr, lu_indices, lu_diag, lu_data):
+def _eliminate_steps(n, lu_indptr, lu_indices, lu_diag, lu_data, finish):
     """The row loop of ``_eliminate_rows``, run by the steps of ``_steps``:
     a step takes the next strict-L entry t of each of its rows i, sets
     ``val[t] /= val[diag[p]]`` for its pivot row p, and subtracts
@@ -377,7 +397,8 @@ def _eliminate_steps(n, lu_indptr, lu_indices, lu_diag, lu_data):
     U's row p.  The rows of a step are distinct and their pivot rows
     complete, and the columns of a row are distinct, so no step updates an
     entry twice, and every entry sees its updates in the row loop's order."""
-    t, row, step, pivot, u_count, step_starts = _steps(lu_indptr, lu_indices, lu_diag)
+    t, row, step, pivot, u_count, step_starts = _steps(lu_indptr, lu_indices, lu_diag,
+                                                       finish)
     nsteps = step_starts.size - 1
     # chunks of whole steps, of about PAIR_CHUNK candidate pairs each
     before = np.concatenate(([0], np.cumsum(u_count)))[step_starts]

@@ -17,18 +17,19 @@ from .errors import ZeroPivot
 from .linalg import SparseMatrixCSR
 
 
-# Level scheduling costs a schedule for strict L and one for strict U (on a
-# symmetric pattern, the L levels reversed), an elimination schedule and a
-# plan per factor and a few numpy calls per level, so it pays only on large
-# blocks whose levels are wide.  Measured on a 2-vCPU host (numeric phase
-# plus four solves, the row loops against the level forms): the level forms
-# win from n = 150-300 on 2-D grid Laplacians (ILU(0) and ILU(2)) and random
-# SPD patterns (ILU(0)), and lose 1.4x on the n = 60 random-SPD blocks.  At
-# n = 1024-4096 they lose 2-5x when levels average one row (chain-like
-# patterns), break even near four rows a level and win by about 30 % at
-# five.  Those figures predate the vectorized schedules, the entry-wise
-# elimination steps and the one-call forward substitution, which all made
-# the level forms cheaper; the crossover has not been measured again.
+# Level scheduling costs a pass over strict L (the L levels and the
+# elimination steps), one over strict U unless the pattern is symmetric (then
+# the L levels reversed serve), a plan per factor and a few numpy calls per
+# level and chunk, so it pays only on large blocks whose levels are wide.
+# Measured on a 2-vCPU host (numeric phase plus four solves, the row loops
+# against the level forms): the level forms win from n = 144 on 2-D grid
+# Laplacians (ILU(0) and ILU(2)) and from n = 200 on random SPD patterns
+# with about five entries a row (ILU(0)), and lose 1.3x on n = 60 random
+# SPD blocks.  At n = 1024-4096 they lose 2x when levels average one or two
+# rows (chain-like patterns), break even near four or five rows a level and
+# win by 13-36 % at six to eight.  LEVEL_MIN_ROWS stays above both n
+# crossovers; the L pass gives up as soon as it finds more levels than
+# n / LEVEL_MIN_WIDTH, so chain-like blocks pay a fraction of it.
 LEVEL_MIN_ROWS = 256
 LEVEL_MIN_WIDTH = 5
 
@@ -80,14 +81,15 @@ def ilu_k(M: SparseMatrixCSR, k: int) -> ILUFactorization:
     n = M.nrows
     lu_indptr, lu_indices, _levels, lu_diag = _kernels.ilu_symbolic(
         n, M.indptr, M.indices, k)
-    forward = None
+    forward = finish = None
     if n >= LEVEL_MIN_ROWS:
-        forward = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag)
-        if not _wide(forward, n):
-            forward = None
+        # None unless the levels average LEVEL_MIN_WIDTH rows
+        schedules = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag,
+                                            n // LEVEL_MIN_WIDTH)
+        if schedules is not None:
+            forward, finish = schedules
     lu_data, fail_row = _kernels.ilu_numeric(
-        n, M.indptr, M.indices, M.data, lu_indptr, lu_indices, lu_diag,
-        forward is not None)
+        n, M.indptr, M.indices, M.data, lu_indptr, lu_indices, lu_diag, finish)
     if fail_row >= 0:
         raise ZeroPivot(int(fail_row))
     plan = None

@@ -136,6 +136,20 @@ def ref_level_schedule(lu_indptr, lu_indices, lu_diag, upper=False):
     return order, bounds
 
 
+def ref_finish(lu_indptr, lu_indices, lu_diag):
+    """The step at which each row's last strict-L entry is eliminated, when
+    a row takes its entries in column order and each only after its pivot
+    row is complete (-1 for rows without strict-L entries)."""
+    n = lu_diag.size
+    finish = np.full(n, -1, dtype=np.int64)
+    for i in range(n):
+        step = -1
+        for p in lu_indices[lu_indptr[i]:lu_diag[i]]:
+            step = max(step, finish[p]) + 1
+        finish[i] = step
+    return finish
+
+
 def ref_matvec(A, x):
     out = np.empty(A.nrows)
     for i in range(A.nrows):
@@ -213,10 +227,11 @@ def test_factor_and_solve_match_reference_loops(case, k):
                                          lu_indptr, lu_indices, lu_diag)
     assert ref_fail == -1
     # both kernel forms on every case, and ilu_k's choice between them
-    backward = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag, upper=True)
-    for by_steps in (False, True):
+    backward = _kernels.upper_schedule(lu_indptr, lu_indices, lu_diag)
+    _forward, finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
+    for steps in (None, finish):
         data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
-                                          lu_indptr, lu_indices, lu_diag, by_steps)
+                                          lu_indptr, lu_indices, lu_diag, steps)
         assert fail == -1
         assert_bytes_equal(data, ref_data)
     factor = ilu_k(A, fill)
@@ -249,6 +264,26 @@ def test_ilu_k_solves_by_levels_only_on_large_blocks_with_wide_levels():
     assert ilu_k(SparseMatrixCSR.from_dense(upper_chain), 0).plan is None
 
 
+def test_ilu_k_takes_the_level_path_up_to_n_over_min_width_levels(monkeypatch):
+    ilu_numeric = _kernels.ilu_numeric
+    steps = []
+
+    def spy(*args):
+        steps.append(args[-1] is not None)
+        return ilu_numeric(*args)
+
+    monkeypatch.setattr(_kernels, "ilu_numeric", spy)
+    # interleaved chains, row i depending on row i - w: levels of w rows
+    w = ilu.LEVEL_MIN_WIDTH
+    m = ilu.LEVEL_MIN_ROWS // w + 1
+    for n, levels in ((w * m, m), (w * m + 1, m + 1)):
+        chains = 3.0 * np.eye(n) - np.eye(n, k=w) - np.eye(n, k=-w)
+        factor = ilu_k(SparseMatrixCSR.from_dense(chains, symmetric=True), 0)
+        by_levels = levels * w <= n
+        assert steps.pop() == by_levels
+        assert (factor.plan is not None) == by_levels
+
+
 def test_full_fill_level_gives_the_full_elimination_pattern():
     # with k = n every fill path is admitted: the pattern is closed under
     # elimination, so one more level changes nothing
@@ -274,9 +309,10 @@ def test_zero_pivot_row_matches_reference(dense, row):
     _ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
                                           lu_indptr, lu_indices, lu_diag)
     assert ref_fail == row
-    for by_steps in (False, True):
+    _forward, finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
+    for steps in (None, finish):
         _data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
-                                           lu_indptr, lu_indices, lu_diag, by_steps)
+                                           lu_indptr, lu_indices, lu_diag, steps)
         assert fail == row
     with pytest.raises(ZeroPivot) as err:
         ilu_k(A, n)
@@ -308,16 +344,15 @@ def test_zero_pivot_on_the_level_path(k):
     n = A.nrows
     lu_indptr, lu_indices, _levels, lu_diag = _kernels.ilu_symbolic(
         n, A.indptr, A.indices, k)
-    _order, bounds = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag)
+    (_order, bounds), finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
     # large and wide enough for ilu_k to take the level path
     assert n >= ilu.LEVEL_MIN_ROWS
     assert (bounds.size - 1) * ilu.LEVEL_MIN_WIDTH <= n
-    _t, row, step, *_ = _kernels._steps(lu_indptr, lu_indices, lu_diag)
-    assert step[row == 301].max() < step[row == 101].max()
+    assert finish[301] < finish[101]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
-                                           lu_indptr, lu_indices, lu_diag, True)
+                                           lu_indptr, lu_indices, lu_diag, finish)
         with pytest.raises(ZeroPivot) as err:
             ilu_k(A, k)
     _ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
@@ -354,11 +389,20 @@ def test_level_schedule_matches_reference_loop(case, k):
     A = case if isinstance(case, SparseMatrixCSR) else case_matrix(case)
     lu_indptr, lu_indices, _levels, lu_diag = _kernels.ilu_symbolic(
         A.nrows, A.indptr, A.indices, k)
-    for upper in (False, True):
-        got = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag, upper=upper)
+    forward, finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
+    backward = _kernels.upper_schedule(lu_indptr, lu_indices, lu_diag)
+    for got, upper in ((forward, False), (backward, True)):
         want = ref_level_schedule(lu_indptr, lu_indices, lu_diag, upper=upper)
         for g, w in zip(got, want):
             assert_bytes_equal(g, w)
+    assert_bytes_equal(finish, ref_finish(lu_indptr, lu_indices, lu_diag))
+    # with a level budget: the same schedule when it fits, else None
+    levels = forward[1].size - 1
+    (order, bounds), budget_finish = _kernels.lower_schedule(
+        lu_indptr, lu_indices, lu_diag, levels)
+    for g, w in zip((order, bounds, budget_finish), (*forward, finish)):
+        assert_bytes_equal(g, w)
+    assert _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag, levels - 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +439,7 @@ def test_backward_schedule_orders_every_row_after_its_strict_u_columns(
     n = A.nrows
     lu_indptr, lu_indices, _levels, lu_diag = _kernels.ilu_symbolic(
         n, A.indptr, A.indices, k)
-    forward = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag)
+    forward, _finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
     order, bounds = _kernels.backward_schedule(lu_indptr, lu_indices, lu_diag, forward)
     assert_bytes_equal(np.sort(order), np.arange(n))
     level = level_of_row((order, bounds), n)
@@ -407,7 +451,7 @@ def test_backward_schedule_orders_every_row_after_its_strict_u_columns(
     # levels list their rows in ascending order
     for a, b in zip(bounds[:-1], bounds[1:]):
         assert (np.diff(order[a:b]) > 0).all()
-    computed = _kernels.level_schedule(lu_indptr, lu_indices, lu_diag, upper=True)
+    computed = _kernels.upper_schedule(lu_indptr, lu_indices, lu_diag)
     assert bounds.size == computed[1].size
     if symmetric:
         assert_bytes_equal(level, level_of_row(forward, n).max() - level_of_row(forward, n))
@@ -418,22 +462,22 @@ def test_backward_schedule_orders_every_row_after_its_strict_u_columns(
                          ids=[c[0] for c in SCHEDULE_CASES])
 def test_ilu_k_computes_a_u_schedule_only_for_unsymmetric_patterns(
         monkeypatch, name, A, symmetric, k):
-    level_schedule = _kernels.level_schedule
+    upper_schedule = _kernels.upper_schedule
     calls = []
 
-    def spy(*args, upper=False):
-        calls.append(upper)
-        return level_schedule(*args, upper=upper)
+    def spy(*args):
+        calls.append(args)
+        return upper_schedule(*args)
 
-    monkeypatch.setattr(_kernels, "level_schedule", spy)
+    monkeypatch.setattr(_kernels, "upper_schedule", spy)
     factor = ilu_k(A, k)
     assert factor.plan is not None
-    assert calls == ([False] if symmetric else [False, True])
+    assert len(calls) == (0 if symmetric else 1)
     # whichever U schedule it used, the plan solves as the row loop does,
     # and as a plan on the computed U schedule does
     computed = _kernels.SolvePlan(
         factor.indptr, factor.indices, factor.data, factor.diag,
-        level_schedule(factor.indptr, factor.indices, factor.diag, upper=True))
+        upper_schedule(factor.indptr, factor.indices, factor.diag))
     rng = np.random.default_rng(A.nrows)
     signed = np.where(rng.random(A.nrows) < 0.5, -0.0, 0.0)
     for r in (rng.standard_normal(A.nrows), signed):
