@@ -5,27 +5,30 @@ tol 1e-4) once per size, keeps every block that ``ilu_k`` factors during
 that solve, and then times ILU's layers on those blocks, each on its own:
 
   symbolic   ``_kernels.ilu_symbolic``
-  forward    ``_kernels.lower_schedule``: the strict-L schedule and the
-             numeric phase's elimination steps (trees without it:
-             ``level_schedule``, the L schedule only)
-  backward   the strict-U schedule: ``_kernels.backward_schedule`` where it
-             exists, else ``level_schedule(..., upper=True)``
+  symmetry   ``_kernels.symmetric_pattern`` on the input block
+  forward    ``_kernels.lower_schedule`` with ``ilu_k``'s level budget: the
+             strict-L schedule and the numeric phase's elimination steps
   numeric    ``_kernels.ilu_numeric`` in the form ``ilu_k`` would use
   plan       ``_kernels.SolvePlan`` construction
   apply      one ``ILUFactorization.solve`` of a fixed right-hand side
   ilu_k      the whole factorization, as the solver calls it
 
-The schedules and the plan are timed on the blocks ``ilu_k`` factors by
-levels (n >= ``ilu.LEVEL_MIN_ROWS`` with wide levels); the other layers on
-every block.  Each layer takes the best of ``--repeat`` runs per block; the
-report sums the bests over the blocks of a solve.  BLAS is pinned to one
-thread before numpy loads.
+The symmetry test is timed on blocks of n >= ``ilu.LEVEL_MIN_ROWS``, the
+schedule on those of them with a symmetric pattern, and the plan on the
+blocks ``ilu_k`` factors by levels; the other layers on every block.  Each
+layer takes the best of ``--repeat`` runs per block; the report sums the
+bests over the blocks of a solve.  Each block's record holds its number of
+strict-L levels (0 below ``LEVEL_MIN_ROWS``) and whether ``ilu_k`` gave it
+a level-scheduled solve.  BLAS is pinned to one thread before numpy loads.
 
 Results are merged into ``--out`` (default ``BENCH_ilu_setup.json`` at the
-repo root) under ``--label``, so runs of two trees sit side by side:
+repo root) under ``--label``.  The script measures the tree it sits in; to
+compare with another commit, run that commit's own copy from a checkout of
+it (a ``git worktree``, say) into the same file:
 
   python3 benchmarks/bench_ilu_setup.py --label change
-  python3 benchmarks/bench_ilu_setup.py --label parent --src ../parent/src
+  python3 ../parent/benchmarks/bench_ilu_setup.py --label parent \
+      --out BENCH_ilu_setup.json
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("symbolic", "forward", "backward", "numeric", "plan", "apply", "ilu_k")
+LAYERS = ("symbolic", "symmetry", "forward", "numeric", "plan", "apply", "ilu_k")
 
 
 FILL_LEVEL = 2
@@ -80,39 +83,28 @@ def best_of(repeat, fn):
 
 def time_block(gpcg, M, k, repeat, rng):
     kern, ilu = gpcg._kernels, gpcg.ilu
-    # Trees before lower_schedule compute the U schedule in full, give the
-    # numeric phase the L schedule and their plans both schedules.
-    legacy = not hasattr(kern, "lower_schedule")
-    if legacy:
-        def lower_schedule(ip, ix, dg):
-            forward = kern.level_schedule(ip, ix, dg)
-            return forward, forward
-
-        def backward_schedule(ip, ix, dg, forward):
-            return kern.level_schedule(ip, ix, dg, upper=True)
-    else:
-        lower_schedule, backward_schedule = kern.lower_schedule, kern.backward_schedule
     n = M.nrows
     t = dict.fromkeys(LAYERS, 0.0)
-    t["symbolic"], (ip, ix, _lev, dg) = best_of(
+    t["symbolic"], (ip, ix, dg) = best_of(
         repeat, lambda: kern.ilu_symbolic(n, M.indptr, M.indices, k))
-    forward = steps = backward = None
+    schedule = finish = None
     levels = 0
     if n >= ilu.LEVEL_MIN_ROWS:
-        t["forward"], (forward, steps) = best_of(repeat, lambda: lower_schedule(ip, ix, dg))
-        levels = forward[1].size - 1
-        if not ilu._wide(forward, n):
-            forward = steps = None
+        (_order, bounds), _finish = kern.lower_schedule(ip, ix, dg)
+        levels = bounds.size - 1
+        t["symmetry"], symmetric = best_of(
+            repeat, lambda: kern.symmetric_pattern(n, M.indptr, M.indices))
+        if symmetric:
+            t["forward"], schedules = best_of(
+                repeat, lambda: kern.lower_schedule(ip, ix, dg, n // ilu.LEVEL_MIN_WIDTH))
+            if schedules is not None:
+                schedule, finish = schedules
     t["numeric"], (data, _fail) = best_of(
         repeat, lambda: kern.ilu_numeric(n, M.indptr, M.indices, M.data, ip, ix, dg,
-                                         steps))
-    if forward is not None:
-        t["backward"], backward = best_of(
-            repeat, lambda: backward_schedule(ip, ix, dg, forward))
-        if ilu._wide(backward, n):
-            schedules = (forward, backward) if legacy else (backward,)
-            t["plan"], _plan = best_of(
-                repeat, lambda: kern.SolvePlan(ip, ix, data, dg, *schedules))
+                                         finish))
+    if schedule is not None:
+        t["plan"], _plan = best_of(
+            repeat, lambda: kern.SolvePlan(ip, ix, data, dg, schedule))
     t["ilu_k"], factor = best_of(repeat, lambda: ilu.ilu_k(M, k))
     r = rng.standard_normal(n)
     t["apply"], _z = best_of(repeat, lambda: factor.solve(r))
@@ -149,11 +141,9 @@ def main():
                     help="bearing grid sizes nx = ny")
     ap.add_argument("--repeat", type=int, default=5, help="runs per layer and block")
     ap.add_argument("--label", default="change")
-    ap.add_argument("--src", default=str(ROOT / "src"),
-                    help="directory holding the gpcg package to measure")
     ap.add_argument("--out", default=str(ROOT / "BENCH_ilu_setup.json"))
     args = ap.parse_args()
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
     import gpcg
 

@@ -12,19 +12,20 @@ two forms with the same arithmetic, operation for operation:
   other, so each level is one vectorized step (Anderson & Saad 1989; Saad,
   *Iterative Methods for Sparse Linear Systems*, 2nd ed., section 11.6).
   The numeric phase schedules single strict-L entries instead of whole
-  rows, each as soon as its pivot row is complete; ``SolvePlan`` needs
-  levels only for U, as its forward substitution is one compiled call.
+  rows, each as soon as its pivot row is complete; ``SolvePlan``'s forward
+  substitution is one compiled call, and its back substitution walks the
+  strict-L levels from last to first.
   Every row still performs its subtractions in column order, so the
   results are bit-for-bit those of the row loops, whichever valid schedule
   orders the rows.
 
-The level forms cost schedules and a plan per factor, which only pays off
-on large blocks; ``ilu.ilu_k`` picks the form from the width of the levels
-of strict L.  One longest-path pass over strict L (``lower_schedule``)
-gives both those levels and the steps of the numeric phase.  Strict U gets
-a pass of its own (``upper_schedule``) unless the factor's pattern is
-symmetric, as ILU(k) keeps the pattern of a symmetric block: then
-``backward_schedule`` reuses the L levels in reverse order.
+The level forms cost a schedule and a plan per factor, which only pays off
+on large blocks; ``ilu.ilu_k`` picks the form from the size, the pattern's
+symmetry and the width of the levels of strict L.  One longest-path pass
+over strict L (``lower_schedule``) gives both those levels and the steps of
+the numeric phase.  The back substitution needs a pattern whose strict U
+is the transposed strict L: ILU(k) keeps the pattern of a symmetric block
+symmetric, and the level forms serve symmetric blocks only.
 """
 
 import numpy as np
@@ -83,6 +84,14 @@ def _keys(n, indptr, indices):
     return keys
 
 
+def symmetric_pattern(n, indptr, indices):
+    """Whether an n x n CSR pattern with sorted indices holds (j, i) for
+    every entry (i, j)."""
+    keys = _keys(n, indptr, indices)
+    rows, cols = np.divmod(keys, n)
+    return np.array_equal(keys, np.sort(cols * n + rows))
+
+
 def _triangles(n, keys):
     """Strictly lower and strictly upper parts of the pattern given by the
     sorted row-major keys ``row * n + col``, as boolean CSR matrices."""
@@ -103,11 +112,10 @@ def ilu_symbolic(n, a_indptr, a_indices, fill_level):
     with input entries at level 0, and is kept when its level is at most
     ``fill_level``.  So the level-l entries are the pattern of the sum over
     a + b = l - 1 of tril(level a) @ triu(level b), minus the entries of lower
-    levels.  Returns the factor's indptr, sorted indices, per-entry levels
-    and the position of each row's diagonal entry (-1 where it is absent).
+    levels.  Returns the factor's indptr, sorted indices and the position
+    of each row's diagonal entry (-1 where it is absent).
     """
     keys = _keys(n, a_indptr, a_indices)  # of the pattern so far
-    levels = np.zeros(keys.size, dtype=np.int64)
     lower, upper = [], []
     fresh = keys  # the entries of the last level
     top = 0       # highest level with an entry
@@ -128,9 +136,7 @@ def ilu_symbolic(n, a_indptr, a_indices, fill_level):
             ck = cand.row.astype(np.int64) * n + cand.col
             fresh = np.sort(ck[keys.take(np.searchsorted(keys, ck), mode="clip") != ck])
         if fresh.size:
-            at = np.searchsorted(keys, fresh)
-            keys = np.insert(keys, at, fresh)
-            levels = np.insert(levels, at, lev)
+            keys = np.insert(keys, np.searchsorted(keys, fresh), fresh)
             top = lev
         lev += 1
     rows, lu_indices = np.divmod(keys, n)
@@ -139,7 +145,7 @@ def ilu_symbolic(n, a_indptr, a_indices, fill_level):
     lu_diag = np.full(n, -1, dtype=np.int64)
     on_diag = np.flatnonzero(rows == lu_indices)
     lu_diag[rows[on_diag]] = on_diag
-    return lu_indptr, lu_indices, levels, lu_diag
+    return lu_indptr, lu_indices, lu_diag
 
 
 def _longest_paths(n, ptr, deps, weights, bases, limit=None):
@@ -250,52 +256,6 @@ def lower_schedule(lu_indptr, lu_indices, lu_diag, max_levels=None):
     if max_levels is not None and depth.max(initial=-1) >= max_levels:
         return None
     return _by_level(depth), finish
-
-
-def upper_schedule(lu_indptr, lu_indices, lu_diag):
-    """Level schedule of strict U of a combined LU pattern, in the form of
-    ``lower_schedule``'s: level 0 holds the rows without strict-U entries,
-    level l > 0 the rows whose strict-U entries reach rows of level l - 1 at
-    most, and one at least."""
-    n = lu_diag.size
-    counts = lu_indptr[1:] - lu_diag - 1
-    pos = _spans(lu_diag + 1, counts)[::-1]
-    # rows numbered from the end, so that U's dependencies come first
-    counts = counts[::-1]
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    deps = n - 1 - lu_indices[pos]
-    [depth] = _longest_paths(n, ptr, deps, (np.ones(deps.size, dtype=np.int64),), (0,))
-    return _by_level(depth[::-1])
-
-
-def _symmetric_pattern(lu_indptr, lu_indices, lu_diag):
-    """Whether the strict-U entries are the transposed strict-L entries."""
-    n = lu_diag.size
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(lu_indptr))
-    lower = lu_indices < rows
-    upper = lu_indices > rows
-    # row-major keys of strict U, against those of transposed strict L
-    lower_t = np.sort(lu_indices[lower] * n + rows[lower])
-    return np.array_equal(rows[upper] * n + lu_indices[upper], lower_t)
-
-
-def backward_schedule(lu_indptr, lu_indices, lu_diag, forward):
-    """Level schedule of strict U, given ``forward``, that of strict L.
-
-    On a symmetric pattern a strict-U entry (i, j) is the strict-L entry
-    (j, i), so row j sits in a later L level than row i: the L levels in
-    reverse order, each still ascending, are a U schedule (with as many
-    levels as ``upper_schedule``'s, the longest dependency chain being the
-    same).  Other patterns get their own.
-    """
-    if not _symmetric_pattern(lu_indptr, lu_indices, lu_diag):
-        return upper_schedule(lu_indptr, lu_indices, lu_diag)
-    order, bounds = forward
-    counts = np.diff(bounds)[::-1]
-    reverse_bounds = np.zeros_like(bounds)
-    np.cumsum(counts, out=reverse_bounds[1:])
-    return order[_spans(bounds[-2::-1], counts)], reverse_bounds
 
 
 def ilu_numeric(n, a_indptr, a_indices, a_data, lu_indptr, lu_indices, lu_diag,
@@ -460,7 +420,9 @@ def _rows(lu_indices, lu_data, order, starts, counts):
 
 
 class SolvePlan:
-    """``lu_solve`` in a few compiled calls.
+    """``lu_solve`` in a few compiled calls, for a factor whose strict U is
+    the transposed strict L, given ``schedule``, the strict-L schedule of
+    ``lower_schedule``.
 
     Strict L and strict U are stored with negated values, and ``csr_matvec``
     adds ``(-L) z`` into z itself: every row starts from its own z_i and adds
@@ -470,33 +432,35 @@ class SolvePlan:
     Forward substitution is one call over all rows: the call takes its rows
     in order and reads z as it writes it, so row i reads the final z_j of
     every j < i.  Back substitution divides each row by its pivot before
-    other rows may read it, so it runs one call and one division per level
-    of ``backward``, the U schedule, on z permuted so that each level is a
-    contiguous slice, with U stored in that order.
+    other rows may read it, so it runs one call and one division per level,
+    on z permuted so that each L level is a contiguous slice, with U stored
+    in that order.  It walks the L levels from last to first: a strict-U
+    entry (i, j) is the strict-L entry (j, i), so row j lies in a later L
+    level than row i and is solved before it.
     """
 
-    __slots__ = ("lower", "backward", "upper", "pivots", "upper_levels", "restore")
+    __slots__ = ("lower", "order", "upper", "pivots", "upper_levels", "restore")
 
-    def __init__(self, lu_indptr, lu_indices, lu_data, lu_diag, backward):
+    def __init__(self, lu_indptr, lu_indices, lu_data, lu_diag, schedule):
         n = lu_diag.size
-        order, bounds = backward
+        order, bounds = schedule
         self.lower = _rows(lu_indices, lu_data, np.arange(n), lu_indptr[:-1],
                            lu_diag - lu_indptr[:-1])
-        self.backward = order
+        self.order = order
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
         indptr, indices, data = _rows(lu_indices, lu_data, order, lu_diag + 1,
                                       lu_indptr[1:] - lu_diag - 1)
         self.upper = indptr, rank[indices], data
         self.pivots = lu_data[lu_diag[order]]
-        self.upper_levels = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+        self.upper_levels = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))[::-1]
         self.restore = rank
 
     def solve(self, r):
         z = np.array(r, dtype=np.float64)
         n = z.size
         csr_matvec(n, n, *self.lower, z, z)
-        z = z[self.backward]
+        z = z[self.order]
         indptr, indices, data = self.upper
         # the row loop's float division overflows silently
         with np.errstate(over="ignore", invalid="ignore"):

@@ -3,9 +3,9 @@
 The symbolic phase grows the input pattern by fill entries whose level
 (min over pivots of lev(i,p) + lev(p,j) + 1, originals at level 0) stays
 within the requested bound.  The numeric phase runs row-wise Gaussian
-elimination restricted to that pattern, with no pivoting.  Large blocks with
-wide levels are eliminated and solved level by level, small or chain-like
-ones row by row; both give the same bits.
+elimination restricted to that pattern, with no pivoting.  Large blocks with a
+symmetric pattern and wide levels are eliminated and solved level by level;
+small, unsymmetric or chain-like ones row by row.  Both give the same bits.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from .linalg import SparseMatrixCSR
 
 
 # Level scheduling costs a pass over strict L (the L levels and the
-# elimination steps), one over strict U unless the pattern is symmetric (then
-# the L levels reversed serve), a plan per factor and a few numpy calls per
-# level and chunk, so it pays only on large blocks whose levels are wide.
+# elimination steps), a plan per factor and a few numpy calls per level and
+# chunk, so it pays only on large blocks whose levels are wide.  The back
+# substitution walks the L levels in reverse, which needs a symmetric
+# pattern; every block of a symmetric Hessian has one.
 # Measured on a 2-vCPU host (numeric phase plus four solves, the row loops
 # against the level forms): the level forms win from n = 144 on 2-D grid
 # Laplacians (ILU(0) and ILU(2)) and from n = 200 on random SPD patterns
@@ -34,25 +35,19 @@ LEVEL_MIN_ROWS = 256
 LEVEL_MIN_WIDTH = 5
 
 
-def _wide(schedule, n):
-    """Whether the levels of a schedule average LEVEL_MIN_WIDTH rows."""
-    return (schedule[1].size - 1) * LEVEL_MIN_WIDTH <= n
-
-
 class ILUFactorization:
     """Combined LU factor in CSR; the unit diagonal of L is implicit and the
     stored diagonal entries belong to U.  ``plan`` is the level-scheduled
     solve, or None where the row loops are used."""
 
-    __slots__ = ("n", "indptr", "indices", "data", "diag", "fill_level", "plan")
+    __slots__ = ("n", "indptr", "indices", "data", "diag", "plan")
 
-    def __init__(self, n, indptr, indices, data, diag, fill_level, plan=None):
+    def __init__(self, n, indptr, indices, data, diag, plan=None):
         self.n = n
         self.indptr = indptr
         self.indices = indices
         self.data = data
         self.diag = diag
-        self.fill_level = fill_level
         self.plan = plan
 
     @property
@@ -79,22 +74,19 @@ def ilu_k(M: SparseMatrixCSR, k: int) -> ILUFactorization:
     if (diag == 0.0).any():
         raise ZeroPivot(int(np.flatnonzero(diag == 0.0)[0]))
     n = M.nrows
-    lu_indptr, lu_indices, _levels, lu_diag = _kernels.ilu_symbolic(
-        n, M.indptr, M.indices, k)
-    forward = finish = None
-    if n >= LEVEL_MIN_ROWS:
+    lu_indptr, lu_indices, lu_diag = _kernels.ilu_symbolic(n, M.indptr, M.indices, k)
+    schedule = finish = None
+    if n >= LEVEL_MIN_ROWS and _kernels.symmetric_pattern(n, M.indptr, M.indices):
         # None unless the levels average LEVEL_MIN_WIDTH rows
         schedules = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag,
                                             n // LEVEL_MIN_WIDTH)
         if schedules is not None:
-            forward, finish = schedules
+            schedule, finish = schedules
     lu_data, fail_row = _kernels.ilu_numeric(
         n, M.indptr, M.indices, M.data, lu_indptr, lu_indices, lu_diag, finish)
     if fail_row >= 0:
         raise ZeroPivot(int(fail_row))
     plan = None
-    if forward is not None:
-        backward = _kernels.backward_schedule(lu_indptr, lu_indices, lu_diag, forward)
-        if _wide(backward, n):
-            plan = _kernels.SolvePlan(lu_indptr, lu_indices, lu_data, lu_diag, backward)
-    return ILUFactorization(n, lu_indptr, lu_indices, lu_data, lu_diag, k, plan)
+    if schedule is not None:
+        plan = _kernels.SolvePlan(lu_indptr, lu_indices, lu_data, lu_diag, schedule)
+    return ILUFactorization(n, lu_indptr, lu_indices, lu_data, lu_diag, plan)

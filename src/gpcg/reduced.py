@@ -53,12 +53,9 @@ def build_reduced(qp: BoundQP, g: np.ndarray, free: np.ndarray) -> ReducedSystem
     """Restrict the Hessian and gradient to the free variables, given as a
     strictly increasing index array."""
     if free.size == 0:
-        raise NoFreeVariables("every variable is on a bound")
+        raise NoFreeVariables("degenerate iterate: every variable is on a bound "
+                              "but the projected gradient is above the tolerance")
     return ReducedSystem(extract_submatrix(qp.A, free), g[free])
-
-
-def _reduced_objective(sys: ReducedSystem, w: np.ndarray) -> float:
-    return 0.5 * dot(w, mat_vec(sys.A_k, w)) + dot(sys.r_k, w)
 
 
 def pcg_progress(sys: ReducedSystem, P: Preconditioner, eta2: float,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GPCGError, NoFreeVariables, SearchFailed
+from .errors import GPCGError, SearchFailed
 from .gradproj import gp_phase
 from .linalg import dot, mat_vec, norm2
 from .model import (BoundQP, _active_mask, _binding_mask, _project,
@@ -155,11 +155,6 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                 refines = 0
                 while pg_norm > cfg.tol:
                     free = np.flatnonzero(~_active_mask(qp, x))
-                    m = free.size
-                    if m == 0:
-                        raise NoFreeVariables(
-                            "degenerate iterate: every variable is on a bound "
-                            "but the projected gradient is above the tolerance")
                     sys = build_reduced(qp, g, free)
                     P = make_preconditioner(sys.A_k, precond_spec, cfg.blocks)
                     cg = pcg_progress(sys, P, eta2, cfg.cg_maxiter)
@@ -181,7 +176,7 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                         pg_norm = norm2(_projected_gradient(qp, x, g))
                     finally:  # the row describes the point kept
                         stats.trace.append(TraceRecord(
-                            outer, "cg", q, pg_norm, m, cg.iterations, eta2))
+                            outer, "cg", q, pg_norm, free.size, cg.iterations, eta2))
                     log.debug("outer %d: cg %d iters (%s), step %.3g, "
                               "pg_norm=%.3e, eta2=%.2e", outer, cg.iterations,
                               cg.termination.value, alpha, pg_norm, eta2)

@@ -68,8 +68,7 @@ def ref_ilu_symbolic(n, a_indptr, a_indices, fill_level):
             lu_levels.append(lev[c])
             c = nxt[c]
         lu_indptr[i + 1] = len(lu_indices)
-    return (lu_indptr, np.array(lu_indices, dtype=np.int64),
-            np.array(lu_levels, dtype=np.int64), lu_diag)
+    return lu_indptr, np.array(lu_indices, dtype=np.int64), lu_diag
 
 
 def ref_ilu_numeric(n, a_indptr, a_indices, a_data, lu_indptr, lu_indices, lu_diag):
@@ -123,12 +122,11 @@ def ref_lu_solve(lu_indptr, lu_indices, lu_data, lu_diag, r):
     return z
 
 
-def ref_level_schedule(lu_indptr, lu_indices, lu_diag, upper=False):
+def ref_level_schedule(lu_indptr, lu_indices, lu_diag):
     n = lu_diag.size
     depth = np.zeros(n, dtype=np.int64)
-    for i in (range(n - 1, -1, -1) if upper else range(n)):
-        cols = (lu_indices[lu_diag[i] + 1:lu_indptr[i + 1]] if upper
-                else lu_indices[lu_indptr[i]:lu_diag[i]])
+    for i in range(n):
+        cols = lu_indices[lu_indptr[i]:lu_diag[i]]
         if cols.size:
             depth[i] = depth[cols].max() + 1
     order = np.argsort(depth, kind="stable")
@@ -222,13 +220,12 @@ def test_factor_and_solve_match_reference_loops(case, k):
     ref = ref_ilu_symbolic(n, A.indptr, A.indices, fill)
     for got, want in zip(sym, ref):
         assert_bytes_equal(got, want)
-    lu_indptr, lu_indices, _levels, lu_diag = ref
+    lu_indptr, lu_indices, lu_diag = ref
     ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
                                          lu_indptr, lu_indices, lu_diag)
     assert ref_fail == -1
-    # both kernel forms on every case, and ilu_k's choice between them
-    backward = _kernels.upper_schedule(lu_indptr, lu_indices, lu_diag)
-    _forward, finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
+    # both numeric forms on every case, and ilu_k's choice between them
+    forward, finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
     for steps in (None, finish):
         data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
                                           lu_indptr, lu_indices, lu_diag, steps)
@@ -236,7 +233,9 @@ def test_factor_and_solve_match_reference_loops(case, k):
         assert_bytes_equal(data, ref_data)
     factor = ilu_k(A, fill)
     assert_bytes_equal(factor.data, ref_data)
-    plan = _kernels.SolvePlan(lu_indptr, lu_indices, ref_data, lu_diag, backward)
+    # the plan walks the L levels backward, which needs a symmetric pattern
+    plan = (_kernels.SolvePlan(lu_indptr, lu_indices, ref_data, lu_diag, forward)
+            if A.symmetric else None)
     rng = np.random.default_rng(n)
     # the second right-hand side is mostly signed zeros, so most of the
     # solution's entries are zeros whose sign the row loops fix
@@ -246,25 +245,28 @@ def test_factor_and_solve_match_reference_loops(case, k):
         want = ref_lu_solve(lu_indptr, lu_indices, ref_data, lu_diag, r)
         assert_bytes_equal(_kernels.lu_solve(lu_indptr, lu_indices, ref_data,
                                              lu_diag, r), want)
-        assert_bytes_equal(plan.solve(r), want)
+        if plan is not None:
+            assert_bytes_equal(plan.solve(r), want)
         assert_bytes_equal(factor.solve(r), want)
 
 
 def test_ilu_k_solves_by_levels_only_on_large_blocks_with_wide_levels():
     assert ilu_k(grid_laplacian(20), 0).plan is not None
-    assert ilu_k(random_pattern_matrix(5, 300, 0.01, False), 2).plan is not None
+    assert ilu_k(random_pattern_matrix(5, 300, 0.01, True), 2).plan is not None
     assert ilu_k(grid_laplacian(7), 0).plan is None  # n = 49
     # a tridiagonal block is one chain: n levels of one row each
     n = 2 * ilu.LEVEL_MIN_ROWS
     chain = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     assert ilu_k(SparseMatrixCSR.from_dense(chain, symmetric=True), 0).plan is None
-    # strict L is empty (one level), strict U one chain: the numeric phase
-    # may run by levels, the solves may not
+    # strict L is empty (one level), strict U one chain: unsymmetric, so
+    # neither the numeric phase nor the solves run by levels
     upper_chain = 2.0 * np.eye(n) - np.eye(n, k=1)
     assert ilu_k(SparseMatrixCSR.from_dense(upper_chain), 0).plan is None
 
 
-def test_ilu_k_takes_the_level_path_up_to_n_over_min_width_levels(monkeypatch):
+def spy_on_numeric(monkeypatch):
+    """A list that records, for each later ``ilu_numeric`` call, whether it
+    received ``finish``: whether ``ilu_k`` took the level path."""
     ilu_numeric = _kernels.ilu_numeric
     steps = []
 
@@ -273,6 +275,11 @@ def test_ilu_k_takes_the_level_path_up_to_n_over_min_width_levels(monkeypatch):
         return ilu_numeric(*args)
 
     monkeypatch.setattr(_kernels, "ilu_numeric", spy)
+    return steps
+
+
+def test_ilu_k_takes_the_level_path_up_to_n_over_min_width_levels(monkeypatch):
+    steps = spy_on_numeric(monkeypatch)
     # interleaved chains, row i depending on row i - w: levels of w rows
     w = ilu.LEVEL_MIN_WIDTH
     m = ilu.LEVEL_MIN_ROWS // w + 1
@@ -304,7 +311,7 @@ def test_full_fill_level_gives_the_full_elimination_pattern():
 def test_zero_pivot_row_matches_reference(dense, row):
     A = SparseMatrixCSR.from_dense(np.array(dense))
     n = A.nrows
-    lu_indptr, lu_indices, _levels, lu_diag = _kernels.ilu_symbolic(
+    lu_indptr, lu_indices, lu_diag = _kernels.ilu_symbolic(
         n, A.indptr, A.indices, n)
     _ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
                                           lu_indptr, lu_indices, lu_diag)
@@ -338,27 +345,68 @@ def planted_zero_pivots(n=400):
     return SparseMatrixCSR.from_dense(M)
 
 
+def symmetric_planted_zero_pivots(n=400):
+    """2x2 blocks [[2, 1], [1, 2]] on the diagonal, except [[1, 1], [1, 1]]
+    at rows 300-301 and [[2.5, 1], [1, 1]] at rows 100-101, coupled to row
+    99 by 1.5 at (99, 100) and (100, 99).  Row 99's pivot is 2 - 1/2 = 1.5,
+    so row 100's is 2.5 - (1.5/1.5) * 1.5 = 1, and the second pivot of
+    both planted blocks is exactly 1 - 1 * 1 = 0.  Through the chain
+    98-99-100, row 101 completes at a later elimination step than row 301.
+    Row 399 depends on row 101, so a later step divides by the zero pivot."""
+    M = np.zeros((n, n))
+    for i in range(0, n, 2):
+        M[i:i + 2, i:i + 2] = [[2.0, 1.0], [1.0, 2.0]]
+    M[100:102, 100:102] = [[2.5, 1.0], [1.0, 1.0]]
+    M[300:302, 300:302] = [[1.0, 1.0], [1.0, 1.0]]
+    M[99, 100] = M[100, 99] = 1.5
+    M[101, n - 1] = M[n - 1, 101] = 1.0
+    return SparseMatrixCSR.from_dense(M, symmetric=True)
+
+
 @pytest.mark.parametrize("k", [0, 2])
-def test_zero_pivot_on_the_level_path(k):
+def test_zero_pivot_on_the_level_path(monkeypatch, k):
     A = planted_zero_pivots()
     n = A.nrows
-    lu_indptr, lu_indices, _levels, lu_diag = _kernels.ilu_symbolic(
+    lu_indptr, lu_indices, lu_diag = _kernels.ilu_symbolic(
         n, A.indptr, A.indices, k)
     (_order, bounds), finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
-    # large and wide enough for ilu_k to take the level path
+    # large and wide enough for the level forms, but unsymmetric, so ilu_k
+    # keeps it on the row loops
     assert n >= ilu.LEVEL_MIN_ROWS
     assert (bounds.size - 1) * ilu.LEVEL_MIN_WIDTH <= n
     assert finish[301] < finish[101]
+    steps = spy_on_numeric(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
                                            lu_indptr, lu_indices, lu_diag, finish)
         with pytest.raises(ZeroPivot) as err:
             ilu_k(A, k)
+    assert steps == [True, False]
     _ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
                                           lu_indptr, lu_indices, lu_diag)
     assert fail == ref_fail == 101
     assert err.value.row == 101
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_zero_pivot_on_the_level_path_of_a_symmetric_block(monkeypatch, k):
+    A = symmetric_planted_zero_pivots()
+    n = A.nrows
+    lu_indptr, lu_indices, lu_diag = _kernels.ilu_symbolic(
+        n, A.indptr, A.indices, k)
+    _forward, finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
+    assert finish[301] < finish[101]
+    _ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
+                                          lu_indptr, lu_indices, lu_diag)
+    assert ref_fail == 101
+    steps = spy_on_numeric(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ZeroPivot) as err:
+            ilu_k(A, k)
+    assert steps == [True]
+    assert err.value.row == ref_fail
 
 
 def grid_block(side, seed):
@@ -387,14 +435,11 @@ SCHEDULE_PATTERNS = ([(case, k) for k in (0, 2) for case in CASES + LARGE_CASES]
                          ids=[f"{i}-k{k}" for i, (_c, k) in enumerate(SCHEDULE_PATTERNS)])
 def test_level_schedule_matches_reference_loop(case, k):
     A = case if isinstance(case, SparseMatrixCSR) else case_matrix(case)
-    lu_indptr, lu_indices, _levels, lu_diag = _kernels.ilu_symbolic(
+    lu_indptr, lu_indices, lu_diag = _kernels.ilu_symbolic(
         A.nrows, A.indptr, A.indices, k)
     forward, finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
-    backward = _kernels.upper_schedule(lu_indptr, lu_indices, lu_diag)
-    for got, upper in ((forward, False), (backward, True)):
-        want = ref_level_schedule(lu_indptr, lu_indices, lu_diag, upper=upper)
-        for g, w in zip(got, want):
-            assert_bytes_equal(g, w)
+    for g, w in zip(forward, ref_level_schedule(lu_indptr, lu_indices, lu_diag)):
+        assert_bytes_equal(g, w)
     assert_bytes_equal(finish, ref_finish(lu_indptr, lu_indices, lu_diag))
     # with a level budget: the same schedule when it fits, else None
     levels = forward[1].size - 1
@@ -406,7 +451,7 @@ def test_level_schedule_matches_reference_loop(case, k):
 
 
 # ---------------------------------------------------------------------------
-# the strict-U schedule: L levels reversed on symmetric patterns
+# the back substitution: L levels reversed, on symmetric patterns only
 # ---------------------------------------------------------------------------
 
 def skewed_grid():
@@ -417,74 +462,90 @@ def skewed_grid():
     return SparseMatrixCSR.from_dense(M)
 
 
-# (matrix, whether its pattern is symmetric), all solved by levels at k = 0, 2
+# (matrix, whether its pattern is symmetric); at k = 0 and 2 the symmetric
+# ones are large and wide enough for the level path
 SCHEDULE_CASES = [("grid20", grid_laplacian(20), True),
                   ("sym300", random_pattern_matrix(5, 300, 0.01, True), True),
                   ("unsym300", random_pattern_matrix(5, 300, 0.01, False), False),
                   ("skewed-grid20", skewed_grid(), False)]
+SYMMETRIC_SCHEDULE_CASES = [(name, A) for name, A, symmetric in SCHEDULE_CASES
+                            if symmetric]
 
 
-def level_of_row(schedule, n):
-    order, bounds = schedule
-    level = np.empty(n, dtype=np.int64)
-    level[order] = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-    return level
+def dense_pattern(n, indptr, indices):
+    pattern = np.zeros((n, n), dtype=bool)
+    pattern[np.repeat(np.arange(n), np.diff(indptr[:n + 1])), indices] = True
+    return pattern
 
 
-@pytest.mark.parametrize("k", [0, 2])
-@pytest.mark.parametrize("name, A, symmetric", SCHEDULE_CASES,
-                         ids=[c[0] for c in SCHEDULE_CASES])
-def test_backward_schedule_orders_every_row_after_its_strict_u_columns(
-        name, A, symmetric, k):
+def test_symmetric_pattern_matches_the_transpose():
+    inputs = ([case_matrix(case) for case in CASES + LARGE_CASES + ["grid"]]
+              + [A for _name, A, _symmetric in SCHEDULE_CASES])
+    for A in inputs:
+        pattern = dense_pattern(A.nrows, A.indptr, A.indices)
+        want = bool((pattern == pattern.T).all())
+        assert _kernels.symmetric_pattern(A.nrows, A.indptr, A.indices) == want
+        assert want == A.symmetric
+
+
+SYMMETRIC_INPUTS = ([case for case in CASES + LARGE_CASES
+                     if case == "grid20" or case[3]]
+                    + [("grid_block", seed) for seed in (1, 2)])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, "n"])
+@pytest.mark.parametrize("case", SYMMETRIC_INPUTS, ids=str)
+def test_ilu_symbolic_keeps_a_symmetric_pattern_symmetric(case, k):
+    # SolvePlan's reversal of the L levels depends on it
+    A = grid_block(30, case[1]) if case[0] == "grid_block" else case_matrix(case)
     n = A.nrows
-    lu_indptr, lu_indices, _levels, lu_diag = _kernels.ilu_symbolic(
-        n, A.indptr, A.indices, k)
-    forward, _finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
-    order, bounds = _kernels.backward_schedule(lu_indptr, lu_indices, lu_diag, forward)
-    assert_bytes_equal(np.sort(order), np.arange(n))
-    level = level_of_row((order, bounds), n)
-    rows = np.repeat(np.arange(n), np.diff(lu_indptr))
-    upper = lu_indices > rows
+    lu_indptr, lu_indices, _lu_diag = _kernels.ilu_symbolic(
+        n, A.indptr, A.indices, n if k == "n" else k)
+    pattern = dense_pattern(n, lu_indptr, lu_indices)
+    assert (pattern == pattern.T).all()
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("name, A", SYMMETRIC_SCHEDULE_CASES,
+                         ids=[c[0] for c in SYMMETRIC_SCHEDULE_CASES])
+def test_backward_schedule_orders_every_row_after_its_strict_u_columns(name, A, k):
+    n = A.nrows
+    factor = ilu_k(A, k)
+    plan = factor.plan
+    assert_bytes_equal(np.sort(plan.order), np.arange(n))
+    # the position of each row's level in the back substitution
+    level = np.empty(n, dtype=np.int64)
+    for position, (a, b) in enumerate(plan.upper_levels):
+        level[plan.order[a:b]] = position
+        # levels list their rows in ascending order
+        assert (np.diff(plan.order[a:b]) > 0).all()
+    rows = np.repeat(np.arange(n), np.diff(factor.indptr))
+    upper = factor.indices > rows
     assert upper.any()
-    # a row's strict-U columns are solved in earlier backward levels
-    assert (level[lu_indices[upper]] < level[rows[upper]]).all()
-    # levels list their rows in ascending order
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        assert (np.diff(order[a:b]) > 0).all()
-    computed = _kernels.upper_schedule(lu_indptr, lu_indices, lu_diag)
-    assert bounds.size == computed[1].size
-    if symmetric:
-        assert_bytes_equal(level, level_of_row(forward, n).max() - level_of_row(forward, n))
+    # a row's strict-U columns are solved in earlier levels
+    assert (level[factor.indices[upper]] < level[rows[upper]]).all()
 
 
 @pytest.mark.parametrize("k", [0, 2])
 @pytest.mark.parametrize("name, A, symmetric", SCHEDULE_CASES,
                          ids=[c[0] for c in SCHEDULE_CASES])
-def test_ilu_k_computes_a_u_schedule_only_for_unsymmetric_patterns(
+def test_ilu_k_takes_the_level_path_only_for_symmetric_patterns(
         monkeypatch, name, A, symmetric, k):
-    upper_schedule = _kernels.upper_schedule
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return upper_schedule(*args)
-
-    monkeypatch.setattr(_kernels, "upper_schedule", spy)
+    steps = spy_on_numeric(monkeypatch)
     factor = ilu_k(A, k)
-    assert factor.plan is not None
-    assert len(calls) == (0 if symmetric else 1)
-    # whichever U schedule it used, the plan solves as the row loop does,
-    # and as a plan on the computed U schedule does
-    computed = _kernels.SolvePlan(
-        factor.indptr, factor.indices, factor.data, factor.diag,
-        upper_schedule(factor.indptr, factor.indices, factor.diag))
-    rng = np.random.default_rng(A.nrows)
-    signed = np.where(rng.random(A.nrows) < 0.5, -0.0, 0.0)
-    for r in (rng.standard_normal(A.nrows), signed):
-        want = _kernels.lu_solve(factor.indptr, factor.indices, factor.data,
-                                 factor.diag, r)
-        assert_bytes_equal(factor.solve(r), want)
-        assert_bytes_equal(computed.solve(r), want)
+    assert steps == [symmetric]
+    assert (factor.plan is not None) == symmetric
+    # either way the factor and its solves are the reference loops'
+    n = A.nrows
+    lu_indptr, lu_indices, lu_diag = ref_ilu_symbolic(n, A.indptr, A.indices, k)
+    ref_data, _fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
+                                      lu_indptr, lu_indices, lu_diag)
+    assert_bytes_equal(factor.data, ref_data)
+    rng = np.random.default_rng(n)
+    signed = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    for r in (rng.standard_normal(n), signed):
+        assert_bytes_equal(factor.solve(r), ref_lu_solve(lu_indptr, lu_indices,
+                                                         ref_data, lu_diag, r))
 
 
 @pytest.mark.parametrize("seed", range(4))
