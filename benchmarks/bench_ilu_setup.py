@@ -5,7 +5,8 @@ tol 1e-4) once per size, keeps every block that ``ilu_k`` factors during
 that solve, and then times ILU's layers on those blocks, each on its own:
 
   symbolic   ``_kernels.ilu_symbolic``
-  symmetry   ``_kernels.symmetric_pattern`` on the input block
+  symmetry   ``_kernels.symmetric_pattern`` on the input block: one
+             compiled transpose (``csr_tocsc``) and two array comparisons
   forward    ``_kernels.lower_schedule`` with ``ilu_k``'s level budget: the
              strict-L schedule and the numeric phase's elimination steps
   numeric    ``_kernels.ilu_numeric`` in the form ``ilu_k`` would use

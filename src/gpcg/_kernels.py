@@ -36,6 +36,8 @@ from scipy.sparse._sparsetools import csr_matvec
 # Position of each (row, column) pair in a canonical CSR pattern, -1 where
 # the pattern has no such entry.
 from scipy.sparse._sparsetools import csr_sample_offsets
+# The transpose of a CSR matrix, as CSR arrays with sorted indices.
+from scipy.sparse._sparsetools import csr_tocsc
 
 # No compiled backend exists; the constant stays for readers of the
 # benchmark's environment record.
@@ -84,12 +86,20 @@ def _keys(n, indptr, indices):
     return keys
 
 
+def symmetry_holds(n, indptr, indices, data):
+    """Whether an n x n CSR matrix with sorted, distinct indices per row
+    equals its transpose, array for array: ``csr_tocsc`` forms the
+    transpose with sorted indices too."""
+    arrays = indptr, indices, data
+    transposed = [np.empty_like(a) for a in arrays]
+    csr_tocsc(n, n, *arrays, *transposed)
+    return all(map(np.array_equal, transposed, arrays))
+
+
 def symmetric_pattern(n, indptr, indices):
-    """Whether an n x n CSR pattern with sorted indices holds (j, i) for
-    every entry (i, j)."""
-    keys = _keys(n, indptr, indices)
-    rows, cols = np.divmod(keys, n)
-    return np.array_equal(keys, np.sort(cols * n + rows))
+    """Whether an n x n CSR pattern with sorted, distinct indices per row
+    is symmetric: whether a matrix of that pattern and equal values is."""
+    return symmetry_holds(n, indptr, indices, np.zeros(indices.size, dtype=bool))
 
 
 def _triangles(n, keys):

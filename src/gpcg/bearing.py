@@ -81,4 +81,4 @@ def generate(spec: BearingSpec) -> BoundQP:
     b = -hx * hy * wl(ii * hx, eps)
     l = np.zeros(n)
     u = np.full(n, np.inf)
-    return BoundQP(A, b, 0.0, l, u, validate=False)
+    return BoundQP(A, b, 0.0, l, u)

@@ -42,20 +42,21 @@ def _configure_logging():
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--tau", type=float, default=1e-4,
+    default = SolverConfig()
+    p.add_argument("--tau", type=float, default=default.tol,
                    help="projected-gradient norm tolerance")
-    p.add_argument("--eta1", type=float, default=0.1,
+    p.add_argument("--eta1", type=float, default=default.gp_progress,
                    help="gradient-projection progress tolerance")
-    p.add_argument("--eta2", type=float, default=0.05,
+    p.add_argument("--eta2", type=float, default=default.cg_progress,
                    help="initial CG progress tolerance")
-    p.add_argument("--mu", type=float, default=0.1,
+    p.add_argument("--mu", type=float, default=default.sufficient_decrease,
                    help="sufficient decrease constant")
-    p.add_argument("--precond", default="none",
+    p.add_argument("--precond", default=default.precond,
                    help="none | jacobi | bjacobi-ilu<k>, e.g. bjacobi-ilu2 "
                         "(block count: --blocks)")
-    p.add_argument("--blocks", type=int, default=1,
+    p.add_argument("--blocks", type=int, default=default.blocks,
                    help="diagonal block count for block Jacobi")
-    p.add_argument("--max-outer", type=int, default=500)
+    p.add_argument("--max-outer", type=int, default=default.max_outer)
     p.add_argument("--x0", default="lower",
                    help="starting point: lower | zero | a vector file path")
     p.add_argument("--trace", metavar="PATH",

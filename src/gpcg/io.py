@@ -14,6 +14,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
+from . import _kernels
 from .linalg import SparseMatrixCSR, as_vector
 from .model import BoundQP
 
@@ -33,24 +34,16 @@ def write_matrix(path: str, M: SparseMatrixCSR) -> None:
 
 
 def read_matrix(path: str) -> SparseMatrixCSR:
-    """Read a Matrix Market file; symmetric files come back in full storage
-    with the symmetric flag set."""
-    info = scipy.io.mminfo(path)
-    declared_symmetric = info[5] == "symmetric"
-    S = scipy.sparse.csr_matrix(scipy.io.mmread(path))
-    S.sum_duplicates()
-    S.sort_indices()
-    M = SparseMatrixCSR(S.shape[0], S.shape[1],
-                        S.indptr.astype(np.int64),
-                        S.indices.astype(np.int64),
-                        S.data.astype(np.float64),
-                        symmetric=False, validate=True)
-    if declared_symmetric:
-        return SparseMatrixCSR(M.nrows, M.ncols, M.indptr, M.indices, M.data,
-                               symmetric=True, validate=True)
-    if M.nrows == M.ncols and M._symmetry_holds():
-        M.symmetric = True
-    return M
+    """Read a Matrix Market file, summing duplicate entries; symmetric files
+    come back in full storage with the symmetric flag set, and so do
+    general ones whose storage is symmetric."""
+    S = scipy.sparse.csr_array(scipy.io.mmread(path))
+    S.sum_duplicates()  # and sorts the indices
+    n, m = S.shape
+    arrays = S.indptr, S.indices, S.data
+    symmetric = (scipy.io.mminfo(path)[5] == "symmetric"
+                 or (n == m and _kernels.symmetry_holds(n, *arrays)))
+    return SparseMatrixCSR(n, m, *arrays, symmetric=symmetric)
 
 
 # ---------------------------------------------------------------------------

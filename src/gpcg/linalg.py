@@ -1,11 +1,14 @@
 """Dense vectors, CSR matrices and the products and principal submatrices
 the solver takes of them.
 
+``SparseMatrixCSR`` is a checked record of CSR arrays; ``scipy.sparse``
+converts it, takes its diagonal, checks its format and computes ``mat_vec``.
 Vectors are plain float64 numpy arrays.  Bound vectors may hold +/-inf; all
 other vectors are expected to be finite.  An index set is a strictly
-increasing int64 array, as ``np.flatnonzero`` returns it.  ``mat_vec`` sums each row left to
-right, so its result does not depend on the machine or thread count;
-``dot`` and ``norm2`` call BLAS, whose summation order may depend on both.
+increasing int64 array, as ``np.flatnonzero`` returns it.  ``mat_vec`` sums
+each row left to right, so its result does not depend on the machine or
+thread count; ``dot`` and ``norm2`` call BLAS, whose summation order may
+depend on both.
 """
 
 from __future__ import annotations
@@ -25,10 +28,14 @@ def as_vector(values) -> np.ndarray:
 
 
 class SparseMatrixCSR:
-    """Compressed-sparse-row matrix with sorted column indices per row.
+    """Compressed-sparse-row matrix: int64 row offsets and column indices,
+    sorted and distinct within each row, and float64 values.
 
-    Symmetric matrices are stored in full (both triangles) and carry a
-    ``symmetric`` flag that is verified on construction.
+    ``scipy`` is a ``csr_array`` over the same arrays; it converts, takes
+    the diagonal and checks the format.  Validation adds what scipy lets
+    through: offsets that end before the last entry, non-finite values, and
+    a ``symmetric`` flag on storage that does not equal its transpose.
+    Symmetric matrices are stored in full (both triangles).
     """
 
     __slots__ = ("nrows", "ncols", "indptr", "indices", "data", "symmetric",
@@ -47,40 +54,20 @@ class SparseMatrixCSR:
             self._validate()
 
     def _validate(self):
-        if self.nrows < 0 or self.ncols < 0:
-            raise ValueError("negative dimension")
-        if self.indptr.shape != (self.nrows + 1,):
-            raise ValueError("row offsets must have length nrows+1")
-        if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
-            raise ValueError("row offsets must start at 0 and end at nnz")
-        if (np.diff(self.indptr) < 0).any():
-            raise ValueError("row offsets must be nondecreasing")
-        if self.indices.size != self.data.size:
-            raise ValueError("indices and values length mismatch")
-        if self.indices.size:
-            if self.indices.min() < 0 or self.indices.max() >= self.ncols:
-                raise ValueError("column index out of range")
-            # strictly increasing within each row (row changes excuse the reset)
-            rows = np.repeat(np.arange(self.nrows, dtype=np.int64),
-                             np.diff(self.indptr))
-            ok = (np.diff(self.indices) > 0) | (np.diff(rows) > 0)
-            if not ok.all():
-                raise ValueError("column indices must be strictly increasing per row")
+        S = self.scipy  # raises on shapes, lengths and the first offset
+        S.check_format(full_check=True)  # column range, nondecreasing offsets
+        if self.indptr[-1] != self.nnz:
+            raise ValueError("row offsets must end at nnz")
+        if not S.has_canonical_format:
+            raise ValueError("column indices must be strictly increasing per row")
         if not np.isfinite(self.data).all():
             raise ValueError("matrix values must be finite")
         if self.symmetric:
             if self.nrows != self.ncols:
                 raise ValueError("symmetric flag on a non-square matrix")
-            if not self._symmetry_holds():
+            if not _kernels.symmetry_holds(self.nrows, self.indptr, self.indices,
+                                           self.data):
                 raise ValueError("symmetric flag set but storage is not symmetric")
-
-    def _symmetry_holds(self) -> bool:
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64),
-                         np.diff(self.indptr))
-        order = np.lexsort((rows, self.indices))
-        return (np.array_equal(self.indices[order], rows)
-                and np.array_equal(rows[order], self.indices)
-                and np.array_equal(self.data[order], self.data))
 
     @property
     def nnz(self) -> int:
@@ -96,50 +83,20 @@ class SparseMatrixCSR:
         return self._scipy
 
     @classmethod
-    def from_coo(cls, rows, cols, vals, nrows, ncols,
-                 symmetric: bool = False, validate: bool = True) -> "SparseMatrixCSR":
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size:
-            dup = np.zeros(rows.size, dtype=bool)
-            dup[1:] = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-            if dup.any():
-                group = np.cumsum(~dup) - 1
-                vals = np.bincount(group, weights=vals)
-                rows = rows[~dup]
-                cols = cols[~dup]
-        indptr = np.zeros(nrows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=nrows), out=indptr[1:])
-        return cls(nrows, ncols, indptr, cols, vals,
-                   symmetric=symmetric, validate=validate)
-
-    @classmethod
     def from_dense(cls, arr, symmetric: bool = False) -> "SparseMatrixCSR":
         a = np.asarray(arr, dtype=np.float64)
         if a.ndim != 2:
             raise ValueError("expected a 2-D array")
-        rows, cols = np.nonzero(a)
-        return cls.from_coo(rows, cols, a[rows, cols], a.shape[0], a.shape[1],
-                            symmetric=symmetric)
+        S = sp.csr_array(a)
+        return cls(*S.shape, S.indptr, S.indices, S.data, symmetric=symmetric)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.nrows, self.ncols))
-        rows = np.repeat(np.arange(self.nrows), np.diff(self.indptr))
-        out[rows, self.indices] = self.data
-        return out
+        return self.scipy.toarray()
 
     def diagonal(self) -> np.ndarray:
         if self.nrows != self.ncols:
             raise ValueError("diagonal of a non-square matrix")
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64),
-                         np.diff(self.indptr))
-        out = np.zeros(self.nrows)
-        hit = rows == self.indices
-        out[rows[hit]] = self.data[hit]
-        return out
+        return self.scipy.diagonal()
 
     def __repr__(self) -> str:
         return (f"SparseMatrixCSR({self.nrows}x{self.ncols}, nnz={self.nnz}, "
@@ -152,8 +109,6 @@ class SparseMatrixCSR:
 
 def mat_vec(A: SparseMatrixCSR, x: np.ndarray) -> np.ndarray:
     """Return A @ x; each row is summed left to right, starting from zero."""
-    if A.ncols != x.shape[0]:
-        raise ValueError(f"matrix has {A.ncols} columns but vector has {x.shape[0]}")
     return A.scipy @ x
 
 
@@ -178,6 +133,4 @@ def dot(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def norm2(x: np.ndarray) -> float:
-    if x.size == 0:
-        return 0.0
     return float(np.linalg.norm(x))

@@ -15,20 +15,16 @@ from .linalg import SparseMatrixCSR, as_vector, dot, mat_vec, norm2
 
 
 class BoundQP:
-    """Problem data (A, b, c, l, u); immutable after construction."""
+    """Problem data (A, b, c, l, u); checked on construction, then immutable."""
 
     __slots__ = ("A", "b", "c", "l", "u")
 
-    def __init__(self, A: SparseMatrixCSR, b, c: float, l, u, validate: bool = True):
+    def __init__(self, A: SparseMatrixCSR, b, c: float, l, u):
         self.A = A
         self.b = as_vector(b)
         self.c = float(c)
         self.l = as_vector(l)
         self.u = as_vector(u)
-        if validate:
-            self._validate()
-
-    def _validate(self):
         n = self.A.nrows
         if self.A.ncols != n:
             raise ValueError("matrix must be square")
@@ -37,10 +33,10 @@ class BoundQP:
         for name, v in (("b", self.b), ("l", self.l), ("u", self.u)):
             if v.shape[0] != n:
                 raise ValueError(f"{name} has length {v.shape[0]}, expected {n}")
-        if not np.isfinite(self.b).all():
-            raise ValueError("linear term must be finite")
-        if (self.l > self.u).any():
-            raise ValueError("lower bound exceeds upper bound")
+        if not (np.isfinite(self.b).all() and np.isfinite(self.c)):
+            raise ValueError("linear and constant terms must be finite")
+        if not (self.l <= self.u).all():  # also false where a bound is NaN
+            raise ValueError("lower bound exceeds upper bound, or a bound is NaN")
         if (self.l == np.inf).any() or (self.u == -np.inf).any():
             raise ValueError("bounds leave an empty feasible interval")
 

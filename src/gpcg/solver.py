@@ -49,7 +49,7 @@ class SolverConfig:
             raise ValueError("GP progress tolerance must lie in (0, 1)")
         if not 0.0 < self.cg_progress < 1.0:
             raise ValueError("CG progress tolerance must lie in (0, 1)")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError("convergence tolerance must be positive")
         if self.blocks < 1:
             raise ValueError("block count must be at least 1")
@@ -125,6 +125,8 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
     precond_spec = parse_precond(cfg.precond)
     n = qp.n
     x = project(qp, x0)
+    if not np.isfinite(x).all():  # NaN, or infinite where the bound is
+        raise ValueError("starting point must be finite after projection")
     Ax = mat_vec(qp.A, x)
     q = objective(qp, x, Ax)
     g = gradient(qp, x, Ax)

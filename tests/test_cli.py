@@ -5,8 +5,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from gpcg import read_vector, save_problem, write_vector
-from gpcg.cli import main
+from gpcg import SolverConfig, read_vector, save_problem, write_vector
+from gpcg.cli import _build_parser, _config_from_args, main
 from gpcg.io import TRACE_HEADER
 
 from conftest import random_bound_qp
@@ -85,6 +85,18 @@ class TestBearingCommand:
                                    "--eps", "1.5"])
         assert rc == 2
         assert "error" in err
+
+    def test_nan_tau_exits_two(self, capsys):
+        rc, out, err = _run(capsys, ["bearing", "--nx", "4", "--ny", "4",
+                                     "--eps", "0.1", "--tau", "nan"])
+        assert rc == 2
+        assert out == ""
+        assert "tolerance" in err
+
+    def test_bare_command_uses_the_solver_config_defaults(self):
+        args = _build_parser().parse_args(["bearing", "--nx", "4", "--ny", "4",
+                                           "--eps", "0.1"])
+        assert _config_from_args(args) == SolverConfig()
 
     def test_bad_precond_exits_two(self, capsys):
         rc, _, err = _run(capsys, ["bearing", "--nx", "4", "--ny", "4",

@@ -17,12 +17,6 @@ class TestSparseMatrixCSR:
         assert_array_equal(M.to_dense(), D)
         assert M.nnz == np.count_nonzero(D)
 
-    def test_from_coo_sums_duplicates(self):
-        M = SparseMatrixCSR.from_coo(
-            np.array([0, 0, 1]), np.array([1, 1, 0]),
-            np.array([2.0, 3.0, 4.0]), 2, 2)
-        assert_array_equal(M.to_dense(), [[0.0, 5.0], [4.0, 0.0]])
-
     def test_rejects_unsorted_columns(self):
         with pytest.raises(ValueError):
             SparseMatrixCSR(2, 2, np.array([0, 2, 2]), np.array([1, 0]),
@@ -55,6 +49,44 @@ class TestSparseMatrixCSR:
         D = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             SparseMatrixCSR.from_dense(D, symmetric=True)
+
+    def test_rejects_symmetry_flag_on_unequal_values(self):
+        # the pattern is symmetric, the values are not
+        with pytest.raises(ValueError, match="not symmetric"):
+            SparseMatrixCSR(2, 2, np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
+                            np.array([1.0, 2.0, 3.0, 1.0]), symmetric=True)
+
+    def test_rejects_symmetry_flag_on_a_stored_zero_without_its_transpose(self):
+        # equal as dense matrices, but (0, 1) is stored and (1, 0) is not
+        with pytest.raises(ValueError, match="not symmetric"):
+            SparseMatrixCSR(2, 2, np.array([0, 2, 3]), np.array([0, 1, 1]),
+                            np.array([1.0, 0.0, 1.0]), symmetric=True)
+
+    def test_rejects_offsets_ending_before_nnz(self):
+        # scipy alone accepts this and ignores the last entry
+        with pytest.raises(ValueError, match="end at nnz"):
+            SparseMatrixCSR(2, 2, np.array([0, 1, 1]), np.array([0, 1]),
+                            np.array([1.0, 2.0]))
+
+    # the malformed inputs the tests above do not cover
+    @pytest.mark.parametrize("nrows, ncols, indptr, indices, data, symmetric", [
+        (-1, 2, [0], [], [], False),                     # negative dimension
+        (2, 2, [0, 1], [0], [1.0], False),               # offsets too short
+        (1, 2, [1, 1], [0], [1.0], False),               # first offset not 0
+        (1, 2, [0, 2], [0], [1.0], False),               # last offset past nnz
+        (1, 2, [0, 1], [0], [1.0, 2.0], False),          # length mismatch
+        (1, 2, [0, 1], [-1], [1.0], False),              # negative column
+        (1, 1, [0, 1], [0], [np.nan], False),            # NaN value
+        (1, 1, [0, 1], [0], [np.inf], False),            # infinite value
+        (1, 2, [0, 1], [0], [1.0], True),                # symmetric, not square
+    ], ids=["negative-dim", "short-indptr", "indptr-start", "indptr-end-past",
+            "length-mismatch", "negative-col", "nan", "inf", "symmetric-nonsquare"])
+    def test_rejects_malformed_input(self, nrows, ncols, indptr, indices, data,
+                                     symmetric):
+        with pytest.raises(ValueError):
+            SparseMatrixCSR(nrows, ncols, np.array(indptr, dtype=np.int64),
+                            np.array(indices, dtype=np.int64), np.array(data),
+                            symmetric=symmetric)
 
     def test_accepts_true_symmetry_flag(self):
         _, D = random_sparse_spd(np.random.default_rng(1), 12)
@@ -130,9 +162,8 @@ class TestExtractSubmatrix:
         assert not extract_submatrix(unflagged, keep).symmetric
 
     def test_stored_zero_is_dropped(self):
-        M = SparseMatrixCSR.from_coo(
-            np.array([0, 0, 1]), np.array([0, 1, 1]),
-            np.array([1.0, 0.0, 2.0]), 2, 2)
+        M = SparseMatrixCSR(2, 2, np.array([0, 2, 3]), np.array([0, 1, 1]),
+                            np.array([1.0, 0.0, 2.0]))
         assert M.nnz == 3
         S = extract_submatrix(M, np.arange(2))
         assert S.nnz == 2

@@ -43,6 +43,20 @@ class TestBoundQP:
         with pytest.raises(ValueError):
             BoundQP(M, np.zeros(1), 0.0, np.full(1, np.inf), np.full(1, np.inf))
 
+    @pytest.mark.parametrize("which", ["l", "u"])
+    def test_rejects_nan_bound(self, which):
+        M = SparseMatrixCSR.from_dense(np.eye(2), symmetric=True)
+        bounds = {"l": np.zeros(2), "u": np.ones(2)}
+        bounds[which][1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            BoundQP(M, np.zeros(2), 0.0, bounds["l"], bounds["u"])
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_rejects_nonfinite_constant(self, c):
+        M = SparseMatrixCSR.from_dense(np.eye(2), symmetric=True)
+        with pytest.raises(ValueError, match="constant"):
+            BoundQP(M, np.zeros(2), c, np.zeros(2), np.ones(2))
+
     def test_allows_fixed_variables(self):
         M = SparseMatrixCSR.from_dense(np.eye(2), symmetric=True)
         qp = BoundQP(M, np.zeros(2), 0.0, np.array([1.0, 0.0]),

@@ -176,6 +176,20 @@ class TestSolveTermination:
             with pytest.raises(ValueError):
                 SolverConfig(**kwargs)
 
+    def test_nan_tolerance_rejected(self):
+        # NaN fails every comparison, so a NaN tolerance would never be met
+        with pytest.raises(ValueError, match="tolerance"):
+            SolverConfig(tol=float("nan"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_starting_point_rejected(self, bad):
+        # hand_qp's box is [0, 2]^2: +inf projects onto 2
+        assert solve(hand_qp(), np.array([np.inf, 0.0])).status is SolveStatus.CONVERGED
+        A = SparseMatrixCSR.from_dense(np.eye(2), symmetric=True)
+        qp = BoundQP(A, np.ones(2), 0.0, np.zeros(2), np.full(2, np.inf))
+        with pytest.raises(ValueError, match="finite"):
+            solve(qp, np.array([bad, 1.0]))
+
     def test_warm_start_option_is_gone(self):
         # CG always starts from zero; the warm start changed no iteration
         # count on the bearing problems and was removed
