@@ -1,8 +1,15 @@
 """Layer benchmark of block-Jacobi ILU(k) setup and apply.
 
-Solves the journal bearing (nx = ny, eps 0.1, ``bjacobi-ilu2``, x0 = l,
-tol 1e-4) once per size, keeps every block that ``ilu_k`` factors during
-that solve, and then times ILU's layers on those blocks, each on its own:
+Collects the blocks that ``ilu_k`` factors in two kinds of solve and then
+times ILU's layers on those blocks, each on its own:
+
+* the journal bearing (nx = ny, eps 0.1, ``bjacobi-ilu2``, x0 = l, tol
+  1e-4), solved once per size: large blocks, most on the level path;
+* the benchmark's ``random-ilu0`` workload, inputs 0-99 of seed 0, built by
+  ``perfbench/workloads.py`` (read, not changed): blocks of n <= 60, all on
+  the row path, where per-call overhead dominates.
+
+The layers:
 
   symbolic   ``_kernels.ilu_symbolic``
   symmetry   ``_kernels.symmetric_pattern`` on the input block: one
@@ -10,24 +17,29 @@ that solve, and then times ILU's layers on those blocks, each on its own:
   forward    ``_kernels.lower_schedule`` with ``ilu_k``'s level budget: the
              strict-L schedule and the numeric phase's elimination steps
   numeric    ``_kernels.ilu_numeric`` in the form ``ilu_k`` would use
-  plan       ``_kernels.SolvePlan`` construction
+  plan       construction of the solve plan ``ilu_k`` gives the factor: a
+             ``SolvePlan`` on the level path, a ``RowPlan`` on the row path
   apply      one ``ILUFactorization.solve`` of a fixed right-hand side
   ilu_k      the whole factorization, as the solver calls it
 
-The symmetry test is timed on blocks of n >= ``ilu.LEVEL_MIN_ROWS``, the
-schedule on those of them with a symmetric pattern, and the plan on the
-blocks ``ilu_k`` factors by levels; the other layers on every block.  Each
-layer takes the best of ``--repeat`` runs per block; the report sums the
-bests over the blocks of a solve.  Each block's record holds its number of
-strict-L levels (0 below ``LEVEL_MIN_ROWS``) and whether ``ilu_k`` gave it
-a level-scheduled solve.  BLAS is pinned to one thread before numpy loads.
+The symmetry test is timed on blocks of n >= ``ilu.LEVEL_MIN_ROWS`` and the
+schedule on those of them with a symmetric pattern, so neither runs on the
+``random-ilu0`` blocks; the other layers run on every block.  A tree whose
+factors carry no plan object on the row path (before ``RowPlan``) reports 0
+for that plan.  Each layer takes the best of ``--repeat`` runs per block;
+the report sums the bests over the blocks and divides by the number of
+solves.  Each bearing block's record holds its number of strict-L levels (0
+below ``LEVEL_MIN_ROWS``) and whether ``ilu_k`` gave it the level plan
+(``by_levels``, read from the plan's type); every run counts its blocks on
+the level path.  BLAS is pinned to one thread before numpy loads.
 
 Results are merged into ``--out`` (default ``BENCH_ilu_setup.json`` at the
 repo root) under ``--label``.  The script measures the tree it sits in; to
-compare with another commit, run that commit's own copy from a checkout of
-it (a ``git worktree``, say) into the same file:
+compare with another commit, run a copy of it from a checkout of that
+commit (a ``git worktree``, say) into the same file:
 
   python3 benchmarks/bench_ilu_setup.py --label change
+  cp benchmarks/bench_ilu_setup.py ../parent/benchmarks/
   python3 ../parent/benchmarks/bench_ilu_setup.py --label parent \
       --out BENCH_ilu_setup.json
 """
@@ -46,16 +58,21 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ("symbolic", "symmetry", "forward", "numeric", "plan", "apply", "ilu_k")
 
 
 FILL_LEVEL = 2
+RANDOM_SEED = 0
+RANDOM_INPUTS = 100
 
 
-def captured_blocks(gpcg, nx):
-    """The (matrix, fill level) of every ilu_k call in one ILU(2) bearing
-    solve."""
+def captured_blocks(gpcg, solves):
+    """The (matrix, fill level) of every ilu_k call in the solves, given as
+    (problem, starting point, config) triples; a solve that fails counts
+    with the blocks it factored."""
     blocks = []
     real = gpcg.precond.ilu_k
 
@@ -63,14 +80,31 @@ def captured_blocks(gpcg, nx):
         blocks.append((M, k))
         return real(M, k)
 
-    qp = gpcg.generate(gpcg.BearingSpec(nx, nx, 0.1))
-    cfg = gpcg.SolverConfig(precond=f"bjacobi-ilu{FILL_LEVEL}", tol=1e-4)
     gpcg.precond.ilu_k = record
     try:
-        gpcg.solve(qp, qp.l.copy(), cfg)
+        for qp, x0, cfg in solves:
+            try:
+                gpcg.solve(qp, x0, cfg)
+            except gpcg.GPCGError:
+                pass
     finally:
         gpcg.precond.ilu_k = real
     return blocks
+
+
+def bearing_solves(gpcg, nx):
+    qp = gpcg.generate(gpcg.BearingSpec(nx, nx, 0.1))
+    return [(qp, qp.l.copy(), gpcg.SolverConfig(precond=f"bjacobi-ilu{FILL_LEVEL}",
+                                                tol=1e-4))]
+
+
+def random_solves():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+    workload = WORKLOADS["random-ilu0"]
+    for i in range(RANDOM_INPUTS):
+        inst = workload.build(RANDOM_SEED, i)
+        yield inst.qp, inst.x0.copy(), workload.solver_config()
 
 
 def best_of(repeat, fn):
@@ -103,19 +137,38 @@ def time_block(gpcg, M, k, repeat, rng):
     t["numeric"], (data, _fail) = best_of(
         repeat, lambda: kern.ilu_numeric(n, M.indptr, M.indices, M.data, ip, ix, dg,
                                          finish))
-    if schedule is not None:
-        t["plan"], _plan = best_of(
-            repeat, lambda: kern.SolvePlan(ip, ix, data, dg, schedule))
     t["ilu_k"], factor = best_of(repeat, lambda: ilu.ilu_k(M, k))
+    by_levels = isinstance(factor.plan, kern.SolvePlan)
+    if factor.plan is not None:
+        plan_args = (schedule,) if by_levels else ()
+        t["plan"], _plan = best_of(
+            repeat, lambda: type(factor.plan)(ip, ix, data, dg, *plan_args))
     r = rng.standard_normal(n)
     t["apply"], _z = best_of(repeat, lambda: factor.solve(r))
     shape = {"n": n, "factor_nnz": int(factor.nnz), "levels": levels,
-             "by_levels": factor.plan is not None}
+             "by_levels": by_levels}
     return t, shape
 
 
+def time_blocks(gpcg, blocks, solves, repeat, seed, keep_shapes):
+    rng = np.random.default_rng(seed)
+    totals = dict.fromkeys(LAYERS, 0.0)
+    shapes = []
+    for M, k in blocks:
+        t, shape = time_block(gpcg, M, k, repeat, rng)
+        for layer in LAYERS:
+            totals[layer] += t[layer]
+        shapes.append(shape)
+    run = {"blocks": len(blocks), "solves": solves,
+           "seconds_per_solve": {k: round(v / solves, 7) for k, v in totals.items()},
+           "n_range": [min(s["n"] for s in shapes), max(s["n"] for s in shapes)],
+           "by_levels_blocks": sum(s["by_levels"] for s in shapes)}
+    if keep_shapes:
+        run["block_shapes"] = shapes
+    return run
+
+
 def environment(gpcg):
-    import numpy as np
     import scipy
     cpu = None
     try:
@@ -145,32 +198,26 @@ def main():
     ap.add_argument("--out", default=str(ROOT / "BENCH_ilu_setup.json"))
     args = ap.parse_args()
     sys.path.insert(0, str(ROOT / "src"))
-    import numpy as np
     import gpcg
 
     runs = {}
     for nx in args.sizes:
-        blocks = captured_blocks(gpcg, nx)
-        rng = np.random.default_rng(nx)
-        totals = dict.fromkeys(LAYERS, 0.0)
-        shapes = []
-        for M, k in blocks:
-            t, shape = time_block(gpcg, M, k, args.repeat, rng)
-            for layer in LAYERS:
-                totals[layer] += t[layer]
-            shapes.append(shape)
-        name = f"bearing-{nx}-eps0.1-ilu{FILL_LEVEL}"
-        runs[name] = {"blocks": len(blocks),
-                      "seconds_per_solve": {k: round(v, 6) for k, v in totals.items()},
-                      "block_shapes": shapes}
-        print(name, f"{len(blocks)} blocks",
-              " ".join(f"{k}={v * 1e3:.1f}ms" for k, v in totals.items()))
+        blocks = captured_blocks(gpcg, bearing_solves(gpcg, nx))
+        runs[f"bearing-{nx}-eps0.1-ilu{FILL_LEVEL}"] = time_blocks(
+            gpcg, blocks, 1, args.repeat, nx, keep_shapes=True)
+    blocks = captured_blocks(gpcg, random_solves())
+    runs[f"random-ilu0-seed{RANDOM_SEED}-inputs0-{RANDOM_INPUTS - 1}"] = time_blocks(
+        gpcg, blocks, RANDOM_INPUTS, args.repeat, RANDOM_SEED, keep_shapes=False)
+    for name, run in runs.items():
+        print(name, f"{run['blocks']} blocks, {run['solves']} solves, per solve:",
+              " ".join(f"{k}={v * 1e3:.3f}ms" for k, v in run["seconds_per_solve"].items()))
 
     out = Path(args.out)
     report = json.loads(out.read_text()) if out.exists() else {}
-    report.setdefault("description", "Best-of-repeat seconds per bearing solve, "
-                      "summed over the ILU blocks the solve factors; "
-                      "apply is one solve per block. benchmarks/bench_ilu_setup.py")
+    report["description"] = ("Best-of-repeat seconds per solve, summed over the "
+                             "ILU blocks the solves factor and divided by the number "
+                             "of solves; apply is one solve per block. "
+                             "benchmarks/bench_ilu_setup.py")
     report.setdefault("runs", {})[args.label] = {
         "environment": environment(gpcg), "repeat": args.repeat, "results": runs}
     out.write_text(json.dumps(report, indent=1) + "\n")

@@ -4,34 +4,39 @@ Submatrix extraction and the ILU(k) symbolic phase are vectorized with numpy
 and ``scipy.sparse``.  The ILU numeric phase and the triangular solves have
 two forms with the same arithmetic, operation for operation:
 
-* row loops (``ilu_numeric`` without ``finish``, ``lu_solve``), which
-  index ``memoryview``s of the numpy arrays and so work on plain Python
-  floats;
+* the row path (``ilu_numeric`` without ``finish``, ``RowPlan``): the
+  numeric phase and the back substitution are row loops that index Python
+  lists, made with ``tolist()`` once per factor, and so work on plain
+  Python floats;
 * level-scheduled forms (``ilu_numeric`` with ``finish``, and
   ``SolvePlan``).  Rows of equal dependency depth do not depend on each
   other, so each level is one vectorized step (Anderson & Saad 1989; Saad,
   *Iterative Methods for Sparse Linear Systems*, 2nd ed., section 11.6).
   The numeric phase schedules single strict-L entries instead of whole
-  rows, each as soon as its pivot row is complete; ``SolvePlan``'s forward
-  substitution is one compiled call, and its back substitution walks the
-  strict-L levels from last to first.
+  rows, each as soon as its pivot row is complete; ``SolvePlan``'s back
+  substitution walks the strict-L levels from last to first.
   Every row still performs its subtractions in column order, so the
   results are bit-for-bit those of the row loops, whichever valid schedule
   orders the rows.
 
-The level forms cost a schedule and a plan per factor, which only pays off
-on large blocks; ``ilu.ilu_k`` picks the form from the size, the pattern's
-symmetry and the width of the levels of strict L.  One longest-path pass
-over strict L (``lower_schedule``) gives both those levels and the steps of
-the numeric phase.  The back substitution needs a pattern whose strict U
-is the transposed strict L: ILU(k) keeps the pattern of a symmetric block
-symmetric, and the level forms serve symmetric blocks only.
+Both solves run the forward substitution as one compiled call over the
+negated strict L (``_forward``).  The level forms cost a schedule and a plan
+per factor, which only pays off on large blocks; ``ilu.ilu_k`` picks the
+form from the size, the pattern's symmetry and the width of the levels of
+strict L.  One longest-path pass over strict L (``lower_schedule``) gives
+both those levels and the steps of the numeric phase.  The back substitution
+by levels needs a pattern whose strict U is the transposed strict L: ILU(k)
+keeps the pattern of a symmetric block symmetric, and the level forms serve
+symmetric blocks only.
 """
 
 import numpy as np
 import scipy.sparse as sp
+# The diagonal of a CSR matrix, 0 where an entry is absent, into an output
+# array; what ``csr_array.diagonal()`` calls.
+from scipy.sparse._sparsetools import csr_diagonal
 # Accumulates into its output array and sums each row left to right; the
-# public ``csr_array @ x`` starts every row from +0.0 instead.
+# public ``csr_array @ x`` calls it on an output of zeros.
 from scipy.sparse._sparsetools import csr_matvec
 # Position of each (row, column) pair in a canonical CSR pattern, -1 where
 # the pattern has no such entry.
@@ -123,15 +128,17 @@ def ilu_symbolic(n, a_indptr, a_indices, fill_level):
     ``fill_level``.  So the level-l entries are the pattern of the sum over
     a + b = l - 1 of tril(level a) @ triu(level b), minus the entries of lower
     levels.  Returns the factor's indptr, sorted indices and the position
-    of each row's diagonal entry (-1 where it is absent).
+    of each row's diagonal entry (-1 where it is absent).  Without fill the
+    indptr and indices are the input's own arrays.
     """
-    keys = _keys(n, a_indptr, a_indices)  # of the pattern so far
+    keys = fresh = None  # of the pattern so far, and of its last level
     lower, upper = [], []
-    fresh = keys  # the entries of the last level
     top = 0       # highest level with an entry
     lev = 1
     # a level-l entry needs two entries whose levels sum to l - 1
     while lev <= fill_level and lev - 1 <= 2 * top:
+        if keys is None:
+            keys = fresh = _keys(n, a_indptr, a_indices)
         low, up = _triangles(n, fresh)
         lower.append(low)
         upper.append(up)
@@ -149,12 +156,15 @@ def ilu_symbolic(n, a_indptr, a_indices, fill_level):
             keys = np.insert(keys, np.searchsorted(keys, fresh), fresh)
             top = lev
         lev += 1
-    rows, lu_indices = np.divmod(keys, n)
-    lu_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=lu_indptr[1:])
-    lu_diag = np.full(n, -1, dtype=np.int64)
-    on_diag = np.flatnonzero(rows == lu_indices)
-    lu_diag[rows[on_diag]] = on_diag
+    if top == 0:  # no fill: the input's own pattern
+        lu_indptr, lu_indices = a_indptr[:n + 1], a_indices[:a_indptr[n]]
+    else:
+        rows, lu_indices = np.divmod(keys, n)
+        lu_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=lu_indptr[1:])
+    rows = np.arange(n, dtype=np.int64)
+    lu_diag = np.empty(n, dtype=np.int64)
+    csr_sample_offsets(n, n, lu_indptr, lu_indices, n, rows, rows, lu_diag)
     return lu_indptr, lu_indices, lu_diag
 
 
@@ -273,18 +283,23 @@ def ilu_numeric(n, a_indptr, a_indices, a_data, lu_indptr, lu_indices, lu_diag,
     """Values of the combined LU factor on a symbolic pattern.
 
     Row-wise Gaussian elimination restricted to the pattern, without
-    pivoting; the pattern must contain the input's, as the one from
-    ``ilu_symbolic`` does.  Given ``finish`` from ``lower_schedule``, the
-    strict-L entries of many rows are eliminated together (``_steps``),
-    with the same result.
+    pivoting; the pattern must contain the input's and every diagonal entry,
+    as the one from ``ilu_symbolic`` does for an input with a full diagonal.
+    Given ``finish`` from ``lower_schedule``, the strict-L entries of many
+    rows are eliminated together (``_steps``), with the same result.
     Returns the factor values and the first row whose pivot is exactly zero
     (-1 when there is none); the values are then incomplete.
     """
-    lu_data = np.zeros(int(lu_indptr[n]), dtype=np.float64)
-    # scatter the input values onto the (sorted) factor pattern
-    keys = _keys(n, lu_indptr, lu_indices)
-    at = np.searchsorted(keys, _keys(n, a_indptr, a_indices))
-    lu_data[at] = a_data[:at.size]
+    nnz = int(a_indptr[n])
+    if lu_indptr[n] == nnz:
+        # a pattern that contains the input's and is no larger is the input's
+        lu_data = np.array(a_data[:nnz], dtype=np.float64)
+    else:
+        lu_data = np.zeros(int(lu_indptr[n]), dtype=np.float64)
+        # scatter the input values onto the (sorted) factor pattern
+        keys = _keys(n, lu_indptr, lu_indices)
+        at = np.searchsorted(keys, _keys(n, a_indptr, a_indices))
+        lu_data[at] = a_data[:nnz]
     if finish is None:
         return lu_data, _eliminate_rows(n, lu_indptr, lu_indices, lu_diag, lu_data)
     # Later steps divide by the zero pivot, if there is one; the row loop
@@ -296,31 +311,32 @@ def ilu_numeric(n, a_indptr, a_indices, a_data, lu_indptr, lu_indices, lu_diag,
 
 
 def _eliminate_rows(n, lu_indptr, lu_indices, lu_diag, lu_data):
-    ptr = memoryview(lu_indptr)
-    ind = memoryview(lu_indices)
-    dg = memoryview(lu_diag)
-    val = memoryview(lu_data)
+    ptr = lu_indptr.tolist()
+    ind = lu_indices.tolist()
+    dg = lu_diag.tolist()
+    val = lu_data.tolist()
+    # pos[c]: position of column c in the latest row that has it, so it is
+    # in row i exactly when it is at least the row's start
     pos = [-1] * n
+    fail = -1
     for i in range(n):
         rs = ptr[i]
-        re = ptr[i + 1]
-        for t in range(rs, re):
+        for t in range(rs, ptr[i + 1]):
             pos[ind[t]] = t
-        t = rs
-        while t < re and ind[t] < i:
+        for t in range(rs, dg[i]):
             p = ind[t]
-            mult = val[t] / val[dg[p]]
+            dp = dg[p]
+            mult = val[t] / val[dp]
             val[t] = mult
-            for s in range(dg[p] + 1, ptr[p + 1]):
+            for s in range(dp + 1, ptr[p + 1]):
                 tq = pos[ind[s]]
-                if tq != -1:
+                if tq >= rs:
                     val[tq] -= mult * val[s]
-            t += 1
-        for t in range(rs, re):
-            pos[ind[t]] = -1
         if val[dg[i]] == 0.0:
-            return i
-    return -1
+            fail = i
+            break
+    lu_data[:] = val
+    return fail
 
 
 def _steps(lu_indptr, lu_indices, lu_diag, finish):
@@ -396,29 +412,6 @@ def _eliminate_steps(n, lu_indptr, lu_indices, lu_diag, lu_data, finish):
             val[dst[q]] -= val[mult[q]] * val[src[q]]
 
 
-def lu_solve(lu_indptr, lu_indices, lu_data, lu_diag, r):
-    """Forward substitution with unit-diagonal L, then back substitution
-    with U; each row subtracts its terms left to right."""
-    z = np.array(r, dtype=np.float64)
-    ptr = memoryview(lu_indptr)
-    ind = memoryview(lu_indices)
-    val = memoryview(lu_data)
-    dg = memoryview(lu_diag)
-    zv = memoryview(z)
-    n = z.shape[0]
-    for i in range(n):
-        s = zv[i]
-        for t in range(ptr[i], dg[i]):
-            s -= val[t] * zv[ind[t]]
-        zv[i] = s
-    for i in range(n - 1, -1, -1):
-        s = zv[i]
-        for t in range(dg[i] + 1, ptr[i + 1]):
-            s -= val[t] * zv[ind[t]]
-        zv[i] = s / val[dg[i]]
-    return z
-
-
 def _rows(lu_indices, lu_data, order, starts, counts):
     """The entries ``starts[i] .. starts[i] + counts[i] - 1`` of the rows
     ``order``, as CSR with values negated; each row keeps its column order."""
@@ -429,20 +422,65 @@ def _rows(lu_indices, lu_data, order, starts, counts):
     return indptr, lu_indices[pos], -lu_data[pos]
 
 
+def _strict_lower(lu_indptr, lu_indices, lu_data, lu_diag):
+    """Strict L of a combined LU factor as CSR, with values negated."""
+    n = lu_diag.size
+    return _rows(lu_indices, lu_data, np.arange(n), lu_indptr[:-1],
+                 lu_diag - lu_indptr[:-1])
+
+
+def _forward(lower, r):
+    """Forward substitution with unit-diagonal L, given ``_strict_lower``:
+    a copy of r as float64, overwritten with L^-1 r.
+
+    ``csr_matvec`` adds ``(-L) z`` into z itself: every row starts from its
+    own z_i and adds ``(-v) * z_j`` in column order, which is bit for bit
+    the row loop's ``s -= v * z_j`` (signed zeros included).  The call takes
+    its rows in order and reads z as it writes it, so row i reads the final
+    z_j of every j < i.
+    """
+    z = np.array(r, dtype=np.float64)
+    n = z.size
+    csr_matvec(n, n, *lower, z, z)
+    return z
+
+
+class RowPlan:
+    """The triangular solves of a combined LU factor on the row path:
+    ``_forward``, then back substitution with U as a row loop from the last
+    row up, over Python lists made once per factor; each row subtracts its
+    terms left to right and then divides by its pivot.  Python's float
+    division raises ``ZeroDivisionError`` on a zero pivot."""
+
+    __slots__ = ("lower", "indptr", "indices", "data", "diag")
+
+    def __init__(self, lu_indptr, lu_indices, lu_data, lu_diag):
+        self.lower = _strict_lower(lu_indptr, lu_indices, lu_data, lu_diag)
+        self.indptr = lu_indptr.tolist()
+        self.indices = lu_indices.tolist()
+        self.data = lu_data.tolist()
+        self.diag = lu_diag.tolist()
+
+    def solve(self, r):
+        z = _forward(self.lower, r).tolist()
+        ptr, ind, val, dg = self.indptr, self.indices, self.data, self.diag
+        for i in range(len(z) - 1, -1, -1):
+            s = z[i]
+            d = dg[i]
+            for t in range(d + 1, ptr[i + 1]):
+                s -= val[t] * z[ind[t]]
+            z[i] = s / val[d]
+        return np.array(z, dtype=np.float64)
+
+
 class SolvePlan:
-    """``lu_solve`` in a few compiled calls, for a factor whose strict U is
-    the transposed strict L, given ``schedule``, the strict-L schedule of
-    ``lower_schedule``.
+    """``RowPlan``'s solves in a few compiled calls, for a factor whose
+    strict U is the transposed strict L, given ``schedule``, the strict-L
+    schedule of ``lower_schedule``.
 
-    Strict L and strict U are stored with negated values, and ``csr_matvec``
-    adds ``(-L) z`` into z itself: every row starts from its own z_i and adds
-    ``(-v) * z_j`` in column order, which is bit for bit the row loop's
-    ``s -= v * z_j`` (signed zeros included).
-
-    Forward substitution is one call over all rows: the call takes its rows
-    in order and reads z as it writes it, so row i reads the final z_j of
-    every j < i.  Back substitution divides each row by its pivot before
-    other rows may read it, so it runs one call and one division per level,
+    Strict U is stored with negated values, like strict L for ``_forward``.
+    Back substitution divides each row by its pivot before other rows may
+    read it, so it runs one ``csr_matvec`` call and one division per level,
     on z permuted so that each L level is a contiguous slice, with U stored
     in that order.  It walks the L levels from last to first: a strict-U
     entry (i, j) is the strict-L entry (j, i), so row j lies in a later L
@@ -454,8 +492,7 @@ class SolvePlan:
     def __init__(self, lu_indptr, lu_indices, lu_data, lu_diag, schedule):
         n = lu_diag.size
         order, bounds = schedule
-        self.lower = _rows(lu_indices, lu_data, np.arange(n), lu_indptr[:-1],
-                           lu_diag - lu_indptr[:-1])
+        self.lower = _strict_lower(lu_indptr, lu_indices, lu_data, lu_diag)
         self.order = order
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
@@ -467,10 +504,8 @@ class SolvePlan:
         self.restore = rank
 
     def solve(self, r):
-        z = np.array(r, dtype=np.float64)
+        z = _forward(self.lower, r)[self.order]
         n = z.size
-        csr_matvec(n, n, *self.lower, z, z)
-        z = z[self.order]
         indptr, indices, data = self.upper
         # the row loop's float division overflows silently
         with np.errstate(over="ignore", invalid="ignore"):

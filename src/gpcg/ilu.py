@@ -2,8 +2,9 @@
 
 The symbolic phase grows the input pattern by fill entries whose level
 (min over pivots of lev(i,p) + lev(p,j) + 1, originals at level 0) stays
-within the requested bound.  The numeric phase runs row-wise Gaussian
-elimination restricted to that pattern, with no pivoting.  Large blocks with a
+within the requested bound; without fill the factor shares the input's
+pattern arrays.  The numeric phase runs row-wise Gaussian elimination
+restricted to that pattern, with no pivoting.  Large blocks with a
 symmetric pattern and wide levels are eliminated and solved level by level;
 small, unsymmetric or chain-like ones row by row.  Both give the same bits.
 """
@@ -37,12 +38,13 @@ LEVEL_MIN_WIDTH = 5
 
 class ILUFactorization:
     """Combined LU factor in CSR; the unit diagonal of L is implicit and the
-    stored diagonal entries belong to U.  ``plan`` is the level-scheduled
-    solve, or None where the row loops are used."""
+    stored diagonal entries belong to U.  ``plan`` runs the triangular
+    solves: a ``_kernels.SolvePlan`` on the level path, a
+    ``_kernels.RowPlan`` on the row path."""
 
     __slots__ = ("n", "indptr", "indices", "data", "diag", "plan")
 
-    def __init__(self, n, indptr, indices, data, diag, plan=None):
+    def __init__(self, n, indptr, indices, data, diag, plan):
         self.n = n
         self.indptr = indptr
         self.indices = indices
@@ -58,10 +60,7 @@ class ILUFactorization:
         """Forward/back substitution: returns (LU)^-1 r."""
         if r.shape[0] != self.n:
             raise ValueError(f"vector has length {r.shape[0]}, expected {self.n}")
-        if self.plan is not None:
-            return self.plan.solve(r)
-        return _kernels.lu_solve(self.indptr, self.indices, self.data,
-                                 self.diag, r)
+        return self.plan.solve(r)
 
 
 def ilu_k(M: SparseMatrixCSR, k: int) -> ILUFactorization:
@@ -86,7 +85,8 @@ def ilu_k(M: SparseMatrixCSR, k: int) -> ILUFactorization:
         n, M.indptr, M.indices, M.data, lu_indptr, lu_indices, lu_diag, finish)
     if fail_row >= 0:
         raise ZeroPivot(int(fail_row))
-    plan = None
-    if schedule is not None:
+    if schedule is None:
+        plan = _kernels.RowPlan(lu_indptr, lu_indices, lu_data, lu_diag)
+    else:
         plan = _kernels.SolvePlan(lu_indptr, lu_indices, lu_data, lu_diag, schedule)
     return ILUFactorization(n, lu_indptr, lu_indices, lu_data, lu_diag, plan)

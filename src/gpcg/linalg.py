@@ -2,7 +2,9 @@
 the solver takes of them.
 
 ``SparseMatrixCSR`` is a checked record of CSR arrays; ``scipy.sparse``
-converts it, takes its diagonal, checks its format and computes ``mat_vec``.
+converts it and checks its format, and its compiled CSR routines take the
+diagonal and compute ``mat_vec`` on the arrays directly, so the solver's
+hot path builds no ``scipy.sparse`` object.
 Vectors are plain float64 numpy arrays.  Bound vectors may hold +/-inf; all
 other vectors are expected to be finite.  An index set is a strictly
 increasing int64 array, as ``np.flatnonzero`` returns it.  ``mat_vec`` sums
@@ -31,10 +33,10 @@ class SparseMatrixCSR:
     """Compressed-sparse-row matrix: int64 row offsets and column indices,
     sorted and distinct within each row, and float64 values.
 
-    ``scipy`` is a ``csr_array`` over the same arrays; it converts, takes
-    the diagonal and checks the format.  Validation adds what scipy lets
-    through: offsets that end before the last entry, non-finite values, and
-    a ``symmetric`` flag on storage that does not equal its transpose.
+    ``scipy`` is a ``csr_array`` over the same arrays; it converts and
+    checks the format.  Validation adds what scipy lets through: offsets
+    that end before the last entry, non-finite values, and a ``symmetric``
+    flag on storage that does not equal its transpose.
     Symmetric matrices are stored in full (both triangles).
     """
 
@@ -96,7 +98,10 @@ class SparseMatrixCSR:
     def diagonal(self) -> np.ndarray:
         if self.nrows != self.ncols:
             raise ValueError("diagonal of a non-square matrix")
-        return self.scipy.diagonal()
+        diag = np.empty(self.nrows, dtype=np.float64)
+        _kernels.csr_diagonal(0, self.nrows, self.ncols, self.indptr, self.indices,
+                              self.data, diag)
+        return diag
 
     def __repr__(self) -> str:
         return (f"SparseMatrixCSR({self.nrows}x{self.ncols}, nnz={self.nnz}, "
@@ -108,8 +113,13 @@ class SparseMatrixCSR:
 # ---------------------------------------------------------------------------
 
 def mat_vec(A: SparseMatrixCSR, x: np.ndarray) -> np.ndarray:
-    """Return A @ x; each row is summed left to right, starting from zero."""
-    return A.scipy @ x
+    """Return A @ x; each row is summed left to right, starting from zero,
+    as ``A.scipy @ x`` does."""
+    if x.shape != (A.ncols,):
+        raise ValueError(f"vector has shape {x.shape}, expected ({A.ncols},)")
+    y = np.zeros(A.nrows, dtype=np.float64)
+    _kernels.csr_matvec(A.nrows, A.ncols, A.indptr, A.indices, A.data, x, y)
+    return y
 
 
 def extract_submatrix(A: SparseMatrixCSR, idx: np.ndarray) -> SparseMatrixCSR:

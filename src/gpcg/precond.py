@@ -99,8 +99,11 @@ class BlockJacobiILU(Preconditioner):
         self.fill_level = fill_level
         self.factors: list[ILUFactorization] = []
         for lo, hi in self.ranges:
-            span = np.arange(lo, hi, dtype=np.int64)
-            self.factors.append(ilu_k(extract_submatrix(M, span), fill_level))
+            # one block spanning M factors M itself, with any zeros M
+            # stores; an extracted block drops them
+            block = M if hi - lo == M.nrows else extract_submatrix(
+                M, np.arange(lo, hi, dtype=np.int64))
+            self.factors.append(ilu_k(block, fill_level))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         if r.shape[0] != self.m:

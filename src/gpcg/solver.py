@@ -53,6 +53,12 @@ class SolverConfig:
             raise ValueError("convergence tolerance must be positive")
         if self.blocks < 1:
             raise ValueError("block count must be at least 1")
+        if self.max_outer < 1:
+            raise ValueError("outer iteration limit must be at least 1")
+        if self.max_halvings < 0:
+            raise ValueError("halving limit must be nonnegative")
+        if self.cg_maxiter is not None and self.cg_maxiter < 1:
+            raise ValueError("CG iteration limit must be None or at least 1")
         parse_precond(self.precond)
 
 

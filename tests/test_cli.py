@@ -93,6 +93,13 @@ class TestBearingCommand:
         assert out == ""
         assert "tolerance" in err
 
+    def test_zero_outer_limit_exits_two(self, capsys):
+        rc, out, err = _run(capsys, ["bearing", "--nx", "4", "--ny", "4",
+                                     "--eps", "0.1", "--max-outer", "0"])
+        assert rc == 2
+        assert out == ""
+        assert "limit" in err
+
     def test_bare_command_uses_the_solver_config_defaults(self):
         args = _build_parser().parse_args(["bearing", "--nx", "4", "--ny", "4",
                                            "--eps", "0.1"])

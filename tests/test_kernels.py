@@ -2,9 +2,9 @@
 
 The reference loops below are the straightforward interpreted forms of the
 kernels (level-of-fill row merge, row-wise elimination, forward/back
-substitution, left-to-right matvec, row-by-row level schedule).  The kernels, row-loop and
-level-scheduled forms alike, must reproduce them byte for byte, not just to
-a tolerance: the arithmetic order is the same.
+substitution, left-to-right matvec, row-by-row level schedule).  The kernels,
+row-path and level-scheduled forms alike, must reproduce them byte for byte,
+not just to a tolerance: the arithmetic order is the same.
 """
 
 import warnings
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gpcg import SparseMatrixCSR, ZeroPivot, extract_submatrix, ilu_k, mat_vec
-from gpcg import _kernels, ilu
+from gpcg import _kernels, ilu, precond
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +233,12 @@ def test_factor_and_solve_match_reference_loops(case, k):
         assert_bytes_equal(data, ref_data)
     factor = ilu_k(A, fill)
     assert_bytes_equal(factor.data, ref_data)
-    # the plan walks the L levels backward, which needs a symmetric pattern
-    plan = (_kernels.SolvePlan(lu_indptr, lu_indices, ref_data, lu_diag, forward)
-            if A.symmetric else None)
+    # both solves on every case where they apply: the level plan walks the
+    # L levels backward, which needs a symmetric pattern
+    plans = [_kernels.RowPlan(lu_indptr, lu_indices, ref_data, lu_diag)]
+    if A.symmetric:
+        plans.append(_kernels.SolvePlan(lu_indptr, lu_indices, ref_data, lu_diag,
+                                        forward))
     rng = np.random.default_rng(n)
     # the second right-hand side is mostly signed zeros, so most of the
     # solution's entries are zeros whose sign the row loops fix
@@ -243,25 +246,30 @@ def test_factor_and_solve_match_reference_loops(case, k):
     signed[rng.random(n) < 0.1] = 1.0
     for r in (rng.standard_normal(n), signed):
         want = ref_lu_solve(lu_indptr, lu_indices, ref_data, lu_diag, r)
-        assert_bytes_equal(_kernels.lu_solve(lu_indptr, lu_indices, ref_data,
-                                             lu_diag, r), want)
-        if plan is not None:
+        for plan in plans:
             assert_bytes_equal(plan.solve(r), want)
         assert_bytes_equal(factor.solve(r), want)
 
 
+def by_levels(factor):
+    """Whether ``ilu_k`` gave the factor the level plan; the other plan is
+    the row path's."""
+    assert isinstance(factor.plan, (_kernels.SolvePlan, _kernels.RowPlan))
+    return isinstance(factor.plan, _kernels.SolvePlan)
+
+
 def test_ilu_k_solves_by_levels_only_on_large_blocks_with_wide_levels():
-    assert ilu_k(grid_laplacian(20), 0).plan is not None
-    assert ilu_k(random_pattern_matrix(5, 300, 0.01, True), 2).plan is not None
-    assert ilu_k(grid_laplacian(7), 0).plan is None  # n = 49
+    assert by_levels(ilu_k(grid_laplacian(20), 0))
+    assert by_levels(ilu_k(random_pattern_matrix(5, 300, 0.01, True), 2))
+    assert not by_levels(ilu_k(grid_laplacian(7), 0))  # n = 49
     # a tridiagonal block is one chain: n levels of one row each
     n = 2 * ilu.LEVEL_MIN_ROWS
     chain = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-    assert ilu_k(SparseMatrixCSR.from_dense(chain, symmetric=True), 0).plan is None
+    assert not by_levels(ilu_k(SparseMatrixCSR.from_dense(chain, symmetric=True), 0))
     # strict L is empty (one level), strict U one chain: unsymmetric, so
     # neither the numeric phase nor the solves run by levels
     upper_chain = 2.0 * np.eye(n) - np.eye(n, k=1)
-    assert ilu_k(SparseMatrixCSR.from_dense(upper_chain), 0).plan is None
+    assert not by_levels(ilu_k(SparseMatrixCSR.from_dense(upper_chain), 0))
 
 
 def spy_on_numeric(monkeypatch):
@@ -286,9 +294,9 @@ def test_ilu_k_takes_the_level_path_up_to_n_over_min_width_levels(monkeypatch):
     for n, levels in ((w * m, m), (w * m + 1, m + 1)):
         chains = 3.0 * np.eye(n) - np.eye(n, k=w) - np.eye(n, k=-w)
         factor = ilu_k(SparseMatrixCSR.from_dense(chains, symmetric=True), 0)
-        by_levels = levels * w <= n
-        assert steps.pop() == by_levels
-        assert (factor.plan is not None) == by_levels
+        wide = levels * w <= n
+        assert steps.pop() == wide
+        assert by_levels(factor) == wide
 
 
 def test_full_fill_level_gives_the_full_elimination_pattern():
@@ -407,6 +415,23 @@ def test_zero_pivot_on_the_level_path_of_a_symmetric_block(monkeypatch, k):
             ilu_k(A, k)
     assert steps == [True]
     assert err.value.row == ref_fail
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("planted", [planted_zero_pivots, symmetric_planted_zero_pivots])
+def test_row_solve_divides_by_a_zero_pivot_with_python_floats(planted, k):
+    # the reference factor stops at the zero pivot of row 101; the back
+    # substitution reaches it from the last row up, and Python's float
+    # division raises where the reference loop's numpy division gives inf
+    A = planted()
+    n = A.nrows
+    lu_indptr, lu_indices, lu_diag = ref_ilu_symbolic(n, A.indptr, A.indices, k)
+    ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
+                                         lu_indptr, lu_indices, lu_diag)
+    assert ref_fail == 101
+    plan = _kernels.RowPlan(lu_indptr, lu_indices, ref_data, lu_diag)
+    with pytest.raises(ZeroDivisionError):
+        plan.solve(np.ones(n))
 
 
 def grid_block(side, seed):
@@ -534,7 +559,7 @@ def test_ilu_k_takes_the_level_path_only_for_symmetric_patterns(
     steps = spy_on_numeric(monkeypatch)
     factor = ilu_k(A, k)
     assert steps == [symmetric]
-    assert (factor.plan is not None) == symmetric
+    assert by_levels(factor) == symmetric
     # either way the factor and its solves are the reference loops'
     n = A.nrows
     lu_indptr, lu_indices, lu_diag = ref_ilu_symbolic(n, A.indptr, A.indices, k)
@@ -548,6 +573,53 @@ def test_ilu_k_takes_the_level_path_only_for_symmetric_patterns(
                                                          ref_data, lu_diag, r))
 
 
+def test_without_fill_the_factor_shares_the_input_pattern():
+    A = random_pattern_matrix(3, 60, 0.05, True)
+    n = 2 * A.nrows
+    tridiagonal = SparseMatrixCSR.from_dense(
+        3.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1), symmetric=True)
+    # ILU(0) keeps every pattern; a tridiagonal pattern gains no fill at
+    # any level, the random one gains some at level 1
+    for M, k, shared in ((A, 0, True), (tridiagonal, 2, True), (A, 1, False)):
+        lu_indptr, lu_indices, _lu_diag = _kernels.ilu_symbolic(
+            M.nrows, M.indptr, M.indices, k)
+        assert np.shares_memory(lu_indptr, M.indptr) == shared
+        assert np.shares_memory(lu_indices, M.indices) == shared
+        assert (lu_indices.size == M.nnz) == shared
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_one_block_factors_the_matrix_itself(monkeypatch, k):
+    A = grid_block(12, 3)
+    want = ilu_k(extract_submatrix(A, np.arange(A.nrows)), k)
+    calls = []
+
+    def spy(M, idx):
+        calls.append(idx.size)
+        return extract_submatrix(M, idx)
+
+    monkeypatch.setattr(precond, "extract_submatrix", spy)
+    [got] = precond.BlockJacobiILU(A, k, 1).factors
+    assert calls == []
+    for name in ("indptr", "indices", "data", "diag"):
+        assert_bytes_equal(getattr(got, name), getattr(want, name))
+    # more blocks are extracted, one call each
+    precond.BlockJacobiILU(A, k, 2)
+    assert len(calls) == 2
+
+
+def test_reduced_matrices_build_no_scipy_view():
+    A = grid_laplacian(6)
+    B = extract_submatrix(A, np.arange(0, A.nrows, 2))
+    x = np.linspace(-1.0, 1.0, B.ncols)
+    y, diag = mat_vec(B, x), B.diagonal()
+    ilu_k(B, 0)
+    assert B._scipy is None
+    # the compiled routines the view's product and diagonal call
+    assert_bytes_equal(y, B.scipy @ x)
+    assert_bytes_equal(diag, B.scipy.diagonal())
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_matvec_matches_left_to_right_loop(seed):
     rng = np.random.default_rng(seed)
@@ -557,6 +629,7 @@ def test_matvec_matches_left_to_right_loop(seed):
     A = SparseMatrixCSR.from_dense(M)
     x = rng.standard_normal(ncols) * 10.0 ** rng.integers(-8, 8, ncols)
     assert_bytes_equal(mat_vec(A, x), ref_matvec(A, x))
+    assert_bytes_equal(mat_vec(A, x), A.scipy @ x)
 
 
 def test_matvec_view_shares_the_matrix_arrays():

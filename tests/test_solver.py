@@ -176,6 +176,20 @@ class TestSolveTermination:
             with pytest.raises(ValueError):
                 SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_outer": 0}, {"max_outer": -3}, {"max_halvings": -1},
+        {"cg_maxiter": 0}, {"cg_maxiter": -2}])
+    def test_nonpositive_limits_rejected(self, kwargs):
+        # these once reached a solve: -1 halvings failed every search, and
+        # max_outer <= 0 returned max_outer_reached after no iteration
+        with pytest.raises(ValueError, match="limit"):
+            SolverConfig(**kwargs)
+
+    def test_smallest_limits_accepted(self):
+        cfg = SolverConfig(max_outer=1, max_halvings=0, cg_maxiter=1)
+        assert solve(hand_qp(), np.zeros(2), cfg).status is not SolveStatus.FAILED
+        assert SolverConfig(cg_maxiter=None).cg_maxiter is None
+
     def test_nan_tolerance_rejected(self):
         # NaN fails every comparison, so a NaN tolerance would never be met
         with pytest.raises(ValueError, match="tolerance"):
