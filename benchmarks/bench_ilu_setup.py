@@ -4,39 +4,37 @@ Collects the blocks that ``ilu_k`` factors in two kinds of solve and then
 times ILU's layers on those blocks, each on its own:
 
 * the journal bearing (nx = ny, eps 0.1, ``bjacobi-ilu2``, x0 = l, tol
-  1e-4), solved once per size: large blocks, most on the level path;
+  1e-4), solved once per size: large blocks, most factored by levels;
 * the benchmark's ``random-ilu0`` workload, inputs 0-99 of seed 0, built by
-  ``perfbench/workloads.py`` (read, not changed): blocks of n <= 60, all on
-  the row path, where per-call overhead dominates.
+  ``perfbench/workloads.py`` (read, not changed): blocks of n <= 60, all
+  factored by the row loop, where per-call overhead dominates.
 
 The layers:
 
   symbolic   ``_kernels.ilu_symbolic``
-  symmetry   ``_kernels.symmetric_pattern`` on the input block: one
-             compiled transpose (``csr_tocsc``) and two array comparisons
   forward    ``_kernels.lower_schedule`` with ``ilu_k``'s level budget: the
-             strict-L schedule and the numeric phase's elimination steps
+             numeric phase's elimination steps, or None
   numeric    ``_kernels.ilu_numeric`` in the form ``ilu_k`` would use
-  plan       construction of the solve plan ``ilu_k`` gives the factor: a
-             ``SolvePlan`` on the level path, a ``RowPlan`` on the row path
+  plan       ``ILUFactorization`` construction: the operands of the solves
   apply      one ``ILUFactorization.solve`` of a fixed right-hand side
   ilu_k      the whole factorization, as the solver calls it
 
-The symmetry test is timed on blocks of n >= ``ilu.LEVEL_MIN_ROWS`` and the
-schedule on those of them with a symmetric pattern, so neither runs on the
-``random-ilu0`` blocks; the other layers run on every block.  A tree whose
-factors carry no plan object on the row path (before ``RowPlan``) reports 0
-for that plan.  Each layer takes the best of ``--repeat`` runs per block;
-the report sums the bests over the blocks and divides by the number of
-solves.  Each bearing block's record holds its number of strict-L levels (0
-below ``LEVEL_MIN_ROWS``) and whether ``ilu_k`` gave it the level plan
-(``by_levels``, read from the plan's type); every run counts its blocks on
-the level path.  BLAS is pinned to one thread before numpy loads.
+The schedule is timed on blocks of n >= ``ilu.LEVEL_MIN_ROWS`` only, so not
+on the ``random-ilu0`` blocks; the other layers run on every block.  Each
+layer takes the best of ``--repeat`` runs per block; the report sums the
+bests over the blocks and divides by the number of solves.  Each bearing
+block's record holds its number of strict-L levels (0 below
+``LEVEL_MIN_ROWS``), counted by a row loop here, and whether ``ilu_k``
+factors it by levels (``by_levels``: whether ``lower_schedule`` returns
+steps under the level budget); every run counts its blocks factored by
+levels.  BLAS is pinned to one thread before numpy loads.
 
 Results are merged into ``--out`` (default ``BENCH_ilu_setup.json`` at the
 repo root) under ``--label``.  The script measures the tree it sits in; to
 compare with another commit, run a copy of it from a checkout of that
-commit (a ``git worktree``, say) into the same file:
+commit (a ``git worktree``, say) into the same file.  The copy calls the
+kernels by their names and signatures here, so a tree with others needs
+it adapted:
 
   python3 benchmarks/bench_ilu_setup.py --label change
   cp benchmarks/bench_ilu_setup.py ../parent/benchmarks/
@@ -61,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("symbolic", "symmetry", "forward", "numeric", "plan", "apply", "ilu_k")
+LAYERS = ("symbolic", "forward", "numeric", "plan", "apply", "ilu_k")
 
 
 FILL_LEVEL = 2
@@ -116,33 +114,35 @@ def best_of(repeat, fn):
     return best, out
 
 
+def strict_lower_levels(lu_indptr, lu_indices, lu_diag):
+    """The number of levels of strict L of a combined LU pattern: a row is
+    one level deeper than the deepest row its strict-L entries reach."""
+    ind = lu_indices.tolist()
+    depth = []
+    for start, diag in zip(lu_indptr[:-1].tolist(), lu_diag.tolist()):
+        depth.append(max((depth[j] for j in ind[start:diag]), default=-1) + 1)
+    return max(depth, default=-1) + 1
+
+
 def time_block(gpcg, M, k, repeat, rng):
     kern, ilu = gpcg._kernels, gpcg.ilu
     n = M.nrows
     t = dict.fromkeys(LAYERS, 0.0)
     t["symbolic"], (ip, ix, dg) = best_of(
         repeat, lambda: kern.ilu_symbolic(n, M.indptr, M.indices, k))
-    schedule = finish = None
+    finish = None
     levels = 0
     if n >= ilu.LEVEL_MIN_ROWS:
-        (_order, bounds), _finish = kern.lower_schedule(ip, ix, dg)
-        levels = bounds.size - 1
-        t["symmetry"], symmetric = best_of(
-            repeat, lambda: kern.symmetric_pattern(n, M.indptr, M.indices))
-        if symmetric:
-            t["forward"], schedules = best_of(
-                repeat, lambda: kern.lower_schedule(ip, ix, dg, n // ilu.LEVEL_MIN_WIDTH))
-            if schedules is not None:
-                schedule, finish = schedules
+        levels = strict_lower_levels(ip, ix, dg)
+        t["forward"], finish = best_of(
+            repeat, lambda: kern.lower_schedule(ip, ix, dg, n // ilu.LEVEL_MIN_WIDTH))
+    by_levels = finish is not None
     t["numeric"], (data, _fail) = best_of(
         repeat, lambda: kern.ilu_numeric(n, M.indptr, M.indices, M.data, ip, ix, dg,
                                          finish))
+    t["plan"], _factor = best_of(
+        repeat, lambda: ilu.ILUFactorization(n, ip, ix, data, dg))
     t["ilu_k"], factor = best_of(repeat, lambda: ilu.ilu_k(M, k))
-    by_levels = isinstance(factor.plan, kern.SolvePlan)
-    if factor.plan is not None:
-        plan_args = (schedule,) if by_levels else ()
-        t["plan"], _plan = best_of(
-            repeat, lambda: type(factor.plan)(ip, ix, data, dg, *plan_args))
     r = rng.standard_normal(n)
     t["apply"], _z = best_of(repeat, lambda: factor.solve(r))
     shape = {"n": n, "factor_nnz": int(factor.nnz), "levels": levels,

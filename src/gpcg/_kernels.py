@@ -1,33 +1,26 @@
 """Low-level CSR and incomplete-factorization kernels.
 
 Submatrix extraction and the ILU(k) symbolic phase are vectorized with numpy
-and ``scipy.sparse``.  The ILU numeric phase and the triangular solves have
-two forms with the same arithmetic, operation for operation:
+and ``scipy.sparse``.  The ILU numeric phase has two forms with the same
+arithmetic, operation for operation:
 
-* the row path (``ilu_numeric`` without ``finish``, ``RowPlan``): the
-  numeric phase and the back substitution are row loops that index Python
-  lists, made with ``tolist()`` once per factor, and so work on plain
+* the row loop (``ilu_numeric`` without ``finish``), which indexes Python
+  lists, made with ``tolist()`` once per factor, and so works on plain
   Python floats;
-* level-scheduled forms (``ilu_numeric`` with ``finish``, and
-  ``SolvePlan``).  Rows of equal dependency depth do not depend on each
-  other, so each level is one vectorized step (Anderson & Saad 1989; Saad,
+* the level form (``ilu_numeric`` with ``finish``).  Entries whose pivot
+  rows are complete do not depend on each other, so each step eliminates
+  one strict-L entry of many rows in a few vectorized calls (the
+  entry-wise variant of level scheduling: Anderson & Saad 1989; Saad,
   *Iterative Methods for Sparse Linear Systems*, 2nd ed., section 11.6).
-  The numeric phase schedules single strict-L entries instead of whole
-  rows, each as soon as its pivot row is complete; ``SolvePlan``'s back
-  substitution walks the strict-L levels from last to first.
   Every row still performs its subtractions in column order, so the
-  results are bit-for-bit those of the row loops, whichever valid schedule
-  orders the rows.
+  results are bit-for-bit those of the row loop.
 
-Both solves run the forward substitution as one compiled call over the
-negated strict L (``_forward``).  The level forms cost a schedule and a plan
-per factor, which only pays off on large blocks; ``ilu.ilu_k`` picks the
-form from the size, the pattern's symmetry and the width of the levels of
-strict L.  One longest-path pass over strict L (``lower_schedule``) gives
-both those levels and the steps of the numeric phase.  The back substitution
-by levels needs a pattern whose strict U is the transposed strict L: ILU(k)
-keeps the pattern of a symmetric block symmetric, and the level forms serve
-symmetric blocks only.
+The level form costs a pass over strict L (``lower_schedule``) per factor,
+which only pays off on large blocks; ``ilu.ilu_k`` picks the form from the
+size and the number of levels of strict L.  The triangular solves are the
+same on every factor: ``lu_solve_operands`` stores strict L and strict U,
+the latter pre-divided by its pivots and in reverse order, once per factor,
+and ``lu_solve`` runs each substitution as one compiled CSR product.
 """
 
 import numpy as np
@@ -55,8 +48,9 @@ JIT_ENABLED = False
 
 def _spans(starts, counts):
     """Concatenated ranges ``starts[i] .. starts[i] + counts[i] - 1``."""
-    total = int(counts.sum())
-    return np.arange(total) - np.repeat(np.cumsum(counts) - counts - starts, counts)
+    ends = counts.cumsum()
+    total = ends[-1] if ends.size else 0
+    return np.arange(total) - (ends - counts - starts).repeat(counts)
 
 
 def csr_extract(indptr, indices, data, rows, colmap):
@@ -78,8 +72,8 @@ def csr_extract(indptr, indices, data, rows, colmap):
 
 
 # ---------------------------------------------------------------------------
-# ILU(k): level-of-fill symbolic phase, level schedules, pattern-restricted
-# numeric phase and triangular solves
+# ILU(k): level-of-fill symbolic phase, elimination schedule and
+# pattern-restricted numeric phase
 # ---------------------------------------------------------------------------
 
 def _keys(n, indptr, indices):
@@ -99,12 +93,6 @@ def symmetry_holds(n, indptr, indices, data):
     transposed = [np.empty_like(a) for a in arrays]
     csr_tocsc(n, n, *arrays, *transposed)
     return all(map(np.array_equal, transposed, arrays))
-
-
-def symmetric_pattern(n, indptr, indices):
-    """Whether an n x n CSR pattern with sorted, distinct indices per row
-    is symmetric: whether a matrix of that pattern and equal values is."""
-    return symmetry_holds(n, indptr, indices, np.zeros(indices.size, dtype=bool))
 
 
 def _triangles(n, keys):
@@ -232,27 +220,17 @@ def _longest_paths(n, ptr, deps, weights, bases, limit=None):
     return [value[:n] for value in values]
 
 
-def _by_level(depth):
-    """``(order, bounds)``: the rows of depth l are ``order[bounds[l]:bounds[l
-    + 1]]``, in ascending order."""
-    order = np.argsort(depth, kind="stable")
-    bounds = np.zeros(int(depth.max(initial=-1)) + 2, dtype=np.int64)
-    np.cumsum(np.bincount(depth), out=bounds[1:])
-    return order, bounds
-
-
 def lower_schedule(lu_indptr, lu_indices, lu_diag, max_levels=None):
-    """Level schedule of strict L of a combined LU pattern, and ``finish``,
-    the elimination step at which each row of ``ilu_numeric``'s level form
-    is complete (-1 for rows without strict-L entries), from one pass over
-    strict L; or None when there are more than ``max_levels`` levels.  The
-    pass stops at the first chunk that ends that deep, so a chain-like
-    pattern costs a fraction of its full schedule.
+    """``finish``, the elimination step at which each row of
+    ``ilu_numeric``'s level form is complete (-1 for rows without strict-L
+    entries), from one pass over strict L of a combined LU pattern; or None
+    when strict L has more than ``max_levels`` levels.  The pass stops at
+    the first chunk that ends that deep, so a chain-like pattern costs a
+    fraction of its full pass.
 
     Level 0 holds the rows without strict-L entries; level l > 0 the rows
     whose strict-L entries reach rows of level l - 1 at most, and one at
-    least.  The schedule is ``(order, bounds)``: the rows of level l are
-    ``order[bounds[l]:bounds[l + 1]]``, in ascending order.
+    least.
 
     Row i takes its strict-L entries in column order, and the one with pivot
     row p only after row p is complete: its k-th entry runs at step
@@ -275,7 +253,7 @@ def lower_schedule(lu_indptr, lu_indices, lu_diag, max_levels=None):
     depth, finish = paths
     if max_levels is not None and depth.max(initial=-1) >= max_levels:
         return None
-    return _by_level(depth), finish
+    return finish
 
 
 def ilu_numeric(n, a_indptr, a_indices, a_data, lu_indptr, lu_indices, lu_diag,
@@ -412,105 +390,54 @@ def _eliminate_steps(n, lu_indptr, lu_indices, lu_diag, lu_data, finish):
             val[dst[q]] -= val[mult[q]] * val[src[q]]
 
 
-def _rows(lu_indices, lu_data, order, starts, counts):
-    """The entries ``starts[i] .. starts[i] + counts[i] - 1`` of the rows
-    ``order``, as CSR with values negated; each row keeps its column order."""
-    counts = counts[order]
-    pos = _spans(starts[order], counts)
-    indptr = np.zeros(order.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, lu_indices[pos], -lu_data[pos]
+# ---------------------------------------------------------------------------
+# triangular solves
+# ---------------------------------------------------------------------------
 
-
-def _strict_lower(lu_indptr, lu_indices, lu_data, lu_diag):
-    """Strict L of a combined LU factor as CSR, with values negated."""
+def lu_solve_operands(lu_indptr, lu_indices, lu_data, lu_diag):
+    """What ``lu_solve`` needs of a combined LU factor: strict L as CSR with
+    values negated; strict U as CSR with each row divided by its pivot and
+    negated, its rows and columns in reverse order (index i becomes
+    n - 1 - i), each row keeping its column order; and the pivots in
+    reverse order."""
+    # array methods, not the numpy functions: a factor of n = 40 costs
+    # tens of calls, and the functions' dispatch doubles their cost
     n = lu_diag.size
-    return _rows(lu_indices, lu_data, np.arange(n), lu_indptr[:-1],
-                 lu_diag - lu_indptr[:-1])
+    starts = lu_indptr[:-1]
+    below = lu_indices < np.arange(n).repeat(lu_indptr[1:] - starts)
+    lower_indptr = np.zeros(n + 1, dtype=np.int64)
+    (lu_diag - starts).cumsum(out=lower_indptr[1:])
+    lower = lower_indptr, lu_indices[below], -lu_data[below]
+    counts = (lu_indptr[1:] - lu_diag - 1)[::-1]
+    at = _spans(lu_diag[::-1] + 1, counts)
+    upper_indptr = np.zeros(n + 1, dtype=np.int64)
+    counts.cumsum(out=upper_indptr[1:])
+    pivots = lu_data[lu_diag[::-1]]
+    # a tiny pivot overflows a quotient to inf, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = lu_data[at] / (-pivots).repeat(counts)
+    return lower, (upper_indptr, (n - 1) - lu_indices[at], data), pivots
 
 
-def _forward(lower, r):
-    """Forward substitution with unit-diagonal L, given ``_strict_lower``:
-    a copy of r as float64, overwritten with L^-1 r.
+def lu_solve(lower, upper, pivots, r):
+    """(LU)^-1 r as a new float64 array, given ``lu_solve_operands``: two
+    ``csr_matvec`` calls, each in place.
 
-    ``csr_matvec`` adds ``(-L) z`` into z itself: every row starts from its
-    own z_i and adds ``(-v) * z_j`` in column order, which is bit for bit
-    the row loop's ``s -= v * z_j`` (signed zeros included).  The call takes
-    its rows in order and reads z as it writes it, so row i reads the final
-    z_j of every j < i.
+    ``csr_matvec`` adds a CSR product into its output, taking the rows in
+    order and each row's entries in stored order, and reads its input as it
+    writes it.  Forward substitution starts from z = r and adds ``(-L) z``
+    into z itself: row i reads the final z_j of every j < i, and adding
+    ``(-v) * z_j`` is bit for bit subtracting ``v * z_j``, signed zeros
+    included.  Back substitution runs on w, z reversed and divided by the
+    pivots, and adds the reversed ``-(U / pivot)`` product into w: the
+    strict-U columns j > i of row i come before it in reverse order.  So
+    z_i = z_i / u_ii - sum over j of (u_ij / u_ii) z_j, subtracted in
+    column order.
     """
+    n = pivots.size
     z = np.array(r, dtype=np.float64)
-    n = z.size
     csr_matvec(n, n, *lower, z, z)
-    return z
-
-
-class RowPlan:
-    """The triangular solves of a combined LU factor on the row path:
-    ``_forward``, then back substitution with U as a row loop from the last
-    row up, over Python lists made once per factor; each row subtracts its
-    terms left to right and then divides by its pivot.  Python's float
-    division raises ``ZeroDivisionError`` on a zero pivot."""
-
-    __slots__ = ("lower", "indptr", "indices", "data", "diag")
-
-    def __init__(self, lu_indptr, lu_indices, lu_data, lu_diag):
-        self.lower = _strict_lower(lu_indptr, lu_indices, lu_data, lu_diag)
-        self.indptr = lu_indptr.tolist()
-        self.indices = lu_indices.tolist()
-        self.data = lu_data.tolist()
-        self.diag = lu_diag.tolist()
-
-    def solve(self, r):
-        z = _forward(self.lower, r).tolist()
-        ptr, ind, val, dg = self.indptr, self.indices, self.data, self.diag
-        for i in range(len(z) - 1, -1, -1):
-            s = z[i]
-            d = dg[i]
-            for t in range(d + 1, ptr[i + 1]):
-                s -= val[t] * z[ind[t]]
-            z[i] = s / val[d]
-        return np.array(z, dtype=np.float64)
-
-
-class SolvePlan:
-    """``RowPlan``'s solves in a few compiled calls, for a factor whose
-    strict U is the transposed strict L, given ``schedule``, the strict-L
-    schedule of ``lower_schedule``.
-
-    Strict U is stored with negated values, like strict L for ``_forward``.
-    Back substitution divides each row by its pivot before other rows may
-    read it, so it runs one ``csr_matvec`` call and one division per level,
-    on z permuted so that each L level is a contiguous slice, with U stored
-    in that order.  It walks the L levels from last to first: a strict-U
-    entry (i, j) is the strict-L entry (j, i), so row j lies in a later L
-    level than row i and is solved before it.
-    """
-
-    __slots__ = ("lower", "order", "upper", "pivots", "upper_levels", "restore")
-
-    def __init__(self, lu_indptr, lu_indices, lu_data, lu_diag, schedule):
-        n = lu_diag.size
-        order, bounds = schedule
-        self.lower = _strict_lower(lu_indptr, lu_indices, lu_data, lu_diag)
-        self.order = order
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        indptr, indices, data = _rows(lu_indices, lu_data, order, lu_diag + 1,
-                                      lu_indptr[1:] - lu_diag - 1)
-        self.upper = indptr, rank[indices], data
-        self.pivots = lu_data[lu_diag[order]]
-        self.upper_levels = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))[::-1]
-        self.restore = rank
-
-    def solve(self, r):
-        z = _forward(self.lower, r)[self.order]
-        n = z.size
-        indptr, indices, data = self.upper
-        # the row loop's float division overflows silently
-        with np.errstate(over="ignore", invalid="ignore"):
-            for a, b in self.upper_levels:
-                y = z[a:b]
-                csr_matvec(b - a, n, indptr[a:b + 1], indices, data, z, y)
-                y /= self.pivots[a:b]
-        return z[self.restore]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = z[::-1] / pivots
+    csr_matvec(n, n, *upper, w, w)
+    return w[::-1]

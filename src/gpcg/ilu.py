@@ -4,9 +4,10 @@ The symbolic phase grows the input pattern by fill entries whose level
 (min over pivots of lev(i,p) + lev(p,j) + 1, originals at level 0) stays
 within the requested bound; without fill the factor shares the input's
 pattern arrays.  The numeric phase runs row-wise Gaussian elimination
-restricted to that pattern, with no pivoting.  Large blocks with a
-symmetric pattern and wide levels are eliminated and solved level by level;
-small, unsymmetric or chain-like ones row by row.  Both give the same bits.
+restricted to that pattern, with no pivoting: on large blocks with wide
+levels it eliminates entries of many rows at once, on small or chain-like
+ones row by row, with the same bits.  Every factor solves in two compiled
+calls, one per triangle.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from .errors import ZeroPivot
 from .linalg import SparseMatrixCSR
 
 
-# Level scheduling costs a pass over strict L (the L levels and the
-# elimination steps), a plan per factor and a few numpy calls per level and
-# chunk, so it pays only on large blocks whose levels are wide.  The back
-# substitution walks the L levels in reverse, which needs a symmetric
-# pattern; every block of a symmetric Hessian has one.
+# The level form of the numeric phase costs a pass over strict L (the L
+# levels and the elimination steps) and a few numpy calls per step and
+# chunk, so it pays only on large blocks whose levels are wide; the gate
+# picks the numeric form only, as the solves are the same on every factor.
 # Measured on a 2-vCPU host (numeric phase plus four solves, the row loops
 # against the level forms): the level forms win from n = 144 on 2-D grid
 # Laplacians (ILU(0) and ILU(2)) and from n = 200 on random SPD patterns
@@ -38,19 +38,19 @@ LEVEL_MIN_WIDTH = 5
 
 class ILUFactorization:
     """Combined LU factor in CSR; the unit diagonal of L is implicit and the
-    stored diagonal entries belong to U.  ``plan`` runs the triangular
-    solves: a ``_kernels.SolvePlan`` on the level path, a
-    ``_kernels.RowPlan`` on the row path."""
+    stored diagonal entries belong to U.  ``lower``, ``upper`` and
+    ``pivots`` are the operands of ``_kernels.lu_solve``, built once."""
 
-    __slots__ = ("n", "indptr", "indices", "data", "diag", "plan")
+    __slots__ = ("n", "indptr", "indices", "data", "diag", "lower", "upper", "pivots")
 
-    def __init__(self, n, indptr, indices, data, diag, plan):
+    def __init__(self, n, indptr, indices, data, diag):
         self.n = n
         self.indptr = indptr
         self.indices = indices
         self.data = data
         self.diag = diag
-        self.plan = plan
+        self.lower, self.upper, self.pivots = _kernels.lu_solve_operands(
+            indptr, indices, data, diag)
 
     @property
     def nnz(self) -> int:
@@ -60,7 +60,7 @@ class ILUFactorization:
         """Forward/back substitution: returns (LU)^-1 r."""
         if r.shape[0] != self.n:
             raise ValueError(f"vector has length {r.shape[0]}, expected {self.n}")
-        return self.plan.solve(r)
+        return _kernels.lu_solve(self.lower, self.upper, self.pivots, r)
 
 
 def ilu_k(M: SparseMatrixCSR, k: int) -> ILUFactorization:
@@ -74,19 +74,13 @@ def ilu_k(M: SparseMatrixCSR, k: int) -> ILUFactorization:
         raise ZeroPivot(int(np.flatnonzero(diag == 0.0)[0]))
     n = M.nrows
     lu_indptr, lu_indices, lu_diag = _kernels.ilu_symbolic(n, M.indptr, M.indices, k)
-    schedule = finish = None
-    if n >= LEVEL_MIN_ROWS and _kernels.symmetric_pattern(n, M.indptr, M.indices):
+    finish = None
+    if n >= LEVEL_MIN_ROWS:
         # None unless the levels average LEVEL_MIN_WIDTH rows
-        schedules = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag,
-                                            n // LEVEL_MIN_WIDTH)
-        if schedules is not None:
-            schedule, finish = schedules
+        finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag,
+                                         n // LEVEL_MIN_WIDTH)
     lu_data, fail_row = _kernels.ilu_numeric(
         n, M.indptr, M.indices, M.data, lu_indptr, lu_indices, lu_diag, finish)
     if fail_row >= 0:
         raise ZeroPivot(int(fail_row))
-    if schedule is None:
-        plan = _kernels.RowPlan(lu_indptr, lu_indices, lu_data, lu_diag)
-    else:
-        plan = _kernels.SolvePlan(lu_indptr, lu_indices, lu_data, lu_diag, schedule)
-    return ILUFactorization(n, lu_indptr, lu_indices, lu_data, lu_diag, plan)
+    return ILUFactorization(n, lu_indptr, lu_indices, lu_data, lu_diag)

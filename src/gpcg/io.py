@@ -103,15 +103,22 @@ def load_problem(manifest_path: str) -> BoundQP:
     """Load a problem bundle written by save_problem."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest is not a JSON object")
     for key in ("matrix", "linear", "lower", "upper"):
         if key not in manifest:
             raise ValueError(f"manifest is missing the '{key}' entry")
+        if not isinstance(manifest[key], str):
+            raise ValueError(f"manifest entry '{key}' is not a file name")
+    constant = manifest.get("constant", 0.0)
+    if isinstance(constant, bool) or not isinstance(constant, (int, float)):
+        raise ValueError("manifest entry 'constant' is not a number")
     base = os.path.dirname(os.path.abspath(manifest_path))
     A = read_matrix(os.path.join(base, manifest["matrix"]))
     b = read_vector(os.path.join(base, manifest["linear"]))
     l = read_vector(os.path.join(base, manifest["lower"]))
     u = read_vector(os.path.join(base, manifest["upper"]))
-    return BoundQP(A, b, float(manifest.get("constant", 0.0)), l, u)
+    return BoundQP(A, b, float(constant), l, u)
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,11 @@ def parse_precond(text: str) -> PrecondSpec:
     if body == "jacobi":
         return PrecondSpec(PrecondKind.POINT_JACOBI)
     if body.startswith("bjacobi-ilu"):
-        try:
-            fill = int(body[len("bjacobi-ilu"):])
-        except ValueError:
-            raise ValueError(f"unrecognized preconditioner {text!r}") from None
-        if fill < 0:
-            raise ValueError("fill level must be nonnegative")
-        return PrecondSpec(PrecondKind.BLOCK_JACOBI_ILU, fill)
+        # ASCII digits only: int() also takes signs, spaces, underscores
+        # and other scripts' digits
+        digits = body[len("bjacobi-ilu"):]
+        if digits.isascii() and digits.isdigit():
+            return PrecondSpec(PrecondKind.BLOCK_JACOBI_ILU, int(digits))
     raise ValueError(f"unrecognized preconditioner {text!r}")
 
 

@@ -166,6 +166,22 @@ class TestSolveCommand:
         assert rc == 2
         assert "cannot load problem" in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: 3,
+        lambda m: {"matrix": 5, "linear": "b", "lower": "l", "upper": "u"},
+        lambda m: {**m, "constant": [1]},
+    ], ids=["number", "matrix-number", "constant-list"])
+    def test_malformed_manifest_exits_two(self, capsys, tmp_path, edit):
+        qp = random_bound_qp(np.random.default_rng(5), 3)
+        manifest = save_problem(str(tmp_path), qp)
+        with open(manifest) as fh:
+            body = edit(json.load(fh))
+        with open(manifest, "w") as fh:
+            json.dump(body, fh)
+        rc, _, err = _run(capsys, ["solve", manifest])
+        assert rc == 2
+        assert "cannot load problem" in err
+
 
 class TestComparePrecondsCommand:
     def test_tabulates_all_preconditioners(self, capsys):

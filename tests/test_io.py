@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -105,6 +107,25 @@ class TestProblemBundle:
         path.write_text('{"matrix": "a.mtx"}\n')
         with pytest.raises(ValueError):
             load_problem(str(path))
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: 3,
+        lambda m: {**m, "matrix": 5, "linear": "b"},
+        lambda m: {**m, "lower": None},
+        lambda m: {**m, "constant": [1]},
+        lambda m: {**m, "constant": "1.5"},
+        lambda m: {**m, "constant": True},
+    ], ids=["number", "matrix-number", "lower-null", "constant-list",
+            "constant-string", "constant-bool"])
+    def test_malformed_manifest_rejected(self, tmp_path, edit):
+        qp = random_bound_qp(np.random.default_rng(27), 3)
+        manifest = save_problem(str(tmp_path), qp)
+        with open(manifest) as fh:
+            data = json.load(fh)
+        with open(manifest, "w") as fh:
+            json.dump(edit(data), fh)
+        with pytest.raises(ValueError):
+            load_problem(manifest)
 
     def test_missing_constant_defaults_to_zero(self, tmp_path):
         qp = random_bound_qp(np.random.default_rng(26), 3)

@@ -2,9 +2,11 @@
 
 The reference loops below are the straightforward interpreted forms of the
 kernels (level-of-fill row merge, row-wise elimination, forward/back
-substitution, left-to-right matvec, row-by-row level schedule).  The kernels,
-row-path and level-scheduled forms alike, must reproduce them byte for byte,
-not just to a tolerance: the arithmetic order is the same.
+substitution, left-to-right matvec, row-by-row elimination schedule).  The
+kernels, row-loop and level forms alike, must reproduce them byte for byte,
+not just to a tolerance: the arithmetic order is the same.  The back
+substitution that sums a row before dividing by its pivot is kept as an
+accuracy check of the pre-divided one the solves run.
 """
 
 import warnings
@@ -106,7 +108,7 @@ def ref_ilu_numeric(n, a_indptr, a_indices, a_data, lu_indptr, lu_indices, lu_di
     return lu_data, -1
 
 
-def ref_lu_solve(lu_indptr, lu_indices, lu_data, lu_diag, r):
+def ref_forward(lu_indptr, lu_indices, lu_data, lu_diag, r):
     n = r.shape[0]
     z = np.empty(n, dtype=np.float64)
     for i in range(n):
@@ -114,7 +116,26 @@ def ref_lu_solve(lu_indptr, lu_indices, lu_data, lu_diag, r):
         for t in range(lu_indptr[i], lu_diag[i]):
             s -= lu_data[t] * z[lu_indices[t]]
         z[i] = s
-    for i in range(n - 1, -1, -1):
+    return z
+
+
+def ref_lu_solve(lu_indptr, lu_indices, lu_data, lu_diag, r):
+    """Back substitution with each strict-U entry divided by its pivot:
+    z_i = z_i / u_ii - sum over j of (u_ij / u_ii) z_j, in column order."""
+    z = ref_forward(lu_indptr, lu_indices, lu_data, lu_diag, r)
+    for i in range(z.size - 1, -1, -1):
+        d = lu_data[lu_diag[i]]
+        s = z[i] / d
+        for t in range(lu_diag[i] + 1, lu_indptr[i + 1]):
+            s -= (lu_data[t] / d) * z[lu_indices[t]]
+        z[i] = s
+    return z
+
+
+def ref_lu_solve_divide_after_sum(lu_indptr, lu_indices, lu_data, lu_diag, r):
+    """Back substitution as z_i = (z_i - sum over j of u_ij z_j) / u_ii."""
+    z = ref_forward(lu_indptr, lu_indices, lu_data, lu_diag, r)
+    for i in range(z.size - 1, -1, -1):
         s = z[i]
         for t in range(lu_diag[i] + 1, lu_indptr[i + 1]):
             s -= lu_data[t] * z[lu_indices[t]]
@@ -122,16 +143,16 @@ def ref_lu_solve(lu_indptr, lu_indices, lu_data, lu_diag, r):
     return z
 
 
-def ref_level_schedule(lu_indptr, lu_indices, lu_diag):
+def ref_levels(lu_indptr, lu_indices, lu_diag):
+    """The number of levels of strict L: a row is one level deeper than the
+    deepest row its strict-L entries reach."""
     n = lu_diag.size
     depth = np.zeros(n, dtype=np.int64)
     for i in range(n):
         cols = lu_indices[lu_indptr[i]:lu_diag[i]]
         if cols.size:
             depth[i] = depth[cols].max() + 1
-    order = np.argsort(depth, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(depth))))
-    return order, bounds
+    return int(depth.max(initial=-1)) + 1
 
 
 def ref_finish(lu_indptr, lu_indices, lu_diag):
@@ -187,10 +208,9 @@ def grid_laplacian(side):
 CASES = ([(seed, n, d, sym) for seed, (n, d) in enumerate(
              [(7, 0.3), (20, 0.15), (35, 0.08), (60, 0.05), (60, 0.02)])
           for sym in (True, False)])
-# Above ilu.LEVEL_MIN_ROWS, with levels wide enough that ilu_k factors and
-# solves them level by level for k up to 2 (grid20 at k = 3 falls back to
-# the row loops).  Full fill (k = n) is left out: the reference loops would
-# take minutes.
+# Above ilu.LEVEL_MIN_ROWS, with levels wide enough that ilu_k factors them
+# by levels for k up to 2 (grid20 at k = 3 falls back to the row loop).
+# Full fill (k = n) is left out: the reference loops would take minutes.
 LARGE_CASES = [(5, 300, 0.01, True), (5, 300, 0.01, False), "grid20"]
 FACTOR_CASES = ([(case, k) for k in (0, 1, 2, 3, "n") for case in CASES + ["grid"]]
                 + [(case, k) for k in (0, 1, 2, 3) for case in LARGE_CASES])
@@ -224,8 +244,8 @@ def test_factor_and_solve_match_reference_loops(case, k):
     ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
                                          lu_indptr, lu_indices, lu_diag)
     assert ref_fail == -1
-    # both numeric forms on every case, and ilu_k's choice between them
-    forward, finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
+    # both numeric forms on every case
+    finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
     for steps in (None, finish):
         data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
                                           lu_indptr, lu_indices, lu_diag, steps)
@@ -233,43 +253,60 @@ def test_factor_and_solve_match_reference_loops(case, k):
         assert_bytes_equal(data, ref_data)
     factor = ilu_k(A, fill)
     assert_bytes_equal(factor.data, ref_data)
-    # both solves on every case where they apply: the level plan walks the
-    # L levels backward, which needs a symmetric pattern
-    plans = [_kernels.RowPlan(lu_indptr, lu_indices, ref_data, lu_diag)]
-    if A.symmetric:
-        plans.append(_kernels.SolvePlan(lu_indptr, lu_indices, ref_data, lu_diag,
-                                        forward))
+    assert_solves_match_reference_loops(factor, lu_indptr, lu_indices, ref_data,
+                                        lu_diag)
+
+
+def assert_solves_match_reference_loops(factor, lu_indptr, lu_indices, lu_data,
+                                        lu_diag):
+    """The factor's solves equal the pre-divided back substitution byte for
+    byte, and the divide-after-sum one to 1e-12 relative, on a random
+    right-hand side and on one of mostly signed zeros (most of the
+    solution's entries are then zeros whose sign the loops fix)."""
+    n = factor.n
     rng = np.random.default_rng(n)
-    # the second right-hand side is mostly signed zeros, so most of the
-    # solution's entries are zeros whose sign the row loops fix
     signed = np.where(rng.random(n) < 0.5, -0.0, 0.0)
     signed[rng.random(n) < 0.1] = 1.0
     for r in (rng.standard_normal(n), signed):
-        want = ref_lu_solve(lu_indptr, lu_indices, ref_data, lu_diag, r)
-        for plan in plans:
-            assert_bytes_equal(plan.solve(r), want)
-        assert_bytes_equal(factor.solve(r), want)
+        got = factor.solve(r)
+        assert_bytes_equal(got, ref_lu_solve(lu_indptr, lu_indices, lu_data,
+                                             lu_diag, r))
+        want = ref_lu_solve_divide_after_sum(lu_indptr, lu_indices, lu_data,
+                                             lu_diag, r)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def by_levels(factor):
-    """Whether ``ilu_k`` gave the factor the level plan; the other plan is
-    the row path's."""
-    assert isinstance(factor.plan, (_kernels.SolvePlan, _kernels.RowPlan))
-    return isinstance(factor.plan, _kernels.SolvePlan)
+def test_solve_makes_two_compiled_calls(monkeypatch):
+    calls = []
+    csr_matvec = _kernels.csr_matvec
+
+    def spy(*args):
+        calls.append(args[0])
+        return csr_matvec(*args)
+
+    monkeypatch.setattr(_kernels, "csr_matvec", spy)
+    for A in (grid_laplacian(20), random_pattern_matrix(5, 300, 0.01, False),
+              random_pattern_matrix(3, 60, 0.05, True)):
+        factor = ilu_k(A, 2)
+        calls.clear()
+        factor.solve(np.ones(A.nrows))
+        assert calls == [A.nrows, A.nrows]
 
 
-def test_ilu_k_solves_by_levels_only_on_large_blocks_with_wide_levels():
-    assert by_levels(ilu_k(grid_laplacian(20), 0))
-    assert by_levels(ilu_k(random_pattern_matrix(5, 300, 0.01, True), 2))
-    assert not by_levels(ilu_k(grid_laplacian(7), 0))  # n = 49
+def test_ilu_k_solves_by_levels_only_on_large_blocks_with_wide_levels(monkeypatch):
+    steps = spy_on_numeric(monkeypatch)
+    ilu_k(grid_laplacian(20), 0)
+    ilu_k(random_pattern_matrix(5, 300, 0.01, True), 2)
+    ilu_k(grid_laplacian(7), 0)  # n = 49
     # a tridiagonal block is one chain: n levels of one row each
     n = 2 * ilu.LEVEL_MIN_ROWS
     chain = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-    assert not by_levels(ilu_k(SparseMatrixCSR.from_dense(chain, symmetric=True), 0))
-    # strict L is empty (one level), strict U one chain: unsymmetric, so
-    # neither the numeric phase nor the solves run by levels
+    ilu_k(SparseMatrixCSR.from_dense(chain, symmetric=True), 0)
+    # strict L is empty (one level), strict U one chain; the back
+    # substitution is one call whatever the levels of U
     upper_chain = 2.0 * np.eye(n) - np.eye(n, k=1)
-    assert not by_levels(ilu_k(SparseMatrixCSR.from_dense(upper_chain), 0))
+    ilu_k(SparseMatrixCSR.from_dense(upper_chain), 0)
+    assert steps == [True, True, False, False, True]
 
 
 def spy_on_numeric(monkeypatch):
@@ -293,10 +330,8 @@ def test_ilu_k_takes_the_level_path_up_to_n_over_min_width_levels(monkeypatch):
     m = ilu.LEVEL_MIN_ROWS // w + 1
     for n, levels in ((w * m, m), (w * m + 1, m + 1)):
         chains = 3.0 * np.eye(n) - np.eye(n, k=w) - np.eye(n, k=-w)
-        factor = ilu_k(SparseMatrixCSR.from_dense(chains, symmetric=True), 0)
-        wide = levels * w <= n
-        assert steps.pop() == wide
-        assert by_levels(factor) == wide
+        ilu_k(SparseMatrixCSR.from_dense(chains, symmetric=True), 0)
+        assert steps.pop() == (levels * w <= n)
 
 
 def test_full_fill_level_gives_the_full_elimination_pattern():
@@ -324,7 +359,7 @@ def test_zero_pivot_row_matches_reference(dense, row):
     _ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
                                           lu_indptr, lu_indices, lu_diag)
     assert ref_fail == row
-    _forward, finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
+    finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
     for steps in (None, finish):
         _data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
                                            lu_indptr, lu_indices, lu_diag, steps)
@@ -377,11 +412,11 @@ def test_zero_pivot_on_the_level_path(monkeypatch, k):
     n = A.nrows
     lu_indptr, lu_indices, lu_diag = _kernels.ilu_symbolic(
         n, A.indptr, A.indices, k)
-    (_order, bounds), finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
-    # large and wide enough for the level forms, but unsymmetric, so ilu_k
-    # keeps it on the row loops
+    finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
+    # large and wide enough for the level form, which ilu_k takes although
+    # the pattern is unsymmetric
     assert n >= ilu.LEVEL_MIN_ROWS
-    assert (bounds.size - 1) * ilu.LEVEL_MIN_WIDTH <= n
+    assert ref_levels(lu_indptr, lu_indices, lu_diag) * ilu.LEVEL_MIN_WIDTH <= n
     assert finish[301] < finish[101]
     steps = spy_on_numeric(monkeypatch)
     with warnings.catch_warnings():
@@ -390,7 +425,7 @@ def test_zero_pivot_on_the_level_path(monkeypatch, k):
                                            lu_indptr, lu_indices, lu_diag, finish)
         with pytest.raises(ZeroPivot) as err:
             ilu_k(A, k)
-    assert steps == [True, False]
+    assert steps == [True, True]
     _ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
                                           lu_indptr, lu_indices, lu_diag)
     assert fail == ref_fail == 101
@@ -403,7 +438,7 @@ def test_zero_pivot_on_the_level_path_of_a_symmetric_block(monkeypatch, k):
     n = A.nrows
     lu_indptr, lu_indices, lu_diag = _kernels.ilu_symbolic(
         n, A.indptr, A.indices, k)
-    _forward, finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
+    finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
     assert finish[301] < finish[101]
     _ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
                                           lu_indptr, lu_indices, lu_diag)
@@ -417,21 +452,19 @@ def test_zero_pivot_on_the_level_path_of_a_symmetric_block(monkeypatch, k):
     assert err.value.row == ref_fail
 
 
-@pytest.mark.parametrize("k", [0, 2])
-@pytest.mark.parametrize("planted", [planted_zero_pivots, symmetric_planted_zero_pivots])
-def test_row_solve_divides_by_a_zero_pivot_with_python_floats(planted, k):
-    # the reference factor stops at the zero pivot of row 101; the back
-    # substitution reaches it from the last row up, and Python's float
-    # division raises where the reference loop's numpy division gives inf
-    A = planted()
-    n = A.nrows
-    lu_indptr, lu_indices, lu_diag = ref_ilu_symbolic(n, A.indptr, A.indices, k)
-    ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
-                                         lu_indptr, lu_indices, lu_diag)
-    assert ref_fail == 101
-    plan = _kernels.RowPlan(lu_indptr, lu_indices, ref_data, lu_diag)
-    with pytest.raises(ZeroDivisionError):
-        plan.solve(np.ones(n))
+def test_tiny_pivot_solve_warns_of_nothing():
+    # 1e10 / 1e-300 overflows when strict U is divided by its pivot, and
+    # again when the solve divides by the pivot; inf - inf then gives nan
+    A = SparseMatrixCSR.from_dense(np.array([[1e-300, 1e10], [0.0, 1.0]]))
+    r = np.array([1e10, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factor = ilu_k(A, 0)
+        got = factor.solve(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = ref_lu_solve(factor.indptr, factor.indices, factor.data, factor.diag, r)
+    assert np.isnan(got[0]) and got[1] == 1.0
+    assert_bytes_equal(got, want)
 
 
 def grid_block(side, seed):
@@ -462,21 +495,17 @@ def test_level_schedule_matches_reference_loop(case, k):
     A = case if isinstance(case, SparseMatrixCSR) else case_matrix(case)
     lu_indptr, lu_indices, lu_diag = _kernels.ilu_symbolic(
         A.nrows, A.indptr, A.indices, k)
-    forward, finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
-    for g, w in zip(forward, ref_level_schedule(lu_indptr, lu_indices, lu_diag)):
-        assert_bytes_equal(g, w)
+    finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
     assert_bytes_equal(finish, ref_finish(lu_indptr, lu_indices, lu_diag))
-    # with a level budget: the same schedule when it fits, else None
-    levels = forward[1].size - 1
-    (order, bounds), budget_finish = _kernels.lower_schedule(
-        lu_indptr, lu_indices, lu_diag, levels)
-    for g, w in zip((order, bounds, budget_finish), (*forward, finish)):
-        assert_bytes_equal(g, w)
+    # with a level budget: the same steps when the levels fit, else None
+    levels = ref_levels(lu_indptr, lu_indices, lu_diag)
+    assert_bytes_equal(_kernels.lower_schedule(lu_indptr, lu_indices, lu_diag, levels),
+                       finish)
     assert _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag, levels - 1) is None
 
 
 # ---------------------------------------------------------------------------
-# the back substitution: L levels reversed, on symmetric patterns only
+# wide blocks of either pattern
 # ---------------------------------------------------------------------------
 
 def skewed_grid():
@@ -487,14 +516,12 @@ def skewed_grid():
     return SparseMatrixCSR.from_dense(M)
 
 
-# (matrix, whether its pattern is symmetric); at k = 0 and 2 the symmetric
-# ones are large and wide enough for the level path
-SCHEDULE_CASES = [("grid20", grid_laplacian(20), True),
-                  ("sym300", random_pattern_matrix(5, 300, 0.01, True), True),
-                  ("unsym300", random_pattern_matrix(5, 300, 0.01, False), False),
-                  ("skewed-grid20", skewed_grid(), False)]
-SYMMETRIC_SCHEDULE_CASES = [(name, A) for name, A, symmetric in SCHEDULE_CASES
-                            if symmetric]
+# symmetric and unsymmetric; at k = 0 and 2 each is large and wide enough
+# for the level form
+WIDE_CASES = [("grid20", grid_laplacian(20)),
+              ("sym300", random_pattern_matrix(5, 300, 0.01, True)),
+              ("unsym300", random_pattern_matrix(5, 300, 0.01, False)),
+              ("skewed-grid20", skewed_grid())]
 
 
 def dense_pattern(n, indptr, indices):
@@ -504,13 +531,19 @@ def dense_pattern(n, indptr, indices):
 
 
 def test_symmetric_pattern_matches_the_transpose():
+    # symmetry_holds on a pattern's zeros and on its values, as read_matrix
+    # and the matrix record call it
     inputs = ([case_matrix(case) for case in CASES + LARGE_CASES + ["grid"]]
-              + [A for _name, A, _symmetric in SCHEDULE_CASES])
+              + [A for _name, A in WIDE_CASES])
     for A in inputs:
-        pattern = dense_pattern(A.nrows, A.indptr, A.indices)
+        n = A.nrows
+        pattern = dense_pattern(n, A.indptr, A.indices)
+        dense = A.to_dense()
         want = bool((pattern == pattern.T).all())
-        assert _kernels.symmetric_pattern(A.nrows, A.indptr, A.indices) == want
-        assert want == A.symmetric
+        assert _kernels.symmetry_holds(n, A.indptr, A.indices,
+                                       np.zeros(A.nnz, dtype=bool)) == want
+        assert _kernels.symmetry_holds(n, A.indptr, A.indices, A.data) == want
+        assert want == A.symmetric == bool((dense == dense.T).all())
 
 
 SYMMETRIC_INPUTS = ([case for case in CASES + LARGE_CASES
@@ -521,7 +554,6 @@ SYMMETRIC_INPUTS = ([case for case in CASES + LARGE_CASES
 @pytest.mark.parametrize("k", [0, 1, 2, 3, "n"])
 @pytest.mark.parametrize("case", SYMMETRIC_INPUTS, ids=str)
 def test_ilu_symbolic_keeps_a_symmetric_pattern_symmetric(case, k):
-    # SolvePlan's reversal of the L levels depends on it
     A = grid_block(30, case[1]) if case[0] == "grid_block" else case_matrix(case)
     n = A.nrows
     lu_indptr, lu_indices, _lu_diag = _kernels.ilu_symbolic(
@@ -531,46 +563,19 @@ def test_ilu_symbolic_keeps_a_symmetric_pattern_symmetric(case, k):
 
 
 @pytest.mark.parametrize("k", [0, 2])
-@pytest.mark.parametrize("name, A", SYMMETRIC_SCHEDULE_CASES,
-                         ids=[c[0] for c in SYMMETRIC_SCHEDULE_CASES])
-def test_backward_schedule_orders_every_row_after_its_strict_u_columns(name, A, k):
-    n = A.nrows
-    factor = ilu_k(A, k)
-    plan = factor.plan
-    assert_bytes_equal(np.sort(plan.order), np.arange(n))
-    # the position of each row's level in the back substitution
-    level = np.empty(n, dtype=np.int64)
-    for position, (a, b) in enumerate(plan.upper_levels):
-        level[plan.order[a:b]] = position
-        # levels list their rows in ascending order
-        assert (np.diff(plan.order[a:b]) > 0).all()
-    rows = np.repeat(np.arange(n), np.diff(factor.indptr))
-    upper = factor.indices > rows
-    assert upper.any()
-    # a row's strict-U columns are solved in earlier levels
-    assert (level[factor.indices[upper]] < level[rows[upper]]).all()
-
-
-@pytest.mark.parametrize("k", [0, 2])
-@pytest.mark.parametrize("name, A, symmetric", SCHEDULE_CASES,
-                         ids=[c[0] for c in SCHEDULE_CASES])
-def test_ilu_k_takes_the_level_path_only_for_symmetric_patterns(
-        monkeypatch, name, A, symmetric, k):
+@pytest.mark.parametrize("name, A", WIDE_CASES, ids=[c[0] for c in WIDE_CASES])
+def test_ilu_k_takes_the_level_path_for_wide_blocks_of_any_pattern(
+        monkeypatch, name, A, k):
     steps = spy_on_numeric(monkeypatch)
     factor = ilu_k(A, k)
-    assert steps == [symmetric]
-    assert by_levels(factor) == symmetric
-    # either way the factor and its solves are the reference loops'
+    assert steps == [True]
     n = A.nrows
     lu_indptr, lu_indices, lu_diag = ref_ilu_symbolic(n, A.indptr, A.indices, k)
     ref_data, _fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
                                       lu_indptr, lu_indices, lu_diag)
     assert_bytes_equal(factor.data, ref_data)
-    rng = np.random.default_rng(n)
-    signed = np.where(rng.random(n) < 0.5, -0.0, 0.0)
-    for r in (rng.standard_normal(n), signed):
-        assert_bytes_equal(factor.solve(r), ref_lu_solve(lu_indptr, lu_indices,
-                                                         ref_data, lu_diag, r))
+    assert_solves_match_reference_loops(factor, lu_indptr, lu_indices, ref_data,
+                                        lu_diag)
 
 
 def test_without_fill_the_factor_shares_the_input_pattern():

@@ -31,6 +31,9 @@ class TestParse:
         "jacobi:block=4", "jacobi:blocks=", "jacobi:blocks=0", "",
         # the block count is SolverConfig.blocks, not a suffix
         "bjacobi-ilu1:blocks=4", "jacobi:blocks=2",
+        # int() takes these, but they are not a fill level in ASCII digits
+        "bjacobi-ilu+2", "bjacobi-ilu 2", "bjacobi-ilu1_0", "bjacobi-ilu\u0663",
+        "bjacobi-ilu-0",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
