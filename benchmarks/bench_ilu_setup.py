@@ -1,7 +1,7 @@
-"""Layer benchmark of block-Jacobi ILU(k) setup and apply.
+"""Layer benchmark of block-Jacobi IC(k) setup and apply.
 
 Collects the blocks that ``ilu_k`` factors in two kinds of solve and then
-times ILU's layers on those blocks, each on its own:
+times the factorization's layers on those blocks, each on its own:
 
 * the journal bearing (nx = ny, eps 0.1, ``bjacobi-ilu2``, x0 = l, tol
   1e-4), solved once per size: large blocks, most factored by levels;
@@ -11,16 +11,17 @@ times ILU's layers on those blocks, each on its own:
 
 The layers:
 
-  symbolic   ``_kernels.ilu_symbolic``
-  forward    ``_kernels.lower_schedule`` with ``ilu_k``'s level budget: the
-             numeric phase's elimination steps, or None
+  symbolic   ``_kernels.ilu_symbolic``: the upper pattern
+  forward    ``_kernels.lower_pattern``, the transpose of the pattern, and
+             on large blocks ``_kernels.lower_schedule`` with ``ilu_k``'s
+             level budget: the numeric phase's elimination steps, or None
   numeric    ``_kernels.ilu_numeric`` in the form ``ilu_k`` would use
   plan       ``ILUFactorization`` construction: the operands of the solves
   apply      one ``ILUFactorization.solve`` of a fixed right-hand side
   ilu_k      the whole factorization, as the solver calls it
 
-The schedule is timed on blocks of n >= ``ilu.LEVEL_MIN_ROWS`` only, so not
-on the ``random-ilu0`` blocks; the other layers run on every block.  Each
+The schedule runs on blocks of n >= ``ilu.LEVEL_MIN_ROWS`` only, so not on
+the ``random-ilu0`` blocks; the other layers run on every block.  Each
 layer takes the best of ``--repeat`` runs per block; the report sums the
 bests over the blocks and divides by the number of solves.  Each bearing
 block's record holds its number of strict-L levels (0 below
@@ -114,13 +115,15 @@ def best_of(repeat, fn):
     return best, out
 
 
-def strict_lower_levels(lu_indptr, lu_indices, lu_diag):
-    """The number of levels of strict L of a combined LU pattern: a row is
-    one level deeper than the deepest row its strict-L entries reach."""
-    ind = lu_indices.tolist()
+def strict_lower_levels(l_indptr, l_indices):
+    """The number of levels of strict L, given the lower pattern whose row
+    i ends with its diagonal: a row is one level deeper than the deepest
+    row its strict-L entries reach."""
+    ind = l_indices.tolist()
+    ptr = l_indptr.tolist()
     depth = []
-    for start, diag in zip(lu_indptr[:-1].tolist(), lu_diag.tolist()):
-        depth.append(max((depth[j] for j in ind[start:diag]), default=-1) + 1)
+    for start, end in zip(ptr[:-1], ptr[1:]):
+        depth.append(max((depth[j] for j in ind[start:end - 1]), default=-1) + 1)
     return max(depth, default=-1) + 1
 
 
@@ -128,20 +131,25 @@ def time_block(gpcg, M, k, repeat, rng):
     kern, ilu = gpcg._kernels, gpcg.ilu
     n = M.nrows
     t = dict.fromkeys(LAYERS, 0.0)
-    t["symbolic"], (ip, ix, dg) = best_of(
+    t["symbolic"], (ip, ix) = best_of(
         repeat, lambda: kern.ilu_symbolic(n, M.indptr, M.indices, k))
-    finish = None
-    levels = 0
-    if n >= ilu.LEVEL_MIN_ROWS:
-        levels = strict_lower_levels(ip, ix, dg)
-        t["forward"], finish = best_of(
-            repeat, lambda: kern.lower_schedule(ip, ix, dg, n // ilu.LEVEL_MIN_WIDTH))
+    large = n >= ilu.LEVEL_MIN_ROWS
+
+    def forward():
+        lower = kern.lower_pattern(ip, ix)
+        if not large:
+            return lower, None
+        return lower, kern.lower_schedule(lower[0], lower[1], lower[0][1:] - 1,
+                                          n // ilu.LEVEL_MIN_WIDTH)
+
+    t["forward"], (lower, finish) = best_of(repeat, forward)
+    levels = strict_lower_levels(lower[0], lower[1]) if large else 0
     by_levels = finish is not None
     t["numeric"], (data, _fail) = best_of(
-        repeat, lambda: kern.ilu_numeric(n, M.indptr, M.indices, M.data, ip, ix, dg,
+        repeat, lambda: kern.ilu_numeric(n, M.indptr, M.indices, M.data, ip, ix, lower,
                                          finish))
     t["plan"], _factor = best_of(
-        repeat, lambda: ilu.ILUFactorization(n, ip, ix, data, dg))
+        repeat, lambda: ilu.ILUFactorization(n, ip, ix, data))
     t["ilu_k"], factor = best_of(repeat, lambda: ilu.ilu_k(M, k))
     r = rng.standard_normal(n)
     t["apply"], _z = best_of(repeat, lambda: factor.solve(r))

@@ -1,8 +1,12 @@
-"""Low-level CSR and incomplete-factorization kernels.
+"""Low-level CSR and incomplete-Cholesky kernels.
 
-Submatrix extraction and the ILU(k) symbolic phase are vectorized with numpy
-and ``scipy.sparse``.  The ILU numeric phase has two forms with the same
-arithmetic, operation for operation:
+IC(k) factors a matrix equal to its transpose as A ~ U^T D^-1 U, D the
+diagonal of U: incomplete Cholesky in LDL^T form with level of fill (Saad,
+*Iterative Methods for Sparse Linear Systems*, 2nd ed., section 10.3).  U
+is the upper triangle of the ILU(k) factor, whose strict L is U^T D^-1, so
+only U is filled, stored and updated.  Extraction and the symbolic phase
+are vectorized with numpy and ``scipy.sparse``; the numeric phase has two
+forms with the same arithmetic, operation for operation:
 
 * the row loop (``ilu_numeric`` without ``finish``), which indexes Python
   lists, made with ``tolist()`` once per factor, and so works on plain
@@ -11,16 +15,15 @@ arithmetic, operation for operation:
   rows are complete do not depend on each other, so each step eliminates
   one strict-L entry of many rows in a few vectorized calls (the
   entry-wise variant of level scheduling: Anderson & Saad 1989; Saad,
-  *Iterative Methods for Sparse Linear Systems*, 2nd ed., section 11.6).
-  Every row still performs its subtractions in column order, so the
+  section 11.6).  Every row still takes its pivot rows in order, so the
   results are bit-for-bit those of the row loop.
 
-The level form costs a pass over strict L (``lower_schedule``) per factor,
-which only pays off on large blocks; ``ilu.ilu_k`` picks the form from the
-size and the number of levels of strict L.  The triangular solves are the
-same on every factor: ``lu_solve_operands`` stores strict L and strict U,
-the latter pre-divided by its pivots and in reverse order, once per factor,
-and ``lu_solve`` runs each substitution as one compiled CSR product.
+Both read strict L as the transpose of strict U (``lower_pattern``); the
+level form's pass over it (``lower_schedule``) only pays off on large
+blocks, and ``ilu.ilu_k`` picks the form from the size and the number of
+levels.  ``lu_solve_operands`` stores strict U divided by its pivots,
+reversed, and its transpose, and ``lu_solve`` runs each substitution as
+one compiled CSR product.
 """
 
 import numpy as np
@@ -72,18 +75,9 @@ def csr_extract(indptr, indices, data, rows, colmap):
 
 
 # ---------------------------------------------------------------------------
-# ILU(k): level-of-fill symbolic phase, elimination schedule and
-# pattern-restricted numeric phase
+# IC(k): level-of-fill symbolic phase, elimination schedule and
+# pattern-restricted numeric phase, on the upper triangle
 # ---------------------------------------------------------------------------
-
-def _keys(n, indptr, indices):
-    """Row-major keys ``row * n + col`` of an n-row CSR pattern; sorted when
-    the indices are sorted within each row."""
-    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr[:n + 1]))
-    keys *= n
-    keys += indices[:indptr[n]]
-    return keys
-
 
 def symmetry_holds(n, indptr, indices, data):
     """Whether an n x n CSR matrix with sorted, distinct indices per row
@@ -95,65 +89,64 @@ def symmetry_holds(n, indptr, indices, data):
     return all(map(np.array_equal, transposed, arrays))
 
 
-def _triangles(n, keys):
-    """Strictly lower and strictly upper parts of the pattern given by the
-    sorted row-major keys ``row * n + col``, as boolean CSR matrices."""
-    rows, cols = np.divmod(keys, n)
-    parts = []
-    for sel in (rows > cols, rows < cols):
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[sel], minlength=n), out=indptr[1:])
-        parts.append(sp.csr_array((np.ones(indptr[n], dtype=bool), cols[sel], indptr),
-                                  shape=(n, n)))
-    return parts
+def _upper(n, indptr, indices, k=0):
+    """The entries (i, j) with j >= i + k of an n-row CSR pattern, in stored
+    order, as indptr and indices (by array methods: see ``lu_solve_operands``)."""
+    ptr = indptr[:n + 1]
+    kept = (indices[:ptr[n]] >= np.arange(k, n + k).repeat(ptr[1:] - ptr[:-1])).nonzero()[0]
+    return kept.searchsorted(ptr), indices[kept]
+
+
+def _pattern(n, indptr, indices):
+    """An n x n boolean ``csr_array`` over CSR pattern arrays."""
+    return sp.csr_array((np.ones(indices.size, dtype=bool), indices, indptr),
+                        shape=(n, n))
 
 
 def ilu_symbolic(n, a_indptr, a_indices, fill_level):
-    """Pattern of the ILU(k) factor of an n x n CSR pattern.
+    """Indptr and sorted indices of U, the IC(k) factor's pattern, for an
+    n x n CSR pattern equal to its transpose; with a full diagonal, each
+    row of U starts with its pivot.
 
-    Entry (i, j) has level min over p < min(i, j) of lev(i, p) + lev(p, j) + 1,
-    with input entries at level 0, and is kept when its level is at most
-    ``fill_level``.  So the level-l entries are the pattern of the sum over
-    a + b = l - 1 of tril(level a) @ triu(level b), minus the entries of lower
-    levels.  Returns the factor's indptr, sorted indices and the position
-    of each row's diagonal entry (-1 where it is absent).  Without fill the
-    indptr and indices are the input's own arrays.
+    Entry (i, j) has level min over p < min(i, j) of lev(p, i) + lev(p, j) + 1,
+    input entries level 0, and is kept up to level ``fill_level``: the
+    ILU(k) levels, which are symmetric.  So the level-l entries of U are
+    the upper triangle of the pattern of the sum over a + b = l - 1 of
+    U_a^T @ U_b, U_a the strict-U entries of level a, less lower levels.
     """
-    keys = fresh = None  # of the pattern so far, and of its last level
-    lower, upper = [], []
-    top = 0       # highest level with an entry
-    lev = 1
-    # a level-l entry needs two entries whose levels sum to l - 1
-    while lev <= fill_level and lev - 1 <= 2 * top:
-        if keys is None:
-            keys = fresh = _keys(n, a_indptr, a_indices)
-        low, up = _triangles(n, fresh)
-        lower.append(low)
-        upper.append(up)
-        cand = None
-        for a in range(lev):
-            if lower[a].nnz and upper[lev - 1 - a].nnz:
-                prod = lower[a] @ upper[lev - 1 - a]
-                cand = prod if cand is None else cand + prod
-        fresh = np.empty(0, dtype=np.int64)
-        if cand is not None:
-            cand = cand.tocoo()
-            ck = cand.row.astype(np.int64) * n + cand.col
-            fresh = np.sort(ck[keys.take(np.searchsorted(keys, ck), mode="clip") != ck])
-        if fresh.size:
-            keys = np.insert(keys, np.searchsorted(keys, fresh), fresh)
-            top = lev
-        lev += 1
-    if top == 0:  # no fill: the input's own pattern
-        lu_indptr, lu_indices = a_indptr[:n + 1], a_indices[:a_indptr[n]]
-    else:
-        rows, lu_indices = np.divmod(keys, n)
-        lu_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=lu_indptr[1:])
-    rows = np.arange(n, dtype=np.int64)
-    lu_diag = np.empty(n, dtype=np.int64)
-    csr_sample_offsets(n, n, lu_indptr, lu_indices, n, rows, rows, lu_diag)
-    return lu_indptr, lu_indices, lu_diag
+    indptr, indices = _upper(n, a_indptr, a_indices)
+    if fill_level > 0:
+        pattern = fresh = _pattern(n, indptr, indices)  # fresh: the last level's entries
+        strict = []  # U_l by level
+        top, lev = 0, 1  # the highest level with an entry, the next level
+        # a level-l entry needs two entries whose levels sum to l - 1
+        while lev <= fill_level and lev - 1 <= 2 * top:
+            strict.append(_pattern(n, *_upper(n, fresh.indptr, fresh.indices, 1)))
+            cand = sp.csr_array((n, n), dtype=bool)
+            # U_b^T @ U_a is the transpose of U_a^T @ U_b: one product a pair
+            for a in range((lev + 1) // 2):
+                prod = strict[a].T.tocsr() @ strict[lev - 1 - a]
+                cand = cand + (prod + prod.T.tocsr() if 2 * a < lev - 1 else prod)
+            fresh = _pattern(n, *_upper(n, cand.indptr, cand.indices)) > pattern
+            if fresh.nnz:
+                pattern = pattern + fresh
+                top = lev
+            lev += 1
+        if top:
+            pattern.sort_indices()
+            indptr = pattern.indptr.astype(np.int64)
+            indices = pattern.indices.astype(np.int64)
+    return indptr, indices
+
+
+def lower_pattern(u_indptr, u_indices):
+    """The transpose of the pattern U and the position in U of each entry:
+    row i holds the rows p <= i whose U has column i, in ascending order,
+    its pivot rows (strict L) and then its diagonal."""
+    n, nnz = u_indptr.size - 1, u_indices.size
+    indptr, (indices, at) = np.empty(n + 1, dtype=np.int64), np.empty((2, nnz), dtype=np.int64)
+    csr_tocsc(n, n, u_indptr, u_indices, np.arange(nnz, dtype=np.int64), indptr, indices, at)
+    return indptr, indices, at
 
 
 def _longest_paths(n, ptr, deps, weights, bases, limit=None):
@@ -223,10 +216,10 @@ def _longest_paths(n, ptr, deps, weights, bases, limit=None):
 def lower_schedule(lu_indptr, lu_indices, lu_diag, max_levels=None):
     """``finish``, the elimination step at which each row of
     ``ilu_numeric``'s level form is complete (-1 for rows without strict-L
-    entries), from one pass over strict L of a combined LU pattern; or None
-    when strict L has more than ``max_levels`` levels.  The pass stops at
-    the first chunk that ends that deep, so a chain-like pattern costs a
-    fraction of its full pass.
+    entries), from one pass over strict L, row i's entries before
+    ``lu_diag[i]``; or None when strict L has more than ``max_levels``
+    levels.  The pass stops at the first chunk that ends that deep, so a
+    chain-like pattern costs a fraction of its full pass.
 
     Level 0 holds the rows without strict-L entries; level l > 0 the rows
     whose strict-L entries reach rows of level l - 1 at most, and one at
@@ -256,43 +249,38 @@ def lower_schedule(lu_indptr, lu_indices, lu_diag, max_levels=None):
     return finish
 
 
-def ilu_numeric(n, a_indptr, a_indices, a_data, lu_indptr, lu_indices, lu_diag,
-                finish=None):
-    """Values of the combined LU factor on a symbolic pattern.
-
-    Row-wise Gaussian elimination restricted to the pattern, without
-    pivoting; the pattern must contain the input's and every diagonal entry,
-    as the one from ``ilu_symbolic`` does for an input with a full diagonal.
-    Given ``finish`` from ``lower_schedule``, the strict-L entries of many
+def ilu_numeric(n, a_indptr, a_indices, a_data, u_indptr, u_indices, lower, finish=None):
+    """Values of U on the pattern from ``ilu_symbolic``, ``lower`` its
+    transpose: u_ij = a_ij - sum over p < i of (u_pi / u_pp) u_pj for
+    j >= i, without pivoting, each row taking its pivot rows in ascending
+    order.  Given ``finish`` from ``lower_schedule``, the pivots of many
     rows are eliminated together (``_steps``), with the same result.
-    Returns the factor values and the first row whose pivot is exactly zero
-    (-1 when there is none); the values are then incomplete.
+    Returns the values and the first row whose pivot is exactly zero (-1
+    when there is none); the values are then incomplete.
     """
     nnz = int(a_indptr[n])
-    if lu_indptr[n] == nnz:
-        # a pattern that contains the input's and is no larger is the input's
-        lu_data = np.array(a_data[:nnz], dtype=np.float64)
-    else:
-        lu_data = np.zeros(int(lu_indptr[n]), dtype=np.float64)
-        # scatter the input values onto the (sorted) factor pattern
-        keys = _keys(n, lu_indptr, lu_indices)
-        at = np.searchsorted(keys, _keys(n, a_indptr, a_indices))
-        lu_data[at] = a_data[:nnz]
+    # the input's position on the pattern, -1 below the diagonal
+    at = np.empty(nnz, dtype=np.int64)
+    rows = np.arange(n).repeat(a_indptr[1:n + 1] - a_indptr[:n])
+    csr_sample_offsets(n, n, u_indptr, u_indices, nnz, rows, a_indices[:nnz], at)
+    upper = at >= 0
+    u_data = np.zeros(u_indices.size, dtype=np.float64)
+    u_data[at[upper]] = a_data[:nnz][upper]
     if finish is None:
-        return lu_data, _eliminate_rows(n, lu_indptr, lu_indices, lu_diag, lu_data)
+        return u_data, _eliminate_rows(n, u_indptr, u_indices, u_data, lower)
     # Later steps divide by the zero pivot, if there is one; the row loop
     # would have stopped there, so the values are incomplete either way.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _eliminate_steps(n, lu_indptr, lu_indices, lu_diag, lu_data, finish)
-    zero = np.flatnonzero(lu_data[lu_diag] == 0.0)
-    return lu_data, int(zero[0]) if zero.size else -1
+        _eliminate_steps(n, u_indptr, u_indices, u_data, lower, finish)
+    zero = np.flatnonzero(u_data[u_indptr[:-1]] == 0.0)
+    return u_data, int(zero[0]) if zero.size else -1
 
 
-def _eliminate_rows(n, lu_indptr, lu_indices, lu_diag, lu_data):
-    ptr = lu_indptr.tolist()
-    ind = lu_indices.tolist()
-    dg = lu_diag.tolist()
-    val = lu_data.tolist()
+def _eliminate_rows(n, u_indptr, u_indices, u_data, lower):
+    ptr = u_indptr.tolist()  # each row starts with its pivot
+    ind = u_indices.tolist()
+    val = u_data.tolist()
+    lptr, pivot_rows, at = (a.tolist() for a in lower)
     # pos[c]: position of column c in the latest row that has it, so it is
     # in row i exactly when it is at least the row's start
     pos = [-1] * n
@@ -301,26 +289,27 @@ def _eliminate_rows(n, lu_indptr, lu_indices, lu_diag, lu_data):
         rs = ptr[i]
         for t in range(rs, ptr[i + 1]):
             pos[ind[t]] = t
-        for t in range(rs, dg[i]):
-            p = ind[t]
-            dp = dg[p]
-            mult = val[t] / val[dp]
-            val[t] = mult
-            for s in range(dp + 1, ptr[p + 1]):
+        # each pivot row p, with u_pi at position tp, from column i on
+        for t in range(lptr[i], lptr[i + 1] - 1):
+            p = pivot_rows[t]
+            tp = at[t]
+            mult = val[tp] / val[ptr[p]]
+            for s in range(tp, ptr[p + 1]):
                 tq = pos[ind[s]]
                 if tq >= rs:
                     val[tq] -= mult * val[s]
-        if val[dg[i]] == 0.0:
+        if val[rs] == 0.0:
             fail = i
             break
-    lu_data[:] = val
+    u_data[:] = val
     return fail
 
 
-def _steps(lu_indptr, lu_indices, lu_diag, finish):
-    """The strict-L entries t in step order, with each entry's row, step and
-    pivot position, the number of strict-U entries of its pivot row, and
-    where each step starts in these arrays, plus the end.
+def _steps(u_indptr, lower, finish):
+    """The strict-L entries in step order, as the position in U of each
+    entry's u_pi (p its pivot row, i its row), its row and step, the
+    position of its pivot u_pp, the number of entries of U's row p from
+    u_pi on, and where each step starts in these arrays, plus the end.
 
     The k-th strict-L entry of row i, with pivot row p_k, runs at step
     T(i, k) = k + 1 + the largest F(p_j) - j over j <= k, F being
@@ -328,23 +317,24 @@ def _steps(lu_indptr, lu_indices, lu_diag, finish):
     level, so there are fewer steps than in a level schedule's (level,
     entry) steps: 447 against 1382 on a 5200-row bearing factor.
     """
-    n = lu_diag.size
-    nl = lu_diag - lu_indptr[:-1]
+    l_indptr, pivot_rows, l_at = lower
+    n = l_indptr.size - 1
+    nl = np.diff(l_indptr) - 1  # each row's diagonal entry comes last
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(nl, out=ptr[1:])
-    t = _spans(lu_indptr[:-1], nl)
-    p = lu_indices[t]
+    t = _spans(l_indptr[:-1], nl)
+    p = pivot_rows[t]
     k = np.arange(t.size) - np.repeat(ptr[:-1], nl)
     # running maximum of F(p_j) - j within each row
     offset = np.repeat(np.arange(n) * (t.size + n + 2), nl)
     step = np.maximum.accumulate(finish[p] - k + offset) - offset + k + 1
     by_step = np.argsort(step, kind="stable")
-    t, step = t[by_step], step[by_step]
+    p, step = p[by_step], step[by_step]
+    at = l_at[t[by_step]]
     row = np.repeat(np.arange(n), nl)[by_step]
-    pivot = lu_diag[lu_indices[t]]
-    u_count = lu_indptr[lu_indices[t] + 1] - pivot - 1
+    count = u_indptr[p + 1] - at
     step_starts = np.searchsorted(step, np.arange(int(finish.max(initial=-1)) + 2))
-    return t, row, step, pivot, u_count, step_starts
+    return at, row, step, u_indptr[p], count, step_starts
 
 
 # Largest number of candidate (L entry, pivot-row U entry) pairs that
@@ -353,86 +343,87 @@ def _steps(lu_indptr, lu_indices, lu_diag, finish):
 PAIR_CHUNK = 1 << 14
 
 
-def _eliminate_steps(n, lu_indptr, lu_indices, lu_diag, lu_data, finish):
+def _eliminate_steps(n, u_indptr, u_indices, u_data, lower, finish):
     """The row loop of ``_eliminate_rows``, run by the steps of ``_steps``:
-    a step takes the next strict-L entry t of each of its rows i, sets
-    ``val[t] /= val[diag[p]]`` for its pivot row p, and subtracts
-    ``val[t] * val[s]`` from row i's entry in the column of every entry s of
-    U's row p.  The rows of a step are distinct and their pivot rows
-    complete, and the columns of a row are distinct, so no step updates an
-    entry twice, and every entry sees its updates in the row loop's order."""
-    t, row, step, pivot, u_count, step_starts = _steps(lu_indptr, lu_indices, lu_diag,
-                                                       finish)
-    nsteps = step_starts.size - 1
+    a step takes the next pivot row p of each of its rows i, forms
+    m = u_pi / u_pp, and subtracts ``m * val[s]`` from row i's entry in the
+    column of every entry s of U's row p from u_pi on.  The rows of a step
+    are distinct and their pivot rows complete, and the columns of a row
+    are distinct, so no step updates an entry twice, and every entry sees
+    its updates in the row loop's order."""
+    at, row, step, pivot, count, step_starts = _steps(u_indptr, lower, finish)
     # chunks of whole steps, of about PAIR_CHUNK candidate pairs each
-    before = np.concatenate(([0], np.cumsum(u_count)))[step_starts]
+    before = np.concatenate(([0], np.cumsum(count)))[step_starts]
     cuts = np.unique(np.concatenate(
         ([0], np.searchsorted(before, np.arange(PAIR_CHUNK, before[-1], PAIR_CHUNK)),
-         [nsteps]))).tolist()
-    val = lu_data
+         [step_starts.size - 1]))).tolist()
+    val = u_data
     ss = step_starts.tolist()
     for c0, c1 in zip(cuts[:-1], cuts[1:]):
         a, b = ss[c0], ss[c1]
-        cnt = u_count[a:b]
-        src = _spans(pivot[a:b] + 1, cnt)             # U entries of the pivot rows
+        cnt = count[a:b]
+        src = _spans(at[a:b], cnt)                    # row p from u_pi on
         dst = np.empty(src.size, dtype=np.int64)      # same column in row i
-        csr_sample_offsets(n, n, lu_indptr, lu_indices, src.size,
-                           np.repeat(row[a:b], cnt), lu_indices[src], dst)
+        csr_sample_offsets(n, n, u_indptr, u_indices, src.size,
+                           np.repeat(row[a:b], cnt), u_indices[src], dst)
         hit = dst >= 0
         src, dst = src[hit], dst[hit]
-        mult = np.repeat(t[a:b], cnt)[hit]
+        # u_pi and u_pp of each pair: dividing once a pair gives the bits
+        # of dividing once an entry
+        num = np.repeat(at[a:b], cnt)[hit]
+        den = np.repeat(pivot[a:b], cnt)[hit]
         ps = np.searchsorted(np.repeat(step[a:b], cnt)[hit],
                              np.arange(c0, c1 + 1)).tolist()
-        for j in range(c0, c1):
-            ts = t[ss[j]:ss[j + 1]]
-            val[ts] = val[ts] / val[pivot[ss[j]:ss[j + 1]]]
-            q = slice(ps[j - c0], ps[j - c0 + 1])
-            val[dst[q]] -= val[mult[q]] * val[src[q]]
+        for q0, q1 in zip(ps[:-1], ps[1:]):
+            q = slice(q0, q1)
+            val[dst[q]] -= val[num[q]] / val[den[q]] * val[src[q]]
 
 
 # ---------------------------------------------------------------------------
 # triangular solves
 # ---------------------------------------------------------------------------
 
-def lu_solve_operands(lu_indptr, lu_indices, lu_data, lu_diag):
-    """What ``lu_solve`` needs of a combined LU factor: strict L as CSR with
-    values negated; strict U as CSR with each row divided by its pivot and
-    negated, its rows and columns in reverse order (index i becomes
-    n - 1 - i), each row keeping its column order; and the pivots in
-    reverse order."""
+def lu_solve_operands(u_indptr, u_indices, u_data):
+    """What ``lu_solve`` needs of U, each row starting with its pivot:
+    V = -(strict U divided row by row by its pivot), transposed, its row i
+    holding -u_ji / u_jj for j < i in column order; V with rows and
+    columns reversed (index i becomes n - 1 - i), each row keeping its
+    column order; and the pivots reversed."""
     # array methods, not the numpy functions: a factor of n = 40 costs
     # tens of calls, and the functions' dispatch doubles their cost
-    n = lu_diag.size
-    starts = lu_indptr[:-1]
-    below = lu_indices < np.arange(n).repeat(lu_indptr[1:] - starts)
-    lower_indptr = np.zeros(n + 1, dtype=np.int64)
-    (lu_diag - starts).cumsum(out=lower_indptr[1:])
-    lower = lower_indptr, lu_indices[below], -lu_data[below]
-    counts = (lu_indptr[1:] - lu_diag - 1)[::-1]
-    at = _spans(lu_diag[::-1] + 1, counts)
-    upper_indptr = np.zeros(n + 1, dtype=np.int64)
-    counts.cumsum(out=upper_indptr[1:])
-    pivots = lu_data[lu_diag[::-1]]
+    n = u_indptr.size - 1
+    strict = np.ones(u_indices.size, dtype=bool)
+    strict[u_indptr[:-1]] = False
+    v_indptr = u_indptr - np.arange(n + 1)
+    pivots = u_data[u_indptr[:-1]]
     # a tiny pivot overflows a quotient to inf, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        data = lu_data[at] / (-pivots).repeat(counts)
-    return lower, (upper_indptr, (n - 1) - lu_indices[at], data), pivots
+        v_data = u_data[strict] / (-pivots).repeat(v_indptr[1:] - v_indptr[:-1])
+    lower = (np.empty_like(v_indptr), np.empty(v_data.size, dtype=np.int64),
+             np.empty_like(v_data))
+    csr_tocsc(n, n, v_indptr, u_indices[strict], v_data, *lower)
+    # the transpose of the lower operand with its columns reversed holds
+    # V's rows reversed, each in column order, with V's columns as indices
+    upper = np.empty_like(v_indptr), np.empty_like(lower[1]), np.empty_like(v_data)
+    csr_tocsc(n, n, lower[0], (n - 1) - lower[1], lower[2], *upper)
+    upper[1][:] = (n - 1) - upper[1]
+    return lower, upper, pivots[::-1]
 
 
 def lu_solve(lower, upper, pivots, r):
-    """(LU)^-1 r as a new float64 array, given ``lu_solve_operands``: two
-    ``csr_matvec`` calls, each in place.
+    """(U^T D^-1 U)^-1 r as a new float64 array, given
+    ``lu_solve_operands``: two ``csr_matvec`` calls, each in place.
 
     ``csr_matvec`` adds a CSR product into its output, taking the rows in
     order and each row's entries in stored order, and reads its input as it
-    writes it.  Forward substitution starts from z = r and adds ``(-L) z``
-    into z itself: row i reads the final z_j of every j < i, and adding
+    writes it.  Forward substitution starts from z = r and adds V^T z into
+    z itself: row i reads the final z_j of every j < i, and adding
     ``(-v) * z_j`` is bit for bit subtracting ``v * z_j``, signed zeros
     included.  Back substitution runs on w, z reversed and divided by the
-    pivots, and adds the reversed ``-(U / pivot)`` product into w: the
-    strict-U columns j > i of row i come before it in reverse order.  So
-    z_i = z_i / u_ii - sum over j of (u_ij / u_ii) z_j, subtracted in
-    column order.
+    pivots, and adds the reversed V's product into w: the strict-U columns
+    j > i of row i come before it in reverse order.  So
+    z_i = z_i / u_ii - sum over j of (u_ij / u_ii) z_j, each sum in column
+    order.
     """
     n = pivots.size
     z = np.array(r, dtype=np.float64)

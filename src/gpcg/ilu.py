@@ -1,13 +1,11 @@
-"""Incomplete LU factorization with level-of-fill control.
+"""Incomplete Cholesky factorization with level-of-fill control, IC(k).
 
-The symbolic phase grows the input pattern by fill entries whose level
-(min over pivots of lev(i,p) + lev(p,j) + 1, originals at level 0) stays
-within the requested bound; without fill the factor shares the input's
-pattern arrays.  The numeric phase runs row-wise Gaussian elimination
-restricted to that pattern, with no pivoting: on large blocks with wide
-levels it eliminates entries of many rows at once, on small or chain-like
-ones row by row, with the same bits.  Every factor solves in two compiled
-calls, one per triangle.
+A matrix flagged symmetric is factored as A ~ U^T D^-1 U, D the diagonal of
+U, and only U is filled, stored and updated (``_kernels``).  Fill entries
+enter while their level, min over pivots p of lev(p,i) + lev(p,j) + 1 with
+originals at level 0, stays within the bound.  Large blocks with wide
+levels are factored by levels, small or chain-like ones row by row, with
+the same bits; every factor solves in two compiled calls.
 """
 
 from __future__ import annotations
@@ -37,50 +35,59 @@ LEVEL_MIN_WIDTH = 5
 
 
 class ILUFactorization:
-    """Combined LU factor in CSR; the unit diagonal of L is implicit and the
-    stored diagonal entries belong to U.  ``lower``, ``upper`` and
-    ``pivots`` are the operands of ``_kernels.lu_solve``, built once."""
+    """IC(k) factor U in CSR, each row starting with its pivot, and the
+    operands of ``_kernels.lu_solve``.  ``indptr``, ``indices`` and ``data``
+    view it as a combined LU factor, L = U^T D^-1 below the diagonal (its
+    unit diagonal implicit), built on first use and not by the solves."""
 
-    __slots__ = ("n", "indptr", "indices", "data", "diag", "lower", "upper", "pivots")
+    __slots__ = ("n", "u_indptr", "u_indices", "u_data", "lower", "upper", "pivots",
+                 "_lu")
 
-    def __init__(self, n, indptr, indices, data, diag):
-        self.n = n
-        self.indptr = indptr
-        self.indices = indices
-        self.data = data
-        self.diag = diag
+    def __init__(self, n, u_indptr, u_indices, u_data):
+        self.n, self.u_indptr, self.u_indices, self.u_data = n, u_indptr, u_indices, u_data
         self.lower, self.upper, self.pivots = _kernels.lu_solve_operands(
-            indptr, indices, data, diag)
+            u_indptr, u_indices, u_data)
+        self._lu = None
 
-    @property
-    def nnz(self) -> int:
-        return self.indices.size
+    def _combined(self):
+        if self._lu is None:
+            # row i: strict L, the negated forward operand, then U
+            l_indptr, l_indices, l_data = self.lower
+            at = self.u_indptr[:-1].repeat(np.diff(l_indptr))
+            self._lu = (l_indptr + self.u_indptr, np.insert(self.u_indices, at, l_indices),
+                        np.insert(self.u_data, at, -l_data))
+        return self._lu
+
+    nnz = property(lambda self: self.u_indices.size, doc="Stored entries of U.")
+    indptr = property(lambda self: self._combined()[0])
+    indices = property(lambda self: self._combined()[1])
+    data = property(lambda self: self._combined()[2])
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """Forward/back substitution: returns (LU)^-1 r."""
+        """Forward/back substitution: returns (U^T D^-1 U)^-1 r."""
         if r.shape[0] != self.n:
             raise ValueError(f"vector has length {r.shape[0]}, expected {self.n}")
         return _kernels.lu_solve(self.lower, self.upper, self.pivots, r)
 
 
 def ilu_k(M: SparseMatrixCSR, k: int) -> ILUFactorization:
-    """Factor square M with fill level k (k=0 keeps the input pattern)."""
-    if M.nrows != M.ncols:
-        raise ValueError("matrix must be square")
+    """IC(k) factor of M with fill level k (k=0 keeps the input pattern).
+    M must be flagged symmetric, which makes it square."""
+    if not M.symmetric:
+        raise ValueError("IC(k) needs a matrix flagged symmetric")
     if k < 0:
         raise ValueError("fill level must be nonnegative")
-    diag = M.diagonal()
-    if (diag == 0.0).any():
-        raise ZeroPivot(int(np.flatnonzero(diag == 0.0)[0]))
+    zero = np.flatnonzero(M.diagonal() == 0.0)
+    if zero.size:
+        raise ZeroPivot(int(zero[0]))
     n = M.nrows
-    lu_indptr, lu_indices, lu_diag = _kernels.ilu_symbolic(n, M.indptr, M.indices, k)
-    finish = None
-    if n >= LEVEL_MIN_ROWS:
-        # None unless the levels average LEVEL_MIN_WIDTH rows
-        finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag,
-                                         n // LEVEL_MIN_WIDTH)
-    lu_data, fail_row = _kernels.ilu_numeric(
-        n, M.indptr, M.indices, M.data, lu_indptr, lu_indices, lu_diag, finish)
+    u_indptr, u_indices = _kernels.ilu_symbolic(n, M.indptr, M.indices, k)
+    lower = _kernels.lower_pattern(u_indptr, u_indices)
+    # None unless the levels average LEVEL_MIN_WIDTH rows
+    finish = _kernels.lower_schedule(lower[0], lower[1], lower[0][1:] - 1,
+                                     n // LEVEL_MIN_WIDTH) if n >= LEVEL_MIN_ROWS else None
+    u_data, fail_row = _kernels.ilu_numeric(
+        n, M.indptr, M.indices, M.data, u_indptr, u_indices, lower, finish)
     if fail_row >= 0:
         raise ZeroPivot(int(fail_row))
-    return ILUFactorization(n, lu_indptr, lu_indices, lu_data, lu_diag)
+    return ILUFactorization(n, u_indptr, u_indices, u_data)

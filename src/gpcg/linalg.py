@@ -126,8 +126,8 @@ def extract_submatrix(A: SparseMatrixCSR, idx: np.ndarray) -> SparseMatrixCSR:
     """Return the principal submatrix A[idx, idx] for a strictly increasing
     index array; entries stored as zero are dropped.  It keeps A's symmetry
     flag."""
-    if idx.size and (idx[0] < 0 or idx[-1] >= A.nrows):
-        raise ValueError("index out of range")
+    if idx.size and (idx[0] < 0 or idx[-1] >= A.nrows or (idx[1:] <= idx[:-1]).any()):
+        raise ValueError("index set must be strictly increasing and in range")
     colmap = np.full(A.ncols, -1, dtype=np.int64)
     colmap[idx] = np.arange(idx.size, dtype=np.int64)
     indptr, indices, data = _kernels.csr_extract(A.indptr, A.indices, A.data,

@@ -145,6 +145,15 @@ class TestFailures:
         with pytest.raises(ValueError):
             ilu_k(M, 0)
 
+    @pytest.mark.parametrize("dense", [[[2.0, 1.0], [0.5, 2.0]],
+                                       [[2.0, 1.0], [1.0, 2.0]]])
+    def test_rejects_a_matrix_not_flagged_symmetric(self, dense):
+        # IC(k) reads only the upper triangle, so it needs the flag even
+        # when the values are symmetric
+        M = SparseMatrixCSR.from_dense(np.array(dense))
+        with pytest.raises(ValueError, match="symmetric"):
+            ilu_k(M, 0)
+
     def test_solve_checks_length(self):
         M, _ = _tridiag(4)
         with pytest.raises(ValueError):

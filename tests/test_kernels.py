@@ -1,12 +1,14 @@
-"""The CSR and ILU kernels against reference row loops.
+"""The CSR and IC(k) kernels against reference loops.
 
 The reference loops below are the straightforward interpreted forms of the
-kernels (level-of-fill row merge, row-wise elimination, forward/back
-substitution, left-to-right matvec, row-by-row elimination schedule).  The
+kernels (IC(k) row elimination, forward/back substitution over U and its
+transpose, left-to-right matvec, row-by-row elimination schedule).  The
 kernels, row-loop and level forms alike, must reproduce them byte for byte,
-not just to a tolerance: the arithmetic order is the same.  The back
-substitution that sums a row before dividing by its pivot is kept as an
-accuracy check of the pre-divided one the solves run.
+not just to a tolerance: the arithmetic order is the same.  The ILU(k)
+loops (level-of-fill row merge, row-wise Gaussian elimination, the
+combined-LU solves) are the references the IC(k) factor must agree with:
+its pattern is the upper triangle of theirs, byte for byte, and its values
+and solves agree to rounding.
 """
 
 import warnings
@@ -179,6 +181,69 @@ def ref_matvec(A, x):
     return out
 
 
+def ref_ic_numeric(n, a_indptr, a_indices, a_data, u_indptr, u_indices):
+    """IC(k) on an upper pattern: u_ij = a_ij - sum over p < i of
+    (u_pi / u_pp) u_pj, each row taking its pivot rows p in ascending order.
+    Returns the values and the first row whose pivot is exactly zero, -1
+    when there is none."""
+    where = {}
+    for i in range(n):
+        for t in range(u_indptr[i], u_indptr[i + 1]):
+            where[i, u_indices[t]] = t
+    u_data = np.zeros(u_indptr[n], dtype=np.float64)
+    for i in range(n):
+        for t in range(a_indptr[i], a_indptr[i + 1]):
+            if a_indices[t] >= i:
+                u_data[where[i, a_indices[t]]] = a_data[t]
+    for i in range(n):
+        for p in range(i):
+            tp = where.get((p, i))
+            if tp is None:
+                continue
+            mult = u_data[tp] / u_data[where[p, p]]
+            for s in range(tp, u_indptr[p + 1]):
+                tq = where.get((i, u_indices[s]))
+                if tq is not None:
+                    u_data[tq] -= mult * u_data[s]
+        if u_data[where[i, i]] == 0.0:
+            return u_data, i
+    return u_data, -1
+
+
+def ref_ic_solve(u_indptr, u_indices, u_data, r):
+    """(U^T D^-1 U)^-1 r: z_i = r_i - sum over j < i of (u_ji / u_jj) z_j,
+    then z_i = z_i / u_ii - sum over j > i of (u_ij / u_ii) z_j, each sum
+    in column order."""
+    n = r.shape[0]
+    u_diag = [u_indptr[i] + list(u_indices[u_indptr[i]:u_indptr[i + 1]]).index(i)
+              for i in range(n)]
+    z = np.array(r, dtype=np.float64)
+    column = [[] for _ in range(n)]  # the strict-U entries of each column
+    for j in range(n):
+        for t in range(u_diag[j] + 1, u_indptr[j + 1]):
+            column[u_indices[t]].append((j, t))
+    for i in range(n):
+        for j, t in column[i]:
+            z[i] -= (u_data[t] / u_data[u_diag[j]]) * z[j]
+    for i in range(n - 1, -1, -1):
+        d = u_data[u_diag[i]]
+        s = z[i] / d
+        for t in range(u_diag[i] + 1, u_indptr[i + 1]):
+            s -= (u_data[t] / d) * z[u_indices[t]]
+        z[i] = s
+    return z
+
+
+def upper_triangle(n, indptr, indices):
+    """The entries on and above the diagonal of a CSR pattern: their indptr,
+    indices and a mask of them over the pattern."""
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    keep = indices >= rows
+    up = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=up[1:])
+    return up, indices[keep], keep
+
+
 # ---------------------------------------------------------------------------
 # seeded test matrices
 # ---------------------------------------------------------------------------
@@ -210,10 +275,9 @@ CASES = ([(seed, n, d, sym) for seed, (n, d) in enumerate(
           for sym in (True, False)])
 # Above ilu.LEVEL_MIN_ROWS, with levels wide enough that ilu_k factors them
 # by levels for k up to 2 (grid20 at k = 3 falls back to the row loop).
-# Full fill (k = n) is left out: the reference loops would take minutes.
 LARGE_CASES = [(5, 300, 0.01, True), (5, 300, 0.01, False), "grid20"]
 FACTOR_CASES = ([(case, k) for k in (0, 1, 2, 3, "n") for case in CASES + ["grid"]]
-                + [(case, k) for k in (0, 1, 2, 3) for case in LARGE_CASES])
+                + [(case, k) for k in (0, 1, 2, 3, "n") for case in LARGE_CASES])
 
 
 def case_matrix(case):
@@ -236,44 +300,58 @@ def test_factor_and_solve_match_reference_loops(case, k):
     A = case_matrix(case)
     n = A.nrows
     fill = n if k == "n" else k
-    sym = _kernels.ilu_symbolic(n, A.indptr, A.indices, fill)
-    ref = ref_ilu_symbolic(n, A.indptr, A.indices, fill)
-    for got, want in zip(sym, ref):
+    if not A.symmetric:
+        # IC(k) has no factor for an unsymmetric case: it refuses it
+        with pytest.raises(ValueError, match="symmetric"):
+            ilu_k(A, fill)
+        return
+    lu_indptr, lu_indices, lu_diag = ref_ilu_symbolic(n, A.indptr, A.indices, fill)
+    u_indptr, u_indices, upper = upper_triangle(n, lu_indptr, lu_indices)
+    for got, want in zip(_kernels.ilu_symbolic(n, A.indptr, A.indices, fill),
+                         (u_indptr, u_indices)):
         assert_bytes_equal(got, want)
-    lu_indptr, lu_indices, lu_diag = ref
-    ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
-                                         lu_indptr, lu_indices, lu_diag)
-    assert ref_fail == -1
+    ic_data, ic_fail = ref_ic_numeric(n, A.indptr, A.indices, A.data,
+                                      u_indptr, u_indices)
+    assert ic_fail == -1
     # both numeric forms on every case
-    finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
+    lower = _kernels.lower_pattern(u_indptr, u_indices)
+    finish = _kernels.lower_schedule(lower[0], lower[1], lower[0][1:] - 1)
     for steps in (None, finish):
         data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
-                                          lu_indptr, lu_indices, lu_diag, steps)
+                                          u_indptr, u_indices, lower, steps)
         assert fail == -1
-        assert_bytes_equal(data, ref_data)
+        assert_bytes_equal(data, ic_data)
     factor = ilu_k(A, fill)
-    assert_bytes_equal(factor.data, ref_data)
-    assert_solves_match_reference_loops(factor, lu_indptr, lu_indices, ref_data,
-                                        lu_diag)
+    assert_bytes_equal(factor.u_data, ic_data)
+    # the ILU(k) factor's upper part, and its whole as the combined view
+    lu_data, _fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
+                                     lu_indptr, lu_indices, lu_diag)
+    scale = np.abs(lu_data).max()
+    assert np.abs(ic_data - lu_data[upper]).max() <= 1e-12 * scale
+    assert_bytes_equal(factor.indptr, lu_indptr)
+    assert_bytes_equal(factor.indices, lu_indices)
+    assert np.abs(factor.data - lu_data).max() <= 1e-12 * scale
+    assert_solves_match_reference_loops(factor, lu_indptr, lu_indices, lu_data, lu_diag)
 
 
 def assert_solves_match_reference_loops(factor, lu_indptr, lu_indices, lu_data,
                                         lu_diag):
-    """The factor's solves equal the pre-divided back substitution byte for
-    byte, and the divide-after-sum one to 1e-12 relative, on a random
-    right-hand side and on one of mostly signed zeros (most of the
-    solution's entries are then zeros whose sign the loops fix)."""
+    """The factor's solves equal the IC(k) loop byte for byte, and the
+    ILU(k) factor's solves, pre-divided and divide-after-sum, to 1e-12
+    relative, on a random right-hand side and on one of mostly signed
+    zeros (most of the solution's entries are then zeros whose sign the
+    loops fix)."""
     n = factor.n
     rng = np.random.default_rng(n)
     signed = np.where(rng.random(n) < 0.5, -0.0, 0.0)
     signed[rng.random(n) < 0.1] = 1.0
     for r in (rng.standard_normal(n), signed):
         got = factor.solve(r)
-        assert_bytes_equal(got, ref_lu_solve(lu_indptr, lu_indices, lu_data,
-                                             lu_diag, r))
-        want = ref_lu_solve_divide_after_sum(lu_indptr, lu_indices, lu_data,
-                                             lu_diag, r)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert_bytes_equal(got, ref_ic_solve(factor.u_indptr, factor.u_indices,
+                                             factor.u_data, r))
+        for ref_solve in (ref_lu_solve, ref_lu_solve_divide_after_sum):
+            want = ref_solve(lu_indptr, lu_indices, lu_data, lu_diag, r)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_solve_makes_two_compiled_calls(monkeypatch):
@@ -285,7 +363,7 @@ def test_solve_makes_two_compiled_calls(monkeypatch):
         return csr_matvec(*args)
 
     monkeypatch.setattr(_kernels, "csr_matvec", spy)
-    for A in (grid_laplacian(20), random_pattern_matrix(5, 300, 0.01, False),
+    for A in (grid_laplacian(20), random_pattern_matrix(5, 300, 0.01, True),
               random_pattern_matrix(3, 60, 0.05, True)):
         factor = ilu_k(A, 2)
         calls.clear()
@@ -302,11 +380,7 @@ def test_ilu_k_solves_by_levels_only_on_large_blocks_with_wide_levels(monkeypatc
     n = 2 * ilu.LEVEL_MIN_ROWS
     chain = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     ilu_k(SparseMatrixCSR.from_dense(chain, symmetric=True), 0)
-    # strict L is empty (one level), strict U one chain; the back
-    # substitution is one call whatever the levels of U
-    upper_chain = 2.0 * np.eye(n) - np.eye(n, k=1)
-    ilu_k(SparseMatrixCSR.from_dense(upper_chain), 0)
-    assert steps == [True, True, False, False, True]
+    assert steps == [True, True, False, False]
 
 
 def spy_on_numeric(monkeypatch):
@@ -337,55 +411,45 @@ def test_ilu_k_takes_the_level_path_up_to_n_over_min_width_levels(monkeypatch):
 def test_full_fill_level_gives_the_full_elimination_pattern():
     # with k = n every fill path is admitted: the pattern is closed under
     # elimination, so one more level changes nothing
-    A = random_pattern_matrix(3, 40, 0.05, False)
+    A = random_pattern_matrix(3, 40, 0.05, True)
     a = _kernels.ilu_symbolic(40, A.indptr, A.indices, 40)
     b = _kernels.ilu_symbolic(40, A.indptr, A.indices, 10**6)
     for got, want in zip(a, b):
         assert_bytes_equal(got, want)
 
 
+def both_numeric_forms(A, k):
+    """The (values, first zero-pivot row) of each numeric form, the row loop
+    first, on A's IC(k) pattern, with any floating-point warning raised;
+    and the level form's ``finish``."""
+    n = A.nrows
+    u_indptr, u_indices = _kernels.ilu_symbolic(n, A.indptr, A.indices, k)
+    lower = _kernels.lower_pattern(u_indptr, u_indices)
+    finish = _kernels.lower_schedule(lower[0], lower[1], lower[0][1:] - 1)
+    ref = ref_ic_numeric(n, A.indptr, A.indices, A.data, u_indptr, u_indices)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forms = [_kernels.ilu_numeric(n, A.indptr, A.indices, A.data, u_indptr,
+                                      u_indices, lower, steps)
+                 for steps in (None, finish)]
+    return ref, forms, finish
+
+
 @pytest.mark.parametrize("dense, row", [
     ([[1.0, 1.0], [1.0, 1.0]], 1),
-    # the pivot of row 1 cancels only through elimination: 1 - 0.5 * 2
-    ([[2.0, 2.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 3.0]], 1),
+    # the pivot of row 1 cancels only through elimination: 2 - (2 / 2) * 2
+    ([[2.0, 2.0, 0.0], [2.0, 2.0, 1.0], [0.0, 1.0, 3.0]], 1),
     # the cancellation in row 2 runs through two level-1 fill entries
     ([[1.0, -1.0, 1.0], [-1.0, 2.0, 0.0], [1.0, 0.0, 2.0]], 2),
 ])
 def test_zero_pivot_row_matches_reference(dense, row):
-    A = SparseMatrixCSR.from_dense(np.array(dense))
-    n = A.nrows
-    lu_indptr, lu_indices, lu_diag = _kernels.ilu_symbolic(
-        n, A.indptr, A.indices, n)
-    _ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
-                                          lu_indptr, lu_indices, lu_diag)
+    A = SparseMatrixCSR.from_dense(np.array(dense), symmetric=True)
+    (_ref_data, ref_fail), forms, _finish = both_numeric_forms(A, A.nrows)
     assert ref_fail == row
-    finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
-    for steps in (None, finish):
-        _data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
-                                           lu_indptr, lu_indices, lu_diag, steps)
-        assert fail == row
+    assert [fail for _data, fail in forms] == [row, row]
     with pytest.raises(ZeroPivot) as err:
-        ilu_k(A, n)
+        ilu_k(A, A.nrows)
     assert err.value.row == row
-
-
-def planted_zero_pivots(n=400):
-    """2x2 blocks [[2, 1], [1, 2]] on the diagonal, except [[2, 2], [1, 1]]
-    at rows 100-101 and 300-301: their second pivot is exactly
-    1 - (1/2) * 2 = 0.  Row 100 depends on row 99, so row 101 completes at a
-    later elimination step than row 301.  Every other later row depends on
-    row 101, whose strict U reaches the last column, so later steps divide
-    by the zero pivot and meet inf - inf."""
-    M = np.zeros((n, n))
-    for i in range(0, n, 2):
-        M[i:i + 2, i:i + 2] = [[2.0, 1.0], [1.0, 2.0]]
-    for i in (100, 300):
-        M[i:i + 2, i:i + 2] = [[2.0, 2.0], [1.0, 1.0]]
-    M[100, 99] = 1.0
-    M[102:300, 101] = 1.0
-    M[302:, 101] = 1.0
-    M[101, n - 1] = 1.0
-    return SparseMatrixCSR.from_dense(M)
 
 
 def symmetric_planted_zero_pivots(n=400):
@@ -407,63 +471,44 @@ def symmetric_planted_zero_pivots(n=400):
 
 
 @pytest.mark.parametrize("k", [0, 2])
-def test_zero_pivot_on_the_level_path(monkeypatch, k):
-    A = planted_zero_pivots()
-    n = A.nrows
-    lu_indptr, lu_indices, lu_diag = _kernels.ilu_symbolic(
-        n, A.indptr, A.indices, k)
-    finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
-    # large and wide enough for the level form, which ilu_k takes although
-    # the pattern is unsymmetric
-    assert n >= ilu.LEVEL_MIN_ROWS
-    assert ref_levels(lu_indptr, lu_indices, lu_diag) * ilu.LEVEL_MIN_WIDTH <= n
+def test_zero_pivot_on_the_level_path(k):
+    # the level form runs on past the zero pivot that stops the row loop,
+    # and still reports the first zero-pivot row, not the first to finish
+    (_ref_data, ref_fail), forms, finish = both_numeric_forms(
+        symmetric_planted_zero_pivots(), k)
     assert finish[301] < finish[101]
-    steps = spy_on_numeric(monkeypatch)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
-                                           lu_indptr, lu_indices, lu_diag, finish)
-        with pytest.raises(ZeroPivot) as err:
-            ilu_k(A, k)
-    assert steps == [True, True]
-    _ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
-                                          lu_indptr, lu_indices, lu_diag)
-    assert fail == ref_fail == 101
-    assert err.value.row == 101
+    assert ref_fail == 101
+    assert [fail for _data, fail in forms] == [101, 101]
 
 
 @pytest.mark.parametrize("k", [0, 2])
 def test_zero_pivot_on_the_level_path_of_a_symmetric_block(monkeypatch, k):
     A = symmetric_planted_zero_pivots()
-    n = A.nrows
-    lu_indptr, lu_indices, lu_diag = _kernels.ilu_symbolic(
-        n, A.indptr, A.indices, k)
-    finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
-    assert finish[301] < finish[101]
-    _ref_data, ref_fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
-                                          lu_indptr, lu_indices, lu_diag)
-    assert ref_fail == 101
+    assert A.nrows >= ilu.LEVEL_MIN_ROWS
     steps = spy_on_numeric(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ZeroPivot) as err:
             ilu_k(A, k)
     assert steps == [True]
-    assert err.value.row == ref_fail
+    assert err.value.row == 101
 
 
 def test_tiny_pivot_solve_warns_of_nothing():
-    # 1e10 / 1e-300 overflows when strict U is divided by its pivot, and
-    # again when the solve divides by the pivot; inf - inf then gives nan
-    A = SparseMatrixCSR.from_dense(np.array([[1e-300, 1e10], [0.0, 1.0]]))
+    # 1e10 / 1e-300 overflows in the numeric phase (row 1's pivot becomes
+    # -inf), when strict U is divided by its pivot and when the solve
+    # divides by the pivots; -inf / -inf and inf * nan then give nan
+    A = SparseMatrixCSR.from_dense(np.array([[1e-300, 1e10], [1e10, 1.0]]),
+                                   symmetric=True)
     r = np.array([1e10, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         factor = ilu_k(A, 0)
         got = factor.solve(r)
     with np.errstate(over="ignore", invalid="ignore"):
-        want = ref_lu_solve(factor.indptr, factor.indices, factor.data, factor.diag, r)
-    assert np.isnan(got[0]) and got[1] == 1.0
+        want = ref_ic_solve(factor.u_indptr, factor.u_indices, factor.u_data, r)
+    assert factor.pivots[0] == -np.inf
+    assert np.isnan(got).all()
     assert_bytes_equal(got, want)
 
 
@@ -493,19 +538,37 @@ SCHEDULE_PATTERNS = ([(case, k) for k in (0, 2) for case in CASES + LARGE_CASES]
                          ids=[f"{i}-k{k}" for i, (_c, k) in enumerate(SCHEDULE_PATTERNS)])
 def test_level_schedule_matches_reference_loop(case, k):
     A = case if isinstance(case, SparseMatrixCSR) else case_matrix(case)
-    lu_indptr, lu_indices, lu_diag = _kernels.ilu_symbolic(
-        A.nrows, A.indptr, A.indices, k)
-    finish = _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag)
-    assert_bytes_equal(finish, ref_finish(lu_indptr, lu_indices, lu_diag))
+    if A.symmetric:
+        # the lower pattern ilu_k schedules: each row ends with its diagonal
+        l_indptr, l_indices, _at = _kernels.lower_pattern(
+            *_kernels.ilu_symbolic(A.nrows, A.indptr, A.indices, k))
+        pattern = l_indptr, l_indices, l_indptr[1:] - 1
+    else:
+        # lower_schedule reads any strict-L pattern: here the ILU(k) one
+        pattern = ref_ilu_symbolic(A.nrows, A.indptr, A.indices, k)
+    finish = _kernels.lower_schedule(*pattern)
+    assert_bytes_equal(finish, ref_finish(*pattern))
     # with a level budget: the same steps when the levels fit, else None
-    levels = ref_levels(lu_indptr, lu_indices, lu_diag)
-    assert_bytes_equal(_kernels.lower_schedule(lu_indptr, lu_indices, lu_diag, levels),
-                       finish)
-    assert _kernels.lower_schedule(lu_indptr, lu_indices, lu_diag, levels - 1) is None
+    levels = ref_levels(*pattern)
+    assert_bytes_equal(_kernels.lower_schedule(*pattern, levels), finish)
+    assert _kernels.lower_schedule(*pattern, levels - 1) is None
+
+
+def test_lower_pattern_is_the_transpose_with_positions():
+    A = grid_block(12, 4)
+    u_indptr, u_indices = _kernels.ilu_symbolic(A.nrows, A.indptr, A.indices, 2)
+    l_indptr, l_indices, at = _kernels.lower_pattern(u_indptr, u_indices)
+    rows = np.repeat(np.arange(A.nrows), np.diff(l_indptr))
+    # entry t of the lower pattern is (rows[t], l_indices[t]), U's entry
+    # (l_indices[t], rows[t]) at position at[t]
+    assert_bytes_equal(u_indices[at], rows)
+    assert (np.diff(l_indices)[np.diff(rows) == 0] > 0).all()
+    assert_bytes_equal(at[l_indptr[1:] - 1], u_indptr[:-1])  # the diagonal
+    assert_bytes_equal(np.sort(at), np.arange(u_indices.size))
 
 
 # ---------------------------------------------------------------------------
-# wide blocks of either pattern
+# wide blocks
 # ---------------------------------------------------------------------------
 
 def skewed_grid():
@@ -554,43 +617,58 @@ SYMMETRIC_INPUTS = ([case for case in CASES + LARGE_CASES
 @pytest.mark.parametrize("k", [0, 1, 2, 3, "n"])
 @pytest.mark.parametrize("case", SYMMETRIC_INPUTS, ids=str)
 def test_ilu_symbolic_keeps_a_symmetric_pattern_symmetric(case, k):
+    # the ILU(k) pattern of a symmetric pattern is symmetric, so its upper
+    # triangle, which ilu_symbolic returns, holds all of it
     A = grid_block(30, case[1]) if case[0] == "grid_block" else case_matrix(case)
     n = A.nrows
-    lu_indptr, lu_indices, _lu_diag = _kernels.ilu_symbolic(
-        n, A.indptr, A.indices, n if k == "n" else k)
+    fill = n if k == "n" else k
+    lu_indptr, lu_indices, _lu_diag = ref_ilu_symbolic(n, A.indptr, A.indices, fill)
     pattern = dense_pattern(n, lu_indptr, lu_indices)
     assert (pattern == pattern.T).all()
+    u_indptr, u_indices, _keep = upper_triangle(n, lu_indptr, lu_indices)
+    got = _kernels.ilu_symbolic(n, A.indptr, A.indices, fill)
+    assert_bytes_equal(got[0], u_indptr)
+    assert_bytes_equal(got[1], u_indices)
 
 
 @pytest.mark.parametrize("k", [0, 2])
 @pytest.mark.parametrize("name, A", WIDE_CASES, ids=[c[0] for c in WIDE_CASES])
 def test_ilu_k_takes_the_level_path_for_wide_blocks_of_any_pattern(
         monkeypatch, name, A, k):
+    # the symmetric blocks go by levels, with the reference loop's bits;
+    # the unsymmetric ones are refused before any numeric work
     steps = spy_on_numeric(monkeypatch)
+    if not A.symmetric:
+        with pytest.raises(ValueError, match="symmetric"):
+            ilu_k(A, k)
+        assert steps == []
+        return
     factor = ilu_k(A, k)
     assert steps == [True]
     n = A.nrows
     lu_indptr, lu_indices, lu_diag = ref_ilu_symbolic(n, A.indptr, A.indices, k)
-    ref_data, _fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
-                                      lu_indptr, lu_indices, lu_diag)
-    assert_bytes_equal(factor.data, ref_data)
-    assert_solves_match_reference_loops(factor, lu_indptr, lu_indices, ref_data,
-                                        lu_diag)
+    ic_data, _fail = ref_ic_numeric(n, A.indptr, A.indices, A.data, factor.u_indptr,
+                                    factor.u_indices)
+    assert_bytes_equal(factor.u_data, ic_data)
+    lu_data, _fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
+                                     lu_indptr, lu_indices, lu_diag)
+    assert_solves_match_reference_loops(factor, lu_indptr, lu_indices, lu_data, lu_diag)
 
 
-def test_without_fill_the_factor_shares_the_input_pattern():
+def test_without_fill_the_factor_keeps_the_upper_input_pattern():
     A = random_pattern_matrix(3, 60, 0.05, True)
     n = 2 * A.nrows
     tridiagonal = SparseMatrixCSR.from_dense(
         3.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1), symmetric=True)
-    # ILU(0) keeps every pattern; a tridiagonal pattern gains no fill at
+    # IC(0) keeps every pattern; a tridiagonal pattern gains no fill at
     # any level, the random one gains some at level 1
-    for M, k, shared in ((A, 0, True), (tridiagonal, 2, True), (A, 1, False)):
-        lu_indptr, lu_indices, _lu_diag = _kernels.ilu_symbolic(
-            M.nrows, M.indptr, M.indices, k)
-        assert np.shares_memory(lu_indptr, M.indptr) == shared
-        assert np.shares_memory(lu_indices, M.indices) == shared
-        assert (lu_indices.size == M.nnz) == shared
+    for M, k, kept in ((A, 0, True), (tridiagonal, 2, True), (A, 1, False)):
+        u_indptr, u_indices, _keep = upper_triangle(M.nrows, M.indptr, M.indices)
+        got = _kernels.ilu_symbolic(M.nrows, M.indptr, M.indices, k)
+        assert (got[1].size == u_indices.size) == kept
+        if kept:
+            assert_bytes_equal(got[0], u_indptr)
+            assert_bytes_equal(got[1], u_indices)
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -606,11 +684,13 @@ def test_one_block_factors_the_matrix_itself(monkeypatch, k):
     monkeypatch.setattr(precond, "extract_submatrix", spy)
     [got] = precond.BlockJacobiILU(A, k, 1).factors
     assert calls == []
-    for name in ("indptr", "indices", "data", "diag"):
+    for name in ("u_indptr", "u_indices", "u_data"):
         assert_bytes_equal(getattr(got, name), getattr(want, name))
     # more blocks are extracted, one call each
     precond.BlockJacobiILU(A, k, 2)
     assert len(calls) == 2
+
+
 
 
 def test_reduced_matrices_build_no_scipy_view():

@@ -174,6 +174,15 @@ class TestExtractSubmatrix:
         with pytest.raises(ValueError):
             extract_submatrix(M, np.array([0, 3]))
 
+    @pytest.mark.parametrize("idx", [[0, 0], [1, 0], [2, 1, 0], [0, 2, 2]])
+    def test_rejects_index_sets_not_strictly_increasing(self, idx):
+        # a repeated or descending index would give a wrong submatrix,
+        # still flagged symmetric, or rows with unsorted indices
+        D = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
+        M = SparseMatrixCSR.from_dense(D, symmetric=True)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            extract_submatrix(M, np.array(idx, dtype=np.int64))
+
 
 class TestVectorOps:
     def test_dot_by_hand(self):
