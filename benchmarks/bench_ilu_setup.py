@@ -13,8 +13,8 @@ The layers:
 
   symbolic   ``_kernels.ilu_symbolic``: the upper pattern
   forward    ``_kernels.lower_pattern``, the transpose of the pattern, and
-             on large blocks ``_kernels.lower_schedule`` with ``ilu_k``'s
-             level budget: the numeric phase's elimination steps, or None
+             on large blocks ``_kernels.elimination_steps`` with ``ilu_k``'s
+             step budget: the level form's schedule, or None
   numeric    ``_kernels.ilu_numeric`` in the form ``ilu_k`` would use
   plan       ``ILUFactorization`` construction: the operands of the solves
   apply      one ``ILUFactorization.solve`` of a fixed right-hand side
@@ -24,11 +24,12 @@ The schedule runs on blocks of n >= ``ilu.LEVEL_MIN_ROWS`` only, so not on
 the ``random-ilu0`` blocks; the other layers run on every block.  Each
 layer takes the best of ``--repeat`` runs per block; the report sums the
 bests over the blocks and divides by the number of solves.  Each bearing
-block's record holds its number of strict-L levels (0 below
-``LEVEL_MIN_ROWS``), counted by a row loop here, and whether ``ilu_k``
-factors it by levels (``by_levels``: whether ``lower_schedule`` returns
-steps under the level budget); every run counts its blocks factored by
-levels.  BLAS is pinned to one thread before numpy loads.
+block's record holds the number of elimination steps of its level form
+(0 below ``LEVEL_MIN_ROWS``), counted by a row loop here, and whether
+``ilu_k`` factors it by levels (``by_levels``: whether
+``elimination_steps`` returns a schedule under the step budget); every
+run counts its blocks factored by levels.  BLAS is pinned to one thread
+before numpy loads.
 
 Results are merged into ``--out`` (default ``BENCH_ilu_setup.json`` at the
 repo root) under ``--label``.  The script measures the tree it sits in; to
@@ -115,16 +116,20 @@ def best_of(repeat, fn):
     return best, out
 
 
-def strict_lower_levels(l_indptr, l_indices):
-    """The number of levels of strict L, given the lower pattern whose row
-    i ends with its diagonal: a row is one level deeper than the deepest
-    row its strict-L entries reach."""
+def elimination_step_count(l_indptr, l_indices):
+    """The number of steps of the level form, given the lower pattern whose
+    row i ends with its diagonal: row i takes its strict-L entries in
+    column order, the one with pivot row p a step after both the entry
+    before it and row p's last entry."""
     ind = l_indices.tolist()
     ptr = l_indptr.tolist()
-    depth = []
+    finish = []
     for start, end in zip(ptr[:-1], ptr[1:]):
-        depth.append(max((depth[j] for j in ind[start:end - 1]), default=-1) + 1)
-    return max(depth, default=-1) + 1
+        step = -1
+        for p in ind[start:end - 1]:
+            step = max(step, finish[p]) + 1
+        finish.append(step)
+    return max(finish, default=-1) + 1
 
 
 def time_block(gpcg, M, k, repeat, rng):
@@ -139,21 +144,20 @@ def time_block(gpcg, M, k, repeat, rng):
         lower = kern.lower_pattern(ip, ix)
         if not large:
             return lower, None
-        return lower, kern.lower_schedule(lower[0], lower[1], lower[0][1:] - 1,
-                                          n // ilu.LEVEL_MIN_WIDTH)
+        return lower, kern.elimination_steps(ip, lower, n // ilu.LEVEL_MIN_WIDTH)
 
-    t["forward"], (lower, finish) = best_of(repeat, forward)
-    levels = strict_lower_levels(lower[0], lower[1]) if large else 0
-    by_levels = finish is not None
+    t["forward"], (lower, steps) = best_of(repeat, forward)
+    step_count = elimination_step_count(lower[0], lower[1]) if large else 0
+    by_levels = steps is not None
     t["numeric"], (data, _fail) = best_of(
         repeat, lambda: kern.ilu_numeric(n, M.indptr, M.indices, M.data, ip, ix, lower,
-                                         finish))
+                                         steps))
     t["plan"], _factor = best_of(
         repeat, lambda: ilu.ILUFactorization(n, ip, ix, data))
     t["ilu_k"], factor = best_of(repeat, lambda: ilu.ilu_k(M, k))
     r = rng.standard_normal(n)
     t["apply"], _z = best_of(repeat, lambda: factor.solve(r))
-    shape = {"n": n, "factor_nnz": int(factor.nnz), "levels": levels,
+    shape = {"n": n, "factor_nnz": int(factor.nnz), "steps": step_count,
              "by_levels": by_levels}
     return t, shape
 

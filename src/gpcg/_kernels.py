@@ -8,10 +8,10 @@ only U is filled, stored and updated.  Extraction and the symbolic phase
 are vectorized with numpy and ``scipy.sparse``; the numeric phase has two
 forms with the same arithmetic, operation for operation:
 
-* the row loop (``ilu_numeric`` without ``finish``), which indexes Python
+* the row loop (``ilu_numeric`` without ``steps``), which indexes Python
   lists, made with ``tolist()`` once per factor, and so works on plain
   Python floats;
-* the level form (``ilu_numeric`` with ``finish``).  Entries whose pivot
+* the level form (``ilu_numeric`` with ``steps``).  Entries whose pivot
   rows are complete do not depend on each other, so each step eliminates
   one strict-L entry of many rows in a few vectorized calls (the
   entry-wise variant of level scheduling: Anderson & Saad 1989; Saad,
@@ -19,11 +19,11 @@ forms with the same arithmetic, operation for operation:
   results are bit-for-bit those of the row loop.
 
 Both read strict L as the transpose of strict U (``lower_pattern``); the
-level form's pass over it (``lower_schedule``) only pays off on large
-blocks, and ``ilu.ilu_k`` picks the form from the size and the number of
-levels.  ``lu_solve_operands`` stores strict U divided by its pivots,
-reversed, and its transpose, and ``lu_solve`` runs each substitution as
-one compiled CSR product.
+level form's schedule, one pass over it (``elimination_steps``), only pays
+off on large blocks, and ``ilu.ilu_k`` picks the form from the size and
+the number of elimination steps.  ``lu_solve_operands`` stores strict U
+divided by its pivots, reversed, and its transpose, and ``lu_solve`` runs
+each substitution as one compiled CSR product.
 """
 
 import numpy as np
@@ -149,24 +149,24 @@ def lower_pattern(u_indptr, u_indices):
     return indptr, indices, at
 
 
-def _longest_paths(n, ptr, deps, weights, bases, limit=None):
-    """For each weight vector w and its base: value(i) = max(base, value(d)
-    + w over the dependencies d of row i), for a DAG whose row i depends on
-    the rows ``deps[ptr[i]:ptr[i + 1]]``, all less than i and ascending,
-    through edges of weight ``w[ptr[i]:ptr[i + 1]]``; an edge to row i - 1
-    that comes last in its row must weigh 1.  Returns one value array per
-    weight vector, or None once the last value of a chunk (see below) of
-    the first vector exceeds ``limit``.
+def _longest_paths(n, ptr, deps, weight, base, limit):
+    """value(i) = max(base, value(d) + w over the dependencies d of row i),
+    for a DAG whose row i depends on the rows ``deps[ptr[i]:ptr[i + 1]]``,
+    all less than i and ascending, through edges of weight
+    ``w = weight[ptr[i]:ptr[i + 1]]``; an edge to row i - 1 that comes last
+    in its row must weigh 1, and every value must lie in [base,
+    deps.size].  Returns the values, or None once the last value of a
+    chunk (see below) exceeds ``limit``.
 
     The rows run in chunks [s, e) whose rows depend on one another only
     through their predecessor: the other dependencies of row i lie before s.
     Within a chunk, value(i) = max(ext(i), value(i - 1) + 1) along each run
     of rows that depend on their predecessor, where ext(i) is the best over
     base and the other dependencies.  So value(i) - i is a running maximum
-    of ext(k) - k over the run, one vectorized step per chunk and weight
-    vector.  On a grid in natural order a chunk is about one grid line; on
-    chain-like patterns chunks are a few rows long, and the per-chunk numpy
-    calls cost more than a row loop would.
+    of ext(k) - k over the run, one vectorized step per chunk.  On a grid
+    in natural order a chunk is about one grid line; on chain-like patterns
+    chunks are a few rows long, and the per-chunk numpy calls cost more
+    than a row loop would.
     """
     ends = ptr[1:]
     link = np.zeros(n, dtype=bool)  # row i depends on row i - 1, last
@@ -182,79 +182,81 @@ def _longest_paths(n, ptr, deps, weights, bases, limit=None):
     slot[other_ptr[1:] - 1] = False
     other = np.full(slot.size, n, dtype=np.int64)
     other[slot] = deps[keep]
-    other_weights = []
-    for weight, base in zip(weights, bases):
-        other_weight = np.full(slot.size, base, dtype=np.int64)
-        other_weight[slot] = weight[keep]
-        other_weights.append(other_weight)
+    other_weight = np.full(slot.size, base, dtype=np.int64)
+    other_weight[slot] = weight[keep]
     last_other = np.where(others > 0, other[other_ptr[1:] - 2], -1)
     # a chunk starting at s ends at the first row with another dependency >= s
     reach = np.searchsorted(np.maximum.accumulate(last_other), np.arange(n)).tolist()
-    # Run offsets: a new run starts above anything the last one reached.  A
-    # path meets every row once, so values lie in [base, deps.size].
+    # run offsets: a new run starts above anything the last one reached
     shift = np.cumsum(~link) * (deps.size + n + 2) - np.arange(n)
-    values = [np.zeros(n + 1, dtype=np.int64) for _ in other_weights]
+    value = np.zeros(n + 1, dtype=np.int64)
     s = 0
     while s < n:
         e = reach[s]
         a, b = other_ptr[s], other_ptr[e]
-        chunk, starts, chunk_shift = other[a:b], other_ptr[s:e] - a, shift[s:e]
-        for value, other_weight in zip(values, other_weights):
-            ext = np.maximum.reduceat(value[chunk] + other_weight[a:b], starts)
-            if link[s]:
-                ext[0] = max(ext[0], value[s - 1] + 1)
-            ext += chunk_shift
-            np.maximum.accumulate(ext, out=ext)
-            ext -= chunk_shift
-            value[s:e] = ext
-        if limit is not None and values[0][e - 1] > limit:
+        ext = np.maximum.reduceat(value[other[a:b]] + other_weight[a:b], other_ptr[s:e] - a)
+        if link[s]:
+            ext[0] = max(ext[0], value[s - 1] + 1)
+        ext += shift[s:e]
+        np.maximum.accumulate(ext, out=ext)
+        ext -= shift[s:e]
+        value[s:e] = ext
+        if value[e - 1] > limit:
             return None
         s = e
-    return [value[:n] for value in values]
+    return value[:n]
 
 
-def lower_schedule(lu_indptr, lu_indices, lu_diag, max_levels=None):
-    """``finish``, the elimination step at which each row of
-    ``ilu_numeric``'s level form is complete (-1 for rows without strict-L
-    entries), from one pass over strict L, row i's entries before
-    ``lu_diag[i]``; or None when strict L has more than ``max_levels``
-    levels.  The pass stops at the first chunk that ends that deep, so a
-    chain-like pattern costs a fraction of its full pass.
+def elimination_steps(u_indptr, lower, max_steps=None):
+    """The level form's schedule of ``ilu_numeric``, from one pass over
+    strict L (``lower`` less each row's last entry, its diagonal), or None
+    when it takes more than ``max_steps`` steps; the pass stops at the
+    first chunk that ends that late, so a chain-like pattern costs a
+    fraction of it.
 
-    Level 0 holds the rows without strict-L entries; level l > 0 the rows
-    whose strict-L entries reach rows of level l - 1 at most, and one at
-    least.
-
-    Row i takes its strict-L entries in column order, and the one with pivot
+    Row i takes its strict-L entries in column order, the one with pivot
     row p only after row p is complete: its k-th entry runs at step
-    T(i, k) = max(T(i, k - 1), F(p)) + 1, where F(p) = ``finish[p]``.
-    Unrolled, T(i, k) = k + 1 + the largest F(p_j) - j over j <= k, and F is
-    the longest path over strict L with weight n_i - j on the j-th of row
-    i's n_i entries.
+    T(i, k) = max(T(i, k - 1), F(p)) + 1, F(p) the step of row p's last
+    entry (-1 for none).  Unrolled, T(i, k) = k + 1 + the largest
+    F(p_j) - j over j <= k, and F is the longest path over strict L with
+    weight n_i - j on the j-th of row i's n_i entries.  Rows need not wait
+    for a whole level: 447 steps against 1382 (level, entry) steps on a
+    5200-row bearing factor.
+
+    Returns the strict-L entries in step order, as the position in U of
+    each entry's u_pi (p its pivot row, i its row), its row and step, the
+    position of u_pp and the number of entries of U's row p from u_pi on;
+    and where each step starts in these arrays, plus the end.
     """
-    n = lu_diag.size
-    counts = lu_diag - lu_indptr[:-1]
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=ptr[1:])
-    deps = lu_indices[_spans(lu_indptr[:-1], counts)]
-    k = np.arange(deps.size) - np.repeat(ptr[:-1], counts)
-    paths = _longest_paths(
-        n, ptr, deps, (np.ones(deps.size, dtype=np.int64), np.repeat(counts, counts) - k),
-        (0, -1), None if max_levels is None else max_levels - 1)
-    if paths is None:
+    l_indptr, pivot_rows, l_at = lower
+    n = l_indptr.size - 1
+    nl = np.diff(l_indptr) - 1
+    ptr = l_indptr - np.arange(n + 1)  # strict L's rows
+    t = _spans(l_indptr[:-1], nl)
+    p = pivot_rows[t]
+    rows = np.repeat(np.arange(n), nl)
+    k = np.arange(t.size) - ptr[rows]
+    # every step holds an entry, so there are at most t.size of them
+    budget = t.size if max_steps is None else max_steps
+    finish = _longest_paths(n, ptr, p, nl[rows] - k, -1, budget - 1)
+    if finish is None or finish.max(initial=-1) >= budget:
         return None
-    depth, finish = paths
-    if max_levels is not None and depth.max(initial=-1) >= max_levels:
-        return None
-    return finish
+    # running maximum of F(p_j) - j within each row
+    offset = rows * (t.size + n + 2)
+    step = np.maximum.accumulate(finish[p] - k + offset) - offset + k + 1
+    by_step = np.argsort(step, kind="stable")
+    p, step = p[by_step], step[by_step]
+    at = l_at[t[by_step]]
+    step_starts = np.searchsorted(step, np.arange(finish.max(initial=-1) + 2))
+    return at, rows[by_step], step, u_indptr[p], u_indptr[p + 1] - at, step_starts
 
 
-def ilu_numeric(n, a_indptr, a_indices, a_data, u_indptr, u_indices, lower, finish=None):
+def ilu_numeric(n, a_indptr, a_indices, a_data, u_indptr, u_indices, lower, steps=None):
     """Values of U on the pattern from ``ilu_symbolic``, ``lower`` its
     transpose: u_ij = a_ij - sum over p < i of (u_pi / u_pp) u_pj for
     j >= i, without pivoting, each row taking its pivot rows in ascending
-    order.  Given ``finish`` from ``lower_schedule``, the pivots of many
-    rows are eliminated together (``_steps``), with the same result.
+    order.  Given ``steps`` from ``elimination_steps``, the pivots of
+    many rows are eliminated together, with the same result.
     Returns the values and the first row whose pivot is exactly zero (-1
     when there is none); the values are then incomplete.
     """
@@ -266,12 +268,12 @@ def ilu_numeric(n, a_indptr, a_indices, a_data, u_indptr, u_indices, lower, fini
     upper = at >= 0
     u_data = np.zeros(u_indices.size, dtype=np.float64)
     u_data[at[upper]] = a_data[:nnz][upper]
-    if finish is None:
+    if steps is None:
         return u_data, _eliminate_rows(n, u_indptr, u_indices, u_data, lower)
     # Later steps divide by the zero pivot, if there is one; the row loop
     # would have stopped there, so the values are incomplete either way.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _eliminate_steps(n, u_indptr, u_indices, u_data, lower, finish)
+        _eliminate_steps(n, u_indptr, u_indices, u_data, steps)
     zero = np.flatnonzero(u_data[u_indptr[:-1]] == 0.0)
     return u_data, int(zero[0]) if zero.size else -1
 
@@ -305,53 +307,21 @@ def _eliminate_rows(n, u_indptr, u_indices, u_data, lower):
     return fail
 
 
-def _steps(u_indptr, lower, finish):
-    """The strict-L entries in step order, as the position in U of each
-    entry's u_pi (p its pivot row, i its row), its row and step, the
-    position of its pivot u_pp, the number of entries of U's row p from
-    u_pi on, and where each step starts in these arrays, plus the end.
-
-    The k-th strict-L entry of row i, with pivot row p_k, runs at step
-    T(i, k) = k + 1 + the largest F(p_j) - j over j <= k, F being
-    ``finish`` (see ``lower_schedule``).  Rows need not wait for a whole
-    level, so there are fewer steps than in a level schedule's (level,
-    entry) steps: 447 against 1382 on a 5200-row bearing factor.
-    """
-    l_indptr, pivot_rows, l_at = lower
-    n = l_indptr.size - 1
-    nl = np.diff(l_indptr) - 1  # each row's diagonal entry comes last
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(nl, out=ptr[1:])
-    t = _spans(l_indptr[:-1], nl)
-    p = pivot_rows[t]
-    k = np.arange(t.size) - np.repeat(ptr[:-1], nl)
-    # running maximum of F(p_j) - j within each row
-    offset = np.repeat(np.arange(n) * (t.size + n + 2), nl)
-    step = np.maximum.accumulate(finish[p] - k + offset) - offset + k + 1
-    by_step = np.argsort(step, kind="stable")
-    p, step = p[by_step], step[by_step]
-    at = l_at[t[by_step]]
-    row = np.repeat(np.arange(n), nl)[by_step]
-    count = u_indptr[p + 1] - at
-    step_starts = np.searchsorted(step, np.arange(int(finish.max(initial=-1)) + 2))
-    return at, row, step, u_indptr[p], count, step_starts
-
-
 # Largest number of candidate (L entry, pivot-row U entry) pairs that
 # ``_eliminate_steps`` expands at once; bounds its temporary memory to
 # about 1 MB whatever the factor's size.
 PAIR_CHUNK = 1 << 14
 
 
-def _eliminate_steps(n, u_indptr, u_indices, u_data, lower, finish):
-    """The row loop of ``_eliminate_rows``, run by the steps of ``_steps``:
+def _eliminate_steps(n, u_indptr, u_indices, u_data, steps):
+    """The row loop of ``_eliminate_rows``, run by ``elimination_steps``:
     a step takes the next pivot row p of each of its rows i, forms
     m = u_pi / u_pp, and subtracts ``m * val[s]`` from row i's entry in the
     column of every entry s of U's row p from u_pi on.  The rows of a step
     are distinct and their pivot rows complete, and the columns of a row
     are distinct, so no step updates an entry twice, and every entry sees
     its updates in the row loop's order."""
-    at, row, step, pivot, count, step_starts = _steps(u_indptr, lower, finish)
+    at, row, step, pivot, count, step_starts = steps
     # chunks of whole steps, of about PAIR_CHUNK candidate pairs each
     before = np.concatenate(([0], np.cumsum(count)))[step_starts]
     cuts = np.unique(np.concatenate(

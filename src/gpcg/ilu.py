@@ -3,9 +3,10 @@
 A matrix flagged symmetric is factored as A ~ U^T D^-1 U, D the diagonal of
 U, and only U is filled, stored and updated (``_kernels``).  Fill entries
 enter while their level, min over pivots p of lev(p,i) + lev(p,j) + 1 with
-originals at level 0, stays within the bound.  Large blocks with wide
-levels are factored by levels, small or chain-like ones row by row, with
-the same bits; every factor solves in two compiled calls.
+originals at level 0, stays within the bound.  Large blocks whose
+elimination takes few steps for their size are factored by levels, small
+or chain-like ones row by row, with the same bits; every factor solves in
+two compiled calls.
 """
 
 from __future__ import annotations
@@ -17,19 +18,25 @@ from .errors import ZeroPivot
 from .linalg import SparseMatrixCSR
 
 
-# The level form of the numeric phase costs a pass over strict L (the L
-# levels and the elimination steps) and a few numpy calls per step and
-# chunk, so it pays only on large blocks whose levels are wide; the gate
-# picks the numeric form only, as the solves are the same on every factor.
-# Measured on a 2-vCPU host (numeric phase plus four solves, the row loops
-# against the level forms): the level forms win from n = 144 on 2-D grid
-# Laplacians (ILU(0) and ILU(2)) and from n = 200 on random SPD patterns
-# with about five entries a row (ILU(0)), and lose 1.3x on n = 60 random
-# SPD blocks.  At n = 1024-4096 they lose 2x when levels average one or two
-# rows (chain-like patterns), break even near four or five rows a level and
-# win by 13-36 % at six to eight.  LEVEL_MIN_ROWS stays above both n
-# crossovers; the L pass gives up as soon as it finds more levels than
-# n / LEVEL_MIN_WIDTH, so chain-like blocks pay a fraction of it.
+# The level form of the numeric phase costs a pass over strict L (its
+# schedule) and a few numpy calls per elimination step and chunk, so it
+# pays only on large blocks with few steps; the gate picks the numeric form
+# only, as the solves are the same on every factor.  Measured on a 2-vCPU
+# host, schedule plus numeric phase against the row loop:
+# * on interleaved chains of n = 1024-4096 (row i coupled to row i - w,
+#   one or two entries a row), the level form loses 2.5-4.7x at one or two
+#   rows a step and 1.3-2.2x at five; it breaks even near eight rows a
+#   step with two entries a row and 12-14 with one;
+# * on bearing blocks (nx = 30-70, n = 480-3306), whose steps hold more
+#   work, it takes 0.40-0.82 of the row loop's time at ILU(2) from 3.7 rows
+#   a step on, and at ILU(0) from 7.8 rows a step on; on grid Laplacians of
+#   1024-4096 rows, 0.37-0.65 from 6.6 rows a step on.
+# LEVEL_MIN_WIDTH = 5 keeps bearing ILU(2) blocks from nx = 40 on the level
+# form at the cost of thin chains.  The schedule gives up as soon as it
+# takes more steps than n / LEVEL_MIN_WIDTH, so chain-like blocks pay a
+# fraction of it.  Near LEVEL_MIN_ROWS the two forms are close: on grid20
+# and random-300 blocks (n = 400, 300) the level form takes 0.98-1.29 of
+# the row loop's time where the gate lets it run.
 LEVEL_MIN_ROWS = 256
 LEVEL_MIN_WIDTH = 5
 
@@ -72,7 +79,9 @@ class ILUFactorization:
 
 def ilu_k(M: SparseMatrixCSR, k: int) -> ILUFactorization:
     """IC(k) factor of M with fill level k (k=0 keeps the input pattern).
-    M must be flagged symmetric, which makes it square."""
+    M must be flagged symmetric, which makes it square.  The numeric phase
+    runs by levels when M has at least LEVEL_MIN_ROWS rows and takes at
+    most n / LEVEL_MIN_WIDTH elimination steps, else row by row."""
     if not M.symmetric:
         raise ValueError("IC(k) needs a matrix flagged symmetric")
     if k < 0:
@@ -83,11 +92,11 @@ def ilu_k(M: SparseMatrixCSR, k: int) -> ILUFactorization:
     n = M.nrows
     u_indptr, u_indices = _kernels.ilu_symbolic(n, M.indptr, M.indices, k)
     lower = _kernels.lower_pattern(u_indptr, u_indices)
-    # None unless the levels average LEVEL_MIN_WIDTH rows
-    finish = _kernels.lower_schedule(lower[0], lower[1], lower[0][1:] - 1,
-                                     n // LEVEL_MIN_WIDTH) if n >= LEVEL_MIN_ROWS else None
+    # None unless the steps average LEVEL_MIN_WIDTH rows
+    steps = (_kernels.elimination_steps(u_indptr, lower, n // LEVEL_MIN_WIDTH)
+             if n >= LEVEL_MIN_ROWS else None)
     u_data, fail_row = _kernels.ilu_numeric(
-        n, M.indptr, M.indices, M.data, u_indptr, u_indices, lower, finish)
+        n, M.indptr, M.indices, M.data, u_indptr, u_indices, lower, steps)
     if fail_row >= 0:
         raise ZeroPivot(int(fail_row))
     return ILUFactorization(n, u_indptr, u_indices, u_data)

@@ -36,12 +36,15 @@ def write_matrix(path: str, M: SparseMatrixCSR) -> None:
 def read_matrix(path: str) -> SparseMatrixCSR:
     """Read a Matrix Market file, summing duplicate entries; symmetric files
     come back in full storage with the symmetric flag set, and so do
-    general ones whose storage is symmetric."""
+    general ones whose storage is symmetric.  Complex files are refused."""
+    info = scipy.io.mminfo(path)
+    if info[4] == "complex":
+        raise ValueError(f"{path}: complex entries are not supported")
     S = scipy.sparse.csr_array(scipy.io.mmread(path))
     S.sum_duplicates()  # and sorts the indices
     n, m = S.shape
     arrays = S.indptr, S.indices, S.data
-    symmetric = (scipy.io.mminfo(path)[5] == "symmetric"
+    symmetric = (info[5] == "symmetric"
                  or (n == m and _kernels.symmetry_holds(n, *arrays)))
     return SparseMatrixCSR(n, m, *arrays, symmetric=symmetric)
 
@@ -62,7 +65,10 @@ def write_vector(path: str, v: np.ndarray) -> None:
 
 def read_vector(path: str) -> np.ndarray:
     if path.endswith(".npy"):
-        return as_vector(np.load(path))
+        v = np.load(path)
+        if np.iscomplexobj(v):
+            raise ValueError(f"{path}: complex entries are not supported")
+        return as_vector(v)
     values = []
     with open(path) as fh:
         for line in fh:

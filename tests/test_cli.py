@@ -182,6 +182,25 @@ class TestSolveCommand:
         assert rc == 2
         assert "cannot load problem" in err
 
+    @pytest.mark.parametrize("entry", ["matrix", "linear"])
+    def test_complex_file_exits_two(self, capsys, tmp_path, entry):
+        qp = random_bound_qp(np.random.default_rng(5), 3)
+        manifest = save_problem(str(tmp_path), qp)
+        with open(manifest) as fh:
+            body = json.load(fh)
+        if entry == "matrix":
+            with open(tmp_path / body["matrix"], "w") as fh:
+                fh.write("%%MatrixMarket matrix coordinate complex general\n")
+                fh.write("3 3 3\n1 1 2.0 1.0\n2 2 2.0 0.0\n3 3 2.0 0.0\n")
+        else:
+            body["linear"] = "b.npy"
+            np.save(tmp_path / "b.npy", qp.b + 1.0j)
+            with open(manifest, "w") as fh:
+                json.dump(body, fh)
+        rc, _, err = _run(capsys, ["solve", manifest])
+        assert rc == 2
+        assert "complex entries are not supported" in err
+
 
 class TestComparePrecondsCommand:
     def test_tabulates_all_preconditioners(self, capsys):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,17 @@ class TestMatrixFiles:
         R = read_matrix(path)
         assert R.symmetric
 
+    def test_complex_file_rejected(self, tmp_path):
+        # keeping only the real part would solve a different problem
+        path = str(tmp_path / "m.mtx")
+        with open(path, "w") as fh:
+            fh.write("%%MatrixMarket matrix coordinate complex general\n")
+            fh.write("2 2 2\n1 1 2.0 1.0\n2 2 3.0 0.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="complex"):
+                read_matrix(path)
+
 
 class TestVectorFiles:
     def test_text_round_trip_with_infinities(self, tmp_path):
@@ -81,6 +93,14 @@ class TestVectorFiles:
         path = str(tmp_path / "v.npy")
         write_vector(path, v)
         assert_array_equal(read_vector(path), v)
+
+    def test_complex_npy_rejected(self, tmp_path):
+        path = str(tmp_path / "v.npy")
+        np.save(path, np.array([1.0 + 2.0j, 3.0 + 0.0j]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="complex"):
+                read_vector(path)
 
 
 class TestProblemBundle:

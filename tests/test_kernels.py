@@ -16,7 +16,8 @@ import warnings
 import numpy as np
 import pytest
 
-from gpcg import SparseMatrixCSR, ZeroPivot, extract_submatrix, ilu_k, mat_vec
+from gpcg import (BearingSpec, SolverConfig, SparseMatrixCSR, ZeroPivot, extract_submatrix,
+                  generate, ilu_k, mat_vec, solve)
 from gpcg import _kernels, ilu, precond
 
 
@@ -145,30 +146,33 @@ def ref_lu_solve_divide_after_sum(lu_indptr, lu_indices, lu_data, lu_diag, r):
     return z
 
 
-def ref_levels(lu_indptr, lu_indices, lu_diag):
-    """The number of levels of strict L: a row is one level deeper than the
-    deepest row its strict-L entries reach."""
-    n = lu_diag.size
-    depth = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        cols = lu_indices[lu_indptr[i]:lu_diag[i]]
-        if cols.size:
-            depth[i] = depth[cols].max() + 1
-    return int(depth.max(initial=-1)) + 1
-
-
-def ref_finish(lu_indptr, lu_indices, lu_diag):
-    """The step at which each row's last strict-L entry is eliminated, when
-    a row takes its entries in column order and each only after its pivot
-    row is complete (-1 for rows without strict-L entries)."""
-    n = lu_diag.size
-    finish = np.full(n, -1, dtype=np.int64)
+def ref_schedule(u_indptr, l_indptr, l_indices, l_at):
+    """The level form's schedule by plain loops, given U's pattern and its
+    transpose with positions (``lower_pattern``): row i takes its strict-L
+    entries in column order, the k-th, with pivot row p, only after row p
+    is complete, at step T(i, k) = max(T(i, k - 1), F(p)) + 1, where F(p)
+    is the step of row p's last entry (-1 for a row without any).  Returns
+    ``elimination_steps``'s arrays: the entries sorted stably by step, as
+    the position in U of u_pi, the row, the step, the position of u_pp and
+    the length of U's row p from u_pi on; and where each step starts."""
+    n = len(l_indptr) - 1
+    finish = [-1] * n
+    entries = []  # (at, row, step, pivot, count), in row order
     for i in range(n):
         step = -1
-        for p in lu_indices[lu_indptr[i]:lu_diag[i]]:
+        for t in range(l_indptr[i], l_indptr[i + 1] - 1):  # the diagonal is last
+            p = l_indices[t]
             step = max(step, finish[p]) + 1
+            entries.append((l_at[t], i, step, u_indptr[p], u_indptr[p + 1] - l_at[t]))
         finish[i] = step
-    return finish
+    entries.sort(key=lambda entry: entry[2])
+    starts = [0] * (max(finish, default=-1) + 2)
+    for entry in entries:
+        starts[entry[2] + 1] += 1
+    for s in range(1, len(starts)):
+        starts[s] += starts[s - 1]
+    columns = [[entry[c] for entry in entries] for c in range(5)]
+    return [np.array(c, dtype=np.int64) for c in columns + [starts]]
 
 
 def ref_matvec(A, x):
@@ -273,8 +277,9 @@ def grid_laplacian(side):
 CASES = ([(seed, n, d, sym) for seed, (n, d) in enumerate(
              [(7, 0.3), (20, 0.15), (35, 0.08), (60, 0.05), (60, 0.02)])
           for sym in (True, False)])
-# Above ilu.LEVEL_MIN_ROWS, with levels wide enough that ilu_k factors them
-# by levels for k up to 2 (grid20 at k = 3 falls back to the row loop).
+# Above ilu.LEVEL_MIN_ROWS, with few enough elimination steps that ilu_k
+# factors the symmetric ones by levels for k up to 2 (sym300) and 1 (grid20):
+# see test_ilu_k_solves_by_levels_only_on_large_blocks_with_wide_levels.
 LARGE_CASES = [(5, 300, 0.01, True), (5, 300, 0.01, False), "grid20"]
 FACTOR_CASES = ([(case, k) for k in (0, 1, 2, 3, "n") for case in CASES + ["grid"]]
                 + [(case, k) for k in (0, 1, 2, 3, "n") for case in LARGE_CASES])
@@ -315,8 +320,7 @@ def test_factor_and_solve_match_reference_loops(case, k):
     assert ic_fail == -1
     # both numeric forms on every case
     lower = _kernels.lower_pattern(u_indptr, u_indices)
-    finish = _kernels.lower_schedule(lower[0], lower[1], lower[0][1:] - 1)
-    for steps in (None, finish):
+    for steps in (None, assert_schedule_matches_reference(u_indptr, lower)):
         data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
                                           u_indptr, u_indices, lower, steps)
         assert fail == -1
@@ -372,40 +376,65 @@ def test_solve_makes_two_compiled_calls(monkeypatch):
 
 
 def test_ilu_k_solves_by_levels_only_on_large_blocks_with_wide_levels(monkeypatch):
-    steps = spy_on_numeric(monkeypatch)
-    ilu_k(grid_laplacian(20), 0)
-    ilu_k(random_pattern_matrix(5, 300, 0.01, True), 2)
+    by_levels = spy_on_numeric(monkeypatch)
+    # the steps at k = 0 to 3, against budgets of 60 (sym300) and 80
+    # (grid20): sym300 takes the level path up to k = 2, grid20 up to k = 1
+    for case, lengths in (((5, 300, 0.01, True), [11, 26, 43, 85]),
+                          ("grid20", [57, 76, 95, 133])):
+        A = case_matrix(case)
+        for k, length in enumerate(lengths):
+            assert schedule_length(A, k) == length
+            ilu_k(A, k)
     ilu_k(grid_laplacian(7), 0)  # n = 49
-    # a tridiagonal block is one chain: n levels of one row each
+    # a tridiagonal block is one chain: n - 1 steps of one row each
     n = 2 * ilu.LEVEL_MIN_ROWS
     chain = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     ilu_k(SparseMatrixCSR.from_dense(chain, symmetric=True), 0)
-    assert steps == [True, True, False, False]
+    assert by_levels == [True] * 3 + [False] + [True] * 2 + [False] * 4
 
 
 def spy_on_numeric(monkeypatch):
     """A list that records, for each later ``ilu_numeric`` call, whether it
-    received ``finish``: whether ``ilu_k`` took the level path."""
+    received ``steps``: whether ``ilu_k`` took the level path."""
     ilu_numeric = _kernels.ilu_numeric
-    steps = []
+    by_levels = []
 
     def spy(*args):
-        steps.append(args[-1] is not None)
+        by_levels.append(args[-1] is not None)
         return ilu_numeric(*args)
 
     monkeypatch.setattr(_kernels, "ilu_numeric", spy)
-    return steps
+    return by_levels
+
+
+def interleaved_chains(n, w, join=False):
+    """Row i coupled to row i - w: w interleaved chains, whose levels hold w
+    rows each and take one step less than there are levels.  ``join``
+    couples the last two rows too, which delays the last row by a step."""
+    M = 3.0 * np.eye(n) - np.eye(n, k=w) - np.eye(n, k=-w)
+    if join:
+        M[n - 1, n - 2] = M[n - 2, n - 1] = -1.0
+    return SparseMatrixCSR.from_dense(M, symmetric=True)
+
+
+def schedule_length(A, k):
+    """The number of elimination steps of A's IC(k) pattern, by the
+    reference loop."""
+    u_indptr, u_indices = _kernels.ilu_symbolic(A.nrows, A.indptr, A.indices, k)
+    return ref_schedule(u_indptr, *_kernels.lower_pattern(u_indptr, u_indices))[5].size - 1
 
 
 def test_ilu_k_takes_the_level_path_up_to_n_over_min_width_levels(monkeypatch):
-    steps = spy_on_numeric(monkeypatch)
-    # interleaved chains, row i depending on row i - w: levels of w rows
+    by_levels = spy_on_numeric(monkeypatch)
     w = ilu.LEVEL_MIN_WIDTH
     m = ilu.LEVEL_MIN_ROWS // w + 1
-    for n, levels in ((w * m, m), (w * m + 1, m + 1)):
-        chains = 3.0 * np.eye(n) - np.eye(n, k=w) - np.eye(n, k=-w)
-        ilu_k(SparseMatrixCSR.from_dense(chains, symmetric=True), 0)
-        assert steps.pop() == (levels * w <= n)
+    # the budget is n // w = m steps: under it, at it, and one step over it
+    for n, join, length in ((w * m, False, m - 1), (w * m + 1, False, m),
+                            (w * m + 1, True, m + 1)):
+        A = interleaved_chains(n, w, join)
+        assert schedule_length(A, 0) == length
+        ilu_k(A, 0)
+    assert by_levels == [True, True, False]
 
 
 def test_full_fill_level_gives_the_full_elimination_pattern():
@@ -421,18 +450,18 @@ def test_full_fill_level_gives_the_full_elimination_pattern():
 def both_numeric_forms(A, k):
     """The (values, first zero-pivot row) of each numeric form, the row loop
     first, on A's IC(k) pattern, with any floating-point warning raised;
-    and the level form's ``finish``."""
+    and the level form's schedule."""
     n = A.nrows
     u_indptr, u_indices = _kernels.ilu_symbolic(n, A.indptr, A.indices, k)
     lower = _kernels.lower_pattern(u_indptr, u_indices)
-    finish = _kernels.lower_schedule(lower[0], lower[1], lower[0][1:] - 1)
+    schedule = _kernels.elimination_steps(u_indptr, lower)
     ref = ref_ic_numeric(n, A.indptr, A.indices, A.data, u_indptr, u_indices)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         forms = [_kernels.ilu_numeric(n, A.indptr, A.indices, A.data, u_indptr,
                                       u_indices, lower, steps)
-                 for steps in (None, finish)]
-    return ref, forms, finish
+                 for steps in (None, schedule)]
+    return ref, forms, schedule
 
 
 @pytest.mark.parametrize("dense, row", [
@@ -444,7 +473,7 @@ def both_numeric_forms(A, k):
 ])
 def test_zero_pivot_row_matches_reference(dense, row):
     A = SparseMatrixCSR.from_dense(np.array(dense), symmetric=True)
-    (_ref_data, ref_fail), forms, _finish = both_numeric_forms(A, A.nrows)
+    (_ref_data, ref_fail), forms, _schedule = both_numeric_forms(A, A.nrows)
     assert ref_fail == row
     assert [fail for _data, fail in forms] == [row, row]
     with pytest.raises(ZeroPivot) as err:
@@ -474,9 +503,9 @@ def symmetric_planted_zero_pivots(n=400):
 def test_zero_pivot_on_the_level_path(k):
     # the level form runs on past the zero pivot that stops the row loop,
     # and still reports the first zero-pivot row, not the first to finish
-    (_ref_data, ref_fail), forms, finish = both_numeric_forms(
+    (_ref_data, ref_fail), forms, (_at, row, step, *_rest) = both_numeric_forms(
         symmetric_planted_zero_pivots(), k)
-    assert finish[301] < finish[101]
+    assert step[row == 301].max() < step[row == 101].max()
     assert ref_fail == 101
     assert [fail for _data, fail in forms] == [101, 101]
 
@@ -485,12 +514,12 @@ def test_zero_pivot_on_the_level_path(k):
 def test_zero_pivot_on_the_level_path_of_a_symmetric_block(monkeypatch, k):
     A = symmetric_planted_zero_pivots()
     assert A.nrows >= ilu.LEVEL_MIN_ROWS
-    steps = spy_on_numeric(monkeypatch)
+    by_levels = spy_on_numeric(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ZeroPivot) as err:
             ilu_k(A, k)
-    assert steps == [True]
+    assert by_levels == [True]
     assert err.value.row == 101
 
 
@@ -539,19 +568,46 @@ SCHEDULE_PATTERNS = ([(case, k) for k in (0, 2) for case in CASES + LARGE_CASES]
 def test_level_schedule_matches_reference_loop(case, k):
     A = case if isinstance(case, SparseMatrixCSR) else case_matrix(case)
     if A.symmetric:
-        # the lower pattern ilu_k schedules: each row ends with its diagonal
-        l_indptr, l_indices, _at = _kernels.lower_pattern(
-            *_kernels.ilu_symbolic(A.nrows, A.indptr, A.indices, k))
-        pattern = l_indptr, l_indices, l_indptr[1:] - 1
+        u_indptr, u_indices = _kernels.ilu_symbolic(A.nrows, A.indptr, A.indices, k)
     else:
-        # lower_schedule reads any strict-L pattern: here the ILU(k) one
-        pattern = ref_ilu_symbolic(A.nrows, A.indptr, A.indices, k)
-    finish = _kernels.lower_schedule(*pattern)
-    assert_bytes_equal(finish, ref_finish(*pattern))
-    # with a level budget: the same steps when the levels fit, else None
-    levels = ref_levels(*pattern)
-    assert_bytes_equal(_kernels.lower_schedule(*pattern, levels), finish)
-    assert _kernels.lower_schedule(*pattern, levels - 1) is None
+        # the schedule reads any upper pattern with its diagonal: here the
+        # upper triangle of the unsymmetric ILU(k) pattern
+        lu_indptr, lu_indices, _lu_diag = ref_ilu_symbolic(A.nrows, A.indptr, A.indices, k)
+        u_indptr, u_indices, _upper = upper_triangle(A.nrows, lu_indptr, lu_indices)
+    assert_schedule_matches_reference(u_indptr, _kernels.lower_pattern(u_indptr, u_indices))
+
+
+def assert_schedule_matches_reference(u_indptr, lower):
+    """``elimination_steps`` equals ``ref_schedule`` byte for byte, and
+    gives the same arrays under a budget of its number of steps, and None
+    under one step less.  Returns the schedule."""
+    schedule = _kernels.elimination_steps(u_indptr, lower)
+    want = ref_schedule(u_indptr, *lower)
+    for got, ref in zip(schedule, want, strict=True):
+        assert_bytes_equal(got, ref)
+    length = want[5].size - 1
+    for got, ref in zip(_kernels.elimination_steps(u_indptr, lower, length), want, strict=True):
+        assert_bytes_equal(got, ref)
+    assert _kernels.elimination_steps(u_indptr, lower, length - 1) is None
+    return schedule
+
+
+def test_level_schedule_matches_reference_loop_on_a_bearing_block(monkeypatch):
+    # the first block an ILU(2) solve of a small bearing factors
+    blocks = []
+    real = precond.ilu_k
+
+    def record(M, k):
+        blocks.append((M, k))
+        return real(M, k)
+
+    monkeypatch.setattr(precond, "ilu_k", record)
+    qp = generate(BearingSpec(30, 30, 0.1))
+    solve(qp, qp.l.copy(), SolverConfig(precond="bjacobi-ilu2", tol=1e-4))
+    M, k = blocks[0]
+    assert k == 2 and M.nrows >= ilu.LEVEL_MIN_ROWS
+    u_indptr, u_indices = _kernels.ilu_symbolic(M.nrows, M.indptr, M.indices, k)
+    assert_schedule_matches_reference(u_indptr, _kernels.lower_pattern(u_indptr, u_indices))
 
 
 def test_lower_pattern_is_the_transpose_with_positions():
@@ -579,8 +635,8 @@ def skewed_grid():
     return SparseMatrixCSR.from_dense(M)
 
 
-# symmetric and unsymmetric; at k = 0 and 2 each is large and wide enough
-# for the level form
+# symmetric and unsymmetric, all large; at k = 0 and 2 all but grid20 at
+# k = 2 have few enough steps for the level form
 WIDE_CASES = [("grid20", grid_laplacian(20)),
               ("sym300", random_pattern_matrix(5, 300, 0.01, True)),
               ("unsym300", random_pattern_matrix(5, 300, 0.01, False)),
@@ -635,16 +691,18 @@ def test_ilu_symbolic_keeps_a_symmetric_pattern_symmetric(case, k):
 @pytest.mark.parametrize("name, A", WIDE_CASES, ids=[c[0] for c in WIDE_CASES])
 def test_ilu_k_takes_the_level_path_for_wide_blocks_of_any_pattern(
         monkeypatch, name, A, k):
-    # the symmetric blocks go by levels, with the reference loop's bits;
-    # the unsymmetric ones are refused before any numeric work
-    steps = spy_on_numeric(monkeypatch)
+    # the symmetric blocks go by levels but for grid20 at k = 2, with the
+    # reference loop's bits; the unsymmetric ones are refused before any
+    # numeric work
+    by_levels = spy_on_numeric(monkeypatch)
     if not A.symmetric:
         with pytest.raises(ValueError, match="symmetric"):
             ilu_k(A, k)
-        assert steps == []
+        assert by_levels == []
         return
     factor = ilu_k(A, k)
-    assert steps == [True]
+    # grid20 at k = 2 takes 95 steps against a budget of 80: the row loop
+    assert by_levels == [(name, k) != ("grid20", 2)]
     n = A.nrows
     lu_indptr, lu_indices, lu_diag = ref_ilu_symbolic(n, A.indptr, A.indices, k)
     ic_data, _fail = ref_ic_numeric(n, A.indptr, A.indices, A.data, factor.u_indptr,
