@@ -1,0 +1,217 @@
+"""Scale benchmark: the journal bearing at the paper's sizes, one solve per
+size and preconditioner, each in a fresh interpreter.
+
+The paper's claim is size: GPCG solved bearing problems with over 2.5
+million variables.  Each run generates bearing nx = ny, eps 0.1 and solves
+it from x0 = l to a projected-gradient norm of 1e-4, as the benchmark's
+bearing workloads do, with BLAS pinned to one thread.  It records:
+
+  base_rss_mb     peak RSS after importing numpy and scipy.sparse
+  import_rss_mb   peak RSS after also importing gpcg: the fixed cost of a
+                  process
+  peak_rss_mb     peak RSS after the solve (``ru_maxrss``)
+  generate_s      wall time of ``gpcg.generate``
+  generate_peak_ratio
+                  ``generate``'s tracemalloc peak over the bytes it returns
+  solve_s         wall time of ``gpcg.solve``
+  status, outer, gp_iters, cg_iters, cg_calls, faces
+                  the solve's status and ``SolverStats`` counts
+  pg_norm         the projected-gradient norm at x_star, recomputed with
+                  ``scipy.sparse`` arithmetic from the problem's arrays
+  x_digest        the first 16 hex digits of sha256(x_star)
+
+With ``--memory`` each run is repeated in another interpreter under
+tracemalloc (which slows it, so it is timed apart), adding
+``extract_calls`` and ``extract_peak_ratio``: the largest ratio, over the
+solve's ``extract_submatrix`` calls, of a call's tracemalloc peak to the
+bytes of the matrix it returns.
+
+Results are merged run by run into ``--out`` (default ``BENCH_scale.json``
+at the repo root) under ``--label``.  The script measures the tree it sits
+in; to compare with another commit, run a copy of it from a checkout of
+that commit into the same file:
+
+  python3 benchmarks/bench_scale.py --label change
+  python3 benchmarks/bench_scale.py --label change --sizes 1600 --preconds jacobi
+  cp benchmarks/bench_scale.py ../parent/benchmarks/
+  python3 ../parent/benchmarks/bench_scale.py --label parent --out BENCH_scale.json
+
+The default grid (400 and 800, three preconditioners) takes a few minutes
+on one core; 1600 under ``jacobi`` alone takes five to six minutes.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import hashlib
+import json
+import platform
+import resource
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+EPS = 0.1
+TOL = 1e-4
+
+
+def rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def projected_gradient_norm(qp, x) -> float:
+    import numpy as np
+    import scipy.sparse as sp
+    A = sp.csr_array((qp.A.data, qp.A.indices, qp.A.indptr), shape=(qp.n, qp.n))
+    g = A @ x + qp.b
+    pg = np.where(x == qp.l, np.minimum(g, 0.0), g)
+    pg = np.where(x == qp.u, np.maximum(pg, 0.0), pg)
+    return float(np.sqrt(np.sum(pg * pg)))
+
+
+def spy_on_extraction(gpcg):
+    """Rebind ``extract_submatrix`` where the solver calls it, to record
+    each call's tracemalloc peak over the bytes it returns."""
+    ratios = []
+    real = gpcg.linalg.extract_submatrix
+
+    def traced(A, idx):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        S = real(A, idx)
+        result = S.indptr.nbytes + S.indices.nbytes + S.data.nbytes
+        ratios.append((tracemalloc.get_traced_memory()[1] - start) / result)
+        return S
+
+    gpcg.reduced.extract_submatrix = traced
+    gpcg.precond.extract_submatrix = traced
+    return ratios
+
+
+def one_run(nx: int, precond: str, memory: bool) -> dict:
+    """Generate and solve one bearing in this interpreter."""
+    import numpy as np
+    import scipy.sparse  # noqa: F401
+    base = rss_mb()
+    sys.path.insert(0, str(ROOT / "src"))
+    import gpcg
+    if not Path(gpcg.__file__).resolve().is_relative_to(ROOT / "src"):
+        sys.exit(f"gpcg was imported from {gpcg.__file__}, not from this checkout")
+    imported = rss_mb()
+
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    qp = gpcg.generate(gpcg.BearingSpec(nx, nx, EPS))
+    generate_s = time.perf_counter() - t0
+    returned = sum(a.nbytes for a in (qp.A.indptr, qp.A.indices, qp.A.data,
+                                      qp.b, qp.l, qp.u))
+    generate_peak_ratio = tracemalloc.get_traced_memory()[1] / returned
+    ratios = spy_on_extraction(gpcg) if memory else None
+    if not memory:
+        tracemalloc.stop()
+
+    t0 = time.perf_counter()
+    out = gpcg.solve(qp, qp.l.copy(), gpcg.SolverConfig(precond=precond, tol=TOL))
+    solve_s = time.perf_counter() - t0
+    peak = rss_mb()
+    if memory:
+        tracemalloc.stop()
+        return {"extract_calls": len(ratios),
+                "extract_peak_ratio": round(max(ratios, default=0.0), 4)}
+    st = out.stats
+    return {
+        "n": qp.n, "precond": precond,
+        "base_rss_mb": round(base, 1), "import_rss_mb": round(imported, 1),
+        "peak_rss_mb": round(peak, 1),
+        "generate_s": round(generate_s, 4),
+        "generate_peak_ratio": round(generate_peak_ratio, 4),
+        "solve_s": round(solve_s, 3), "status": out.status.value,
+        "outer": st.outer_iters, "gp_iters": st.gp_iters_total,
+        "cg_iters": st.cg_iters_total, "cg_calls": st.cg_calls,
+        "faces": st.faces_visited,
+        "pg_norm": projected_gradient_norm(qp, out.x_star),
+        "x_digest": hashlib.sha256(np.ascontiguousarray(out.x_star).tobytes()).hexdigest()[:16],
+    }
+
+
+def child(nx: int, precond: str, memory: bool) -> dict:
+    cmd = [sys.executable, __file__, "--one", str(nx), precond]
+    if memory:
+        cmd.append("--memory")
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def environment() -> dict:
+    import numpy
+    import scipy
+    cpu = None
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), None)
+    except OSError:
+        pass
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        "cpu": cpu,
+        "nproc": len(os.sched_getaffinity(0)),
+        "blas_env": {v: os.environ.get(v) for v in
+                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--sizes", type=int, nargs="+", default=[400, 800],
+                    help="bearing grid sizes nx = ny")
+    ap.add_argument("--preconds", nargs="+",
+                    default=["jacobi", "bjacobi-ilu0", "bjacobi-ilu2"])
+    ap.add_argument("--memory", action="store_true",
+                    help="also trace extraction's memory, in a second run")
+    ap.add_argument("--label", default="change")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
+    ap.add_argument("--one", nargs=2, metavar=("NX", "PRECOND"), help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.one:
+        print(json.dumps(one_run(int(args.one[0]), args.one[1], args.memory)))
+        return
+
+    results = {}
+    for nx in args.sizes:
+        for precond in args.preconds:
+            run = child(nx, precond, memory=False)
+            if args.memory:
+                run.update(child(nx, precond, memory=True))
+            results[f"bearing-{nx}-eps{EPS}-{precond}"] = run
+            print(f"bearing {nx}x{nx} {precond}: {run['solve_s']:.2f} s, "
+                  f"{run['outer']} outer / {run['cg_iters']} CG, "
+                  f"peak RSS {run['peak_rss_mb']:.1f} MB "
+                  f"(imports {run['import_rss_mb']:.1f} MB), "
+                  f"pg {run['pg_norm']:.2e}, {run['status']}", flush=True)
+
+    out = Path(args.out)
+    report = json.loads(out.read_text()) if out.exists() else {}
+    report["description"] = (
+        "Bearing eps 0.1, nx = ny, x0 = l, tol 1e-4: one solve per run, each in a "
+        "fresh interpreter with BLAS on one thread; RSS from ru_maxrss. "
+        "benchmarks/bench_scale.py")
+    entry = report.setdefault("runs", {}).setdefault(args.label, {"results": {}})
+    entry["environment"] = environment()
+    entry["results"].update(results)
+    out.write_text(json.dumps(report, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -4,9 +4,11 @@ IC(k) factors a matrix equal to its transpose as A ~ U^T D^-1 U, D the
 diagonal of U: incomplete Cholesky in LDL^T form with level of fill (Saad,
 *Iterative Methods for Sparse Linear Systems*, 2nd ed., section 10.3).  U
 is the upper triangle of the ILU(k) factor, whose strict L is U^T D^-1, so
-only U is filled, stored and updated.  Extraction and the symbolic phase
-are vectorized with numpy and ``scipy.sparse``; the numeric phase has two
-forms with the same arithmetic, operation for operation:
+only U is filled, stored and updated.  Principal-submatrix extraction
+gathers rows with scipy's compiled ``csr_row_index``, ``EXTRACT_CHUNK``
+rows at a time, so it holds one chunk besides its result.  The symbolic
+phase is vectorized with numpy and ``scipy.sparse``; the numeric phase has
+two forms with the same arithmetic, operation for operation:
 
 * the row loop (``ilu_numeric`` without ``steps``), which indexes Python
   lists, made with ``tolist()`` once per factor, and so works on plain
@@ -34,6 +36,9 @@ from scipy.sparse._sparsetools import csr_diagonal
 # Accumulates into its output array and sums each row left to right; the
 # public ``csr_array @ x`` calls it on an output of zeros.
 from scipy.sparse._sparsetools import csr_matvec
+# Copies the given rows' indices and values, in order, into output arrays;
+# what ``csr_array[rows]`` calls.
+from scipy.sparse._sparsetools import csr_row_index
 # Position of each (row, column) pair in a canonical CSR pattern, -1 where
 # the pattern has no such entry.
 from scipy.sparse._sparsetools import csr_sample_offsets
@@ -46,7 +51,88 @@ JIT_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
-# principal/rectangular submatrix extraction
+# principal submatrix extraction
+# ---------------------------------------------------------------------------
+
+# Rows that ``csr_extract`` gathers at once: on a five-point stencil its
+# scratch stays near 300 KB whatever the matrix's size.
+EXTRACT_CHUNK = 1 << 11
+
+
+def _gather(indptr, indices, data, rows, colmap):
+    """The entries of some rows of a CSR matrix, each column j mapped to
+    colmap[j]: each row's end among them, their columns and values, and
+    which to keep, those with a column mapped to 0 or more and a nonzero
+    value."""
+    ends = indptr[1:][rows] - indptr[rows]
+    np.cumsum(ends, out=ends)
+    cols = np.empty(ends[-1], dtype=np.int64)
+    vals = np.empty(ends[-1], dtype=np.float64)
+    csr_row_index(rows.size, rows, indptr, indices, data, cols, vals)
+    # mode "clip", not the default "raise", which copies the output first;
+    # CSR columns are in range anyway
+    np.take(colmap, cols, out=cols, mode="clip")
+    keep = cols >= 0
+    keep &= vals != 0.0
+    return ends, cols, vals, keep
+
+
+def _count_kept(out_indptr, a, ends, cols, vals, keep):
+    """Offsets of the kept entries of rows a, a + 1, ... gathered by
+    ``_gather``, after those of the rows before a: each row's end less the
+    entries dropped before it (a search for the few dropped entries; a
+    running sum over ``keep`` costs several times more)."""
+    dropped = np.flatnonzero(~keep)
+    np.add(ends - dropped.searchsorted(ends), out_indptr[a],
+           out=out_indptr[a + 1:a + 1 + ends.size])
+
+
+def _write_kept(out_indptr, out_indices, out_data, a, ends, cols, vals, keep):
+    span = slice(out_indptr[a], out_indptr[a + ends.size])
+    out_indices[span] = cols[keep]  # boolean indexing: faster than np.compress
+    out_data[span] = vals[keep]
+
+
+def csr_extract(indptr, indices, data, rows, colmap):
+    """The given rows of a CSR matrix, each entry's column j mapped to
+    colmap[j], without the entries mapped below 0 or stored as zero: int64
+    indptr and indices and float64 data, entries in the input's order.
+
+    Rows are gathered ``EXTRACT_CHUNK`` at a time, twice: once to count
+    each row's kept entries, which sizes the output, and once to write them
+    into it.  The last chunk's gather serves both, so a call of one chunk
+    gathers once, and only one chunk's entries exist besides the result.
+    """
+    rows = rows.astype(np.int64, copy=False)  # csr_row_index: one index dtype
+    m = rows.size
+    if m == 0:
+        return (np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=np.float64))
+
+    def gather(a):
+        return _gather(indptr, indices, data, rows[a:a + EXTRACT_CHUNK], colmap)
+
+    out_indptr = np.zeros(m + 1, dtype=np.int64)
+    *firsts, last = range(0, m, EXTRACT_CHUNK)
+    for a in firsts:
+        _count_kept(out_indptr, a, *gather(a))
+    chunk = gather(last)
+    _count_kept(out_indptr, last, *chunk)
+    if not firsts:  # one chunk: its kept entries are the result
+        _, cols, vals, keep = chunk
+        return out_indptr, cols[keep], vals[keep]
+    out_indices = np.empty(out_indptr[m], dtype=np.int64)
+    out_data = np.empty(out_indptr[m], dtype=np.float64)
+    _write_kept(out_indptr, out_indices, out_data, last, *chunk)
+    del chunk
+    for a in firsts:
+        _write_kept(out_indptr, out_indices, out_data, a, *gather(a))
+    return out_indptr, out_indices, out_data
+
+
+# ---------------------------------------------------------------------------
+# IC(k): level-of-fill symbolic phase, elimination schedule and
+# pattern-restricted numeric phase, on the upper triangle
 # ---------------------------------------------------------------------------
 
 def _spans(starts, counts):
@@ -55,29 +141,6 @@ def _spans(starts, counts):
     total = ends[-1] if ends.size else 0
     return np.arange(total) - (ends - counts - starts).repeat(counts)
 
-
-def csr_extract(indptr, indices, data, rows, colmap):
-    m = rows.shape[0]
-    counts = indptr[rows + 1] - indptr[rows] if m else np.zeros(0, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return (np.zeros(m + 1, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.float64))
-    pos = _spans(indptr[rows], counts)
-    cols = colmap[indices[pos]]
-    vals = data[pos]
-    keep = (cols >= 0) & (vals != 0.0)
-    out_counts = np.bincount(np.repeat(np.arange(m), counts)[keep], minlength=m)
-    out_indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(out_counts, out=out_indptr[1:])
-    return out_indptr, cols[keep].astype(np.int64), vals[keep]
-
-
-# ---------------------------------------------------------------------------
-# IC(k): level-of-fill symbolic phase, elimination schedule and
-# pattern-restricted numeric phase, on the upper triangle
-# ---------------------------------------------------------------------------
 
 def symmetry_holds(n, indptr, indices, data):
     """Whether an n x n CSR matrix with sorted, distinct indices per row

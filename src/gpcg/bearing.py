@@ -8,6 +8,8 @@ index (j-1)*nx + (i-1), so consecutive indices sweep the first coordinate.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +26,16 @@ class BearingSpec:
     b_dom: float = 10.0  # domain half-height
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
+        try:  # numpy integers pass, floats do not
+            counts = operator.index(self.nx), operator.index(self.ny)
+        except TypeError:
+            raise ValueError("grid counts must be integers") from None
+        if min(counts) < 1:
             raise ValueError("grid counts must be at least 1")
         if not 0.0 <= self.eccentricity < 1.0:
             raise ValueError("eccentricity must lie in [0, 1)")
-        if self.b_dom <= 0.0:
-            raise ValueError("domain half-height must be positive")
+        if not (math.isfinite(self.b_dom) and self.b_dom > 0.0):
+            raise ValueError("domain half-height must be positive and finite")
 
     @property
     def n(self) -> int:
@@ -54,31 +60,40 @@ def generate(spec: BearingSpec) -> BoundQP:
     hy = 2.0 * spec.b_dom / (ny + 1)
     n = nx * ny
 
-    # midpoint samples of the quadratic weight, one per vertical cell edge
+    # midpoint samples of the quadratic weight, one per vertical cell edge;
+    # row (i, j) weighs its edges with (i-1, j) and (i+1, j) by lam_w[i-1]
+    # and lam_e[i-1], so every coefficient depends on i alone
     lam = wq((np.arange(nx + 1) + 0.5) * hx, eps)
-
-    ii = np.tile(np.arange(1, nx + 1), ny)       # first-coordinate index
-    jj = np.repeat(np.arange(1, ny + 1), nx)     # second-coordinate index
-    lam_w = lam[ii - 1]                          # edge shared with (i-1, j)
-    lam_e = lam[ii]                              # edge shared with (i+1, j)
-
+    lam_w, lam_e = lam[:-1], lam[1:]
     diag = (hy / hx + hx / hy) * (lam_w + lam_e)
     horiz_w = -(hy / hx) * lam_w
     horiz_e = -(hy / hx) * lam_e
     vert = -(hx / hy) * 0.5 * (lam_w + lam_e)
 
-    v = np.arange(n, dtype=np.int64)
-    cols = np.stack([v - nx, v - 1, v, v + 1, v + nx], axis=1)
-    vals = np.stack([vert, horiz_w, diag, horiz_e, vert], axis=1)
-    keep = np.stack([jj > 1, ii > 1, np.ones(n, dtype=bool),
-                     ii < nx, jj < ny], axis=1)
-
+    # the stencil in column order: the rows (i, j), on the ny x nx grid,
+    # that have the entry, its column less the row's, and its value by i
+    stencil = [(np.s_[1:, :], -nx, vert), (np.s_[:, 1:], -1, horiz_w),
+               (np.s_[:, :], 0, diag), (np.s_[:, :-1], 1, horiz_e),
+               (np.s_[:-1, :], nx, vert)]
+    count = np.zeros((ny, nx), dtype=np.int64)
+    for rows, _, _ in stencil:
+        count[rows] += 1
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    A = SparseMatrixCSR(n, n, indptr, cols[keep], vals[keep],
-                        symmetric=True, validate=False)
+    np.cumsum(count, out=indptr[1:])
+    del count
+    grid = np.arange(n, dtype=np.int64).reshape(ny, nx)
+    slot = indptr[:-1].reshape(ny, nx).copy()  # each row's next entry
+    indices = np.empty(indptr[n], dtype=np.int64)
+    data = np.empty(indptr[n], dtype=np.float64)
+    for rows, offset, value in stencil:
+        at = slot[rows]
+        indices[at] = grid[rows] + offset
+        data[at] = value[rows[1]]
+        at += 1
+    del grid, slot
+    A = SparseMatrixCSR(n, n, indptr, indices, data, symmetric=True, validate=False)
 
-    b = -hx * hy * wl(ii * hx, eps)
+    b = np.tile(-hx * hy * wl(np.arange(1, nx + 1) * hx, eps), ny)
     l = np.zeros(n)
     u = np.full(n, np.inf)
     return BoundQP(A, b, 0.0, l, u)

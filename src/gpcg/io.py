@@ -11,7 +11,6 @@ import json
 import os
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 
 from . import _kernels
@@ -26,6 +25,7 @@ from .model import BoundQP
 def write_matrix(path: str, M: SparseMatrixCSR) -> None:
     """Write in Matrix Market coordinate format (symmetric storage when the
     matrix is flagged symmetric)."""
+    import scipy.io  # here: loading it costs every gpcg process, and only files need it
     if M.symmetric:
         scipy.io.mmwrite(path, scipy.sparse.tril(M.scipy, format="coo"),
                          symmetry="symmetric")
@@ -37,6 +37,7 @@ def read_matrix(path: str) -> SparseMatrixCSR:
     """Read a Matrix Market file, summing duplicate entries; symmetric files
     come back in full storage with the symmetric flag set, and so do
     general ones whose storage is symmetric.  Complex files are refused."""
+    import scipy.io  # here: loading it costs every gpcg process, and only files need it
     info = scipy.io.mminfo(path)
     if info[4] == "complex":
         raise ValueError(f"{path}: complex entries are not supported")

@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-import scipy.linalg
 
 from .model import BoundQP
 
@@ -18,6 +17,7 @@ _ENUM_LIMIT = 12
 
 def dense_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve A x = rhs by dense Cholesky; raises on a non-SPD matrix."""
+    import scipy.linalg  # here: loading it costs every gpcg process, and only tests need it
     A = np.asarray(A, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:

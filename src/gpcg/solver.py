@@ -197,7 +197,7 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                     refines += 1
             finally:
                 active = _active_mask(qp, x)
-                faces.add(active.tobytes())
+                faces.add(np.packbits(active).tobytes())  # n / 8 bytes a face
                 stats.trace.append(TraceRecord(
                     outer, "outer", q, pg_norm, n - int(active.sum()),
                     outer_cg_iters, eta2))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -34,6 +36,32 @@ def dense_bearing(nx, ny, eps, b_dom):
     return A, rhs
 
 
+def stacked_bearing(nx, ny, eps, b_dom):
+    """A second assembly from the same formulas, row by row: every row's
+    five candidate entries, stacked n x 5 and masked where the neighbor
+    lies outside the grid.  Returns indptr, indices, data and b."""
+    hx = 2.0 * np.pi / (nx + 1)
+    hy = 2.0 * b_dom / (ny + 1)
+    n = nx * ny
+    lam = wq((np.arange(nx + 1) + 0.5) * hx, eps)
+    ii = np.tile(np.arange(1, nx + 1), ny)
+    jj = np.repeat(np.arange(1, ny + 1), nx)
+    lam_w = lam[ii - 1]
+    lam_e = lam[ii]
+    diag = (hy / hx + hx / hy) * (lam_w + lam_e)
+    horiz_w = -(hy / hx) * lam_w
+    horiz_e = -(hy / hx) * lam_e
+    vert = -(hx / hy) * 0.5 * (lam_w + lam_e)
+    v = np.arange(n, dtype=np.int64)
+    cols = np.stack([v - nx, v - 1, v, v + 1, v + nx], axis=1)
+    vals = np.stack([vert, horiz_w, diag, horiz_e, vert], axis=1)
+    keep = np.stack([jj > 1, ii > 1, np.ones(n, dtype=bool),
+                     ii < nx, jj < ny], axis=1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return indptr, cols[keep], vals[keep], -hx * hy * wl(ii * hx, eps)
+
+
 class TestSpec:
     def test_dimensions(self):
         assert BearingSpec(7, 5, 0.1).n == 35
@@ -44,10 +72,20 @@ class TestSpec:
         {"nx": 3, "ny": 3, "eccentricity": 1.0},
         {"nx": 3, "ny": 3, "eccentricity": -0.1},
         {"nx": 3, "ny": 3, "eccentricity": 0.1, "b_dom": 0.0},
+        {"nx": 2.5, "ny": 3, "eccentricity": 0.1},
+        {"nx": 3, "ny": 3.0, "eccentricity": 0.1},
+        {"nx": 3, "ny": 3, "eccentricity": float("nan")},
+        {"nx": 3, "ny": 3, "eccentricity": 0.1, "b_dom": float("nan")},
+        {"nx": 3, "ny": 3, "eccentricity": 0.1, "b_dom": float("inf")},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             BearingSpec(**kwargs)
+
+    def test_numpy_integer_grid_counts_allowed(self):
+        spec = BearingSpec(np.int64(4), np.int32(3), 0.1)
+        assert spec.n == 12
+        assert generate(spec).n == 12
 
     def test_zero_eccentricity_allowed(self):
         assert BearingSpec(3, 3, 0.0).eccentricity == 0.0
@@ -73,6 +111,29 @@ class TestGenerate:
         D, rhs = dense_bearing(nx, ny, eps, b_dom)
         assert np.abs(qp.A.to_dense() - D).max() <= 1e-14 * np.abs(D).max()
         assert_allclose(qp.b, rhs, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.9])
+    @pytest.mark.parametrize("b_dom", [10.0, 3.7])
+    def test_bytes_match_stacked_assembly(self, eps, b_dom):
+        for nx in (1, 2, 3, 7, 30):
+            for ny in (1, 2, 3, 7, 30):
+                qp = generate(BearingSpec(nx, ny, eps, b_dom))
+                want = stacked_bearing(nx, ny, eps, b_dom)
+                got = qp.A.indptr, qp.A.indices, qp.A.data, qp.b
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype
+                    assert g.tobytes() == w.tobytes(), (nx, ny)
+
+    def test_peak_memory_near_what_it_returns(self):
+        tracemalloc.start()
+        try:
+            qp = generate(BearingSpec(200, 200, 0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (qp.A.indptr, qp.A.indices, qp.A.data,
+                                          qp.b, qp.l, qp.u))
+        assert peak <= 1.5 * returned
 
     def test_bounds_and_constant(self):
         qp = generate(BearingSpec(5, 4, 0.3))

@@ -86,6 +86,14 @@ class TestBearingCommand:
         assert rc == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("bdom", ["nan", "inf", "-1"])
+    def test_bad_domain_half_height_exits_two(self, capsys, bdom):
+        rc, out, err = _run(capsys, ["bearing", "--nx", "4", "--ny", "4",
+                                     "--eps", "0.1", "--bdom", bdom])
+        assert rc == 2
+        assert out == ""
+        assert "half-height" in err
+
     def test_nan_tau_exits_two(self, capsys):
         rc, out, err = _run(capsys, ["bearing", "--nx", "4", "--ny", "4",
                                      "--eps", "0.1", "--tau", "nan"])

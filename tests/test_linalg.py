@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import gpcg
-from gpcg import SparseMatrixCSR, dot, extract_submatrix, mat_vec, norm2
+from gpcg import (BearingSpec, SparseMatrixCSR, dot, extract_submatrix, generate,
+                  mat_vec, norm2)
 
 from conftest import random_sparse_spd
 
@@ -182,6 +185,86 @@ class TestExtractSubmatrix:
         M = SparseMatrixCSR.from_dense(D, symmetric=True)
         with pytest.raises(ValueError, match="strictly increasing"):
             extract_submatrix(M, np.array(idx, dtype=np.int64))
+
+
+def matrix_with_stored_zeros_and_empty_rows(rng, n):
+    """A random sparse n x n matrix, not symmetric, with some entries
+    stored as zero and some rows empty."""
+    D = rng.standard_normal((n, n))
+    D[rng.random((n, n)) < 0.7] = 0.0
+    empty = rng.random(n) < 0.1
+    stored = (D != 0.0) | (rng.random((n, n)) < 0.05)
+    stored[empty] = False
+    rows, cols = np.nonzero(stored)
+    return SparseMatrixCSR(n, n, np.searchsorted(rows, np.arange(n + 1)), cols,
+                           D[rows, cols])
+
+
+class TestExtractionByChunks:
+    """``extract_submatrix`` against scipy's fancy indexing, at chunk sizes
+    that split every matrix into many chunks."""
+
+    def reference(self, A, idx):
+        ref = A.scipy[idx][:, idx]
+        ref.eliminate_zeros()
+        return ref
+
+    def assert_matches_scipy(self, A, idx):
+        S = extract_submatrix(A, idx)
+        ref = self.reference(A, np.asarray(idx, dtype=np.int64))
+        assert (S.nrows, S.ncols) == ref.shape
+        for got, want, dtype in ((S.indptr, ref.indptr, np.int64),
+                                 (S.indices, ref.indices, np.int64),
+                                 (S.data, ref.data, np.float64)):
+            assert got.dtype == dtype
+            assert_array_equal(got, want)
+        assert (S.data != 0.0).all()
+
+    @pytest.fixture(params=[1, 2, 3, None], ids=["chunk1", "chunk2", "chunk3", "default"])
+    def chunk(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(gpcg._kernels, "EXTRACT_CHUNK", request.param)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_index_sets(self, chunk, seed):
+        rng = np.random.default_rng(seed)
+        A = matrix_with_stored_zeros_and_empty_rows(rng, 25)
+        assert (A.data == 0.0).any() and (np.diff(A.indptr) == 0).any()
+        for fraction in (0.2, 0.5, 0.9):
+            self.assert_matches_scipy(A, np.flatnonzero(rng.random(25) < fraction))
+
+    @pytest.mark.parametrize("idx", [[], [7], list(range(25)), [0, 24], [3, 4, 5, 6]],
+                             ids=["empty", "one", "all", "ends", "run"])
+    def test_edge_index_sets(self, chunk, idx):
+        A = matrix_with_stored_zeros_and_empty_rows(np.random.default_rng(9), 25)
+        self.assert_matches_scipy(A, np.array(idx, dtype=np.int64))
+
+    def test_int32_index_array(self, chunk):
+        A = matrix_with_stored_zeros_and_empty_rows(np.random.default_rng(10), 25)
+        idx = np.flatnonzero(np.random.default_rng(11).random(25) < 0.6)
+        self.assert_matches_scipy(A, idx.astype(np.int32))
+        assert_array_equal(extract_submatrix(A, idx.astype(np.int32)).indices,
+                           extract_submatrix(A, idx).indices)
+
+    def test_bearing_free_set(self, chunk):
+        A = generate(BearingSpec(9, 7, 0.3)).A
+        idx = np.flatnonzero(np.random.default_rng(12).random(A.nrows) < 0.6)
+        self.assert_matches_scipy(A, idx)
+
+    def test_peak_memory_is_the_result_plus_one_chunk(self):
+        # bearing 200x200 and a fixed 60 % free set: about 24,000 rows, a
+        # dozen chunks at the default size
+        A = generate(BearingSpec(200, 200, 0.1)).A
+        idx = np.flatnonzero(np.random.default_rng(0).random(A.nrows) < 0.6)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            S = extract_submatrix(A, idx)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        result = S.indptr.nbytes + S.indices.nbytes + S.data.nbytes
+        assert peak <= 1.5 * result
 
 
 class TestVectorOps:
