@@ -13,8 +13,8 @@ The layers:
 
   symbolic   ``_kernels.ilu_symbolic``: the upper pattern
   forward    ``_kernels.lower_pattern``, the transpose of the pattern, and
-             on large blocks ``_kernels.elimination_steps`` with ``ilu_k``'s
-             step budget: the level form's schedule, or None
+             on large blocks ``_kernels.elimination_steps``: the level
+             form's schedule
   numeric    ``_kernels.ilu_numeric`` in the form ``ilu_k`` would use
   plan       ``ILUFactorization`` construction: the operands of the solves
   apply      one ``ILUFactorization.solve`` of a fixed right-hand side
@@ -25,11 +25,11 @@ the ``random-ilu0`` blocks; the other layers run on every block.  Each
 layer takes the best of ``--repeat`` runs per block; the report sums the
 bests over the blocks and divides by the number of solves.  Each bearing
 block's record holds the number of elimination steps of its level form
-(0 below ``LEVEL_MIN_ROWS``), counted by a row loop here, and whether
-``ilu_k`` factors it by levels (``by_levels``: whether
-``elimination_steps`` returns a schedule under the step budget); every
-run counts its blocks factored by levels.  BLAS is pinned to one thread
-before numpy loads.
+(0 below ``LEVEL_MIN_ROWS``), counted by a row loop here, whether
+``ilu_k`` factors it by levels (``by_levels``: n >= ``LEVEL_MIN_ROWS``)
+and its best ``ilu_k`` time; every run counts its blocks factored by
+levels.  BLAS is pinned to one
+thread before numpy loads.
 
 Results are merged into ``--out`` (default ``BENCH_ilu_setup.json`` at the
 repo root) under ``--label``.  The script measures the tree it sits in; to
@@ -138,17 +138,14 @@ def time_block(gpcg, M, k, repeat, rng):
     t = dict.fromkeys(LAYERS, 0.0)
     t["symbolic"], (ip, ix) = best_of(
         repeat, lambda: kern.ilu_symbolic(n, M.indptr, M.indices, k))
-    large = n >= ilu.LEVEL_MIN_ROWS
+    by_levels = n >= ilu.LEVEL_MIN_ROWS
 
     def forward():
         lower = kern.lower_pattern(ip, ix)
-        if not large:
-            return lower, None
-        return lower, kern.elimination_steps(ip, lower, n // ilu.LEVEL_MIN_WIDTH)
+        return lower, kern.elimination_steps(ip, lower) if by_levels else None
 
     t["forward"], (lower, steps) = best_of(repeat, forward)
-    step_count = elimination_step_count(lower[0], lower[1]) if large else 0
-    by_levels = steps is not None
+    step_count = elimination_step_count(lower[0], lower[1]) if by_levels else 0
     t["numeric"], (data, _fail) = best_of(
         repeat, lambda: kern.ilu_numeric(n, M.indptr, M.indices, M.data, ip, ix, lower,
                                          steps))
@@ -158,7 +155,7 @@ def time_block(gpcg, M, k, repeat, rng):
     r = rng.standard_normal(n)
     t["apply"], _z = best_of(repeat, lambda: factor.solve(r))
     shape = {"n": n, "factor_nnz": int(factor.nnz), "steps": step_count,
-             "by_levels": by_levels}
+             "by_levels": by_levels, "ilu_k_s": round(t["ilu_k"], 7)}
     return t, shape
 
 

@@ -22,10 +22,10 @@ two forms with the same arithmetic, operation for operation:
 
 Both read strict L as the transpose of strict U (``lower_pattern``); the
 level form's schedule, one pass over it (``elimination_steps``), only pays
-off on large blocks, and ``ilu.ilu_k`` picks the form from the size and
-the number of elimination steps.  ``lu_solve_operands`` stores strict U
-divided by its pivots, reversed, and its transpose, and ``lu_solve`` runs
-each substitution as one compiled CSR product.
+off on large blocks, and ``ilu.ilu_k`` picks the form from the size.
+``lu_solve_operands`` stores strict U divided by its pivots, reversed, and
+its transpose, and ``lu_solve`` runs each substitution as one compiled CSR
+product.
 """
 
 import numpy as np
@@ -212,20 +212,18 @@ def lower_pattern(u_indptr, u_indices):
     return indptr, indices, at
 
 
-def _longest_paths(n, ptr, deps, weight, base, limit):
-    """value(i) = max(base, value(d) + w over the dependencies d of row i),
+def _longest_paths(n, ptr, deps, weight):
+    """value(i) = max(-1, value(d) + w over the dependencies d of row i),
     for a DAG whose row i depends on the rows ``deps[ptr[i]:ptr[i + 1]]``,
     all less than i and ascending, through edges of weight
     ``w = weight[ptr[i]:ptr[i + 1]]``; an edge to row i - 1 that comes last
-    in its row must weigh 1, and every value must lie in [base,
-    deps.size].  Returns the values, or None once the last value of a
-    chunk (see below) exceeds ``limit``.
+    in its row must weigh 1, and every value must lie in [-1, deps.size].
 
     The rows run in chunks [s, e) whose rows depend on one another only
     through their predecessor: the other dependencies of row i lie before s.
     Within a chunk, value(i) = max(ext(i), value(i - 1) + 1) along each run
     of rows that depend on their predecessor, where ext(i) is the best over
-    base and the other dependencies.  So value(i) - i is a running maximum
+    -1 and the other dependencies.  So value(i) - i is a running maximum
     of ext(k) - k over the run, one vectorized step per chunk.  On a grid
     in natural order a chunk is about one grid line; on chain-like patterns
     chunks are a few rows long, and the per-chunk numpy calls cost more
@@ -237,7 +235,7 @@ def _longest_paths(n, ptr, deps, weight, base, limit):
     link[rows] = deps[ends[rows] - 1] == rows - 1
     keep = np.ones(deps.size, dtype=bool)
     keep[ends[link] - 1] = False
-    # each row's other dependencies, then row n (value 0) at weight base
+    # each row's other dependencies, then row n (value 0) at weight -1
     others = np.diff(ptr) - link
     other_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(others + 1, out=other_ptr[1:])
@@ -245,7 +243,7 @@ def _longest_paths(n, ptr, deps, weight, base, limit):
     slot[other_ptr[1:] - 1] = False
     other = np.full(slot.size, n, dtype=np.int64)
     other[slot] = deps[keep]
-    other_weight = np.full(slot.size, base, dtype=np.int64)
+    other_weight = np.full(slot.size, -1, dtype=np.int64)
     other_weight[slot] = weight[keep]
     last_other = np.where(others > 0, other[other_ptr[1:] - 2], -1)
     # a chunk starting at s ends at the first row with another dependency >= s
@@ -264,18 +262,13 @@ def _longest_paths(n, ptr, deps, weight, base, limit):
         np.maximum.accumulate(ext, out=ext)
         ext -= shift[s:e]
         value[s:e] = ext
-        if value[e - 1] > limit:
-            return None
         s = e
     return value[:n]
 
 
-def elimination_steps(u_indptr, lower, max_steps=None):
+def elimination_steps(u_indptr, lower):
     """The level form's schedule of ``ilu_numeric``, from one pass over
-    strict L (``lower`` less each row's last entry, its diagonal), or None
-    when it takes more than ``max_steps`` steps; the pass stops at the
-    first chunk that ends that late, so a chain-like pattern costs a
-    fraction of it.
+    strict L (``lower`` less each row's last entry, its diagonal).
 
     Row i takes its strict-L entries in column order, the one with pivot
     row p only after row p is complete: its k-th entry runs at step
@@ -299,11 +292,7 @@ def elimination_steps(u_indptr, lower, max_steps=None):
     p = pivot_rows[t]
     rows = np.repeat(np.arange(n), nl)
     k = np.arange(t.size) - ptr[rows]
-    # every step holds an entry, so there are at most t.size of them
-    budget = t.size if max_steps is None else max_steps
-    finish = _longest_paths(n, ptr, p, nl[rows] - k, -1, budget - 1)
-    if finish is None or finish.max(initial=-1) >= budget:
-        return None
+    finish = _longest_paths(n, ptr, p, nl[rows] - k)
     # running maximum of F(p_j) - j within each row
     offset = rows * (t.size + n + 2)
     step = np.maximum.accumulate(finish[p] - k + offset) - offset + k + 1

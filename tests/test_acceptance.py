@@ -112,8 +112,8 @@ def test_criterion_08_ilu_suite():
         M, _ = random_sparse_spd(rng, 30, 3)
         f0 = ilu_k(M, 0)
         f2 = ilu_k(M, 2)
-        assert pattern(f0.indptr, f0.indices) <= pattern(f2.indptr,
-                                                         f2.indices)
+        assert pattern(f0.u_indptr, f0.u_indices) <= pattern(f2.u_indptr,
+                                                             f2.u_indices)
 
 
 def test_criterion_09_descent_and_certificates(bearing_runs):

@@ -20,10 +20,17 @@ def dense_lu_nopivot(M):
 
 
 def combined_to_dense(fact):
-    out = np.zeros((fact.n, fact.n))
-    for i in range(fact.n):
-        lo, hi = fact.indptr[i], fact.indptr[i + 1]
-        out[i, fact.indices[lo:hi]] = fact.data[lo:hi]
+    """The ILU(k) factor that the IC(k) factor U stands for, as one dense
+    matrix: U on and above the diagonal, and below it strict L, the strict
+    part of (U / diag U)^T, whose unit diagonal is implicit."""
+    n = fact.n
+    rows = np.repeat(np.arange(n), np.diff(fact.u_indptr))
+    cols = fact.u_indices
+    out = np.zeros((n, n))
+    out[rows, cols] = fact.u_data
+    strict = cols > rows
+    pivots = fact.u_data[fact.u_indptr[:-1]]  # each row starts with its pivot
+    out[cols[strict], rows[strict]] = fact.u_data[strict] / pivots[rows[strict]]
     return out
 
 
@@ -58,8 +65,8 @@ class TestZeroFill:
     def test_pattern_matches_input(self):
         M, _ = random_sparse_spd(np.random.default_rng(41), 25, 3)
         fact = ilu_k(M, 0)
-        assert pattern(fact.indptr, fact.indices) == pattern(M.indptr,
-                                                             M.indices)
+        assert pattern(fact.u_indptr, fact.u_indices) == {
+            (i, j) for i, j in pattern(M.indptr, M.indices) if j >= i}
 
     def test_tridiagonal_solve_is_exact(self):
         rng = np.random.default_rng(42)
@@ -97,7 +104,7 @@ class TestFullFill:
 class TestPatternGrowth:
     def test_patterns_are_monotone_in_fill_level(self):
         M, _ = random_sparse_spd(np.random.default_rng(46), 30, 3)
-        pats = [pattern(f.indptr, f.indices)
+        pats = [pattern(f.u_indptr, f.u_indices)
                 for f in (ilu_k(M, k) for k in range(4))]
         for small, big in zip(pats, pats[1:]):
             assert small <= big

@@ -277,9 +277,7 @@ def grid_laplacian(side):
 CASES = ([(seed, n, d, sym) for seed, (n, d) in enumerate(
              [(7, 0.3), (20, 0.15), (35, 0.08), (60, 0.05), (60, 0.02)])
           for sym in (True, False)])
-# Above ilu.LEVEL_MIN_ROWS, with few enough elimination steps that ilu_k
-# factors the symmetric ones by levels for k up to 2 (sym300) and 1 (grid20):
-# see test_ilu_k_solves_by_levels_only_on_large_blocks_with_wide_levels.
+# Above ilu.LEVEL_MIN_ROWS, so ilu_k factors the symmetric ones by levels.
 LARGE_CASES = [(5, 300, 0.01, True), (5, 300, 0.01, False), "grid20"]
 FACTOR_CASES = ([(case, k) for k in (0, 1, 2, 3, "n") for case in CASES + ["grid"]]
                 + [(case, k) for k in (0, 1, 2, 3, "n") for case in LARGE_CASES])
@@ -327,14 +325,22 @@ def test_factor_and_solve_match_reference_loops(case, k):
         assert_bytes_equal(data, ic_data)
     factor = ilu_k(A, fill)
     assert_bytes_equal(factor.u_data, ic_data)
-    # the ILU(k) factor's upper part, and its whole as the combined view
+    # the ILU(k) factor: U is its upper part, and U^T D^-1 its strict L
     lu_data, _fail = ref_ilu_numeric(n, A.indptr, A.indices, A.data,
                                      lu_indptr, lu_indices, lu_diag)
     scale = np.abs(lu_data).max()
+    assert_bytes_equal(factor.u_indptr, u_indptr)
+    assert_bytes_equal(factor.u_indices, u_indices)
     assert np.abs(ic_data - lu_data[upper]).max() <= 1e-12 * scale
-    assert_bytes_equal(factor.indptr, lu_indptr)
-    assert_bytes_equal(factor.indices, lu_indices)
-    assert np.abs(factor.data - lu_data).max() <= 1e-12 * scale
+    rows = np.repeat(np.arange(n), np.diff(u_indptr))
+    strict = u_indices > rows
+    l_rows, l_cols = u_indices[strict], rows[strict]
+    order = np.lexsort((l_cols, l_rows))  # the reference's row-major order
+    lu_rows = np.repeat(np.arange(n), np.diff(lu_indptr))
+    assert_bytes_equal(l_rows[order], lu_rows[~upper])
+    assert_bytes_equal(l_cols[order], lu_indices[~upper])
+    l_data = ic_data[strict] / ic_data[u_indptr[l_cols]]  # rows start with their pivots
+    assert np.abs(l_data[order] - lu_data[~upper]).max(initial=0.0) <= 1e-12 * scale
     assert_solves_match_reference_loops(factor, lu_indptr, lu_indices, lu_data, lu_diag)
 
 
@@ -375,22 +381,26 @@ def test_solve_makes_two_compiled_calls(monkeypatch):
         assert calls == [A.nrows, A.nrows]
 
 
-def test_ilu_k_solves_by_levels_only_on_large_blocks_with_wide_levels(monkeypatch):
+def test_ilu_k_solves_by_levels_exactly_from_level_min_rows(monkeypatch):
     by_levels = spy_on_numeric(monkeypatch)
-    # the steps at k = 0 to 3, against budgets of 60 (sym300) and 80
-    # (grid20): sym300 takes the level path up to k = 2, grid20 up to k = 1
-    for case, lengths in (((5, 300, 0.01, True), [11, 26, 43, 85]),
-                          ("grid20", [57, 76, 95, 133])):
-        A = case_matrix(case)
-        for k, length in enumerate(lengths):
-            assert schedule_length(A, k) == length
-            ilu_k(A, k)
-    ilu_k(grid_laplacian(7), 0)  # n = 49
+    m = ilu.LEVEL_MIN_ROWS
     # a tridiagonal block is one chain: n - 1 steps of one row each
-    n = 2 * ilu.LEVEL_MIN_ROWS
-    chain = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-    ilu_k(SparseMatrixCSR.from_dense(chain, symmetric=True), 0)
-    assert by_levels == [True] * 3 + [False] + [True] * 2 + [False] * 4
+    chain = SparseMatrixCSR.from_dense(
+        2.0 * np.eye(2 * m) - np.eye(2 * m, k=1) - np.eye(2 * m, k=-1), symmetric=True)
+    # chains take the level path from LEVEL_MIN_ROWS on, however few rows
+    # their steps hold, and give the reference loop's bits there
+    chains = [interleaved_chains(n, 5) for n in (m - 1, m, m + 1)] + [chain]
+    for A in chains:
+        factor = ilu_k(A, 0)
+        want, _fail = ref_ic_numeric(A.nrows, A.indptr, A.indices, A.data,
+                                     factor.u_indptr, factor.u_indices)
+        assert_bytes_equal(factor.u_data, want)
+    blocks = [case_matrix(case) for case in ("grid", "grid20", (5, 300, 0.01, True))]
+    for A in blocks:
+        for k in range(4):
+            ilu_k(A, k)
+    assert by_levels == ([A.nrows >= m for A in chains]
+                         + [A.nrows >= m for A in blocks for _k in range(4)])
 
 
 def spy_on_numeric(monkeypatch):
@@ -407,34 +417,11 @@ def spy_on_numeric(monkeypatch):
     return by_levels
 
 
-def interleaved_chains(n, w, join=False):
-    """Row i coupled to row i - w: w interleaved chains, whose levels hold w
-    rows each and take one step less than there are levels.  ``join``
-    couples the last two rows too, which delays the last row by a step."""
+def interleaved_chains(n, w):
+    """Row i coupled to row i - w: w interleaved chains, whose elimination
+    steps hold w rows each."""
     M = 3.0 * np.eye(n) - np.eye(n, k=w) - np.eye(n, k=-w)
-    if join:
-        M[n - 1, n - 2] = M[n - 2, n - 1] = -1.0
     return SparseMatrixCSR.from_dense(M, symmetric=True)
-
-
-def schedule_length(A, k):
-    """The number of elimination steps of A's IC(k) pattern, by the
-    reference loop."""
-    u_indptr, u_indices = _kernels.ilu_symbolic(A.nrows, A.indptr, A.indices, k)
-    return ref_schedule(u_indptr, *_kernels.lower_pattern(u_indptr, u_indices))[5].size - 1
-
-
-def test_ilu_k_takes_the_level_path_up_to_n_over_min_width_levels(monkeypatch):
-    by_levels = spy_on_numeric(monkeypatch)
-    w = ilu.LEVEL_MIN_WIDTH
-    m = ilu.LEVEL_MIN_ROWS // w + 1
-    # the budget is n // w = m steps: under it, at it, and one step over it
-    for n, join, length in ((w * m, False, m - 1), (w * m + 1, False, m),
-                            (w * m + 1, True, m + 1)):
-        A = interleaved_chains(n, w, join)
-        assert schedule_length(A, 0) == length
-        ilu_k(A, 0)
-    assert by_levels == [True, True, False]
 
 
 def test_full_fill_level_gives_the_full_elimination_pattern():
@@ -578,17 +565,11 @@ def test_level_schedule_matches_reference_loop(case, k):
 
 
 def assert_schedule_matches_reference(u_indptr, lower):
-    """``elimination_steps`` equals ``ref_schedule`` byte for byte, and
-    gives the same arrays under a budget of its number of steps, and None
-    under one step less.  Returns the schedule."""
+    """``elimination_steps`` equals ``ref_schedule`` byte for byte.
+    Returns the schedule."""
     schedule = _kernels.elimination_steps(u_indptr, lower)
-    want = ref_schedule(u_indptr, *lower)
-    for got, ref in zip(schedule, want, strict=True):
+    for got, ref in zip(schedule, ref_schedule(u_indptr, *lower), strict=True):
         assert_bytes_equal(got, ref)
-    length = want[5].size - 1
-    for got, ref in zip(_kernels.elimination_steps(u_indptr, lower, length), want, strict=True):
-        assert_bytes_equal(got, ref)
-    assert _kernels.elimination_steps(u_indptr, lower, length - 1) is None
     return schedule
 
 
@@ -635,8 +616,7 @@ def skewed_grid():
     return SparseMatrixCSR.from_dense(M)
 
 
-# symmetric and unsymmetric, all large; at k = 0 and 2 all but grid20 at
-# k = 2 have few enough steps for the level form
+# symmetric and unsymmetric, all large enough for the level form
 WIDE_CASES = [("grid20", grid_laplacian(20)),
               ("sym300", random_pattern_matrix(5, 300, 0.01, True)),
               ("unsym300", random_pattern_matrix(5, 300, 0.01, False)),
@@ -691,9 +671,8 @@ def test_ilu_symbolic_keeps_a_symmetric_pattern_symmetric(case, k):
 @pytest.mark.parametrize("name, A", WIDE_CASES, ids=[c[0] for c in WIDE_CASES])
 def test_ilu_k_takes_the_level_path_for_wide_blocks_of_any_pattern(
         monkeypatch, name, A, k):
-    # the symmetric blocks go by levels but for grid20 at k = 2, with the
-    # reference loop's bits; the unsymmetric ones are refused before any
-    # numeric work
+    # the symmetric blocks go by levels, with the reference loop's bits; the
+    # unsymmetric ones are refused before any numeric work
     by_levels = spy_on_numeric(monkeypatch)
     if not A.symmetric:
         with pytest.raises(ValueError, match="symmetric"):
@@ -701,8 +680,7 @@ def test_ilu_k_takes_the_level_path_for_wide_blocks_of_any_pattern(
         assert by_levels == []
         return
     factor = ilu_k(A, k)
-    # grid20 at k = 2 takes 95 steps against a budget of 80: the row loop
-    assert by_levels == [(name, k) != ("grid20", 2)]
+    assert by_levels == [True]
     n = A.nrows
     lu_indptr, lu_indices, lu_diag = ref_ilu_symbolic(n, A.indptr, A.indices, k)
     ic_data, _fail = ref_ic_numeric(n, A.indptr, A.indices, A.data, factor.u_indptr,
