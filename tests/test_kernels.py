@@ -381,26 +381,38 @@ def test_solve_makes_two_compiled_calls(monkeypatch):
         assert calls == [A.nrows, A.nrows]
 
 
-def test_ilu_k_solves_by_levels_exactly_from_level_min_rows(monkeypatch):
+def test_ilu_k_solves_by_levels_only_on_large_blocks_with_wide_levels(monkeypatch):
+    # every block of LEVEL_MIN_ROWS rows or more goes by levels, however
+    # few rows its steps hold: a tridiagonal block is one chain, n - 1
+    # steps of one row each, and gives the reference loop's bits there
     by_levels = spy_on_numeric(monkeypatch)
-    m = ilu.LEVEL_MIN_ROWS
-    # a tridiagonal block is one chain: n - 1 steps of one row each
+    n = 2 * ilu.LEVEL_MIN_ROWS
     chain = SparseMatrixCSR.from_dense(
-        2.0 * np.eye(2 * m) - np.eye(2 * m, k=1) - np.eye(2 * m, k=-1), symmetric=True)
-    # chains take the level path from LEVEL_MIN_ROWS on, however few rows
-    # their steps hold, and give the reference loop's bits there
-    chains = [interleaved_chains(n, 5) for n in (m - 1, m, m + 1)] + [chain]
-    for A in chains:
-        factor = ilu_k(A, 0)
-        want, _fail = ref_ic_numeric(A.nrows, A.indptr, A.indices, A.data,
-                                     factor.u_indptr, factor.u_indices)
-        assert_bytes_equal(factor.u_data, want)
+        2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1), symmetric=True)
+    assert_ic_matches_reference_loop(ilu_k(chain, 0), chain)
     blocks = [case_matrix(case) for case in ("grid", "grid20", (5, 300, 0.01, True))]
     for A in blocks:
         for k in range(4):
             ilu_k(A, k)
-    assert by_levels == ([A.nrows >= m for A in chains]
-                         + [A.nrows >= m for A in blocks for _k in range(4)])
+    assert by_levels == [True] + [A.nrows >= ilu.LEVEL_MIN_ROWS
+                                  for A in blocks for _k in range(4)]
+
+
+def test_ilu_k_takes_the_level_path_up_to_n_over_min_width_levels(monkeypatch):
+    # interleaved chains of five rows a step take the level path exactly
+    # from LEVEL_MIN_ROWS on, and give the reference loop's bits there
+    by_levels = spy_on_numeric(monkeypatch)
+    m = ilu.LEVEL_MIN_ROWS
+    for n in (m - 1, m, m + 1):
+        A = interleaved_chains(n, 5)
+        assert_ic_matches_reference_loop(ilu_k(A, 0), A)
+    assert by_levels == [False, True, True]
+
+
+def assert_ic_matches_reference_loop(factor, A):
+    want, _fail = ref_ic_numeric(A.nrows, A.indptr, A.indices, A.data,
+                                 factor.u_indptr, factor.u_indices)
+    assert_bytes_equal(factor.u_data, want)
 
 
 def spy_on_numeric(monkeypatch):
