@@ -6,8 +6,8 @@ Subcommands:
   compare-preconds  run one bearing instance per preconditioner and tabulate
 
 Exit codes: 0 converged, 1 solver did not converge or failed, 2 bad usage or
-unreadable input files.  Set GPCG_LOG=info or GPCG_LOG=debug for progress
-logging on stderr.
+unreadable input files.  GPCG_LOG=info or GPCG_LOG=debug turns on progress
+logging on stderr; it takes no other value.
 """
 
 from __future__ import annotations
@@ -17,28 +17,41 @@ import json
 import logging
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import io as gio
 from .bearing import BearingSpec, generate
 from .model import BoundQP
-from .solver import SolveOutcome, SolveStatus, SolverConfig, solve
+from .solver import SolveOutcome, SolveStatus, SolverConfig, SolverStats, solve
 
 log = logging.getLogger("gpcg")
+
+STATS_FIELDS = tuple(f.name for f in fields(SolverStats) if f.name != "trace")
+CSV_HEADER = ",".join(("precond", "status") + STATS_FIELDS)
 
 
 def _configure_logging():
     level_name = os.environ.get("GPCG_LOG", "").strip().lower()
     if not level_name:
         return
-    levels = {"debug": logging.DEBUG, "info": logging.INFO,
-              "warning": logging.WARNING, "1": logging.INFO,
-              "2": logging.DEBUG}
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("gpcg: %(message)s"))
-    log.addHandler(handler)
-    log.setLevel(levels.get(level_name, logging.INFO))
+    if level_name not in ("info", "debug"):
+        raise ValueError(f"GPCG_LOG must be info or debug, not {level_name!r}")
+    if not log.handlers:  # once, however often main() runs in this process
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("gpcg: %(message)s"))
+        log.addHandler(handler)
+    log.setLevel(level_name.upper())
+
+
+def _add_bearing_flags(p: argparse.ArgumentParser):
+    p.add_argument("--nx", type=int, required=True)
+    p.add_argument("--ny", type=int, required=True)
+    p.add_argument("--eps", type=float, required=True,
+                   help="eccentricity in [0, 1)")
+    p.add_argument("--bdom", type=float, default=10.0,
+                   help="domain half-height")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
@@ -51,14 +64,17 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="initial CG progress tolerance")
     p.add_argument("--mu", type=float, default=default.sufficient_decrease,
                    help="sufficient decrease constant")
-    p.add_argument("--precond", default=default.precond,
-                   help="none | jacobi | bjacobi-ilu<k>, e.g. bjacobi-ilu2 "
-                        "(block count: --blocks)")
     p.add_argument("--blocks", type=int, default=default.blocks,
                    help="diagonal block count for block Jacobi")
     p.add_argument("--max-outer", type=int, default=default.max_outer)
     p.add_argument("--x0", default="lower",
                    help="starting point: lower | zero | a vector file path")
+
+
+def _add_run_flags(p: argparse.ArgumentParser):
+    p.add_argument("--precond", default=SolverConfig().precond,
+                   help="none | jacobi | bjacobi-ilu<k>, e.g. bjacobi-ilu2 "
+                        "(block count: --blocks)")
     p.add_argument("--trace", metavar="PATH",
                    help="write the per-iterate CSV trace here")
     p.add_argument("--out", choices=("json", "csv"), default="json",
@@ -67,10 +83,10 @@ def _add_solver_flags(p: argparse.ArgumentParser):
                    help="write the final point as a vector file")
 
 
-def _config_from_args(args) -> SolverConfig:
+def _config_from_args(args, precond: str) -> SolverConfig:
     return SolverConfig(tol=args.tau, gp_progress=args.eta1,
                         cg_progress=args.eta2,
-                        sufficient_decrease=args.mu, precond=args.precond,
+                        sufficient_decrease=args.mu, precond=precond,
                         blocks=args.blocks, max_outer=args.max_outer)
 
 
@@ -87,62 +103,37 @@ def _starting_point(qp: BoundQP, spec: str) -> np.ndarray:
     return x0
 
 
-def _stats_dict(outcome: SolveOutcome) -> dict:
-    s = outcome.stats
-    return {
-        "outer_iters": s.outer_iters,
-        "gp_iters_total": s.gp_iters_total,
-        "cg_iters_total": s.cg_iters_total,
-        "cg_calls": s.cg_calls,
-        "faces_visited": s.faces_visited,
-        "free_fraction_final": s.free_fraction_final,
-        "final_pg_norm": s.final_pg_norm,
-        "objective_final": s.objective_final,
-        "wall_time_seconds": s.wall_time_seconds,
-    }
-
-
-def build_report(problem_meta: dict, args, outcome: SolveOutcome) -> dict:
+def build_report(problem_meta: dict, cfg: SolverConfig, x0: str,
+                 outcome: SolveOutcome) -> dict:
     return {
         "problem": problem_meta,
-        "config": {"tau": args.tau, "eta1": args.eta1, "eta2": args.eta2,
-                   "mu": args.mu, "precond": args.precond,
-                   "blocks": args.blocks, "x0": args.x0},
+        "config": {"tau": cfg.tol, "eta1": cfg.gp_progress,
+                   "eta2": cfg.cg_progress, "mu": cfg.sufficient_decrease,
+                   "precond": cfg.precond, "blocks": cfg.blocks, "x0": x0},
         "status": outcome.status.value,
         "failure_reason": outcome.failure_reason,
-        "stats": _stats_dict(outcome),
+        "stats": {name: getattr(outcome.stats, name) for name in STATS_FIELDS},
     }
 
 
-_CSV_FIELDS = ("status", "outer_iters", "gp_iters_total", "cg_iters_total",
-               "cg_calls", "faces_visited", "free_fraction_final",
-               "final_pg_norm", "objective_final", "wall_time_seconds")
-
-
-def _report_csv_row(report: dict) -> str:
-    row = {"precond": report["config"]["precond"],
-           "status": report["status"], **report["stats"]}
-    return ",".join(repr(row[f]) if isinstance(row[f], float) else str(row[f])
-                    for f in ("precond",) + _CSV_FIELDS)
-
-
-def _emit_report(report: dict, args) -> None:
-    if args.out == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print("precond," + ",".join(_CSV_FIELDS))
-        print(_report_csv_row(report))
+def _csv_row(report: dict) -> str:
+    return gio.csv_row((report["config"]["precond"], report["status"],
+                        *report["stats"].values()))
 
 
 def _finish(qp: BoundQP, problem_meta: dict, args) -> int:
-    cfg = _config_from_args(args)
-    x0 = _starting_point(qp, args.x0)
-    outcome = solve(qp, x0, cfg)
+    cfg = _config_from_args(args, args.precond)
+    outcome = solve(qp, _starting_point(qp, args.x0), cfg)
     if args.trace:
         gio.write_trace(args.trace, outcome.stats.trace)
     if args.xout:
         gio.write_vector(args.xout, outcome.x_star)
-    _emit_report(build_report(problem_meta, args, outcome), args)
+    report = build_report(problem_meta, cfg, args.x0, outcome)
+    if args.out == "json":
+        print(json.dumps(report, indent=2))
+    else:
+        print(CSV_HEADER)
+        print(_csv_row(report))
     if outcome.status is SolveStatus.CONVERGED:
         return 0
     print(f"solver did not converge: {outcome.status.value}"
@@ -151,13 +142,17 @@ def _finish(qp: BoundQP, problem_meta: dict, args) -> int:
     return 1
 
 
-def cmd_bearing(args) -> int:
+def _bearing(args) -> tuple[BoundQP, dict]:
     spec = BearingSpec(args.nx, args.ny, args.eps, args.bdom)
-    qp = generate(spec)
-    if args.dump:
-        gio.save_problem(args.dump, qp, stem="bearing")
     meta = {"kind": "bearing", "n": spec.n, "nx": spec.nx, "ny": spec.ny,
             "eps": spec.eccentricity, "bdom": spec.b_dom}
+    return generate(spec), meta
+
+
+def cmd_bearing(args) -> int:
+    qp, meta = _bearing(args)
+    if args.dump:
+        gio.save_problem(args.dump, qp, stem="bearing")
     return _finish(qp, meta, args)
 
 
@@ -172,23 +167,19 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare_preconds(args) -> int:
-    spec = BearingSpec(args.nx, args.ny, args.eps, args.bdom)
-    qp = generate(spec)
+    qp, meta = _bearing(args)
     x0 = _starting_point(qp, args.x0)
     preconds = [p.strip() for p in args.preconds.split(",") if p.strip()]
     if not preconds:
         print("no preconditioners given", file=sys.stderr)
         return 2
-    print("precond," + ",".join(_CSV_FIELDS))
+    # every entry is checked here, before the first row is printed
+    configs = [_config_from_args(args, precond) for precond in preconds]
+    print(CSV_HEADER)
     worst = 0
-    for precond in preconds:
-        run_args = argparse.Namespace(**vars(args))
-        run_args.precond = precond
-        cfg = _config_from_args(run_args)
+    for cfg in configs:
         outcome = solve(qp, x0, cfg)
-        meta = {"kind": "bearing", "n": spec.n, "nx": spec.nx, "ny": spec.ny,
-                "eps": spec.eccentricity, "bdom": spec.b_dom}
-        print(_report_csv_row(build_report(meta, run_args, outcome)))
+        print(_csv_row(build_report(meta, cfg, args.x0, outcome)))
         if outcome.status is not SolveStatus.CONVERGED:
             worst = 1
     return worst
@@ -202,28 +193,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bear = sub.add_parser("bearing", help="solve a journal-bearing instance")
-    p_bear.add_argument("--nx", type=int, required=True)
-    p_bear.add_argument("--ny", type=int, required=True)
-    p_bear.add_argument("--eps", type=float, required=True,
-                        help="eccentricity in [0, 1)")
-    p_bear.add_argument("--bdom", type=float, default=10.0,
-                        help="domain half-height")
+    _add_bearing_flags(p_bear)
     p_bear.add_argument("--dump", metavar="DIR",
                         help="also write the generated problem bundle here")
     _add_solver_flags(p_bear)
+    _add_run_flags(p_bear)
     p_bear.set_defaults(func=cmd_bearing)
 
     p_solve = sub.add_parser("solve", help="solve a problem bundle")
     p_solve.add_argument("manifest", help="path to the JSON manifest")
     _add_solver_flags(p_solve)
+    _add_run_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
-    p_cmp = sub.add_parser("compare-preconds",
-                           help="compare preconditioners on one instance")
-    p_cmp.add_argument("--nx", type=int, required=True)
-    p_cmp.add_argument("--ny", type=int, required=True)
-    p_cmp.add_argument("--eps", type=float, required=True)
-    p_cmp.add_argument("--bdom", type=float, default=10.0)
+    # no abbreviations: --precond would be taken for --preconds
+    p_cmp = sub.add_parser("compare-preconds", allow_abbrev=False,
+                           help="compare preconditioners on one instance; "
+                                "CSV on stdout")
+    _add_bearing_flags(p_cmp)
     p_cmp.add_argument("--preconds",
                        default="jacobi,bjacobi-ilu0,bjacobi-ilu2",
                        help="comma-separated preconditioner list")
@@ -233,10 +220,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        _configure_logging()
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

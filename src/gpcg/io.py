@@ -1,5 +1,5 @@
 """Problem file formats: Matrix Market matrices, one-value-per-line vectors,
-and a JSON manifest bundling a full problem.
+and a JSON manifest bundling a full problem; and the per-iterate trace CSV.
 
 Text vectors accept "inf"/"-inf" entries (used by bound vectors).  Files
 ending in ``.npy`` are read and written in numpy's binary format instead.
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import astuple, fields
 
 import numpy as np
 import scipy.sparse
@@ -16,6 +17,7 @@ import scipy.sparse
 from . import _kernels
 from .linalg import SparseMatrixCSR, as_vector
 from .model import BoundQP
+from .solver import TraceRecord
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +134,18 @@ def load_problem(manifest_path: str) -> BoundQP:
 # trace
 # ---------------------------------------------------------------------------
 
-TRACE_HEADER = "outer,phase,q,pg_norm,nfree,cg_iters,eta2"
+TRACE_HEADER = ",".join(f.name for f in fields(TraceRecord))
+
+
+def csv_row(values) -> str:
+    """One CSV line: floats by repr, which is exact, the rest by str."""
+    return ",".join(repr(v) if isinstance(v, float) else str(v)
+                    for v in values)
 
 
 def write_trace(path: str, trace) -> None:
-    """Write per-iterate trace records as CSV."""
+    """Write per-iterate trace records as CSV, one column per field."""
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
         for rec in trace:
-            fh.write(f"{rec.outer},{rec.phase},{rec.q!r},{rec.pg_norm!r},"
-                     f"{rec.nfree},{rec.cg_iters},{rec.eta2!r}\n")
+            fh.write(csv_row(astuple(rec)) + "\n")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -24,9 +25,8 @@ from .reduced import CGStop, build_reduced, pcg_progress
 log = logging.getLogger("gpcg")
 
 GP_CAP = 100                # GP iterates per phase
-MAX_REFINES = 30            # CG re-entries per outer iterate
 CG_PROGRESS_SHRINK = 0.1    # refinement factor of eta2 on the optimal face
-CG_PROGRESS_FLOOR = 1e-12   # smallest eta2
+CG_PROGRESS_FLOOR = 1e-12   # smallest eta2, reached within 13 refinements
 
 
 @dataclass
@@ -43,6 +43,8 @@ class SolverConfig:
     cg_maxiter: int | None = None     # None: the reduced dimension
 
     def __post_init__(self):
+        if not isinstance(self.precond, str):
+            raise ValueError("preconditioner must be a string such as 'jacobi'")
         if not 0.0 < self.sufficient_decrease < 0.5:
             raise ValueError("sufficient decrease constant must lie in (0, 1/2)")
         if not 0.0 < self.gp_progress < 1.0:
@@ -51,14 +53,17 @@ class SolverConfig:
             raise ValueError("CG progress tolerance must lie in (0, 1)")
         if not self.tol > 0.0:
             raise ValueError("convergence tolerance must be positive")
-        if self.blocks < 1:
-            raise ValueError("block count must be at least 1")
-        if self.max_outer < 1:
-            raise ValueError("outer iteration limit must be at least 1")
-        if self.max_halvings < 0:
-            raise ValueError("halving limit must be nonnegative")
-        if self.cg_maxiter is not None and self.cg_maxiter < 1:
-            raise ValueError("CG iteration limit must be None or at least 1")
+        cg_maxiter = 1 if self.cg_maxiter is None else self.cg_maxiter
+        for what, count, least in (("block count", self.blocks, 1),
+                                   ("outer iteration limit", self.max_outer, 1),
+                                   ("halving limit", self.max_halvings, 0),
+                                   ("CG iteration limit", cg_maxiter, 1)):
+            try:  # numpy integers pass, floats do not
+                operator.index(count)
+            except TypeError:
+                raise ValueError(f"{what} must be an integer") from None
+            if count < least:
+                raise ValueError(f"{what} must be at least {least}")
         parse_precond(self.precond)
 
 
@@ -160,7 +165,6 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                 log.info("outer %d: gp took %d iterates (%s), pg_norm=%.3e",
                          outer, gp.iterates_taken, gp.termination.value,
                          pg_norm)
-                refines = 0
                 while pg_norm > cfg.tol:
                     free = np.flatnonzero(~_active_mask(qp, x))
                     sys = build_reduced(qp, g, free)
@@ -191,10 +195,9 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                     if not np.array_equal(_binding_mask(qp, x, g),
                                           _active_mask(qp, x)):
                         break  # face not yet optimal: back to a GP phase
-                    if eta2 <= CG_PROGRESS_FLOOR or refines >= MAX_REFINES:
+                    if eta2 <= CG_PROGRESS_FLOOR:
                         break
                     eta2 = max(eta2 * CG_PROGRESS_SHRINK, CG_PROGRESS_FLOOR)
-                    refines += 1
             finally:
                 active = _active_mask(qp, x)
                 faces.add(np.packbits(active).tobytes())  # n / 8 bytes a face

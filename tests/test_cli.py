@@ -1,11 +1,14 @@
 import json
+import logging
+from dataclasses import fields
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
-from gpcg import SolverConfig, read_vector, save_problem, write_vector
+from gpcg import (SolverConfig, SolverStats, TraceRecord, read_vector,
+                  save_problem, write_vector)
 from gpcg.cli import _build_parser, _config_from_args, main
 from gpcg.io import TRACE_HEADER
 
@@ -111,7 +114,7 @@ class TestBearingCommand:
     def test_bare_command_uses_the_solver_config_defaults(self):
         args = _build_parser().parse_args(["bearing", "--nx", "4", "--ny", "4",
                                            "--eps", "0.1"])
-        assert _config_from_args(args) == SolverConfig()
+        assert _config_from_args(args, args.precond) == SolverConfig()
 
     def test_bad_precond_exits_two(self, capsys):
         rc, _, err = _run(capsys, ["bearing", "--nx", "4", "--ny", "4",
@@ -230,8 +233,93 @@ class TestComparePrecondsCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 3
 
+    def test_bad_entry_exits_two_before_any_solve(self, capsys):
+        rc, out, err = _run(capsys, ["compare-preconds", "--nx", "8",
+                                     "--ny", "8", "--eps", "0.1",
+                                     "--preconds", "jacobi,bogus"])
+        assert rc == 2
+        assert out == ""
+        assert "bogus" in err
+
+    @pytest.mark.parametrize("flag", [
+        ["--precond", "jacobi"], ["--trace", "t.csv"], ["--xout", "x.txt"],
+        ["--out", "json"]], ids=lambda f: f[0])
+    def test_single_run_flags_are_refused(self, capsys, tmp_path,
+                                          monkeypatch, flag):
+        # the table solves several configs, so these flags have no meaning
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare-preconds", "--nx", "8", "--ny", "8", "--eps", "0.1",
+                  *flag])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_list_exits_two(self, capsys):
         rc, _, err = _run(capsys, ["compare-preconds", "--nx", "4",
                                    "--ny", "4", "--eps", "0.1",
                                    "--preconds", ", ,"])
         assert rc == 2
+
+
+class TestOutputsFollowTheRecords:
+    """The report, the CSV columns and the trace header are the fields of
+    SolverStats (without its trace) and TraceRecord, in their order."""
+
+    STATS = [f.name for f in fields(SolverStats) if f.name != "trace"]
+
+    def test_schema_stats_keys(self):
+        stats = _schema()["properties"]["stats"]
+        assert stats["required"] == self.STATS
+        assert list(stats["properties"]) == self.STATS
+
+    def test_report_stats_keys(self, capsys):
+        rc, out, _ = _run(capsys, ["bearing", "--nx", "6", "--ny", "6",
+                                   "--eps", "0.1"])
+        assert rc == 0
+        assert list(json.loads(out)["stats"]) == self.STATS
+
+    @pytest.mark.parametrize("argv", [
+        ["bearing", "--out", "csv"], ["compare-preconds", "--preconds", "none"]])
+    def test_csv_columns(self, capsys, argv):
+        rc, out, _ = _run(capsys, [argv[0], "--nx", "6", "--ny", "6",
+                                   "--eps", "0.1", *argv[1:]])
+        assert rc == 0
+        header, row = out.strip().splitlines()
+        assert header.split(",") == ["precond", "status"] + self.STATS
+        assert len(row.split(",")) == 2 + len(self.STATS)
+
+    def test_trace_header(self):
+        assert TRACE_HEADER.split(",") == [f.name for f in fields(TraceRecord)]
+
+
+class TestLogging:
+    @pytest.fixture
+    def gpcg_log(self, monkeypatch):
+        logger = logging.getLogger("gpcg")
+        level, handlers = logger.level, logger.handlers[:]
+        yield lambda value: monkeypatch.setenv("GPCG_LOG", value)
+        logger.setLevel(level)
+        logger.handlers[:] = handlers
+
+    def test_repeated_runs_print_each_line_once(self, capsys, gpcg_log):
+        gpcg_log("debug")
+        errs = []
+        for _ in range(2):
+            rc, _, err = _run(capsys, ["bearing", "--nx", "8", "--ny", "8",
+                                       "--eps", "0.1"])
+            assert rc == 0
+            lines = err.splitlines()
+            assert sum(ln.startswith("gpcg: outer 1: gp") for ln in lines) == 1
+            assert any(ln.startswith("gpcg: outer 1: cg") for ln in lines)
+            errs.append(err)
+        assert errs[0] == errs[1]
+
+    @pytest.mark.parametrize("value", ["warning", "1", "2", "verbose"])
+    def test_undocumented_values_exit_two(self, capsys, gpcg_log, value):
+        gpcg_log(value)
+        rc, out, err = _run(capsys, ["bearing", "--nx", "4", "--ny", "4",
+                                     "--eps", "0.1"])
+        assert rc == 2
+        assert out == ""
+        assert "GPCG_LOG must be info or debug" in err

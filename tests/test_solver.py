@@ -172,16 +172,19 @@ class TestSolveTermination:
                        {"sufficient_decrease": 0.0},
                        {"gp_progress": 1.0}, {"cg_progress": 0.0},
                        {"tol": 0.0},
-                       {"blocks": 0}, {"precond": "nope"}):
+                       {"blocks": 0}, {"blocks": 2.5}, {"precond": "nope"},
+                       {"precond": None}, {"precond": 2}):
             with pytest.raises(ValueError):
                 SolverConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
         {"max_outer": 0}, {"max_outer": -3}, {"max_halvings": -1},
-        {"cg_maxiter": 0}, {"cg_maxiter": -2}])
+        {"cg_maxiter": 0}, {"cg_maxiter": -2},
+        {"max_outer": 10.0}, {"max_halvings": "5"}, {"cg_maxiter": 3.5}])
     def test_nonpositive_limits_rejected(self, kwargs):
-        # these once reached a solve: -1 halvings failed every search, and
-        # max_outer <= 0 returned max_outer_reached after no iteration
+        # these once reached a solve: -1 halvings failed every search,
+        # max_outer <= 0 returned max_outer_reached after no iteration, and
+        # max_outer=10.0 raised a TypeError from range()
         with pytest.raises(ValueError, match="limit"):
             SolverConfig(**kwargs)
 
