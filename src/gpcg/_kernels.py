@@ -66,7 +66,7 @@ def _gather(indptr, indices, data, rows, colmap):
     value."""
     ends = indptr[1:][rows] - indptr[rows]
     np.cumsum(ends, out=ends)
-    cols = np.empty(ends[-1], dtype=np.int64)
+    cols = np.empty(ends[-1], dtype=indices.dtype)
     vals = np.empty(ends[-1], dtype=np.float64)
     csr_row_index(rows.size, rows, indptr, indices, data, cols, vals)
     # mode "clip", not the default "raise", which copies the output first;
@@ -95,24 +95,26 @@ def _write_kept(out_indptr, out_indices, out_data, a, ends, cols, vals, keep):
 
 def csr_extract(indptr, indices, data, rows, colmap):
     """The given rows of a CSR matrix, each entry's column j mapped to
-    colmap[j], without the entries mapped below 0 or stored as zero: int64
-    indptr and indices and float64 data, entries in the input's order.
+    colmap[j], without the entries mapped below 0 or stored as zero:
+    indptr and indices of the input's index dtype, which ``rows`` and
+    ``colmap`` take too, and float64 data, entries in the input's order.
 
     Rows are gathered ``EXTRACT_CHUNK`` at a time, twice: once to count
     each row's kept entries, which sizes the output, and once to write them
     into it.  The last chunk's gather serves both, so a call of one chunk
     gathers once, and only one chunk's entries exist besides the result.
     """
-    rows = rows.astype(np.int64, copy=False)  # csr_row_index: one index dtype
+    idx = indices.dtype
+    rows = rows.astype(idx, copy=False)  # csr_row_index: one index dtype
     m = rows.size
     if m == 0:
-        return (np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64),
+        return (np.zeros(1, dtype=idx), np.empty(0, dtype=idx),
                 np.empty(0, dtype=np.float64))
 
     def gather(a):
         return _gather(indptr, indices, data, rows[a:a + EXTRACT_CHUNK], colmap)
 
-    out_indptr = np.zeros(m + 1, dtype=np.int64)
+    out_indptr = np.zeros(m + 1, dtype=idx)
     *firsts, last = range(0, m, EXTRACT_CHUNK)
     for a in firsts:
         _count_kept(out_indptr, a, *gather(a))
@@ -121,7 +123,7 @@ def csr_extract(indptr, indices, data, rows, colmap):
     if not firsts:  # one chunk: its kept entries are the result
         _, cols, vals, keep = chunk
         return out_indptr, cols[keep], vals[keep]
-    out_indices = np.empty(out_indptr[m], dtype=np.int64)
+    out_indices = np.empty(out_indptr[m], dtype=idx)
     out_data = np.empty(out_indptr[m], dtype=np.float64)
     _write_kept(out_indptr, out_indices, out_data, last, *chunk)
     del chunk
@@ -197,9 +199,9 @@ def ilu_symbolic(n, a_indptr, a_indices, fill_level):
             lev += 1
         if top:
             pattern.sort_indices()
-            indptr = pattern.indptr.astype(np.int64)
-            indices = pattern.indices.astype(np.int64)
-    return indptr, indices
+            indptr, indices = pattern.indptr, pattern.indices
+    # int64 whatever the input's index dtype: the IC(k) kernels index with it
+    return indptr.astype(np.int64, copy=False), indices.astype(np.int64, copy=False)
 
 
 def lower_pattern(u_indptr, u_indices):
@@ -313,10 +315,12 @@ def ilu_numeric(n, a_indptr, a_indices, a_data, u_indptr, u_indices, lower, step
     when there is none); the values are then incomplete.
     """
     nnz = int(a_indptr[n])
-    # the input's position on the pattern, -1 below the diagonal
+    # the input's position on the pattern, -1 below the diagonal; the
+    # input's columns as int64, the pattern's index dtype
     at = np.empty(nnz, dtype=np.int64)
     rows = np.arange(n).repeat(a_indptr[1:n + 1] - a_indptr[:n])
-    csr_sample_offsets(n, n, u_indptr, u_indices, nnz, rows, a_indices[:nnz], at)
+    csr_sample_offsets(n, n, u_indptr, u_indices, nnz, rows,
+                       a_indices[:nnz].astype(np.int64, copy=False), at)
     upper = at >= 0
     u_data = np.zeros(u_indices.size, dtype=np.float64)
     u_data[at[upper]] = a_data[:nnz][upper]

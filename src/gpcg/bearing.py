@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SparseMatrixCSR
+from .linalg import SparseMatrixCSR, index_dtype
 from .model import BoundQP
 
 
@@ -75,15 +75,16 @@ def generate(spec: BearingSpec) -> BoundQP:
     stencil = [(np.s_[1:, :], -nx, vert), (np.s_[:, 1:], -1, horiz_w),
                (np.s_[:, :], 0, diag), (np.s_[:, :-1], 1, horiz_e),
                (np.s_[:-1, :], nx, vert)]
-    count = np.zeros((ny, nx), dtype=np.int64)
+    idx = index_dtype(n, 5 * n - 2 * nx - 2 * ny)  # built in it, not cast
+    count = np.zeros((ny, nx), dtype=idx)
     for rows, _, _ in stencil:
         count[rows] += 1
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=idx)
     np.cumsum(count, out=indptr[1:])
     del count
-    grid = np.arange(n, dtype=np.int64).reshape(ny, nx)
+    grid = np.arange(n, dtype=idx).reshape(ny, nx)
     slot = indptr[:-1].reshape(ny, nx).copy()  # each row's next entry
-    indices = np.empty(indptr[n], dtype=np.int64)
+    indices = np.empty(indptr[n], dtype=idx)
     data = np.empty(indptr[n], dtype=np.float64)
     for rows, offset, value in stencil:
         at = slot[rows]

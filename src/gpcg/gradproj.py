@@ -70,11 +70,14 @@ def projected_search_gp(qp: BoundQP, y: np.ndarray, g: np.ndarray, q_y: float,
     if alpha0 <= 0.0:
         raise ValueError("initial step size must be positive")
     alpha = alpha0
+    step = np.empty_like(y)  # y - alpha g, then y_trial - y
     for halvings in range(max_halvings + 1):
-        y_trial = _project(qp, y - alpha * g)
+        np.multiply(g, alpha, out=step)
+        np.subtract(y, step, out=step)
+        y_trial = _project(qp, step)
         Ay = mat_vec(qp.A, y_trial)
         q_trial = objective(qp, y_trial, Ay)
-        if q_trial <= q_y + mu * dot(g, y_trial - y):
+        if q_trial <= q_y + mu * dot(g, np.subtract(y_trial, y, out=step)):
             return y_trial, alpha, halvings, Ay, q_trial
         alpha *= 0.5
     raise SearchFailed(f"no acceptable step within {max_halvings} halvings")
@@ -111,7 +114,7 @@ def gp_phase(qp: BoundQP, x: np.ndarray, eta1: float, mu: float, tau: float,
         pg_norm = norm2(pg)
         cur_active = _active_mask(qp, y)
         records.append(GPIterate(j, q_y, alpha, halvings,
-                                 int(cur_active.sum()), pg_norm))
+                                 int(np.count_nonzero(cur_active)), pg_norm))
         if pg_norm <= tau:
             termination = GPStop.CONVERGED
             break

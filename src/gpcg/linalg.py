@@ -7,7 +7,10 @@ diagonal and compute ``mat_vec`` on the arrays directly, so the solver's
 hot path builds no ``scipy.sparse`` object.
 Vectors are plain float64 numpy arrays.  Bound vectors may hold +/-inf; all
 other vectors are expected to be finite.  An index set is a strictly
-increasing int64 array, as ``np.flatnonzero`` returns it.  ``mat_vec`` sums
+increasing integer array, as ``np.flatnonzero`` returns it.  CSR index
+arrays are int32 when the matrix's dimensions and entry count fit, else
+int64 (``index_dtype``, scipy's own rule): every product then reads half
+the index bytes.  ``mat_vec`` sums
 each row left to right, so its result does not depend on the machine or
 thread count; ``dot`` and ``norm2`` call BLAS, whose summation order may
 depend on both.
@@ -15,10 +18,18 @@ depend on both.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
+
+
+def index_dtype(*sizes) -> type:
+    """The CSR index dtype of a matrix whose dimensions and entry count are
+    ``sizes``: int32 when all fit, else int64."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
 
 
 def as_vector(values) -> np.ndarray:
@@ -30,8 +41,9 @@ def as_vector(values) -> np.ndarray:
 
 
 class SparseMatrixCSR:
-    """Compressed-sparse-row matrix: int64 row offsets and column indices,
-    sorted and distinct within each row, and float64 values.
+    """Compressed-sparse-row matrix: row offsets and column indices, sorted
+    and distinct within each row, of the ``index_dtype`` of its shape and
+    entry count, and float64 values.
 
     ``scipy`` is a ``csr_array`` over the same arrays; it converts and
     checks the format.  Validation adds what scipy lets through: offsets
@@ -47,12 +59,18 @@ class SparseMatrixCSR:
                  symmetric: bool = False, validate: bool = True):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
+        dtype = index_dtype(self.nrows, self.ncols, np.size(indices))
+        self.indptr = np.ascontiguousarray(indptr, dtype=dtype)
+        self.indices = np.ascontiguousarray(indices, dtype=dtype)
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.symmetric = bool(symmetric)
         self._scipy = None
         if validate:
+            # the cast wraps a value too wide for the dtype, and any such
+            # value is out of range
+            for given, kept in ((indptr, self.indptr), (indices, self.indices)):
+                if not np.array_equal(given, kept):
+                    raise ValueError("row offset or column index out of range")
             self._validate()
 
     def _validate(self):
@@ -125,11 +143,11 @@ def mat_vec(A: SparseMatrixCSR, x: np.ndarray) -> np.ndarray:
 def extract_submatrix(A: SparseMatrixCSR, idx: np.ndarray) -> SparseMatrixCSR:
     """Return the principal submatrix A[idx, idx] for a strictly increasing
     index array; entries stored as zero are dropped.  It keeps A's symmetry
-    flag."""
+    flag, and the column map and the gathered arrays take A's index dtype."""
     if idx.size and (idx[0] < 0 or idx[-1] >= A.nrows or (idx[1:] <= idx[:-1]).any()):
         raise ValueError("index set must be strictly increasing and in range")
-    colmap = np.full(A.ncols, -1, dtype=np.int64)
-    colmap[idx] = np.arange(idx.size, dtype=np.int64)
+    colmap = np.full(A.ncols, -1, dtype=A.indices.dtype)
+    colmap[idx] = np.arange(idx.size, dtype=A.indices.dtype)
     indptr, indices, data = _kernels.csr_extract(A.indptr, A.indices, A.data,
                                                  idx, colmap)
     return SparseMatrixCSR(idx.size, idx.size, indptr, indices, data,
@@ -143,4 +161,6 @@ def dot(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def norm2(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x))
+    """sqrt(x . x), what ``np.linalg.norm`` computes for a 1-D float64
+    vector, without its dispatch."""
+    return math.sqrt(x.dot(x))

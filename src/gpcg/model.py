@@ -3,8 +3,11 @@
 The objective is q(x) = 0.5 x'Ax + b'x + c with A symmetric positive
 definite, minimized over the box l <= x <= u.  Bounds may be infinite;
 equal bounds (fixed variables) are allowed and count as permanently active
-with a zero projected-gradient component.  The active, free and binding
-sets are returned as strictly increasing int64 index arrays.
+with a zero projected-gradient component.  A side of the box with no finite
+bound (u = +inf throughout, as on the journal bearing) costs no pass in the
+bound tests.  The active, free and binding sets are returned as strictly
+increasing int64 index arrays; the matrix's CSR indices follow
+``linalg.index_dtype``.
 """
 
 from __future__ import annotations
@@ -15,16 +18,19 @@ from .linalg import SparseMatrixCSR, as_vector, dot, mat_vec, norm2
 
 
 class BoundQP:
-    """Problem data (A, b, c, l, u); checked on construction, then immutable."""
+    """Problem data (A, b, c, l, u); checked on construction, then immutable.
+    ``l`` and ``u`` are read-only views, so ``has_lower`` and ``has_upper``,
+    whether any lower or upper bound is finite, stay true to them."""
 
-    __slots__ = ("A", "b", "c", "l", "u")
+    __slots__ = ("A", "b", "c", "l", "u", "has_lower", "has_upper")
 
     def __init__(self, A: SparseMatrixCSR, b, c: float, l, u):
         self.A = A
         self.b = as_vector(b)
         self.c = float(c)
-        self.l = as_vector(l)
-        self.u = as_vector(u)
+        self.l = as_vector(l).view()
+        self.u = as_vector(u).view()
+        self.l.flags.writeable = self.u.flags.writeable = False
         n = self.A.nrows
         if self.A.ncols != n:
             raise ValueError("matrix must be square")
@@ -39,6 +45,8 @@ class BoundQP:
             raise ValueError("lower bound exceeds upper bound, or a bound is NaN")
         if (self.l == np.inf).any() or (self.u == -np.inf).any():
             raise ValueError("bounds leave an empty feasible interval")
+        self.has_lower = bool((self.l > -np.inf).any())
+        self.has_upper = bool((self.u < np.inf).any())
 
     @property
     def n(self) -> int:
@@ -80,8 +88,13 @@ def project(qp: BoundQP, x: np.ndarray) -> np.ndarray:
 
 
 def _project(qp: BoundQP, x: np.ndarray) -> np.ndarray:
-    """``project`` without the checks, for points made inside the solver."""
-    return np.minimum(np.maximum(x, qp.l), qp.u)
+    """``project`` without the checks, for points made inside the solver;
+    clipping at an infinite bound changes no value, so a side without a
+    finite bound is skipped."""
+    y = np.maximum(x, qp.l) if qp.has_lower else x.copy()
+    if qp.has_upper:
+        np.minimum(y, qp.u, out=y)
+    return y
 
 
 def projected_gradient(qp: BoundQP, x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -92,20 +105,25 @@ def projected_gradient(qp: BoundQP, x: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _projected_gradient(qp: BoundQP, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``projected_gradient`` without the feasibility check."""
-    at_l = x == qp.l
-    at_u = x == qp.u
+    """``projected_gradient`` without the feasibility check: min(g, 0) at a
+    lower bound, max(g, 0) at an upper one, 0 at both."""
     pg = g.copy()
-    only_l = at_l & ~at_u
-    only_u = at_u & ~at_l
-    pg[only_l] = np.minimum(g[only_l], 0.0)
-    pg[only_u] = np.maximum(g[only_u], 0.0)
-    pg[at_l & at_u] = 0.0
+    if qp.has_lower:
+        at_l = x == qp.l
+        np.minimum(g, 0.0, out=pg, where=at_l)
+    if qp.has_upper:
+        at_u = x == qp.u
+        np.maximum(g, 0.0, out=pg, where=at_u)
+        if qp.has_lower:
+            pg[at_l & at_u] = 0.0
     return pg
 
 
 def _active_mask(qp: BoundQP, x: np.ndarray) -> np.ndarray:
-    return (x == qp.l) | (x == qp.u)
+    mask = x == qp.l if qp.has_lower else np.zeros(x.shape, dtype=bool)
+    if qp.has_upper:
+        mask |= x == qp.u
+    return mask
 
 
 def active_set(qp: BoundQP, x: np.ndarray) -> np.ndarray:
@@ -121,7 +139,11 @@ def free_set(qp: BoundQP, x: np.ndarray) -> np.ndarray:
 
 
 def _binding_mask(qp: BoundQP, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return ((x == qp.l) & (g >= 0.0)) | ((x == qp.u) & (g <= 0.0))
+    mask = ((x == qp.l) & (g >= 0.0) if qp.has_lower
+            else np.zeros(x.shape, dtype=bool))
+    if qp.has_upper:
+        mask |= (x == qp.u) & (g <= 0.0)
+    return mask
 
 
 def binding_set(qp: BoundQP, x: np.ndarray, g: np.ndarray) -> np.ndarray:

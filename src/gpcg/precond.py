@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NotConvexError
 from .ilu import ILUFactorization, ilu_k
 from .linalg import SparseMatrixCSR, extract_submatrix
 
@@ -65,7 +66,8 @@ def block_ranges(m: int, blocks: int) -> list[tuple[int, int]]:
 
 
 class Preconditioner:
-    """Base preconditioner: identity."""
+    """Base preconditioner: identity.  ``apply`` returns a new array, which
+    CG then updates in place."""
 
     kind = PrecondKind.NONE
 
@@ -78,8 +80,10 @@ class PointJacobi(Preconditioner):
 
     def __init__(self, M: SparseMatrixCSR):
         diag = M.diagonal()
-        if (diag <= 0.0).any():
-            raise ValueError("point Jacobi requires a strictly positive diagonal")
+        bad = np.flatnonzero(diag <= 0.0)
+        if bad.size:  # a_ii is the curvature e_i' M e_i
+            raise NotConvexError(f"point Jacobi: diagonal entry {diag[bad[0]]} "
+                                 f"in row {bad[0]} is not positive")
         self.inv_diag = 1.0 / diag
 
     def apply(self, r: np.ndarray) -> np.ndarray:

@@ -60,12 +60,15 @@ def build_reduced(qp: BoundQP, g: np.ndarray, free: np.ndarray) -> ReducedSystem
 
 def pcg_progress(sys: ReducedSystem, P: Preconditioner, eta2: float,
                  maxiter: int | None = None) -> CGResult:
-    """Preconditioned CG on the reduced objective starting from w = 0."""
+    """Preconditioned CG on the reduced objective starting from w = 0.
+    w, the residual and the direction are updated in place, with the
+    operations, and so the bits, of forming each anew."""
     if eta2 <= 0.0:
         raise ValueError("progress tolerance must be positive")
     m = sys.m
     cap = m if maxiter is None else min(maxiter, m)
     w = np.zeros(m)
+    scaled = np.empty(m)  # alpha p, then alpha Ap
     # residual of A_k w = -r_k, i.e. the negative reduced gradient at w = 0
     res = -sys.r_k
     exact_tol = 1e-14 * (1.0 + norm2(sys.r_k))
@@ -89,8 +92,8 @@ def pcg_progress(sys: ReducedSystem, P: Preconditioner, eta2: float,
         alpha = rho / pAp
         # exact decrease of the quadratic: alpha*<res,p> - alpha^2/2*<p,Ap>
         decreases.append(alpha * (dot(res, p) - 0.5 * alpha * pAp))
-        w = w + alpha * p
-        res = res - alpha * Ap
+        w += np.multiply(p, alpha, out=scaled)
+        res -= np.multiply(Ap, alpha, out=scaled)
         if norm2(res) <= exact_tol:
             termination = CGStop.EXACT_SOLVE
             break
@@ -99,7 +102,8 @@ def pcg_progress(sys: ReducedSystem, P: Preconditioner, eta2: float,
             break
         z = P.apply(res)
         rho_next = dot(res, z)
-        p = z + (rho_next / rho) * p
+        p *= rho_next / rho
+        p += z  # z + beta p: IEEE addition commutes
         rho = rho_next
     return CGResult(w, len(decreases), np.asarray(decreases), termination,
                     breakdown)

@@ -20,7 +20,7 @@ from .linalg import dot, mat_vec, norm2
 from .model import (BoundQP, _active_mask, _binding_mask, _project,
                     _projected_gradient, gradient, objective, project)
 from .precond import make_preconditioner, parse_precond
-from .reduced import CGStop, build_reduced, pcg_progress
+from .reduced import CGStop, ReducedSystem, build_reduced, pcg_progress
 
 log = logging.getLogger("gpcg")
 
@@ -115,11 +115,14 @@ def projected_search_cg(qp: BoundQP, x: np.ndarray, g: np.ndarray, q_x: float,
     if not 0.0 < mu < 0.5:
         raise ValueError("sufficient decrease constant must lie in (0, 1/2)")
     alpha = 1.0
+    step = np.empty_like(x)  # x + alpha d, then x_trial - x
     for _ in range(max_halvings + 1):
-        x_trial = _project(qp, x + alpha * d)
+        np.multiply(d, alpha, out=step)
+        np.add(x, step, out=step)
+        x_trial = _project(qp, step)
         Ax = mat_vec(qp.A, x_trial)
         q_trial = objective(qp, x_trial, Ax)
-        if q_trial <= q_x + mu * dot(g, x_trial - x):
+        if q_trial <= q_x + mu * dot(g, np.subtract(x_trial, x, out=step)):
             return x_trial, alpha, Ax, q_trial
         alpha *= 0.5
     raise SearchFailed(f"no acceptable step within {max_halvings} halvings")
@@ -165,13 +168,18 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                 log.info("outer %d: gp took %d iterates (%s), pg_norm=%.3e",
                          outer, gp.iterates_taken, gp.termination.value,
                          pg_norm)
+                held = None  # free set, A_k and preconditioner of the last CG call
                 while pg_norm > cfg.tol:
                     free = np.flatnonzero(~_active_mask(qp, x))
-                    sys = build_reduced(qp, g, free)
-                    P = make_preconditioner(sys.A_k, precond_spec, cfg.blocks)
-                    cg = pcg_progress(sys, P, eta2, cfg.cg_maxiter)
-                    # let the factor go before the next one is built
-                    P = sys = None
+                    if held is None or not np.array_equal(free, held[0]):
+                        held = None  # let the factor go before the next one is built
+                        sys = build_reduced(qp, g, free)
+                        held = free, sys.A_k, make_preconditioner(
+                            sys.A_k, precond_spec, cfg.blocks)
+                    else:  # the same face: only the gradient is new
+                        sys = ReducedSystem(held[1], g[free])
+                    cg = pcg_progress(sys, held[2], eta2, cfg.cg_maxiter)
+                    sys = None
                     stats.cg_iters_total += cg.iterations
                     outer_cg_iters += cg.iterations
                     stats.cg_calls += 1
@@ -198,11 +206,12 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                     if eta2 <= CG_PROGRESS_FLOOR:
                         break
                     eta2 = max(eta2 * CG_PROGRESS_SHRINK, CG_PROGRESS_FLOOR)
+                held = None  # the GP phase runs without the factor
             finally:
                 active = _active_mask(qp, x)
                 faces.add(np.packbits(active).tobytes())  # n / 8 bytes a face
                 stats.trace.append(TraceRecord(
-                    outer, "outer", q, pg_norm, n - int(active.sum()),
+                    outer, "outer", q, pg_norm, n - int(np.count_nonzero(active)),
                     outer_cg_iters, eta2))
         if pg_norm <= cfg.tol:
             status = SolveStatus.CONVERGED
@@ -213,7 +222,7 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
 
     stats.faces_visited = len(faces)
     stats.free_fraction_final = (
-        int((~_active_mask(qp, x)).sum()) / n if n else 0.0)
+        (n - int(np.count_nonzero(_active_mask(qp, x)))) / n if n else 0.0)
     stats.final_pg_norm = pg_norm
     stats.objective_final = q
     stats.wall_time_seconds = time.perf_counter() - start

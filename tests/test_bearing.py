@@ -52,12 +52,12 @@ def stacked_bearing(nx, ny, eps, b_dom):
     horiz_w = -(hy / hx) * lam_w
     horiz_e = -(hy / hx) * lam_e
     vert = -(hx / hy) * 0.5 * (lam_w + lam_e)
-    v = np.arange(n, dtype=np.int64)
+    v = np.arange(n, dtype=np.int32)  # int32 CSR indices: n and nnz fit
     cols = np.stack([v - nx, v - 1, v, v + 1, v + nx], axis=1)
     vals = np.stack([vert, horiz_w, diag, horiz_e, vert], axis=1)
     keep = np.stack([jj > 1, ii > 1, np.ones(n, dtype=bool),
                      ii < nx, jj < ny], axis=1)
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
     return indptr, cols[keep], vals[keep], -hx * hy * wl(ii * hx, eps)
 
@@ -134,6 +134,12 @@ class TestGenerate:
         returned = sum(a.nbytes for a in (qp.A.indptr, qp.A.indices, qp.A.data,
                                           qp.b, qp.l, qp.u))
         assert peak <= 1.5 * returned
+
+    def test_index_arrays_are_int32(self):
+        # built in int32, not cast from int64: n and nnz fit
+        A = generate(BearingSpec(30, 20, 0.4)).A
+        assert A.indptr.dtype == A.indices.dtype == np.int32
+        assert np.shares_memory(A.scipy.indices, A.indices)  # no copy
 
     def test_bounds_and_constant(self):
         qp = generate(BearingSpec(5, 4, 0.3))

@@ -240,12 +240,13 @@ def ref_ic_solve(u_indptr, u_indices, u_data, r):
 
 def upper_triangle(n, indptr, indices):
     """The entries on and above the diagonal of a CSR pattern: their indptr,
-    indices and a mask of them over the pattern."""
+    indices and a mask of them over the pattern; int64, as ``ilu_symbolic``
+    returns a pattern whatever the input's index dtype."""
     rows = np.repeat(np.arange(n), np.diff(indptr))
     keep = indices >= rows
     up = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows[keep], minlength=n), out=up[1:])
-    return up, indices[keep], keep
+    return up, indices[keep].astype(np.int64), keep
 
 
 # ---------------------------------------------------------------------------

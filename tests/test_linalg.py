@@ -132,6 +132,38 @@ class TestMatVec:
             mat_vec(M, np.zeros(4))
 
 
+class TestIndexDtype:
+    def test_int32_when_dimensions_and_entries_fit(self):
+        assert gpcg.linalg.index_dtype(3, 2**31 - 1) is np.int32
+        assert gpcg.linalg.index_dtype(2**31, 3) is np.int64
+
+    def test_int64_input_is_stored_as_int32(self):
+        M = SparseMatrixCSR(2, 2, np.array([0, 1, 2], dtype=np.int64),
+                            np.array([0, 1], dtype=np.int64), np.ones(2))
+        assert M.indptr.dtype == M.indices.dtype == np.int32
+
+    def test_index_values_too_wide_for_the_dtype_rejected(self):
+        # 2**32 would wrap to column 0 in int32
+        with pytest.raises(ValueError, match="out of range"):
+            SparseMatrixCSR(2, 2, np.array([0, 1, 2], dtype=np.int64),
+                            np.array([0, 2**32], dtype=np.int64), np.ones(2))
+
+    def test_mat_vec_same_bytes_for_int32_and_int64_indices(self):
+        A = generate(BearingSpec(200, 200, 0.1)).A
+        wide = SparseMatrixCSR(A.nrows, A.ncols, A.indptr, A.indices, A.data,
+                               symmetric=True, validate=False)
+        wide.indptr = A.indptr.astype(np.int64)
+        wide.indices = A.indices.astype(np.int64)
+        x = np.random.default_rng(3).standard_normal(A.ncols)
+        assert A.indices.dtype == np.int32
+        assert mat_vec(wide, x).tobytes() == mat_vec(A, x).tobytes()
+
+    def test_extraction_keeps_the_index_dtype(self):
+        A = generate(BearingSpec(9, 7, 0.3)).A
+        S = extract_submatrix(A, np.arange(0, A.nrows, 2))
+        assert S.indptr.dtype == S.indices.dtype == np.int32
+
+
 class TestExtractSubmatrix:
     def test_full_index_set_is_identity(self):
         M, _ = random_sparse_spd(np.random.default_rng(3), 15)
@@ -213,8 +245,8 @@ class TestExtractionByChunks:
         S = extract_submatrix(A, idx)
         ref = self.reference(A, np.asarray(idx, dtype=np.int64))
         assert (S.nrows, S.ncols) == ref.shape
-        for got, want, dtype in ((S.indptr, ref.indptr, np.int64),
-                                 (S.indices, ref.indices, np.int64),
+        for got, want, dtype in ((S.indptr, ref.indptr, np.int32),
+                                 (S.indices, ref.indices, np.int32),
                                  (S.data, ref.data, np.float64)):
             assert got.dtype == dtype
             assert_array_equal(got, want)

@@ -64,6 +64,32 @@ class TestBoundQP:
         assert qp.n == 2
 
 
+    def test_bounds_are_read_only(self):
+        qp = _tiny_qp()
+        with pytest.raises(ValueError):
+            qp.u[0] = 5.0
+        with pytest.raises(ValueError):
+            qp.l[1] = -5.0
+
+    def test_bounds_stay_the_callers_arrays_views(self):
+        l, u = np.zeros(2), np.ones(2)
+        M = SparseMatrixCSR.from_dense(np.eye(2), symmetric=True)
+        qp = BoundQP(M, np.zeros(2), 0.0, l, u)
+        assert np.shares_memory(qp.l, l) and np.shares_memory(qp.u, u)
+        assert l.flags.writeable and u.flags.writeable
+
+    @pytest.mark.parametrize("l, u, has", [
+        (np.zeros(3), np.full(3, np.inf), (True, False)),
+        (np.full(3, -np.inf), [np.inf, 1.0, np.inf], (False, True)),
+        (np.full(3, -np.inf), np.full(3, np.inf), (False, False)),
+        ([-np.inf, -np.inf, 0.0], [1.0, np.inf, np.inf], (True, True)),
+    ])
+    def test_records_which_sides_have_a_finite_bound(self, l, u, has):
+        M = SparseMatrixCSR.from_dense(np.eye(3), symmetric=True)
+        qp = BoundQP(M, np.zeros(3), 0.0, l, u)
+        assert (qp.has_lower, qp.has_upper) == has
+
+
 class TestObjectiveGradient:
     def test_objective_by_hand(self):
         qp = _tiny_qp()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gpcg import SparseMatrixCSR, make_preconditioner, parse_precond
+from gpcg import NotConvexError, SparseMatrixCSR, make_preconditioner, parse_precond
 from gpcg.precond import (BlockJacobiILU, PointJacobi, PrecondKind,
                           PrecondSpec, Preconditioner, block_ranges)
 
@@ -77,9 +77,10 @@ class TestApply:
                            [1.0, 0.5])
 
     def test_point_jacobi_requires_positive_diagonal(self):
+        # a_ii <= 0 is a nonpositive curvature e_i' M e_i: the matrix is not SPD
         M = SparseMatrixCSR.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]),
                                        symmetric=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(NotConvexError, match="row 0"):
             PointJacobi(M)
 
     def test_single_block_full_fill_inverts(self):

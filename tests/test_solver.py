@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import sys
 
@@ -10,11 +11,12 @@ import gpcg.gradproj
 import gpcg.linalg
 import gpcg.solver
 from gpcg import (BearingSpec, BoundQP, SearchFailed, SolveStatus,
-                  SolverConfig, SparseMatrixCSR, dense_solve, generate,
-                  gradient, norm2, objective, projected_gradient,
-                  projected_search_cg, solve, solve_enum)
+                  SolverConfig, SparseMatrixCSR, build_reduced, dense_solve,
+                  free_set, generate, gradient, make_preconditioner, norm2,
+                  objective, projected_gradient, projected_search_cg, solve,
+                  solve_enum)
 
-from conftest import (hand_qp, random_bound_qp, reference_objective,
+from conftest import (dense_spd, hand_qp, random_bound_qp, reference_objective,
                       reference_pg_norm, unconstrained_qp)
 
 
@@ -106,6 +108,24 @@ class TestSolveBasics:
             assert out.status is SolveStatus.CONVERGED
             assert np.abs(out.x_star - solve_enum(qp)).max() <= 1e-6
 
+    @pytest.mark.parametrize("lower", [0.0, -np.inf])
+    def test_one_finite_upper_bound_binds(self, lower):
+        # u = +inf except u[6], which the unconstrained minimizer (x_6 = 3)
+        # violates: whether any upper bound is finite must not be read off
+        # u[0], or the bound is never enforced
+        rng = np.random.default_rng(21)
+        D = dense_spd(rng, 10)
+        target = rng.uniform(0.5, 1.5, 10)
+        target[6] = 3.0
+        u = np.full(10, np.inf)
+        u[6] = 1.0
+        qp = BoundQP(SparseMatrixCSR.from_dense(D, symmetric=True), -D @ target,
+                     0.0, np.full(10, lower), u)
+        out = solve(qp, np.zeros(10), SolverConfig(tol=1e-10))
+        assert out.status is SolveStatus.CONVERGED
+        assert out.x_star[6] == 1.0
+        assert_allclose(out.x_star, solve_enum(qp), rtol=0, atol=1e-9)
+
     def test_fixed_variables_stay_fixed(self):
         A = SparseMatrixCSR.from_dense(
             np.array([[2.0, 0.5], [0.5, 1.0]]), symmetric=True)
@@ -159,6 +179,19 @@ class TestSolveTermination:
         _trace_invariant(out)
         plain = solve(qp, np.zeros(n), SolverConfig(precond="none"))
         assert plain.status is SolveStatus.CONVERGED
+
+    def test_point_jacobi_on_a_nonpositive_diagonal_fails_as_not_convex(self):
+        # an indefinite matrix whose reduced system has a_11 < 0: the solve
+        # reports the nonpositive curvature instead of raising
+        rng = np.random.default_rng(3)
+        B = rng.standard_normal((6, 6))
+        A = SparseMatrixCSR.from_dense(0.5 * (B + B.T), symmetric=True)
+        qp = BoundQP(A, rng.standard_normal(6), 0.0, -np.ones(6), np.ones(6))
+        out = solve(qp, np.zeros(6), SolverConfig(precond="jacobi"))
+        assert out.status is SolveStatus.FAILED
+        assert out.failure_reason.startswith("NotConvexError: point Jacobi")
+        assert "row 1 " in out.failure_reason
+        _trace_invariant(out)
 
     def test_max_outer_reached(self):
         qp = generate(BearingSpec(16, 16, 0.5))
@@ -280,6 +313,16 @@ class TestSolveOnBearing:
         out = solve(qp, qp.l)
         assert 1 <= out.stats.faces_visited <= out.stats.outer_iters
 
+    @pytest.mark.parametrize("precond", ["jacobi", "bjacobi-ilu0"])
+    def test_stats_and_trace_hold_python_numbers(self, precond):
+        # the CLI writes floats by repr, where a numpy scalar reads
+        # np.float64(...), and JSON refuses numpy integers
+        qp = generate(BearingSpec(12, 12, 0.1))
+        st = solve(qp, qp.l, SolverConfig(precond=precond)).stats
+        values = [getattr(st, f.name) for f in dataclasses.fields(st) if f.name != "trace"]
+        values += [v for rec in st.trace for v in dataclasses.astuple(rec)]
+        assert {type(v) for v in values} <= {int, float, str}
+
     def test_determinism_on_repeat_solves(self):
         qp = generate(BearingSpec(40, 40, 0.5))
         cfg = SolverConfig(precond="bjacobi-ilu2", blocks=4)
@@ -288,6 +331,67 @@ class TestSolveOnBearing:
         assert a.x_star.tobytes() == b.x_star.tobytes()
         assert a.stats.trace == b.stats.trace
         assert a.stats.cg_iters_total == b.stats.cg_iters_total
+
+
+class TestReducedSystemReuse:
+    """Consecutive CG calls of one outer iteration on the same free set share
+    the reduced matrix and the preconditioner; only g[free] is taken anew."""
+
+    @staticmethod
+    def sparse_box_qp(seed, n=40):
+        """A = R R' + 1e-2 I, R sparse (density 0.08), over [-1, 1]^n: CG
+        stops short of the face's minimizer, so faces repeat."""
+        rng = np.random.default_rng(seed)
+        R = scipy.sparse.random(n, n, density=0.08, format="csr",
+                                random_state=rng, data_rvs=rng.standard_normal)
+        M = (R @ R.T + 1e-2 * scipy.sparse.identity(n, format="csr")).tocsr()
+        M = (0.5 * (M + M.T)).tocsr()
+        M.eliminate_zeros()
+        M.sort_indices()
+        A = SparseMatrixCSR(n, n, M.indptr, M.indices, M.data, symmetric=True)
+        return BoundQP(A, rng.standard_normal(n), 0.0, -np.ones(n), np.ones(n))
+
+    @pytest.mark.parametrize("precond", ["jacobi", "bjacobi-ilu0"])
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4])
+    def test_one_setup_per_distinct_consecutive_free_set(self, monkeypatch,
+                                                         precond, seed):
+        qp = self.sparse_box_qp(seed)
+        # "gp" per GP phase; per CG call its A_k, r_k and preconditioner,
+        # then the point and gradient its search starts from
+        events, setups = [], []
+
+        def spy(name, record):
+            original = getattr(gpcg.solver, name)
+
+            def wrapped(*args, **kwargs):
+                record(*args)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(gpcg.solver, name, wrapped)
+
+        spy("gp_phase", lambda *args: events.append("gp"))
+        spy("make_preconditioner", lambda *args: setups.append(args[0].nrows))
+        spy("pcg_progress", lambda sys, P, *args: events.append([sys.A_k, sys.r_k, P]))
+        spy("projected_search_cg", lambda qp, x, g, *args: events[-1].extend([x, g]))
+        out = solve(qp, np.zeros(qp.n), SolverConfig(precond=precond))
+        assert out.status is SolveStatus.CONVERGED
+
+        distinct, last, v = 0, None, np.random.default_rng(9).standard_normal(qp.n)
+        for event in events:
+            if event == "gp":
+                last = None
+                continue
+            A_k, r_k, P, x, g = event
+            free = free_set(qp, x)
+            distinct += last is None or not np.array_equal(free, last)
+            last = free
+            fresh = build_reduced(qp, g, free)
+            for got, want in ((A_k.indptr, fresh.A_k.indptr),
+                              (A_k.indices, fresh.A_k.indices),
+                              (A_k.data, fresh.A_k.data), (r_k, fresh.r_k)):
+                assert got.tobytes() == want.tobytes()
+            fresh_P = make_preconditioner(fresh.A_k, precond)
+            assert P.apply(v[:free.size]).tobytes() == fresh_P.apply(v[:free.size]).tobytes()
+        assert len(setups) == distinct < out.stats.cg_calls
 
 
 class TestMatvecEconomy:
