@@ -29,6 +29,19 @@ from .solver import SolveOutcome, SolveStatus, SolverConfig, SolverStats, solve
 log = logging.getLogger("gpcg")
 
 STATS_FIELDS = tuple(f.name for f in fields(SolverStats) if f.name != "trace")
+# Every SolverConfig field as (name, field, help), in the field order:
+# --<name> with "-" for "_" is its flag, <name> the argparse dest and the
+# report's config key.  compare-preconds takes --preconds for --precond.
+SOLVER_FLAGS = (
+    ("tau", "tol", "projected-gradient norm tolerance"),
+    ("eta1", "gp_progress", "gradient-projection progress tolerance"),
+    ("eta2", "cg_progress", "initial CG progress tolerance"),
+    ("mu", "sufficient_decrease", "sufficient decrease constant"),
+    ("max_outer", "max_outer", "outer iteration limit"),
+    ("precond", "precond", "none | jacobi | bjacobi-ilu<k>, e.g. bjacobi-ilu2 "
+                           "(block count: --blocks)"),
+    ("blocks", "blocks", "diagonal block count for block Jacobi"),
+)
 CSV_HEADER = ",".join(("precond", "status") + STATS_FIELDS)
 
 
@@ -54,27 +67,19 @@ def _add_bearing_flags(p: argparse.ArgumentParser):
                    help="domain half-height")
 
 
-def _add_solver_flags(p: argparse.ArgumentParser):
+def _add_solver_flags(p: argparse.ArgumentParser, precond: bool = True):
     default = SolverConfig()
-    p.add_argument("--tau", type=float, default=default.tol,
-                   help="projected-gradient norm tolerance")
-    p.add_argument("--eta1", type=float, default=default.gp_progress,
-                   help="gradient-projection progress tolerance")
-    p.add_argument("--eta2", type=float, default=default.cg_progress,
-                   help="initial CG progress tolerance")
-    p.add_argument("--mu", type=float, default=default.sufficient_decrease,
-                   help="sufficient decrease constant")
-    p.add_argument("--blocks", type=int, default=default.blocks,
-                   help="diagonal block count for block Jacobi")
-    p.add_argument("--max-outer", type=int, default=default.max_outer)
+    for name, field, text in SOLVER_FLAGS:
+        if name == "precond" and not precond:
+            continue
+        value = getattr(default, field)
+        p.add_argument("--" + name.replace("_", "-"), type=type(value),
+                       default=value, help=text)
     p.add_argument("--x0", default="lower",
                    help="starting point: lower | zero | a vector file path")
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
-    p.add_argument("--precond", default=SolverConfig().precond,
-                   help="none | jacobi | bjacobi-ilu<k>, e.g. bjacobi-ilu2 "
-                        "(block count: --blocks)")
     p.add_argument("--trace", metavar="PATH",
                    help="write the per-iterate CSV trace here")
     p.add_argument("--out", choices=("json", "csv"), default="json",
@@ -84,10 +89,8 @@ def _add_run_flags(p: argparse.ArgumentParser):
 
 
 def _config_from_args(args, precond: str) -> SolverConfig:
-    return SolverConfig(tol=args.tau, gp_progress=args.eta1,
-                        cg_progress=args.eta2,
-                        sufficient_decrease=args.mu, precond=precond,
-                        blocks=args.blocks, max_outer=args.max_outer)
+    values = {**vars(args), "precond": precond}
+    return SolverConfig(**{field: values[name] for name, field, _ in SOLVER_FLAGS})
 
 
 def _starting_point(qp: BoundQP, spec: str) -> np.ndarray:
@@ -107,9 +110,8 @@ def build_report(problem_meta: dict, cfg: SolverConfig, x0: str,
                  outcome: SolveOutcome) -> dict:
     return {
         "problem": problem_meta,
-        "config": {"tau": cfg.tol, "eta1": cfg.gp_progress,
-                   "eta2": cfg.cg_progress, "mu": cfg.sufficient_decrease,
-                   "precond": cfg.precond, "blocks": cfg.blocks, "x0": x0},
+        "config": {**{name: getattr(cfg, field)
+                      for name, field, _ in SOLVER_FLAGS}, "x0": x0},
         "status": outcome.status.value,
         "failure_reason": outcome.failure_reason,
         "stats": {name: getattr(outcome.stats, name) for name in STATS_FIELDS},
@@ -214,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--preconds",
                        default="jacobi,bjacobi-ilu0,bjacobi-ilu2",
                        help="comma-separated preconditioner list")
-    _add_solver_flags(p_cmp)
+    _add_solver_flags(p_cmp, precond=False)
     p_cmp.set_defaults(func=cmd_compare_preconds)
     return parser
 

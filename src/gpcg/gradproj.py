@@ -15,6 +15,9 @@ from .linalg import dot, mat_vec, norm2
 from .model import (BoundQP, _active_mask, _project, _projected_gradient,
                     gradient, objective)
 
+GP_CAP = 100        # iterates per GP phase
+MAX_HALVINGS = 50   # step halvings per projected search, GP and CG alike
+
 
 class GPStop(enum.Enum):
     ACTIVE_SET_SETTLED = "active_set_settled"
@@ -60,7 +63,7 @@ def cauchy_step_size(qp: BoundQP, g: np.ndarray, d: np.ndarray) -> float:
 
 
 def projected_search_gp(qp: BoundQP, y: np.ndarray, g: np.ndarray, q_y: float,
-                        alpha0: float, mu: float, max_halvings: int = 50
+                        alpha0: float, mu: float
                         ) -> tuple[np.ndarray, float, int, np.ndarray, float]:
     """Backtrack over alpha0 * (1/2)^j until the projected full-gradient step
     from y satisfies the sufficient decrease test; one matvec per trial.
@@ -71,7 +74,7 @@ def projected_search_gp(qp: BoundQP, y: np.ndarray, g: np.ndarray, q_y: float,
         raise ValueError("initial step size must be positive")
     alpha = alpha0
     step = np.empty_like(y)  # y - alpha g, then y_trial - y
-    for halvings in range(max_halvings + 1):
+    for halvings in range(MAX_HALVINGS + 1):
         np.multiply(g, alpha, out=step)
         np.subtract(y, step, out=step)
         y_trial = _project(qp, step)
@@ -80,15 +83,14 @@ def projected_search_gp(qp: BoundQP, y: np.ndarray, g: np.ndarray, q_y: float,
         if q_trial <= q_y + mu * dot(g, np.subtract(y_trial, y, out=step)):
             return y_trial, alpha, halvings, Ay, q_trial
         alpha *= 0.5
-    raise SearchFailed(f"no acceptable step within {max_halvings} halvings")
+    raise SearchFailed(f"no acceptable step within {MAX_HALVINGS} halvings")
 
 
 def gp_phase(qp: BoundQP, x: np.ndarray, eta1: float, mu: float, tau: float,
-             cap: int, max_halvings: int = 50,
              Ax: np.ndarray | None = None) -> GPResult:
     """Run projected-gradient iterates from x until the active set repeats,
     the decrease falls below eta1 times the best decrease so far, the
-    convergence test fires, or the iterate cap is hit.  Given Ax = A x, each
+    convergence test fires, or GP_CAP iterates are taken.  Given Ax = A x, each
     iterate costs one matvec for the Cauchy step and one per search trial."""
     if not 0.0 < eta1 < 1.0:
         raise ValueError("progress tolerance must lie in (0, 1)")
@@ -103,10 +105,10 @@ def gp_phase(qp: BoundQP, x: np.ndarray, eta1: float, mu: float, tau: float,
         return GPResult(y, 0, GPStop.CONVERGED, np.zeros(0), Ay, q_y, g, records)
     prev_active = _active_mask(qp, y)
     termination = GPStop.ITERATION_CAP
-    for j in range(1, cap + 1):
+    for j in range(1, GP_CAP + 1):
         alpha0 = cauchy_step_size(qp, g, pg)
         y_next, alpha, halvings, Ay, q_next = projected_search_gp(
-            qp, y, g, q_y, alpha0, mu, max_halvings)
+            qp, y, g, q_y, alpha0, mu)
         decreases.append(q_y - q_next)
         y, q_y = y_next, q_next
         g = gradient(qp, y, Ay)

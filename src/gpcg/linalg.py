@@ -155,9 +155,7 @@ def extract_submatrix(A: SparseMatrixCSR, idx: np.ndarray) -> SparseMatrixCSR:
 
 
 def dot(x: np.ndarray, y: np.ndarray) -> float:
-    if x.shape != y.shape:
-        raise ValueError("shape mismatch")
-    return float(np.dot(x, y))
+    return float(np.dot(x, y))  # unequal lengths raise ValueError
 
 
 def norm2(x: np.ndarray) -> float:

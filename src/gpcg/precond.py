@@ -8,9 +8,6 @@ a separate argument, ``SolverConfig.blocks`` in the solver.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotConvexError
@@ -18,36 +15,18 @@ from .ilu import ILUFactorization, ilu_k
 from .linalg import SparseMatrixCSR, extract_submatrix
 
 
-class PrecondKind(enum.Enum):
-    NONE = "none"
-    POINT_JACOBI = "jacobi"
-    BLOCK_JACOBI_ILU = "bjacobi-ilu"
-
-
-@dataclass(frozen=True)
-class PrecondSpec:
-    kind: PrecondKind
-    fill_level: int = 0
-
-    def label(self) -> str:
-        if self.kind is PrecondKind.BLOCK_JACOBI_ILU:
-            return f"bjacobi-ilu{self.fill_level}"
-        return self.kind.value
-
-
-def parse_precond(text: str) -> PrecondSpec:
-    """Parse a selection string into a PrecondSpec."""
+def parse_precond(text: str) -> int | None:
+    """Check a selection string; return the fill level k of
+    ``bjacobi-ilu<k>``, None for ``none`` and ``jacobi``."""
     body = text.strip()
-    if body == "none":
-        return PrecondSpec(PrecondKind.NONE)
-    if body == "jacobi":
-        return PrecondSpec(PrecondKind.POINT_JACOBI)
+    if body in ("none", "jacobi"):
+        return None
     if body.startswith("bjacobi-ilu"):
         # ASCII digits only: int() also takes signs, spaces, underscores
         # and other scripts' digits
         digits = body[len("bjacobi-ilu"):]
         if digits.isascii() and digits.isdigit():
-            return PrecondSpec(PrecondKind.BLOCK_JACOBI_ILU, int(digits))
+            return int(digits)
     raise ValueError(f"unrecognized preconditioner {text!r}")
 
 
@@ -69,15 +48,11 @@ class Preconditioner:
     """Base preconditioner: identity.  ``apply`` returns a new array, which
     CG then updates in place."""
 
-    kind = PrecondKind.NONE
-
     def apply(self, r: np.ndarray) -> np.ndarray:
         return r.copy()
 
 
 class PointJacobi(Preconditioner):
-    kind = PrecondKind.POINT_JACOBI
-
     def __init__(self, M: SparseMatrixCSR):
         diag = M.diagonal()
         bad = np.flatnonzero(diag <= 0.0)
@@ -93,8 +68,6 @@ class PointJacobi(Preconditioner):
 
 
 class BlockJacobiILU(Preconditioner):
-    kind = PrecondKind.BLOCK_JACOBI_ILU
-
     def __init__(self, M: SparseMatrixCSR, fill_level: int, blocks: int):
         self.m = M.nrows
         self.ranges = block_ranges(M.nrows, blocks)
@@ -116,14 +89,13 @@ class BlockJacobiILU(Preconditioner):
         return z
 
 
-def make_preconditioner(M: SparseMatrixCSR, spec: PrecondSpec | str,
+def make_preconditioner(M: SparseMatrixCSR, precond: str,
                         blocks: int = 1) -> Preconditioner:
-    """Build the selected preconditioner for M; ``blocks`` is the diagonal
-    block count of block Jacobi."""
-    if isinstance(spec, str):
-        spec = parse_precond(spec)
-    if spec.kind is PrecondKind.NONE:
+    """Build the preconditioner that the selection string names for M;
+    ``blocks`` is the diagonal block count of block Jacobi."""
+    fill_level = parse_precond(precond)
+    if fill_level is not None:
+        return BlockJacobiILU(M, fill_level, blocks)
+    if precond.strip() == "none":
         return Preconditioner()
-    if spec.kind is PrecondKind.POINT_JACOBI:
-        return PointJacobi(M)
-    return BlockJacobiILU(M, spec.fill_level, blocks)
+    return PointJacobi(M)

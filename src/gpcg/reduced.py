@@ -58,15 +58,13 @@ def build_reduced(qp: BoundQP, g: np.ndarray, free: np.ndarray) -> ReducedSystem
     return ReducedSystem(extract_submatrix(qp.A, free), g[free])
 
 
-def pcg_progress(sys: ReducedSystem, P: Preconditioner, eta2: float,
-                 maxiter: int | None = None) -> CGResult:
+def pcg_progress(sys: ReducedSystem, P: Preconditioner, eta2: float) -> CGResult:
     """Preconditioned CG on the reduced objective starting from w = 0.
     w, the residual and the direction are updated in place, with the
     operations, and so the bits, of forming each anew."""
     if eta2 <= 0.0:
         raise ValueError("progress tolerance must be positive")
     m = sys.m
-    cap = m if maxiter is None else min(maxiter, m)
     w = np.zeros(m)
     scaled = np.empty(m)  # alpha p, then alpha Ap
     # residual of A_k w = -r_k, i.e. the negative reduced gradient at w = 0
@@ -80,7 +78,7 @@ def pcg_progress(sys: ReducedSystem, P: Preconditioner, eta2: float,
     p = z
     termination = CGStop.MAX_ITER
     breakdown = None
-    for j in range(1, cap + 1):
+    for j in range(1, m + 1):
         if rho <= 0.0:
             termination, breakdown = CGStop.BREAKDOWN, "preconditioner"
             break

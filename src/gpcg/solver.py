@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GPCGError, SearchFailed
-from .gradproj import gp_phase
+from .gradproj import MAX_HALVINGS, gp_phase
 from .linalg import dot, mat_vec, norm2
 from .model import (BoundQP, _active_mask, _binding_mask, _project,
                     _projected_gradient, gradient, objective, project)
@@ -24,14 +24,16 @@ from .reduced import CGStop, ReducedSystem, build_reduced, pcg_progress
 
 log = logging.getLogger("gpcg")
 
-GP_CAP = 100                # GP iterates per phase
 CG_PROGRESS_SHRINK = 0.1    # refinement factor of eta2 on the optimal face
 CG_PROGRESS_FLOOR = 1e-12   # smallest eta2, reached within 13 refinements
 
 
 @dataclass
 class SolverConfig:
-    """Tolerances and limits; defaults match the benchmark settings."""
+    """The solver's settings; defaults match the benchmark settings.  The
+    other limits are fixed: ``gradproj.GP_CAP`` iterates per GP phase,
+    ``gradproj.MAX_HALVINGS`` halvings per search, and as many CG
+    iterations as the reduced dimension."""
     tol: float = 1e-4                 # projected-gradient norm target
     gp_progress: float = 0.1          # decrease ratio ending the GP phase
     cg_progress: float = 0.05         # initial CG decrease ratio
@@ -39,8 +41,6 @@ class SolverConfig:
     max_outer: int = 500
     precond: str = "none"
     blocks: int = 1                   # diagonal blocks of block Jacobi
-    max_halvings: int = 50
-    cg_maxiter: int | None = None     # None: the reduced dimension
 
     def __post_init__(self):
         if not isinstance(self.precond, str):
@@ -53,17 +53,14 @@ class SolverConfig:
             raise ValueError("CG progress tolerance must lie in (0, 1)")
         if not self.tol > 0.0:
             raise ValueError("convergence tolerance must be positive")
-        cg_maxiter = 1 if self.cg_maxiter is None else self.cg_maxiter
-        for what, count, least in (("block count", self.blocks, 1),
-                                   ("outer iteration limit", self.max_outer, 1),
-                                   ("halving limit", self.max_halvings, 0),
-                                   ("CG iteration limit", cg_maxiter, 1)):
+        for what, count in (("block count", self.blocks),
+                            ("outer iteration limit", self.max_outer)):
             try:  # numpy integers pass, floats do not
                 operator.index(count)
             except TypeError:
                 raise ValueError(f"{what} must be an integer") from None
-            if count < least:
-                raise ValueError(f"{what} must be at least {least}")
+            if count < 1:
+                raise ValueError(f"{what} must be at least 1")
         parse_precond(self.precond)
 
 
@@ -107,7 +104,7 @@ class SolveOutcome:
 
 
 def projected_search_cg(qp: BoundQP, x: np.ndarray, g: np.ndarray, q_x: float,
-                        d: np.ndarray, mu: float, max_halvings: int = 50
+                        d: np.ndarray, mu: float
                         ) -> tuple[np.ndarray, float, np.ndarray, float]:
     """Backtrack over alpha in {1, 1/2, 1/4, ...} until the projected step
     along d satisfies the sufficient decrease test; one matvec per trial.
@@ -116,7 +113,7 @@ def projected_search_cg(qp: BoundQP, x: np.ndarray, g: np.ndarray, q_x: float,
         raise ValueError("sufficient decrease constant must lie in (0, 1/2)")
     alpha = 1.0
     step = np.empty_like(x)  # x + alpha d, then x_trial - x
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         np.multiply(d, alpha, out=step)
         np.add(x, step, out=step)
         x_trial = _project(qp, step)
@@ -125,7 +122,7 @@ def projected_search_cg(qp: BoundQP, x: np.ndarray, g: np.ndarray, q_x: float,
         if q_trial <= q_x + mu * dot(g, np.subtract(x_trial, x, out=step)):
             return x_trial, alpha, Ax, q_trial
         alpha *= 0.5
-    raise SearchFailed(f"no acceptable step within {max_halvings} halvings")
+    raise SearchFailed(f"no acceptable step within {MAX_HALVINGS} halvings")
 
 
 def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> SolveOutcome:
@@ -136,7 +133,6 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
         cfg = SolverConfig()
     start = time.perf_counter()
     stats = SolverStats()
-    precond_spec = parse_precond(cfg.precond)
     n = qp.n
     x = project(qp, x0)
     if not np.isfinite(x).all():  # NaN, or infinite where the bound is
@@ -157,7 +153,7 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
             outer_cg_iters = 0
             try:
                 gp = gp_phase(qp, x, cfg.gp_progress, cfg.sufficient_decrease,
-                              cfg.tol, GP_CAP, cfg.max_halvings, Ax)
+                              cfg.tol, Ax)
                 x, Ax, q, g = gp.x_out, gp.Ax, gp.q, gp.g
                 stats.gp_iters_total += gp.iterates_taken
                 for rec in gp.records:
@@ -175,10 +171,10 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                         held = None  # let the factor go before the next one is built
                         sys = build_reduced(qp, g, free)
                         held = free, sys.A_k, make_preconditioner(
-                            sys.A_k, precond_spec, cfg.blocks)
+                            sys.A_k, cfg.precond, cfg.blocks)
                     else:  # the same face: only the gradient is new
                         sys = ReducedSystem(held[1], g[free])
-                    cg = pcg_progress(sys, held[2], eta2, cfg.cg_maxiter)
+                    cg = pcg_progress(sys, held[2], eta2)
                     sys = None
                     stats.cg_iters_total += cg.iterations
                     outer_cg_iters += cg.iterations
@@ -190,8 +186,7 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                         d = np.zeros(n)
                         d[free] = cg.w
                         x, alpha, Ax, q = projected_search_cg(
-                            qp, x, g, q, d, cfg.sufficient_decrease,
-                            cfg.max_halvings)
+                            qp, x, g, q, d, cfg.sufficient_decrease)
                         g = gradient(qp, x, Ax)
                         pg_norm = norm2(_projected_gradient(qp, x, g))
                     finally:  # the row describes the point kept

@@ -81,17 +81,19 @@ class TestPCG:
         assert_array_equal(out.w, 0.0)
 
     def test_iteration_cap_respected(self):
+        # a condition number of 1e8 keeps rounding from letting CG finish in
+        # 40 steps: it stops at the dimension cap
         D = np.diag(np.logspace(0, 8, 40))
         rng = np.random.default_rng(64)
         sys = _system(D, rng.standard_normal(40))
-        out = pcg_progress(sys, Preconditioner(), 1e-12, maxiter=2)
+        out = pcg_progress(sys, Preconditioner(), 1e-12)
         assert out.termination is CGStop.MAX_ITER
-        assert out.iterations == 2
+        assert out.iterations == 40
 
     def test_cap_never_exceeds_dimension(self):
         D = np.diag([1.0, 3.0])
         sys = _system(D, np.array([1.0, 1.0]))
-        out = pcg_progress(sys, Preconditioner(), 1e-12, maxiter=500)
+        out = pcg_progress(sys, Preconditioner(), 1e-12)
         assert out.iterations <= 2
 
     def test_progress_test_stops_early(self):

@@ -2,6 +2,7 @@ import json
 import logging
 from dataclasses import fields
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from gpcg import (SolverConfig, SolverStats, TraceRecord, read_vector,
                   save_problem, write_vector)
+from gpcg import cli
 from gpcg.cli import _build_parser, _config_from_args, main
 from gpcg.io import TRACE_HEADER
 
@@ -56,7 +58,7 @@ class TestBearingCommand:
                                    "--eps", "0.5", "--trace", trace_path])
         assert rc == 0
         stats = json.loads(out)["stats"]
-        lines = open(trace_path).read().splitlines()
+        lines = Path(trace_path).read_text().splitlines()
         assert lines[0] == TRACE_HEADER
         expected = (stats["outer_iters"] + stats["gp_iters_total"]
                     + stats["cg_calls"])
@@ -152,7 +154,7 @@ class TestSolveCommand:
         s1.pop("wall_time_seconds")
         s2.pop("wall_time_seconds")
         assert s1 == s2
-        assert open(x1).read() == open(x2).read()
+        assert Path(x1).read_text() == Path(x2).read_text()
 
     def test_x0_from_file(self, capsys, tmp_path):
         qp = random_bound_qp(np.random.default_rng(91), 5)
@@ -291,6 +293,37 @@ class TestOutputsFollowTheRecords:
 
     def test_trace_header(self):
         assert TRACE_HEADER.split(",") == [f.name for f in fields(TraceRecord)]
+
+
+class TestConfigFollowsTheFlags:
+    """SolverConfig's fields, the solver flags and the report's config are
+    one list, cli.SOLVER_FLAGS: each (name, field) pair is a flag --<name>,
+    a SolverConfig field, and a config key of the report and the schema,
+    which adds the starting point x0."""
+
+    @staticmethod
+    def _config_keys():
+        return [name for name, _, _ in cli.SOLVER_FLAGS] + ["x0"]
+
+    def test_config_fields_are_the_flags(self):
+        assert ([f.name for f in fields(SolverConfig)]
+                == [field for _, field, _ in cli.SOLVER_FLAGS])
+
+    def test_report_config_keys(self, capsys):
+        # the report of a run stopped by --max-outer records the limit
+        rc, out, _ = _run(capsys, ["bearing", "--nx", "12", "--ny", "12",
+                                   "--eps", "0.1", "--max-outer", "1"])
+        assert rc == 1
+        report = json.loads(out)
+        jsonschema.validate(report, _schema())
+        assert report["status"] == "max_outer_reached"
+        assert list(report["config"]) == self._config_keys()
+        assert report["config"]["max_outer"] == 1
+
+    def test_schema_config_keys(self):
+        config = _schema()["properties"]["config"]
+        assert config["required"] == self._config_keys()
+        assert list(config["properties"]) == self._config_keys()
 
 
 class TestLogging:

@@ -9,6 +9,8 @@ from gpcg import (AlreadyStationary, BearingSpec, BoundQP, GPStop,
                   mat_vec, norm2, objective, project, projected_gradient,
                   projected_search_gp)
 
+import gpcg.gradproj
+
 from conftest import random_bound_qp, unconstrained_qp
 
 
@@ -118,25 +120,25 @@ class TestProjectedSearchGP:
         with pytest.raises(ValueError):
             projected_search_gp(qp, np.ones(1), np.ones(1), 0.5, 1.0, 0.5)
 
-    def test_exhaustion_raises(self):
+    def test_exhaustion_raises(self, monkeypatch):
         qp = _one_d(1.0, 0.0, -np.inf, np.inf)
         y = np.ones(1)
         g = gradient(qp, y)
-        with pytest.raises(SearchFailed):
-            projected_search_gp(qp, y, g, objective(qp, y), 2.0 ** 40, 0.1,
-                                max_halvings=3)
+        monkeypatch.setattr(gpcg.gradproj, "MAX_HALVINGS", 3)
+        with pytest.raises(SearchFailed, match="within 3 halvings"):
+            projected_search_gp(qp, y, g, objective(qp, y), 2.0 ** 40, 0.1)
 
 
 class TestGPPhase:
     def test_already_converged_takes_no_iterates(self):
         qp = _one_d(2.0, -4.0, -10.0, 10.0)
-        out = gp_phase(qp, np.full(1, 2.0), 0.1, 0.1, 1e-8, 100)
+        out = gp_phase(qp, np.full(1, 2.0), 0.1, 0.1, 1e-8)
         assert out.iterates_taken == 0
         assert out.termination is GPStop.CONVERGED
 
     def test_interior_minimizer_found_in_one_iterate(self):
         qp = _one_d(2.0, -4.0, -10.0, 10.0)
-        out = gp_phase(qp, np.zeros(1), 0.1, 0.1, 1e-8, 100)
+        out = gp_phase(qp, np.zeros(1), 0.1, 0.1, 1e-8)
         assert out.termination is GPStop.CONVERGED
         assert out.iterates_taken == 1
         assert out.x_out[0] == 2.0
@@ -145,22 +147,24 @@ class TestGPPhase:
         # the active set is empty before and after the first step
         rng = np.random.default_rng(31)
         qp = unconstrained_qp(rng, 12)
-        out = gp_phase(qp, np.zeros(12), 0.1, 0.1, 1e-12, 100)
+        out = gp_phase(qp, np.zeros(12), 0.1, 0.1, 1e-12)
         assert out.termination is GPStop.ACTIVE_SET_SETTLED
         assert out.iterates_taken == 1
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
         qp = generate(BearingSpec(8, 8, 0.5))
-        out = gp_phase(qp, qp.l, 0.01, 0.1, 1e-12, 1)
+        monkeypatch.setattr(gpcg.gradproj, "GP_CAP", 1)
+        out = gp_phase(qp, qp.l, 0.01, 0.1, 1e-12)
         assert out.termination is GPStop.ITERATION_CAP
         assert out.iterates_taken == 1
 
-    def test_decreases_are_positive_and_objective_falls(self):
+    def test_decreases_are_positive_and_objective_falls(self, monkeypatch):
         rng = np.random.default_rng(32)
+        monkeypatch.setattr(gpcg.gradproj, "GP_CAP", 50)
         for _ in range(10):
             qp = random_bound_qp(rng, 7)
             x0 = np.clip(rng.standard_normal(7), qp.l, qp.u)
-            out = gp_phase(qp, x0, 0.1, 0.1, 1e-10, 50)
+            out = gp_phase(qp, x0, 0.1, 0.1, 1e-10)
             if out.iterates_taken == 0:
                 continue
             assert (out.decreases > 0).all()
@@ -169,15 +173,16 @@ class TestGPPhase:
     def test_invalid_progress_tolerance(self):
         qp = _one_d(1.0, 0.0, -1.0, 1.0)
         with pytest.raises(ValueError):
-            gp_phase(qp, np.zeros(1), 1.0, 0.1, 1e-8, 10)
+            gp_phase(qp, np.zeros(1), 1.0, 0.1, 1e-8)
 
     @pytest.mark.parametrize("given_ax", [False, True])
-    def test_result_carries_exact_product_objective_and_gradient(self,
-                                                                given_ax):
+    def test_result_carries_exact_product_objective_and_gradient(
+            self, given_ax, monkeypatch):
         qp = generate(BearingSpec(16, 16, 0.8))
         for cap in (0, 1, 40):
+            monkeypatch.setattr(gpcg.gradproj, "GP_CAP", cap)
             Ax = mat_vec(qp.A, qp.l) if given_ax else None
-            out = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6, cap, Ax=Ax)
+            out = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6, Ax=Ax)
             assert np.array_equal(out.Ax, mat_vec(qp.A, out.x_out))
             assert out.q == objective(qp, out.x_out)
             assert np.array_equal(out.g, gradient(qp, out.x_out))
@@ -191,23 +196,25 @@ class TestGPPhase:
         assert np.array_equal(Ay, mat_vec(qp.A, y_next))
         assert q_next == objective(qp, y_next)
 
-    def test_same_bits_as_recomputing_every_value(self):
+    def test_same_bits_as_recomputing_every_value(self, monkeypatch):
         # the carried products change no value: every record and the final
         # point match a loop that recomputes q, g and the projected gradient
         # from scratch at each use
+        monkeypatch.setattr(gpcg.gradproj, "GP_CAP", 40)
         for spec in (BearingSpec(16, 16, 0.8), BearingSpec(20, 12, 0.1)):
             qp = generate(spec)
-            out = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6, 40)
+            out = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6)
             x_ref, qs, steps = _uncached_gp_reference(qp, qp.l, 0.1, 0.1,
                                                       1e-6, 40)
             assert out.x_out.tobytes() == x_ref.tobytes()
             assert [rec.q for rec in out.records] == qs
             assert [rec.step for rec in out.records] == steps
 
-    def test_matches_independent_dense_reference(self):
+    def test_matches_independent_dense_reference(self, monkeypatch):
         # same iterates as a freshly coded dense implementation
         qp = generate(BearingSpec(16, 16, 0.8))
-        out = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6, 40)
+        monkeypatch.setattr(gpcg.gradproj, "GP_CAP", 40)
+        out = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6)
         ref_qs = _dense_gp_reference(qp.A.to_dense(), qp.b, qp.l, qp.u,
                                      np.array(qp.l), 0.1, 0.1, 1e-6, 40)
         got_qs = [rec.q for rec in out.records]

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ class TestTraceFile:
                 TraceRecord(1, "cg", -2.0, 0.25, 6, 3, 0.05)]
         path = str(tmp_path / "t.csv")
         write_trace(path, recs)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == TRACE_HEADER
         assert lines[1] == "1,gp,-1.25,0.5,7,0,0.05"
         assert len(lines) == 3

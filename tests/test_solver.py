@@ -147,13 +147,14 @@ class TestSolveBasics:
 
 
 class TestSolveTermination:
-    def test_search_failure_reports_failed_status(self):
+    def test_search_failure_reports_failed_status(self, monkeypatch):
         # the exact first trial jumps to the opposite corner where the
         # objective is higher, and zero halvings are allowed
         A = SparseMatrixCSR.from_dense(np.diag([1.0, 50.0]), symmetric=True)
         qp = BoundQP(A, np.array([13.0, -48.0]), 0.0, np.zeros(2),
                      np.ones(2))
-        out = solve(qp, np.ones(2), SolverConfig(max_halvings=0))
+        monkeypatch.setattr(gpcg.gradproj, "MAX_HALVINGS", 0)
+        out = solve(qp, np.ones(2))
         assert out.status is SolveStatus.FAILED
         assert "SearchFailed" in out.failure_reason
         _trace_invariant(out)
@@ -211,20 +212,20 @@ class TestSolveTermination:
                 SolverConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        {"max_outer": 0}, {"max_outer": -3}, {"max_halvings": -1},
-        {"cg_maxiter": 0}, {"cg_maxiter": -2},
-        {"max_outer": 10.0}, {"max_halvings": "5"}, {"cg_maxiter": 3.5}])
+        {"max_outer": 0}, {"max_outer": -3}, {"max_outer": -1},
+        {"max_outer": np.int64(0)}, {"max_outer": None},
+        {"max_outer": 10.0}, {"max_outer": "5"}, {"max_outer": 3.5}])
     def test_nonpositive_limits_rejected(self, kwargs):
-        # these once reached a solve: -1 halvings failed every search,
-        # max_outer <= 0 returned max_outer_reached after no iteration, and
-        # max_outer=10.0 raised a TypeError from range()
+        # these once reached a solve: max_outer <= 0 returned
+        # max_outer_reached after no iteration, and max_outer=10.0 raised a
+        # TypeError from range()
         with pytest.raises(ValueError, match="limit"):
             SolverConfig(**kwargs)
 
     def test_smallest_limits_accepted(self):
-        cfg = SolverConfig(max_outer=1, max_halvings=0, cg_maxiter=1)
+        cfg = SolverConfig(max_outer=1, blocks=1)
         assert solve(hand_qp(), np.zeros(2), cfg).status is not SolveStatus.FAILED
-        assert SolverConfig(cg_maxiter=None).cg_maxiter is None
+        assert SolverConfig(max_outer=np.int64(1)).max_outer == 1
 
     def test_nan_tolerance_rejected(self):
         # NaN fails every comparison, so a NaN tolerance would never be met
@@ -301,11 +302,20 @@ class TestSolveOnBearing:
         assert refined
 
     def test_cg_iteration_cap_applies_per_call(self):
+        # each CG call stops by the dimension of its own face; on a diagonal
+        # with condition number 1e8 rounding keeps CG going that far
         qp = generate(BearingSpec(16, 16, 0.2))
-        out = solve(qp, qp.l, SolverConfig(precond="jacobi", cg_maxiter=3))
-        for rec in out.stats.trace:
-            if rec.phase == "cg":
-                assert rec.cg_iters <= 3
+        out = solve(qp, qp.l, SolverConfig(precond="jacobi"))
+        assert all(rec.cg_iters <= rec.nfree for rec in out.stats.trace
+                   if rec.phase == "cg")
+        _trace_invariant(out)
+        A = SparseMatrixCSR.from_dense(np.diag(np.logspace(0, 8, 40)),
+                                       symmetric=True)
+        qp = BoundQP(A, np.random.default_rng(64).standard_normal(40), 0.0,
+                     np.full(40, -np.inf), np.full(40, np.inf))
+        out = solve(qp, np.zeros(40), SolverConfig(max_outer=1))
+        iters = [rec.cg_iters for rec in out.stats.trace if rec.phase == "cg"]
+        assert max(iters) == 40
         _trace_invariant(out)
 
     def test_faces_visited_bounded_by_outer_iterates(self):
