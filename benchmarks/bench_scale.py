@@ -14,6 +14,8 @@ bearing workloads do, with BLAS pinned to one thread.  It records:
   generate_peak_ratio
                   ``generate``'s tracemalloc peak over the bytes it returns
   solve_s         wall time of ``gpcg.solve``
+  extract_s       the part of it spent in ``extract_submatrix``, summed
+                  over the calls with ``perf_counter``
   status, outer, gp_iters, cg_iters, cg_calls, faces
                   the solve's status and ``SolverStats`` counts
   pg_norm         the projected-gradient norm at x_star, recomputed with
@@ -77,13 +79,34 @@ def projected_gradient_norm(qp, x) -> float:
     return float(np.sqrt(np.sum(pg * pg)))
 
 
-def spy_on_extraction(gpcg):
-    """Rebind ``extract_submatrix`` where the solver calls it, to record
-    each call's tracemalloc peak over the bytes it returns."""
-    ratios = []
+def rebind_extraction(gpcg, wrap):
+    """Rebind ``extract_submatrix`` where the solver calls it to
+    ``wrap(real, A, idx)``."""
     real = gpcg.linalg.extract_submatrix
+    gpcg.reduced.extract_submatrix = gpcg.precond.extract_submatrix = (
+        lambda A, idx: wrap(real, A, idx))
 
-    def traced(A, idx):
+
+def time_extraction(gpcg):
+    """Add up the wall time of the solve's ``extract_submatrix`` calls."""
+    seconds = [0.0]
+
+    def timed(real, A, idx):
+        t0 = time.perf_counter()
+        S = real(A, idx)
+        seconds[0] += time.perf_counter() - t0
+        return S
+
+    rebind_extraction(gpcg, timed)
+    return seconds
+
+
+def spy_on_extraction(gpcg):
+    """Record each ``extract_submatrix`` call's tracemalloc peak over the
+    bytes it returns."""
+    ratios = []
+
+    def traced(real, A, idx):
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         S = real(A, idx)
@@ -91,8 +114,7 @@ def spy_on_extraction(gpcg):
         ratios.append((tracemalloc.get_traced_memory()[1] - start) / result)
         return S
 
-    gpcg.reduced.extract_submatrix = traced
-    gpcg.precond.extract_submatrix = traced
+    rebind_extraction(gpcg, traced)
     return ratios
 
 
@@ -114,9 +136,11 @@ def one_run(nx: int, precond: str, memory: bool) -> dict:
     returned = sum(a.nbytes for a in (qp.A.indptr, qp.A.indices, qp.A.data,
                                       qp.b, qp.l, qp.u))
     generate_peak_ratio = tracemalloc.get_traced_memory()[1] / returned
-    ratios = spy_on_extraction(gpcg) if memory else None
-    if not memory:
+    if memory:
+        ratios = spy_on_extraction(gpcg)
+    else:
         tracemalloc.stop()
+        extract_s = time_extraction(gpcg)
 
     t0 = time.perf_counter()
     out = gpcg.solve(qp, qp.l.copy(), gpcg.SolverConfig(precond=precond, tol=TOL))
@@ -133,7 +157,8 @@ def one_run(nx: int, precond: str, memory: bool) -> dict:
         "peak_rss_mb": round(peak, 1),
         "generate_s": round(generate_s, 4),
         "generate_peak_ratio": round(generate_peak_ratio, 4),
-        "solve_s": round(solve_s, 3), "status": out.status.value,
+        "solve_s": round(solve_s, 3), "extract_s": round(extract_s[0], 4),
+        "status": out.status.value,
         "outer": st.outer_iters, "gp_iters": st.gp_iters_total,
         "cg_iters": st.cg_iters_total, "cg_calls": st.cg_calls,
         "faces": st.faces_visited,

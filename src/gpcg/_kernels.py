@@ -4,11 +4,13 @@ IC(k) factors a matrix equal to its transpose as A ~ U^T D^-1 U, D the
 diagonal of U: incomplete Cholesky in LDL^T form with level of fill (Saad,
 *Iterative Methods for Sparse Linear Systems*, 2nd ed., section 10.3).  U
 is the upper triangle of the ILU(k) factor, whose strict L is U^T D^-1, so
-only U is filled, stored and updated.  Principal-submatrix extraction
-gathers rows with scipy's compiled ``csr_row_index``, ``EXTRACT_CHUNK``
-rows at a time, so it holds one chunk besides its result.  The symbolic
-phase is vectorized with numpy and ``scipy.sparse``; the numeric phase has
-two forms with the same arithmetic, operation for operation:
+only U is filled, stored and updated.  The kernels call scipy's compiled
+CSR routines on CSR arrays and build no ``scipy.sparse`` object.
+Principal-submatrix extraction selects columns with ``csr_column_index1``
+and ``csr_column_index2`` and gathers rows ``EXTRACT_CHUNK`` at a time, so
+it holds one chunk besides its result.  The symbolic phase multiplies, adds
+and compares bool patterns; the numeric phase has two forms with the same
+arithmetic, operation for operation:
 
 * the row loop (``ilu_numeric`` without ``steps``), which indexes Python
   lists, made with ``tolist()`` once per factor, and so works on plain
@@ -29,10 +31,16 @@ product.
 """
 
 import numpy as np
-import scipy.sparse as sp
+# Each row's entries in the columns of an index set, counted in one pass,
+# then written with the set's positions as columns: ``csr_array[:, idx]``.
+from scipy.sparse._sparsetools import csr_column_index1, csr_column_index2
 # The diagonal of a CSR matrix, 0 where an entry is absent, into an output
 # array; what ``csr_array.diagonal()`` calls.
 from scipy.sparse._sparsetools import csr_diagonal
+# ``+``, ``>`` and ``@`` of two ``csr_array``s, on sorted or unsorted rows;
+# the product's rows come out unsorted, and ``csr_sort_indices`` sorts.
+from scipy.sparse._sparsetools import csr_gt_csr, csr_plus_csr, csr_sort_indices
+from scipy.sparse._sparsetools import csr_matmat, csr_matmat_maxnnz
 # Accumulates into its output array and sums each row left to right; the
 # public ``csr_array @ x`` calls it on an output of zeros.
 from scipy.sparse._sparsetools import csr_matvec
@@ -54,81 +62,48 @@ JIT_ENABLED = False
 # principal submatrix extraction
 # ---------------------------------------------------------------------------
 
-# Rows that ``csr_extract`` gathers at once: on a five-point stencil its
-# scratch stays near 300 KB whatever the matrix's size.
+# Rows that ``csr_extract`` gathers at once: on a five-point stencil a
+# chunk's entries take about 120 KB whatever the matrix's size.
 EXTRACT_CHUNK = 1 << 11
 
 
-def _gather(indptr, indices, data, rows, colmap):
-    """The entries of some rows of a CSR matrix, each column j mapped to
-    colmap[j]: each row's end among them, their columns and values, and
-    which to keep, those with a column mapped to 0 or more and a nonzero
-    value."""
-    ends = indptr[1:][rows] - indptr[rows]
-    np.cumsum(ends, out=ends)
-    cols = np.empty(ends[-1], dtype=indices.dtype)
-    vals = np.empty(ends[-1], dtype=np.float64)
-    csr_row_index(rows.size, rows, indptr, indices, data, cols, vals)
-    # mode "clip", not the default "raise", which copies the output first;
-    # CSR columns are in range anyway
-    np.take(colmap, cols, out=cols, mode="clip")
-    keep = cols >= 0
-    keep &= vals != 0.0
-    return ends, cols, vals, keep
+def csr_extract(n, indptr, indices, data, idx):
+    """The principal submatrix on the strictly increasing index set ``idx``
+    of an n x n CSR matrix, without the entries stored as zero: indptr and
+    indices of the input's index dtype and float64 data, entries in the
+    input's order.
 
-
-def _count_kept(out_indptr, a, ends, cols, vals, keep):
-    """Offsets of the kept entries of rows a, a + 1, ... gathered by
-    ``_gather``, after those of the rows before a: each row's end less the
-    entries dropped before it (a search for the few dropped entries; a
-    running sum over ``keep`` costs several times more)."""
-    dropped = np.flatnonzero(~keep)
-    np.add(ends - dropped.searchsorted(ends), out_indptr[a],
-           out=out_indptr[a + 1:a + 1 + ends.size])
-
-
-def _write_kept(out_indptr, out_indices, out_data, a, ends, cols, vals, keep):
-    span = slice(out_indptr[a], out_indptr[a + ends.size])
-    out_indices[span] = cols[keep]  # boolean indexing: faster than np.compress
-    out_data[span] = vals[keep]
-
-
-def csr_extract(indptr, indices, data, rows, colmap):
-    """The given rows of a CSR matrix, each entry's column j mapped to
-    colmap[j], without the entries mapped below 0 or stored as zero:
-    indptr and indices of the input's index dtype, which ``rows`` and
-    ``colmap`` take too, and float64 data, entries in the input's order.
-
-    Rows are gathered ``EXTRACT_CHUNK`` at a time, twice: once to count
-    each row's kept entries, which sizes the output, and once to write them
-    into it.  The last chunk's gather serves both, so a call of one chunk
-    gathers once, and only one chunk's entries exist besides the result.
+    ``csr_column_index1`` counts each row's kept entries in one pass over
+    the matrix, which sizes the output, and maps the kept columns; then
+    ``csr_column_index2`` writes the entries of each ``EXTRACT_CHUNK`` rows
+    that ``csr_row_index`` gathers straight into the output.  So only one
+    chunk's entries exist besides the result.
     """
-    idx = indices.dtype
-    rows = rows.astype(idx, copy=False)  # csr_row_index: one index dtype
-    m = rows.size
-    if m == 0:
-        return (np.zeros(1, dtype=idx), np.empty(0, dtype=idx),
-                np.empty(0, dtype=np.float64))
-
-    def gather(a):
-        return _gather(indptr, indices, data, rows[a:a + EXTRACT_CHUNK], colmap)
-
-    out_indptr = np.zeros(m + 1, dtype=idx)
-    *firsts, last = range(0, m, EXTRACT_CHUNK)
-    for a in firsts:
-        _count_kept(out_indptr, a, *gather(a))
-    chunk = gather(last)
-    _count_kept(out_indptr, last, *chunk)
-    if not firsts:  # one chunk: its kept entries are the result
-        _, cols, vals, keep = chunk
-        return out_indptr, cols[keep], vals[keep]
-    out_indices = np.empty(out_indptr[m], dtype=idx)
-    out_data = np.empty(out_indptr[m], dtype=np.float64)
-    _write_kept(out_indptr, out_indices, out_data, last, *chunk)
-    del chunk
-    for a in firsts:
-        _write_kept(out_indptr, out_indices, out_data, a, *gather(a))
+    idx_dtype = indices.dtype  # sparsetools: one index dtype a call
+    m = idx.size
+    out_indptr = np.zeros(m + 1, dtype=idx_dtype)
+    col_offsets = np.zeros(n, dtype=idx_dtype)  # kept columns up to each column
+    kept = np.empty(n + 1, dtype=idx_dtype)  # kept entries before each row
+    csr_column_index1(m, idx.astype(idx_dtype, copy=False), n, n, indptr, indices,
+                      col_offsets, kept)
+    np.cumsum(kept[1:][idx] - kept[idx], out=out_indptr[1:])
+    del kept
+    nnz = out_indptr[m]
+    out_indices = np.empty(nnz, dtype=idx_dtype)
+    out_data = np.empty(nnz, dtype=np.float64)
+    order = np.arange(m, dtype=idx_dtype)  # the columns of the kept ones
+    for a in range(0, m, EXTRACT_CHUNK):
+        rows = idx[a:a + EXTRACT_CHUNK].astype(idx_dtype, copy=False)
+        size = int((indptr[1:][rows] - indptr[rows]).sum())
+        cols, vals = np.empty(size, dtype=idx_dtype), np.empty(size, dtype=np.float64)
+        csr_row_index(rows.size, rows, indptr, indices, data, cols, vals)
+        span = slice(out_indptr[a], out_indptr[a + rows.size])
+        csr_column_index2(order, col_offsets, size, cols, vals,
+                          out_indices[span], out_data[span])
+    if np.count_nonzero(out_data) < nnz:
+        keep = out_data != 0.0
+        out_indptr -= np.flatnonzero(~keep).searchsorted(out_indptr)  # zeros before
+        out_indices, out_data = out_indices[keep], out_data[keep]
     return out_indptr, out_indices, out_data
 
 
@@ -154,23 +129,32 @@ def symmetry_holds(n, indptr, indices, data):
     return all(map(np.array_equal, transposed, arrays))
 
 
-def _upper(n, indptr, indices, k=0):
-    """The entries (i, j) with j >= i + k of an n-row CSR pattern, in stored
+def _upper(n, indptr, indices):
+    """The entries (i, j) with j >= i of an n-row CSR pattern, in stored
     order, as indptr and indices (by array methods: see ``lu_solve_operands``)."""
     ptr = indptr[:n + 1]
-    kept = (indices[:ptr[n]] >= np.arange(k, n + k).repeat(ptr[1:] - ptr[:-1])).nonzero()[0]
+    kept = (indices[:ptr[n]] >= np.arange(n).repeat(ptr[1:] - ptr[:-1])).nonzero()[0]
     return kept.searchsorted(ptr), indices[kept]
 
 
-def _pattern(n, indptr, indices):
-    """An n x n boolean ``csr_array`` over CSR pattern arrays."""
-    return sp.csr_array((np.ones(indices.size, dtype=bool), indices, indptr),
-                        shape=(n, n))
+def _combine(op, n, a, b):
+    """``csr_matmat``, ``csr_plus_csr`` or ``csr_gt_csr`` on n x n CSR
+    patterns a and b as bool matrices: a @ b, a + b (their union) or a > b
+    (the entries of a not in b), as indptr and indices."""
+    (a_indptr, a_indices), (b_indptr, b_indices) = a, b
+    size = (csr_matmat_maxnnz(n, n, a_indptr, a_indices, b_indptr, b_indices)
+            if op is csr_matmat else a_indices.size + b_indices.size)
+    indptr, indices = np.empty(n + 1, dtype=np.int64), np.empty(size, dtype=np.int64)
+    op(n, n, a_indptr, a_indices, np.ones(a_indices.size, dtype=bool), b_indptr,
+       b_indices, np.ones(b_indices.size, dtype=bool), indptr, indices,
+       np.empty(size, dtype=bool))
+    indices.resize(indptr[n], refcheck=False)  # in place: no view of it exists
+    return indptr, indices
 
 
 def ilu_symbolic(n, a_indptr, a_indices, fill_level):
     """Indptr and sorted indices of U, the IC(k) factor's pattern, for an
-    n x n CSR pattern equal to its transpose; with a full diagonal, each
+    n x n CSR pattern equal to its transpose and holding its diagonal; each
     row of U starts with its pivot.
 
     Entry (i, j) has level min over p < min(i, j) of lev(p, i) + lev(p, j) + 1,
@@ -178,30 +162,40 @@ def ilu_symbolic(n, a_indptr, a_indices, fill_level):
     ILU(k) levels, which are symmetric.  So the level-l entries of U are
     the upper triangle of the pattern of the sum over a + b = l - 1 of
     U_a^T @ U_b, U_a the strict-U entries of level a, less lower levels.
+    The patterns are int64 CSR arrays, which scipy's compiled routines
+    multiply, add, compare and transpose as bool matrices.
     """
     indptr, indices = _upper(n, a_indptr, a_indices)
+    # int64 whatever the input's index dtype: the IC(k) kernels index with it
+    indices = indices.astype(np.int64, copy=False)
     if fill_level > 0:
-        pattern = fresh = _pattern(n, indptr, indices)  # fresh: the last level's entries
-        strict = []  # U_l by level
+        pattern = indptr, indices
+        # U_l by level; U_0 is U less each row's first entry, its pivot
+        first = np.ones(indices.size, dtype=bool)
+        first[indptr[:-1]] = False
+        strict = [(indptr - np.arange(n + 1), indices[first])]
         top, lev = 0, 1  # the highest level with an entry, the next level
         # a level-l entry needs two entries whose levels sum to l - 1
         while lev <= fill_level and lev - 1 <= 2 * top:
-            strict.append(_pattern(n, *_upper(n, fresh.indptr, fresh.indices, 1)))
-            cand = sp.csr_array((n, n), dtype=bool)
+            cand = None
             # U_b^T @ U_a is the transpose of U_a^T @ U_b: one product a pair
             for a in range((lev + 1) // 2):
-                prod = strict[a].T.tocsr() @ strict[lev - 1 - a]
-                cand = cand + (prod + prod.T.tocsr() if 2 * a < lev - 1 else prod)
-            fresh = _pattern(n, *_upper(n, cand.indptr, cand.indices)) > pattern
-            if fresh.nnz:
-                pattern = pattern + fresh
+                prod = _combine(csr_matmat, n, lower_pattern(*strict[a])[:2],
+                                strict[lev - 1 - a])
+                if 2 * a < lev - 1:
+                    prod = _combine(csr_plus_csr, n, prod, lower_pattern(*prod)[:2])
+                cand = prod if cand is None else _combine(csr_plus_csr, n, cand, prod)
+            fresh = _combine(csr_gt_csr, n, _upper(n, *cand), pattern)
+            if fresh[1].size:
+                pattern = _combine(csr_plus_csr, n, pattern, fresh)
                 top = lev
+            # the diagonal is at level 0, so fresh entries are strictly upper
+            strict.append(fresh)
             lev += 1
         if top:
-            pattern.sort_indices()
-            indptr, indices = pattern.indptr, pattern.indices
-    # int64 whatever the input's index dtype: the IC(k) kernels index with it
-    return indptr.astype(np.int64, copy=False), indices.astype(np.int64, copy=False)
+            indptr, indices = pattern
+            csr_sort_indices(n, indptr, indices, np.empty(indices.size, dtype=bool))
+    return indptr, indices
 
 
 def lower_pattern(u_indptr, u_indices):

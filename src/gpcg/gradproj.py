@@ -123,9 +123,10 @@ def gp_phase(qp: BoundQP, x: np.ndarray, eta1: float, mu: float, tau: float,
         if np.array_equal(cur_active, prev_active):
             termination = GPStop.ACTIVE_SET_SETTLED
             break
-        if j >= 2 and decreases[-1] <= eta1 * max(decreases[:-1]):
+        if j >= 2 and decreases[-1] <= eta1 * best:
             termination = GPStop.INSUFFICIENT_PROGRESS
             break
+        best = max(best, decreases[-1]) if j >= 2 else decreases[0]  # max(decreases)
         prev_active = cur_active
     return GPResult(y, len(decreases), termination, np.asarray(decreases),
                     Ay, q_y, g, records)

@@ -3,8 +3,9 @@ the solver takes of them.
 
 ``SparseMatrixCSR`` is a checked record of CSR arrays; ``scipy.sparse``
 converts it and checks its format, and its compiled CSR routines take the
-diagonal and compute ``mat_vec`` on the arrays directly, so the solver's
-hot path builds no ``scipy.sparse`` object.
+diagonal, compute ``mat_vec``, extract principal submatrices and factor
+them (``_kernels``) on the arrays directly, so the solver's hot path,
+factorization included, builds no ``scipy.sparse`` object.
 Vectors are plain float64 numpy arrays.  Bound vectors may hold +/-inf; all
 other vectors are expected to be finite.  An index set is a strictly
 increasing integer array, as ``np.flatnonzero`` returns it.  CSR index
@@ -142,14 +143,14 @@ def mat_vec(A: SparseMatrixCSR, x: np.ndarray) -> np.ndarray:
 
 def extract_submatrix(A: SparseMatrixCSR, idx: np.ndarray) -> SparseMatrixCSR:
     """Return the principal submatrix A[idx, idx] for a strictly increasing
-    index array; entries stored as zero are dropped.  It keeps A's symmetry
-    flag, and the column map and the gathered arrays take A's index dtype."""
+    index array of a square matrix; entries stored as zero are dropped.  It
+    keeps A's symmetry flag, and the extracted arrays take A's index dtype."""
+    if A.nrows != A.ncols:
+        raise ValueError("principal submatrix of a non-square matrix")
     if idx.size and (idx[0] < 0 or idx[-1] >= A.nrows or (idx[1:] <= idx[:-1]).any()):
         raise ValueError("index set must be strictly increasing and in range")
-    colmap = np.full(A.ncols, -1, dtype=A.indices.dtype)
-    colmap[idx] = np.arange(idx.size, dtype=A.indices.dtype)
-    indptr, indices, data = _kernels.csr_extract(A.indptr, A.indices, A.data,
-                                                 idx, colmap)
+    indptr, indices, data = _kernels.csr_extract(A.nrows, A.indptr, A.indices,
+                                                 A.data, idx)
     return SparseMatrixCSR(idx.size, idx.size, indptr, indices, data,
                            symmetric=A.symmetric, validate=False)
 

@@ -95,9 +95,10 @@ def pcg_progress(sys: ReducedSystem, P: Preconditioner, eta2: float) -> CGResult
         if norm2(res) <= exact_tol:
             termination = CGStop.EXACT_SOLVE
             break
-        if j >= 2 and decreases[-1] <= eta2 * max(decreases[:-1]):
+        if j >= 2 and decreases[-1] <= eta2 * best:
             termination = CGStop.PROGRESS_TEST
             break
+        best = max(best, decreases[-1]) if j >= 2 else decreases[0]  # max(decreases)
         z = P.apply(res)
         rho_next = dot(res, z)
         p *= rho_next / rho

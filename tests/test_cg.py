@@ -106,6 +106,21 @@ class TestPCG:
         assert out.termination is CGStop.PROGRESS_TEST
         assert 2 <= out.iterations < 50
 
+    @pytest.mark.parametrize("eta2", [0.5, 0.25, 1e-2, 1e-4])
+    def test_progress_test_fires_at_the_first_small_decrease(self, eta2):
+        # the rule replayed on the returned decreases, with max() over
+        # each prefix: only the last decrease, if any, falls to eta2 times
+        # the largest before it
+        D = np.diag(np.logspace(0, 10, 50))
+        sys = _system(D, np.random.default_rng(65).standard_normal(50))
+        out = pcg_progress(sys, Preconditioner(), eta2)
+        d = out.decreases.tolist()
+        fired = [j for j in range(1, len(d)) if d[j] <= eta2 * max(d[:j])]
+        if out.termination is CGStop.PROGRESS_TEST:
+            assert fired == [len(d) - 1]
+        else:
+            assert fired == []
+
     def test_decreases_are_positive_and_sum_to_drop(self):
         rng = np.random.default_rng(66)
         D = dense_spd(rng, 12)

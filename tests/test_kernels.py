@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gpcg import (BearingSpec, SolverConfig, SparseMatrixCSR, ZeroPivot, extract_submatrix,
                   generate, ilu_k, mat_vec, solve)
@@ -742,13 +743,23 @@ def test_one_block_factors_the_matrix_itself(monkeypatch, k):
 
 
 
-def test_reduced_matrices_build_no_scipy_view():
-    A = grid_laplacian(6)
-    B = extract_submatrix(A, np.arange(0, A.nrows, 2))
+def test_reduced_matrices_build_no_scipy_view(monkeypatch):
+    # extraction, products, the diagonal and IC(k) setup, fill included,
+    # run on the CSR arrays: no scipy.sparse object is built
+    A = grid_laplacian(12)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a csr_array was built")
+
+    monkeypatch.setattr(sp.csr_array, "__init__", refuse)
+    B = extract_submatrix(A, np.flatnonzero(np.random.default_rng(4).random(A.nrows) < 0.7))
     x = np.linspace(-1.0, 1.0, B.ncols)
     y, diag = mat_vec(B, x), B.diagonal()
-    ilu_k(B, 0)
+    for k in (0, 2):
+        ilu_k(B, k)
+    monkeypatch.undo()
     assert B._scipy is None
+    assert_bytes_equal(B.indices, grid_block(12, 4).indices)  # the same block
     # the compiled routines the view's product and diagonal call
     assert_bytes_equal(y, B.scipy @ x)
     assert_bytes_equal(diag, B.scipy.diagonal())

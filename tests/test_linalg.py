@@ -209,6 +209,12 @@ class TestExtractSubmatrix:
         with pytest.raises(ValueError):
             extract_submatrix(M, np.array([0, 3]))
 
+    def test_non_square_rejected(self):
+        # the compiled column selection sizes its column map by the rows
+        M = SparseMatrixCSR.from_dense(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="non-square"):
+            extract_submatrix(M, np.array([0, 1]))
+
     @pytest.mark.parametrize("idx", [[0, 0], [1, 0], [2, 1, 0], [0, 2, 2]])
     def test_rejects_index_sets_not_strictly_increasing(self, idx):
         # a repeated or descending index would give a wrong submatrix,
