@@ -16,8 +16,10 @@ bearing workloads do, with BLAS pinned to one thread.  It records:
   solve_s         wall time of ``gpcg.solve``
   extract_s       the part of it spent in ``extract_submatrix``, summed
                   over the calls with ``perf_counter``
-  status, outer, gp_iters, cg_iters, cg_calls, faces
-                  the solve's status and ``SolverStats`` counts
+  status, outer, gp_iters, cg_iters, cg_calls, faces, precond_builds
+                  the solve's status and ``SolverStats`` counts;
+                  ``precond_builds`` is the preconditioners built, fewer
+                  than the faces where an IC(k) factor was kept
   pg_norm         the projected-gradient norm at x_star, recomputed with
                   ``scipy.sparse`` arithmetic from the problem's arrays
   x_digest        the first 16 hex digits of sha256(x_star)
@@ -161,7 +163,7 @@ def one_run(nx: int, precond: str, memory: bool) -> dict:
         "status": out.status.value,
         "outer": st.outer_iters, "gp_iters": st.gp_iters_total,
         "cg_iters": st.cg_iters_total, "cg_calls": st.cg_calls,
-        "faces": st.faces_visited,
+        "faces": st.faces_visited, "precond_builds": st.precond_builds,
         "pg_norm": projected_gradient_norm(qp, out.x_star),
         "x_digest": hashlib.sha256(np.ascontiguousarray(out.x_star).tobytes()).hexdigest()[:16],
     }
@@ -221,7 +223,8 @@ def main():
                 run.update(child(nx, precond, memory=True))
             results[f"bearing-{nx}-eps{EPS}-{precond}"] = run
             print(f"bearing {nx}x{nx} {precond}: {run['solve_s']:.2f} s, "
-                  f"{run['outer']} outer / {run['cg_iters']} CG, "
+                  f"{run['outer']} outer / {run['cg_iters']} CG / "
+                  f"{run['precond_builds']} builds, "
                   f"peak RSS {run['peak_rss_mb']:.1f} MB "
                   f"(imports {run['import_rss_mb']:.1f} MB), "
                   f"pg {run['pg_norm']:.2e}, {run['status']}", flush=True)

@@ -131,10 +131,15 @@ def symmetry_holds(n, indptr, indices, data):
 
 def _upper(n, indptr, indices):
     """The entries (i, j) with j >= i of an n-row CSR pattern, in stored
-    order, as indptr and indices (by array methods: see ``lu_solve_operands``)."""
+    order, as indptr and indices (by array methods: see ``lu_solve_operands``).
+    The offsets are a running sum over the kept entries' row counts, which
+    ``bincount`` takes in one pass."""
     ptr = indptr[:n + 1]
-    kept = (indices[:ptr[n]] >= np.arange(n).repeat(ptr[1:] - ptr[:-1])).nonzero()[0]
-    return kept.searchsorted(ptr), indices[kept]
+    rows = np.arange(n).repeat(ptr[1:] - ptr[:-1])
+    kept = (indices[:ptr[n]] >= rows).nonzero()[0]
+    out_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[kept], minlength=n), out=out_indptr[1:])
+    return out_indptr, indices[kept]
 
 
 def _combine(op, n, a, b):

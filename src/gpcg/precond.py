@@ -8,6 +8,8 @@ a separate argument, ``SolverConfig.blocks`` in the solver.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .errors import NotConvexError
@@ -68,10 +70,16 @@ class PointJacobi(Preconditioner):
 
 
 class BlockJacobiILU(Preconditioner):
+    """IC(k) factors of M's diagonal blocks.  ``grown`` puts the same
+    factors to work on a matrix with more rows: the factored rows sit at
+    positions ``pos`` among them, and the rows that joined get point Jacobi
+    from ``inv_diag``."""
+
     def __init__(self, M: SparseMatrixCSR, fill_level: int, blocks: int):
         self.m = M.nrows
         self.ranges = block_ranges(M.nrows, blocks)
         self.fill_level = fill_level
+        self.pos = self.inv_diag = None
         self.factors: list[ILUFactorization] = []
         for lo, hi in self.ranges:
             # one block spanning M factors M itself, with any zeros M
@@ -80,13 +88,30 @@ class BlockJacobiILU(Preconditioner):
                 M, np.arange(lo, hi, dtype=np.int64))
             self.factors.append(ilu_k(block, fill_level))
 
+    def grown(self, pos: np.ndarray, M: SparseMatrixCSR) -> BlockJacobiILU:
+        """This preconditioner, built on its own matrix, for M, whose rows
+        ``pos`` (increasing) are the rows factored here, in order: the
+        factors on those rows, point Jacobi on the others.  The operator is
+        block diagonal, so it is symmetric positive definite when the
+        factors are.  Returns self when M has no other rows."""
+        if pos.size == M.nrows:
+            return self
+        grown = copy.copy(self)
+        grown.m, grown.pos, grown.inv_diag = M.nrows, pos, PointJacobi(M).inv_diag
+        return grown
+
     def apply(self, r: np.ndarray) -> np.ndarray:
         if r.shape[0] != self.m:
             raise ValueError("dimension mismatch")
-        z = np.empty_like(r)
+        kept = r if self.pos is None else r[self.pos]
+        z = np.empty_like(kept)
         for (lo, hi), factor in zip(self.ranges, self.factors):
-            z[lo:hi] = factor.solve(r[lo:hi])
-        return z
+            z[lo:hi] = factor.solve(kept[lo:hi])
+        if self.pos is None:
+            return z
+        out = r * self.inv_diag  # the factored positions are overwritten
+        out[self.pos] = z
+        return out
 
 
 def make_preconditioner(M: SparseMatrixCSR, precond: str,

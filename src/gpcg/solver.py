@@ -19,13 +19,16 @@ from .gradproj import MAX_HALVINGS, gp_phase
 from .linalg import dot, mat_vec, norm2
 from .model import (BoundQP, _active_mask, _binding_mask, _project,
                     _projected_gradient, gradient, objective, project)
-from .precond import make_preconditioner, parse_precond
+from .precond import BlockJacobiILU, make_preconditioner, parse_precond
 from .reduced import CGStop, ReducedSystem, build_reduced, pcg_progress
 
 log = logging.getLogger("gpcg")
 
 CG_PROGRESS_SHRINK = 0.1    # refinement factor of eta2 on the optimal face
 CG_PROGRESS_FLOOR = 1e-12   # smallest eta2, reached within 13 refinements
+# A face keeps the last IC(k) factor while it holds every variable factored
+# and at most this share of its own variables joined since (see _grown_positions)
+REUSE_JOINED = 0.10
 
 
 @dataclass
@@ -88,6 +91,8 @@ class SolverStats:
     cg_iters_total: int = 0
     cg_calls: int = 0
     faces_visited: int = 0
+    precond_builds: int = 0           # make_preconditioner calls
+    precond_reuses: int = 0           # faces that kept the last IC(k) factor
     free_fraction_final: float = 0.0
     final_pg_norm: float = float("inf")
     objective_final: float = float("nan")
@@ -125,6 +130,17 @@ def projected_search_cg(qp: BoundQP, x: np.ndarray, g: np.ndarray, q_x: float,
     raise SearchFailed(f"no acceptable step within {MAX_HALVINGS} halvings")
 
 
+def _grown_positions(factored: np.ndarray, free: np.ndarray) -> np.ndarray | None:
+    """Where the variables ``factored`` sit in ``free`` (both strictly
+    increasing index sets) when ``free`` holds them all and adds at most
+    ``REUSE_JOINED`` of its size; else None."""
+    joined = free.size - factored.size
+    if joined < 0 or joined > REUSE_JOINED * free.size:
+        return None
+    pos = free.searchsorted(factored)
+    return pos if np.array_equal(free.take(pos, mode="clip"), factored) else None
+
+
 def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> SolveOutcome:
     """Minimize the bound-constrained quadratic starting from x0 (projected
     onto the box first).  The iterate x travels with Ax = A x, q = q(x) and
@@ -142,6 +158,7 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
     g = gradient(qp, x, Ax)
     pg_norm = norm2(_projected_gradient(qp, x, g))
     faces: set[bytes] = set()
+    factored = None  # free set and IC(k) preconditioner of the last build
     status = SolveStatus.MAX_OUTER_REACHED
     reason = None
     try:
@@ -168,10 +185,20 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                 while pg_norm > cfg.tol:
                     free = np.flatnonzero(~_active_mask(qp, x))
                     if held is None or not np.array_equal(free, held[0]):
-                        held = None  # let the factor go before the next one is built
+                        held = None  # let the last A_k go before the next is extracted
                         sys = build_reduced(qp, g, free)
-                        held = free, sys.A_k, make_preconditioner(
-                            sys.A_k, cfg.precond, cfg.blocks)
+                        pos = (None if factored is None
+                               else _grown_positions(factored[0], free))
+                        if pos is None:
+                            factored = None  # let the factor go before the next one is built
+                            held = free, sys.A_k, make_preconditioner(
+                                sys.A_k, cfg.precond, cfg.blocks)
+                            stats.precond_builds += 1
+                            if isinstance(held[2], BlockJacobiILU):
+                                factored = free, held[2]
+                        else:
+                            held = free, sys.A_k, factored[1].grown(pos, sys.A_k)
+                            stats.precond_reuses += 1
                     else:  # the same face: only the gradient is new
                         sys = ReducedSystem(held[1], g[free])
                     cg = pcg_progress(sys, held[2], eta2)
@@ -201,7 +228,7 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                     if eta2 <= CG_PROGRESS_FLOOR:
                         break
                     eta2 = max(eta2 * CG_PROGRESS_SHRINK, CG_PROGRESS_FLOOR)
-                held = None  # the GP phase runs without the factor
+                held = None  # the GP phase runs without A_k; an IC(k) factor stays
             finally:
                 active = _active_mask(qp, x)
                 faces.add(np.packbits(active).tobytes())  # n / 8 bytes a face

@@ -618,6 +618,24 @@ def test_lower_pattern_is_the_transpose_with_positions():
     assert_bytes_equal(np.sort(at), np.arange(u_indices.size))
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("seed", range(4))
+def test_upper_matches_the_searchsorted_form(seed, dtype):
+    # the running sum of the kept entries' row counts gives the offsets
+    # that searching the kept positions for each row's start gives, dtypes
+    # included, on rows in any order, empty rows and rows with no upper entry
+    rng = np.random.default_rng(seed)
+    n = 80
+    rows = [rng.permutation(n)[:rng.integers(0, 12)] for _ in range(n)]
+    rows[rng.integers(n)] = np.arange(rng.integers(1, n))  # all below a late diagonal
+    indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])]).astype(dtype)
+    indices = np.concatenate(rows).astype(dtype)
+    kept = (indices >= np.arange(n).repeat(np.diff(indptr))).nonzero()[0]
+    got = _kernels._upper(n, indptr, indices)
+    assert_bytes_equal(got[0], kept.searchsorted(indptr))
+    assert_bytes_equal(got[1], indices[kept])
+
+
 # ---------------------------------------------------------------------------
 # wide blocks
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gpcg import NotConvexError, SparseMatrixCSR, make_preconditioner, parse_precond
+from gpcg import (BearingSpec, NotConvexError, SolverConfig, SparseMatrixCSR,
+                  extract_submatrix, free_set, generate, make_preconditioner,
+                  parse_precond, solve)
 from gpcg.precond import (BlockJacobiILU, PointJacobi, Preconditioner,
                           block_ranges)
 
@@ -112,6 +114,54 @@ class TestApply:
             PointJacobi(M).apply(np.zeros(2))
         with pytest.raises(ValueError):
             BlockJacobiILU(M, 0, 1).apply(np.zeros(2))
+
+
+class TestGrown:
+    """A factor built on a free set serves a larger one: the factors on the
+    variables they were built on, point Jacobi on the variables that joined."""
+
+    @staticmethod
+    def bearing_face(k=2, blocks=3):
+        """The final face of a bearing solve and the preconditioner built on
+        it less every eighth variable, grown back onto the whole face."""
+        qp = generate(BearingSpec(14, 14, 0.1))
+        free = free_set(qp, solve(qp, qp.l, SolverConfig(precond="jacobi")).x_star)
+        factored = free[np.arange(free.size) % 8 != 3]
+        built = BlockJacobiILU(extract_submatrix(qp.A, factored), k, blocks)
+        A_k = extract_submatrix(qp.A, free)
+        pos = free.searchsorted(factored)
+        return built, built.grown(pos, A_k), pos, A_k
+
+    @staticmethod
+    def dense(P):
+        return np.column_stack([P.apply(e) for e in np.eye(P.m)])
+
+    def test_grown_operator_is_symmetric_positive_definite(self):
+        built, grown, pos, A_k = self.bearing_face()
+        assert 0 < pos.size < A_k.nrows == grown.m
+        Z = self.dense(grown)
+        assert_allclose(Z, Z.T, rtol=0, atol=1e-12 * np.abs(Z).max())
+        assert np.linalg.eigvalsh(0.5 * (Z + Z.T)).min() > 0.0
+        # block diagonal: the built operator on the factored positions,
+        # 1 / a_ii on the joined ones, nothing between them
+        joined = np.setdiff1d(np.arange(A_k.nrows), pos)
+        assert_array_equal(Z[np.ix_(pos, pos)], self.dense(built))
+        assert_array_equal(Z[np.ix_(joined, joined)],
+                           np.diag(1.0 / A_k.diagonal()[joined]))
+        assert not Z[np.ix_(joined, pos)].any() and not Z[np.ix_(pos, joined)].any()
+
+    def test_same_rows_give_the_built_preconditioner(self):
+        built, grown, _pos, _A_k = self.bearing_face()
+        same = SparseMatrixCSR.from_dense(np.eye(built.m), symmetric=True)
+        assert built.grown(np.arange(built.m), same) is built
+        with pytest.raises(ValueError, match="dimension"):
+            grown.apply(np.zeros(built.m))
+
+    def test_joined_variable_without_positive_curvature_is_not_convex(self):
+        M = SparseMatrixCSR.from_dense(np.diag([2.0, 0.0, 3.0]), symmetric=True)
+        built = BlockJacobiILU(extract_submatrix(M, np.array([0, 2])), 0, 1)
+        with pytest.raises(NotConvexError, match="row 1"):
+            built.grown(np.array([0, 2]), M)
 
 
 class TestFactory:
