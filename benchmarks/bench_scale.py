@@ -16,10 +16,14 @@ bearing workloads do, with BLAS pinned to one thread.  It records:
   solve_s         wall time of ``gpcg.solve``
   extract_s       the part of it spent in ``extract_submatrix``, summed
                   over the calls with ``perf_counter``
-  status, outer, gp_iters, cg_iters, cg_calls, faces, precond_builds
+  status, outer, gp_iters, cg_iters, cg_calls, faces, precond_builds,
+  precond_extensions
                   the solve's status and ``SolverStats`` counts;
                   ``precond_builds`` is the preconditioners built, fewer
-                  than the faces where an IC(k) factor was kept
+                  than the faces where IC(k) factors were kept, and
+                  ``precond_extensions`` the faces that kept them and
+                  factored the joined variables as one more block; both
+                  read null on a commit whose ``SolverStats`` lacks them
   pg_norm         the projected-gradient norm at x_star, recomputed with
                   ``scipy.sparse`` arithmetic from the problem's arrays
   x_digest        the first 16 hex digits of sha256(x_star)
@@ -163,7 +167,9 @@ def one_run(nx: int, precond: str, memory: bool) -> dict:
         "status": out.status.value,
         "outer": st.outer_iters, "gp_iters": st.gp_iters_total,
         "cg_iters": st.cg_iters_total, "cg_calls": st.cg_calls,
-        "faces": st.faces_visited, "precond_builds": st.precond_builds,
+        "faces": st.faces_visited,
+        "precond_builds": getattr(st, "precond_builds", None),
+        "precond_extensions": getattr(st, "precond_extensions", None),
         "pg_norm": projected_gradient_norm(qp, out.x_star),
         "x_digest": hashlib.sha256(np.ascontiguousarray(out.x_star).tobytes()).hexdigest()[:16],
     }
@@ -224,7 +230,8 @@ def main():
             results[f"bearing-{nx}-eps{EPS}-{precond}"] = run
             print(f"bearing {nx}x{nx} {precond}: {run['solve_s']:.2f} s, "
                   f"{run['outer']} outer / {run['cg_iters']} CG / "
-                  f"{run['precond_builds']} builds, "
+                  f"{run['precond_builds']} builds / "
+                  f"{run['precond_extensions']} extensions, "
                   f"peak RSS {run['peak_rss_mb']:.1f} MB "
                   f"(imports {run['import_rss_mb']:.1f} MB), "
                   f"pg {run['pg_norm']:.2e}, {run['status']}", flush=True)

@@ -54,14 +54,22 @@ class Preconditioner:
         return r.copy()
 
 
+def _inverse_diagonal(M: SparseMatrixCSR, rows: np.ndarray | None = None) -> np.ndarray:
+    """1 / a_ii of M on ``rows``, or on every row when None."""
+    diag = M.diagonal()
+    if rows is not None:
+        diag = diag[rows]
+    bad = np.flatnonzero(diag <= 0.0)
+    if bad.size:  # a_ii is the curvature e_i' M e_i
+        row = bad[0] if rows is None else rows[bad[0]]
+        raise NotConvexError(f"point Jacobi: diagonal entry {diag[bad[0]]} "
+                             f"in row {row} is not positive")
+    return 1.0 / diag
+
+
 class PointJacobi(Preconditioner):
     def __init__(self, M: SparseMatrixCSR):
-        diag = M.diagonal()
-        bad = np.flatnonzero(diag <= 0.0)
-        if bad.size:  # a_ii is the curvature e_i' M e_i
-            raise NotConvexError(f"point Jacobi: diagonal entry {diag[bad[0]]} "
-                                 f"in row {bad[0]} is not positive")
-        self.inv_diag = 1.0 / diag
+        self.inv_diag = _inverse_diagonal(M)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         if r.shape[0] != self.inv_diag.shape[0]:
@@ -70,48 +78,75 @@ class PointJacobi(Preconditioner):
 
 
 class BlockJacobiILU(Preconditioner):
-    """IC(k) factors of M's diagonal blocks.  ``grown`` puts the same
-    factors to work on a matrix with more rows: the factored rows sit at
-    positions ``pos`` among them, and the rows that joined get point Jacobi
-    from ``inv_diag``."""
+    """IC(k) factors of diagonal blocks of M, and point Jacobi on the rows
+    they leave.  ``order`` lists M's rows: first each factor's rows, at the
+    range ``blocks`` pairs with it, then the rows left, increasing, whose
+    1 / a_ii are ``inv_diag``.  None, as built, is M's own order with no
+    rows left.  The operator is block diagonal, so it is symmetric
+    positive definite when each factor is.  ``grown`` and ``extended`` put
+    the factors to work on a matrix with more rows."""
 
     def __init__(self, M: SparseMatrixCSR, fill_level: int, blocks: int):
         self.m = M.nrows
-        self.ranges = block_ranges(M.nrows, blocks)
         self.fill_level = fill_level
-        self.pos = self.inv_diag = None
-        self.factors: list[ILUFactorization] = []
-        for lo, hi in self.ranges:
+        self.order = self.inverse = self.inv_diag = None
+        self.blocks: list[tuple[slice, ILUFactorization]] = []
+        for lo, hi in block_ranges(M.nrows, blocks):
             # one block spanning M factors M itself, with any zeros M
             # stores; an extracted block drops them
             block = M if hi - lo == M.nrows else extract_submatrix(
                 M, np.arange(lo, hi, dtype=np.int64))
-            self.factors.append(ilu_k(block, fill_level))
+            self.blocks.append((slice(lo, hi), ilu_k(block, fill_level)))
+
+    def _moved(self, pos: np.ndarray, M: SparseMatrixCSR
+               ) -> tuple[BlockJacobiILU, np.ndarray]:
+        """A copy for M, whose rows ``pos`` (increasing) are this
+        preconditioner's rows in order, with the factors' rows first in its
+        ``order``; and the rows of M after them, for the caller to give an
+        operator."""
+        factored = self.blocks[-1][0].stop
+        head = pos if self.order is None else pos[self.order[:factored]]
+        rest = np.ones(M.nrows, dtype=bool)
+        rest[head] = False
+        moved = copy.copy(self)
+        moved.m = M.nrows
+        moved.order = np.concatenate((head, np.flatnonzero(rest)))
+        moved.inverse = np.empty_like(moved.order)
+        moved.inverse[moved.order] = np.arange(M.nrows)
+        return moved, moved.order[factored:]
 
     def grown(self, pos: np.ndarray, M: SparseMatrixCSR) -> BlockJacobiILU:
-        """This preconditioner, built on its own matrix, for M, whose rows
-        ``pos`` (increasing) are the rows factored here, in order: the
-        factors on those rows, point Jacobi on the others.  The operator is
-        block diagonal, so it is symmetric positive definite when the
-        factors are.  Returns self when M has no other rows."""
+        """This preconditioner for M, whose rows ``pos`` (increasing) are
+        its rows in order: the factors on their rows, point Jacobi on the
+        others.  Returns self when M has no other rows."""
         if pos.size == M.nrows:
             return self
-        grown = copy.copy(self)
-        grown.m, grown.pos, grown.inv_diag = M.nrows, pos, PointJacobi(M).inv_diag
+        grown, rows = self._moved(pos, M)
+        grown.inv_diag = _inverse_diagonal(M, rows)
         return grown
+
+    def extended(self, pos: np.ndarray, M: SparseMatrixCSR) -> BlockJacobiILU:
+        """This preconditioner for M, whose rows ``pos`` (increasing) are
+        its rows in order: the factors on their rows, and the IC(k) factor
+        of M's principal submatrix on the others as one more block."""
+        extended, rows = self._moved(pos, M)
+        extended.inv_diag = None
+        extended.blocks = [*self.blocks, (slice(M.nrows - rows.size, M.nrows),
+                                          ilu_k(extract_submatrix(M, rows), self.fill_level))]
+        return extended
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         if r.shape[0] != self.m:
             raise ValueError("dimension mismatch")
-        kept = r if self.pos is None else r[self.pos]
-        z = np.empty_like(kept)
-        for (lo, hi), factor in zip(self.ranges, self.factors):
-            z[lo:hi] = factor.solve(kept[lo:hi])
-        if self.pos is None:
-            return z
-        out = r * self.inv_diag  # the factored positions are overwritten
-        out[self.pos] = z
-        return out
+        if self.order is not None:
+            r = r.take(self.order)
+        z = np.empty_like(r)
+        for rows, factor in self.blocks:
+            z[rows] = factor.solve(r[rows])
+        if self.inv_diag is not None:
+            left = slice(self.m - self.inv_diag.size, self.m)
+            np.multiply(r[left], self.inv_diag, out=z[left])
+        return z if self.order is None else z.take(self.inverse)
 
 
 def make_preconditioner(M: SparseMatrixCSR, precond: str,

@@ -26,8 +26,9 @@ log = logging.getLogger("gpcg")
 
 CG_PROGRESS_SHRINK = 0.1    # refinement factor of eta2 on the optimal face
 CG_PROGRESS_FLOOR = 1e-12   # smallest eta2, reached within 13 refinements
-# A face keeps the last IC(k) factor while it holds every variable factored
-# and at most this share of its own variables joined since (see _grown_positions)
+# A face that holds every variable factored keeps the IC(k) factors and
+# gives point Jacobi to the variables joined since while they are at most
+# this share of its own; more joined are factored as one more block
 REUSE_JOINED = 0.10
 
 
@@ -92,7 +93,8 @@ class SolverStats:
     cg_calls: int = 0
     faces_visited: int = 0
     precond_builds: int = 0           # make_preconditioner calls
-    precond_reuses: int = 0           # faces that kept the last IC(k) factor
+    precond_reuses: int = 0           # faces that kept the IC(k) factors
+    precond_extensions: int = 0       # faces that kept them and factored the joined
     free_fraction_final: float = 0.0
     final_pg_norm: float = float("inf")
     objective_final: float = float("nan")
@@ -132,10 +134,8 @@ def projected_search_cg(qp: BoundQP, x: np.ndarray, g: np.ndarray, q_x: float,
 
 def _grown_positions(factored: np.ndarray, free: np.ndarray) -> np.ndarray | None:
     """Where the variables ``factored`` sit in ``free`` (both strictly
-    increasing index sets) when ``free`` holds them all and adds at most
-    ``REUSE_JOINED`` of its size; else None."""
-    joined = free.size - factored.size
-    if joined < 0 or joined > REUSE_JOINED * free.size:
+    increasing index sets) when ``free`` holds them all; else None."""
+    if free.size < factored.size:
         return None
     pos = free.searchsorted(factored)
     return pos if np.array_equal(free.take(pos, mode="clip"), factored) else None
@@ -158,7 +158,7 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
     g = gradient(qp, x, Ax)
     pg_norm = norm2(_projected_gradient(qp, x, g))
     faces: set[bytes] = set()
-    factored = None  # free set and IC(k) preconditioner of the last build
+    factored = None  # free set covered by the IC(k) factors, and their preconditioner
     status = SolveStatus.MAX_OUTER_REACHED
     reason = None
     try:
@@ -189,16 +189,20 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                         sys = build_reduced(qp, g, free)
                         pos = (None if factored is None
                                else _grown_positions(factored[0], free))
-                        if pos is None:
-                            factored = None  # let the factor go before the next one is built
-                            held = free, sys.A_k, make_preconditioner(
-                                sys.A_k, cfg.precond, cfg.blocks)
+                        if pos is None:  # the first face, or one that lost a variable
+                            factored = None  # let the factors go before the next are built
+                            P = make_preconditioner(sys.A_k, cfg.precond, cfg.blocks)
                             stats.precond_builds += 1
-                            if isinstance(held[2], BlockJacobiILU):
-                                factored = free, held[2]
-                        else:
-                            held = free, sys.A_k, factored[1].grown(pos, sys.A_k)
+                            if isinstance(P, BlockJacobiILU):
+                                factored = free, P
+                        elif free.size - pos.size <= REUSE_JOINED * free.size:
+                            P = factored[1].grown(pos, sys.A_k)
                             stats.precond_reuses += 1
+                        else:
+                            P = factored[1].extended(pos, sys.A_k)
+                            factored = free, P
+                            stats.precond_extensions += 1
+                        held, P = (free, sys.A_k, P), None  # held is its only holder
                     else:  # the same face: only the gradient is new
                         sys = ReducedSystem(held[1], g[free])
                     cg = pcg_progress(sys, held[2], eta2)

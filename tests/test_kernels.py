@@ -750,7 +750,7 @@ def test_one_block_factors_the_matrix_itself(monkeypatch, k):
         return extract_submatrix(M, idx)
 
     monkeypatch.setattr(precond, "extract_submatrix", spy)
-    [got] = precond.BlockJacobiILU(A, k, 1).factors
+    [(_rows, got)] = precond.BlockJacobiILU(A, k, 1).blocks
     assert calls == []
     for name in ("u_indptr", "u_indices", "u_data"):
         assert_bytes_equal(getattr(got, name), getattr(want, name))

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from gpcg import (BearingSpec, NotConvexError, SolverConfig, SparseMatrixCSR,
                   extract_submatrix, free_set, generate, make_preconditioner,
                   parse_precond, solve)
+from gpcg.ilu import ilu_k
 from gpcg.precond import (BlockJacobiILU, PointJacobi, Preconditioner,
                           block_ranges)
 
@@ -164,6 +165,62 @@ class TestGrown:
             built.grown(np.array([0, 2]), M)
 
 
+class TestExtended:
+    """A face that joined many variables keeps the factors on the variables
+    they were built on and factors the joined ones as one more block."""
+
+    @staticmethod
+    def nested_faces(k=2, blocks=3):
+        """The final face F2 of a bearing solve, F1 = F2 less every eighth
+        variable and F0 = F1 less another eighth: the preconditioner built
+        on F0, extended onto F1 and grown onto F2."""
+        qp = generate(BearingSpec(14, 14, 0.1))
+        free = free_set(qp, solve(qp, qp.l, SolverConfig(precond="jacobi")).x_star)
+        F1 = free[np.arange(free.size) % 8 != 3]
+        F0 = free[~np.isin(np.arange(free.size) % 8, (3, 5))]
+        built = BlockJacobiILU(extract_submatrix(qp.A, F0), k, blocks)
+        A1, A2 = extract_submatrix(qp.A, F1), extract_submatrix(qp.A, free)
+        extended = built.extended(F1.searchsorted(F0), A1)
+        return built, extended, A1, F0, F1, free, A2
+
+    def test_extended_operator_is_block_diagonal_and_positive_definite(self):
+        built, extended, A1, F0, F1, _free, _A2 = self.nested_faces()
+        assert extended.m == A1.nrows and extended.inv_diag is None
+        assert len(extended.blocks) == len(built.blocks) + 1
+        Z = TestGrown.dense(extended)
+        assert_allclose(Z, Z.T, rtol=0, atol=1e-12 * np.abs(Z).max())
+        assert np.linalg.eigvalsh(0.5 * (Z + Z.T)).min() > 0.0
+        # the built operator on the old rows, IC(k) of A_JJ on the joined
+        # rows J, nothing between them
+        pos = F1.searchsorted(F0)
+        J = np.setdiff1d(np.arange(A1.nrows), pos)
+        assert 0 < J.size < A1.nrows
+        joined = ilu_k(extract_submatrix(A1, J), built.fill_level)
+        assert_array_equal(Z[np.ix_(pos, pos)], TestGrown.dense(built))
+        assert_array_equal(Z[np.ix_(J, J)],
+                           np.column_stack([joined.solve(e) for e in np.eye(J.size)]))
+        assert not Z[np.ix_(J, pos)].any() and not Z[np.ix_(pos, J)].any()
+
+    def test_grown_after_an_extension_gives_point_jacobi_to_later_joins_only(self):
+        _built, extended, _A1, _F0, F1, free, A2 = self.nested_faces()
+        pos = free.searchsorted(F1)
+        grown = extended.grown(pos, A2)
+        later = np.flatnonzero(~np.isin(free, F1))
+        assert_array_equal(grown.order[F1.size:], later)
+        assert_array_equal(grown.inv_diag, 1.0 / A2.diagonal()[later])
+        Z = TestGrown.dense(grown)
+        assert_array_equal(Z[np.ix_(pos, pos)], TestGrown.dense(extended))
+        assert_array_equal(Z[np.ix_(later, later)], np.diag(grown.inv_diag))
+
+    def test_grown_twice_keeps_point_jacobi_on_earlier_joins(self):
+        built, _extended, A1, F0, F1, free, A2 = self.nested_faces()
+        once = built.grown(F1.searchsorted(F0), A1)
+        twice = once.grown(free.searchsorted(F1), A2)
+        assert_array_equal(twice.order[F0.size:], np.flatnonzero(~np.isin(free, F0)))
+        Z = TestGrown.dense(twice)
+        assert_array_equal(Z, TestGrown.dense(built.grown(free.searchsorted(F0), A2)))
+
+
 class TestFactory:
     def test_builds_each_kind(self):
         M, _ = random_sparse_spd(np.random.default_rng(53), 10, 2)
@@ -174,15 +231,15 @@ class TestFactory:
 
     def test_blocks_argument_sets_block_count(self):
         M, _ = random_sparse_spd(np.random.default_rng(54), 10, 2)
-        assert len(make_preconditioner(M, "bjacobi-ilu0").ranges) == 1
+        assert len(make_preconditioner(M, "bjacobi-ilu0").blocks) == 1
         P = make_preconditioner(M, "bjacobi-ilu0", blocks=5)
-        assert len(P.ranges) == 5
+        assert len(P.blocks) == 5
 
     def test_fill_level_comes_from_the_string(self):
         M, _ = random_sparse_spd(np.random.default_rng(56), 6, 2)
         P = make_preconditioner(M, "bjacobi-ilu1", blocks=2)
         assert P.fill_level == 1
-        assert len(P.ranges) == 2
+        assert len(P.blocks) == 2
         # surrounding blanks are accepted, as the parser accepts them
         assert type(make_preconditioner(M, " none ")) is Preconditioner
         assert isinstance(make_preconditioner(M, " jacobi"), PointJacobi)

@@ -405,19 +405,21 @@ class TestReducedSystemReuse:
 
 
 class TestFactorReuse:
-    """A new face keeps the last IC(k) factor when it holds every variable
-    factored and at most REUSE_JOINED of its own variables joined since;
-    otherwise the face's preconditioner is built."""
+    """A new face that holds every variable factored keeps the IC(k)
+    factors: with point Jacobi on the variables joined since while they are
+    at most REUSE_JOINED of its own, else with the joined variables
+    factored as one more block.  A face that loses a factored variable, and
+    the first face, build the preconditioner."""
 
-    def test_positions_only_for_a_face_that_grows_by_little(self):
+    def test_positions_only_for_a_face_that_holds_every_factored_variable(self):
         factored = np.arange(0, 90, 2)  # 45 variables
         same = gpcg.solver._grown_positions(factored, factored)
         assert_array_equal(same, np.arange(45))
-        free = np.union1d(factored, [1, 3, 5, 7, 89])  # 5 of 50 joined
-        pos = gpcg.solver._grown_positions(factored, free)
-        assert_array_equal(free[pos], factored)
-        for free in (np.union1d(factored, [1, 3, 5, 7, 9, 89]),  # 6 of 51 joined
-                     np.union1d(factored[:-1], [1, 3]),  # the last one left
+        for joined in ([1, 3, 5, 7, 89], np.arange(1, 200, 2)):  # 5 of 50, 100 of 145
+            free = np.union1d(factored, joined)
+            pos = gpcg.solver._grown_positions(factored, free)
+            assert_array_equal(free[pos], factored)
+        for free in (np.union1d(factored[:-1], [1, 3]),  # the last one left
                      np.union1d(np.delete(factored, 7), [1, 3]),  # one inside left
                      factored[1:]):
             assert gpcg.solver._grown_positions(factored, free) is None
@@ -425,26 +427,33 @@ class TestFactorReuse:
     @staticmethod
     def new_faces(monkeypatch, qp, x0, precond):
         """Solve; return the outcome and, for each free set a reduced matrix
-        was built on, whether a preconditioner was built with it."""
+        was built on, whether a preconditioner was built with it and the
+        row counts of the IC(k) factors made for it."""
         faces = []
         real_build, real_make = gpcg.solver.build_reduced, gpcg.solver.make_preconditioner
+        real_ilu_k = gpcg.precond.ilu_k
 
         def build_reduced(qp, g, free):
-            faces.append([free, False])
+            faces.append([free, False, []])
             return real_build(qp, g, free)
 
         def make_preconditioner(*args):
             faces[-1][1] = True
             return real_make(*args)
 
+        def ilu_k(M, k):
+            faces[-1][2].append(M.nrows)
+            return real_ilu_k(M, k)
+
         monkeypatch.setattr(gpcg.solver, "build_reduced", build_reduced)
         monkeypatch.setattr(gpcg.solver, "make_preconditioner", make_preconditioner)
+        monkeypatch.setattr(gpcg.precond, "ilu_k", ilu_k)
         return solve(qp, x0, SolverConfig(precond=precond)), faces
 
-    @pytest.mark.parametrize("case", ["bearing", 0, 1, 3, 4])
+    @pytest.mark.parametrize("case", ["bearing", 0, 1, 3, 4, 8])
     def test_each_new_face_builds_exactly_when_the_rule_says(self, monkeypatch, case):
         # the bearing's faces only grow, by too much once; the random boxes'
-        # faces lose variables
+        # faces lose variables, box 8's once without getting smaller
         if case == "bearing":
             qp = generate(BearingSpec(30, 30, 0.1))
             x0, precond = qp.l, "bjacobi-ilu2"
@@ -453,38 +462,43 @@ class TestFactorReuse:
             x0, precond = np.zeros(qp.n), "bjacobi-ilu0"
         out, faces = self.new_faces(monkeypatch, qp, x0, precond)
         assert out.status is SolveStatus.CONVERGED
-        factored, reasons = None, []
-        for free, built in faces:
+        factored, outcomes = None, []
+        for free, built, factors in faces:
             F = set(free.tolist())
-            if factored is None:
-                reason = "first"
-            elif not factored <= F:
-                reason = "lost"
-            elif len(F - factored) > gpcg.solver.REUSE_JOINED * len(F):
-                reason = "joined"
+            if factored is None or not factored <= F:
+                outcome = "build"
+                assert built and factors == [len(F)], (outcomes, outcome)
+                factored = F
+            elif len(F - factored) <= gpcg.solver.REUSE_JOINED * len(F):
+                outcome = "reuse"
+                assert not built and factors == [], (outcomes, outcome)
             else:
-                reason = "reuse"
-            assert built == (reason != "reuse"), (reasons, reason)
-            factored = F if built else factored
-            reasons.append(reason)
+                outcome = "extend"
+                assert not built and factors == [len(F - factored)], (outcomes, outcome)
+                factored = F
+            outcomes.append(outcome)
         st = out.stats
-        assert st.precond_builds == sum(built for _, built in faces)
-        assert st.precond_builds + st.precond_reuses == len(faces)
-        want = {"first", "joined", "reuse"} if case == "bearing" else {"first", "lost"}
-        assert set(reasons) == want
+        for outcome, count in (("build", st.precond_builds), ("reuse", st.precond_reuses),
+                               ("extend", st.precond_extensions)):
+            assert count == outcomes.count(outcome)
+        assert st.precond_builds + st.precond_reuses + st.precond_extensions == len(faces)
+        if case == "bearing":
+            assert outcomes[0] == "build" and set(outcomes[1:]) == {"extend", "reuse"}
+        else:  # the first face, then only faces that lost a variable
+            assert len(outcomes) > 1 and set(outcomes) == {"build"}
 
     def test_bearing_builds_fewer_factors_than_faces(self):
         qp = generate(BearingSpec(30, 30, 0.1))
         st = solve(qp, qp.l, SolverConfig(precond="bjacobi-ilu2")).stats
-        assert 1 <= st.precond_builds < st.faces_visited
-        assert st.precond_reuses > 0
+        assert st.precond_builds == 1 < st.faces_visited
+        assert st.precond_extensions >= 1 and st.precond_reuses > 0
 
     @pytest.mark.parametrize("precond", ["jacobi", "none"])
     def test_diagonal_and_identity_build_on_every_face(self, monkeypatch, precond):
         qp = generate(BearingSpec(30, 30, 0.1))
         out, faces = self.new_faces(monkeypatch, qp, qp.l, precond)
-        assert out.stats.precond_reuses == 0
-        assert all(built for _, built in faces)
+        assert out.stats.precond_reuses == out.stats.precond_extensions == 0
+        assert all(built for _, built, _ in faces)
         assert out.stats.precond_builds == len(faces) > 1
 
 
