@@ -44,6 +44,25 @@ that commit into the same file:
   cp benchmarks/bench_scale.py ../parent/benchmarks/
   python3 ../parent/benchmarks/bench_scale.py --label parent --out BENCH_scale.json
 
+Fresh-process runs of two trees minutes apart differ by the host's drift,
+often more than the effect in question.  ``--against PATH --pairs N``
+instead imports ``PATH/src/gpcg`` as a second package (``gpcg_against``;
+gpcg uses only relative imports) and, in this one process, alternates
+cold solves of the two trees, N pairs per size and preconditioner, the
+first of a pair alternating between the trees.  A warm-up solve of each
+tree on a small bearing comes first.  Each row holds, per tree (``this``
+and ``against``): the solve times, their median, the pairs it won, the
+status, counts and pg_norm of its first solve, its x_digest and whether
+every repeat reproduced it; ``commits`` names both trees
+(``git describe --always --dirty``, or null outside a checkout):
+
+  git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
+  python3 benchmarks/bench_scale.py --sizes 400 --preconds jacobi bjacobi-ilu2 \
+      --against ../parent --pairs 8 --label ab-parent
+
+``--against .`` (an A/A run) must give equal digests.  RSS is not
+recorded in this mode, since both trees share the process.
+
 The default grid (400 and 800, three preconditioners) takes a few minutes
 on one core; 1600 under ``jacobi`` alone takes five to six minutes.
 """
@@ -57,9 +76,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -69,6 +90,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 EPS = 0.1
 TOL = 1e-4
+WARMUP_NX = 20
 
 
 def rss_mb() -> float:
@@ -124,15 +146,25 @@ def spy_on_extraction(gpcg):
     return ratios
 
 
-def one_run(nx: int, precond: str, memory: bool) -> dict:
-    """Generate and solve one bearing in this interpreter."""
-    import numpy as np
-    import scipy.sparse  # noqa: F401
-    base = rss_mb()
+def import_this_tree():
     sys.path.insert(0, str(ROOT / "src"))
     import gpcg
     if not Path(gpcg.__file__).resolve().is_relative_to(ROOT / "src"):
         sys.exit(f"gpcg was imported from {gpcg.__file__}, not from this checkout")
+    return gpcg
+
+
+def digest(x) -> str:
+    import numpy as np
+    return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()[:16]
+
+
+def one_run(nx: int, precond: str, memory: bool) -> dict:
+    """Generate and solve one bearing in this interpreter."""
+    import numpy  # noqa: F401
+    import scipy.sparse  # noqa: F401
+    base = rss_mb()
+    gpcg = import_this_tree()
     imported = rss_mb()
 
     tracemalloc.start()
@@ -171,8 +203,89 @@ def one_run(nx: int, precond: str, memory: bool) -> dict:
         "precond_builds": getattr(st, "precond_builds", None),
         "precond_extensions": getattr(st, "precond_extensions", None),
         "pg_norm": projected_gradient_norm(qp, out.x_star),
-        "x_digest": hashlib.sha256(np.ascontiguousarray(out.x_star).tobytes()).hexdigest()[:16],
+        "x_digest": digest(out.x_star),
     }
+
+
+def load_tree(path: Path, name: str):
+    """Import ``path/src/gpcg`` as the package ``name``."""
+    init = path / "src" / "gpcg" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def describe(path: Path) -> str | None:
+    try:
+        proc = subprocess.run(["git", "-C", str(path), "describe", "--always", "--dirty"],
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    except OSError:  # no git
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def timed_solve(gpcg, nx: int, precond: str):
+    """One cold solve: a fresh bearing, solved from x0 = l."""
+    qp = gpcg.generate(gpcg.BearingSpec(nx, nx, EPS))
+    t0 = time.perf_counter()
+    out = gpcg.solve(qp, qp.l.copy(), gpcg.SolverConfig(precond=precond, tol=TOL))
+    return time.perf_counter() - t0, qp, out
+
+
+def ab_row(trees: dict, nx: int, precond: str, pairs: int) -> dict:
+    """Alternate ``pairs`` pairs of cold solves of the trees in ``trees``
+    (name -> package) on one bearing."""
+    times = {name: [] for name in trees}
+    first, digests = {}, {name: set() for name in trees}
+    for i in range(pairs):
+        for name in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
+            seconds, qp, out = timed_solve(trees[name], nx, precond)
+            times[name].append(seconds)
+            digests[name].add(digest(out.x_star))
+            first.setdefault(name, (qp, out))
+    this, against = times.values()
+    wins = (sum(a < b for a, b in zip(this, against)),
+            sum(b < a for a, b in zip(this, against)))
+    row = {"n": nx * nx, "precond": precond, "pairs": pairs}
+    for name, won in zip(trees, wins):
+        qp, out = first[name]
+        st = out.stats
+        row[name] = {
+            "solve_s": [round(t, 4) for t in times[name]],
+            "median_s": round(statistics.median(times[name]), 4),
+            "wins": won, "status": out.status.value,
+            "outer": st.outer_iters, "gp_iters": st.gp_iters_total,
+            "cg_iters": st.cg_iters_total,
+            "pg_norm": projected_gradient_norm(qp, out.x_star),
+            "x_digest": digest(out.x_star),
+            "repeats_identical": len(digests[name]) == 1,
+        }
+    return row
+
+
+def ab_runs(args) -> tuple[dict, dict]:
+    """The rows of an A/B run of this tree against ``args.against``, and
+    the commits of both trees."""
+    gpcg = import_this_tree()
+    against = Path(args.against).resolve()
+    trees = {"this": gpcg, "against": load_tree(against, "gpcg_against")}
+    for precond in args.preconds:
+        for package in trees.values():
+            timed_solve(package, WARMUP_NX, precond)
+    results = {}
+    for nx in args.sizes:
+        for precond in args.preconds:
+            row = ab_row(trees, nx, precond, args.pairs)
+            results[f"bearing-{nx}-eps{EPS}-{precond}"] = row
+            this, other = row["this"], row["against"]
+            print(f"bearing {nx}x{nx} {precond}: median {this['median_s']:.3f} s "
+                  f"against {other['median_s']:.3f} s, won {this['wins']}/{args.pairs}, "
+                  f"digests {this['x_digest']} / {other['x_digest']}, "
+                  f"{this['status']} / {other['status']}", flush=True)
+    return results, {"this": describe(ROOT), "against": describe(against)}
 
 
 def child(nx: int, precond: str, memory: bool) -> dict:
@@ -181,6 +294,25 @@ def child(nx: int, precond: str, memory: bool) -> dict:
         cmd.append("--memory")
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def fresh_runs(args) -> dict:
+    """One solve per size and preconditioner, each in a fresh interpreter."""
+    results = {}
+    for nx in args.sizes:
+        for precond in args.preconds:
+            run = child(nx, precond, memory=False)
+            if args.memory:
+                run.update(child(nx, precond, memory=True))
+            results[f"bearing-{nx}-eps{EPS}-{precond}"] = run
+            print(f"bearing {nx}x{nx} {precond}: {run['solve_s']:.2f} s, "
+                  f"{run['outer']} outer / {run['cg_iters']} CG / "
+                  f"{run['precond_builds']} builds / "
+                  f"{run['precond_extensions']} extensions, "
+                  f"peak RSS {run['peak_rss_mb']:.1f} MB "
+                  f"(imports {run['import_rss_mb']:.1f} MB), "
+                  f"pg {run['pg_norm']:.2e}, {run['status']}", flush=True)
+    return results
 
 
 def environment() -> dict:
@@ -215,35 +347,33 @@ def main():
                     help="also trace extraction's memory, in a second run")
     ap.add_argument("--label", default="change")
     ap.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
+    ap.add_argument("--against", metavar="PATH",
+                    help="another checkout to alternate solves with, in this process")
+    ap.add_argument("--pairs", type=int, default=6,
+                    help="pairs of solves per row with --against")
     ap.add_argument("--one", nargs=2, metavar=("NX", "PRECOND"), help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.one:
         print(json.dumps(one_run(int(args.one[0]), args.one[1], args.memory)))
         return
+    if args.against and args.memory:
+        ap.error("--memory needs a process per tree; it does not combine with --against")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
 
-    results = {}
-    for nx in args.sizes:
-        for precond in args.preconds:
-            run = child(nx, precond, memory=False)
-            if args.memory:
-                run.update(child(nx, precond, memory=True))
-            results[f"bearing-{nx}-eps{EPS}-{precond}"] = run
-            print(f"bearing {nx}x{nx} {precond}: {run['solve_s']:.2f} s, "
-                  f"{run['outer']} outer / {run['cg_iters']} CG / "
-                  f"{run['precond_builds']} builds / "
-                  f"{run['precond_extensions']} extensions, "
-                  f"peak RSS {run['peak_rss_mb']:.1f} MB "
-                  f"(imports {run['import_rss_mb']:.1f} MB), "
-                  f"pg {run['pg_norm']:.2e}, {run['status']}", flush=True)
+    results, commits = ab_runs(args) if args.against else (fresh_runs(args), None)
 
     out = Path(args.out)
     report = json.loads(out.read_text()) if out.exists() else {}
     report["description"] = (
         "Bearing eps 0.1, nx = ny, x0 = l, tol 1e-4: one solve per run, each in a "
-        "fresh interpreter with BLAS on one thread; RSS from ru_maxrss. "
+        "fresh interpreter with BLAS on one thread; RSS from ru_maxrss. Runs with "
+        "'commits' alternate cold solves of two trees in one process instead. "
         "benchmarks/bench_scale.py")
     entry = report.setdefault("runs", {}).setdefault(args.label, {"results": {}})
     entry["environment"] = environment()
+    if commits:
+        entry["commits"] = commits
     entry["results"].update(results)
     out.write_text(json.dumps(report, indent=1) + "\n")
 

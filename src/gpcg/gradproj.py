@@ -1,11 +1,12 @@
 """Gradient-projection phase: exact first step size along the projected
-gradient, projected backtracking search, and a loop that stops once the
-active set settles or the per-iterate decrease stalls.
+gradient, the projected backtracking search of the GP and CG steps, and a
+loop that stops once the active set settles or the decrease stalls.
 """
 
 from __future__ import annotations
 
 import enum
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ from .model import (BoundQP, _active_mask, _project, _projected_gradient,
                     gradient, objective)
 
 GP_CAP = 100        # iterates per GP phase
-MAX_HALVINGS = 50   # step halvings per projected search, GP and CG alike
+MAX_HALVINGS = 50   # step halvings per projected search
 
 
 class GPStop(enum.Enum):
@@ -39,8 +40,9 @@ class GPIterate:
 
 @dataclass
 class GPResult:
-    """Where the phase ended: x_out with Ax = A x_out, q = q(x_out) and
-    g = grad q(x_out), computed exactly as ``objective``/``gradient`` would."""
+    """Where the phase ended: x_out with Ax = A x_out, q = q(x_out),
+    g = grad q(x_out) and pg_norm = ||projected gradient||, computed exactly
+    as ``objective``/``gradient``/``norm2`` would."""
     x_out: np.ndarray
     iterates_taken: int
     termination: GPStop
@@ -48,6 +50,7 @@ class GPResult:
     Ax: np.ndarray
     q: float
     g: np.ndarray
+    pg_norm: float
     records: list[GPIterate] = field(default_factory=list)
 
 
@@ -62,60 +65,65 @@ def cauchy_step_size(qp: BoundQP, g: np.ndarray, d: np.ndarray) -> float:
     return dot(g, d) / curvature
 
 
-def projected_search_gp(qp: BoundQP, y: np.ndarray, g: np.ndarray, q_y: float,
-                        alpha0: float, mu: float
-                        ) -> tuple[np.ndarray, float, int, np.ndarray, float]:
-    """Backtrack over alpha0 * (1/2)^j until the projected full-gradient step
-    from y satisfies the sufficient decrease test; one matvec per trial.
-    Returns (y+, alpha, halvings, A y+, q(y+)); q_y is q(y)."""
+def projected_search(qp: BoundQP, x: np.ndarray, g: np.ndarray, q_x: float,
+                     d: np.ndarray, alpha0: float, mu: float
+                     ) -> tuple[np.ndarray, float, int, np.ndarray, float]:
+    """Backtrack over alpha0 * (1/2)^j until P(x - alpha d) satisfies the
+    sufficient decrease test; one matvec per trial.  GP steps take d = g,
+    CG steps d = -w (w the CG step) and alpha0 = 1.  Returns (x+, alpha,
+    halvings, A x+, q(x+)); g and q_x are the gradient and q at x."""
     if not 0.0 < mu < 0.5:
         raise ValueError("sufficient decrease constant must lie in (0, 1/2)")
     if alpha0 <= 0.0:
         raise ValueError("initial step size must be positive")
     alpha = alpha0
-    step = np.empty_like(y)  # y - alpha g, then y_trial - y
+    step = np.empty_like(x)  # x - alpha d, then x_trial - x
     for halvings in range(MAX_HALVINGS + 1):
-        np.multiply(g, alpha, out=step)
-        np.subtract(y, step, out=step)
-        y_trial = _project(qp, step)
-        Ay = mat_vec(qp.A, y_trial)
-        q_trial = objective(qp, y_trial, Ay)
-        if q_trial <= q_y + mu * dot(g, np.subtract(y_trial, y, out=step)):
-            return y_trial, alpha, halvings, Ay, q_trial
+        np.multiply(d, alpha, out=step)
+        np.subtract(x, step, out=step)
+        x_trial = _project(qp, step)
+        Ax = mat_vec(qp.A, x_trial)
+        q_trial = objective(qp, x_trial, Ax)
+        if q_trial <= q_x + mu * dot(g, np.subtract(x_trial, x, out=step)):
+            return x_trial, alpha, halvings, Ax, q_trial
         alpha *= 0.5
     raise SearchFailed(f"no acceptable step within {MAX_HALVINGS} halvings")
 
 
-def gp_phase(qp: BoundQP, x: np.ndarray, eta1: float, mu: float, tau: float,
-             Ax: np.ndarray | None = None) -> GPResult:
-    """Run projected-gradient iterates from x until the active set repeats,
-    the decrease falls below eta1 times the best decrease so far, the
-    convergence test fires, or GP_CAP iterates are taken.  Given Ax = A x, each
-    iterate costs one matvec for the Cauchy step and one per search trial."""
+# gp_phase and solve call the search by these names; the CG one is a copy, not
+# a wrapper, so rebinding every reference to one name leaves the other alone.
+projected_search_gp = projected_search
+projected_search_cg = types.FunctionType(projected_search.__code__, globals(),
+                                         "projected_search_cg")
+
+
+def gp_phase(qp: BoundQP, x: np.ndarray, Ax: np.ndarray, q: float,
+             g: np.ndarray, eta1: float, mu: float, tau: float) -> GPResult:
+    """Run projected-gradient iterates from x (with Ax = A x, q = q(x) and
+    g = grad q(x)) until the active set repeats, the decrease falls below
+    eta1 times the best so far, the convergence test fires, or GP_CAP
+    iterates are taken; each costs one matvec plus one per search trial."""
     if not 0.0 < eta1 < 1.0:
         raise ValueError("progress tolerance must lie in (0, 1)")
-    y = x
-    Ay = mat_vec(qp.A, y) if Ax is None else Ax
-    q_y = objective(qp, y, Ay)
-    g = gradient(qp, y, Ay)
-    pg = _projected_gradient(qp, y, g)
+    pg = _projected_gradient(qp, x, g)
+    pg_norm = norm2(pg)
     decreases: list[float] = []
     records: list[GPIterate] = []
-    if norm2(pg) <= tau:
-        return GPResult(y, 0, GPStop.CONVERGED, np.zeros(0), Ay, q_y, g, records)
-    prev_active = _active_mask(qp, y)
+    if pg_norm <= tau:
+        return GPResult(x, 0, GPStop.CONVERGED, np.zeros(0), Ax, q, g, pg_norm)
+    prev_active = _active_mask(qp, x)
     termination = GPStop.ITERATION_CAP
     for j in range(1, GP_CAP + 1):
         alpha0 = cauchy_step_size(qp, g, pg)
-        y_next, alpha, halvings, Ay, q_next = projected_search_gp(
-            qp, y, g, q_y, alpha0, mu)
-        decreases.append(q_y - q_next)
-        y, q_y = y_next, q_next
-        g = gradient(qp, y, Ay)
-        pg = _projected_gradient(qp, y, g)
+        x_next, alpha, halvings, Ax, q_next = projected_search_gp(
+            qp, x, g, q, g, alpha0, mu)
+        decreases.append(q - q_next)
+        x, q = x_next, q_next
+        g = gradient(qp, x, Ax)
+        pg = _projected_gradient(qp, x, g)
         pg_norm = norm2(pg)
-        cur_active = _active_mask(qp, y)
-        records.append(GPIterate(j, q_y, alpha, halvings,
+        cur_active = _active_mask(qp, x)
+        records.append(GPIterate(j, q, alpha, halvings,
                                  int(np.count_nonzero(cur_active)), pg_norm))
         if pg_norm <= tau:
             termination = GPStop.CONVERGED
@@ -128,5 +136,5 @@ def gp_phase(qp: BoundQP, x: np.ndarray, eta1: float, mu: float, tau: float,
             break
         best = max(best, decreases[-1]) if j >= 2 else decreases[0]  # max(decreases)
         prev_active = cur_active
-    return GPResult(y, len(decreases), termination, np.asarray(decreases),
-                    Ay, q_y, g, records)
+    return GPResult(x, len(decreases), termination, np.asarray(decreases),
+                    Ax, q, g, pg_norm, records)

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GPCGError, SearchFailed
-from .gradproj import MAX_HALVINGS, gp_phase
-from .linalg import dot, mat_vec, norm2
-from .model import (BoundQP, _active_mask, _binding_mask, _project,
-                    _projected_gradient, gradient, objective, project)
+from .errors import GPCGError
+from .gradproj import gp_phase, projected_search_cg
+from .linalg import mat_vec, norm2
+from .model import (BoundQP, _active_mask, _binding_mask, _projected_gradient,
+                    gradient, objective, project)
 from .precond import BlockJacobiILU, make_preconditioner, parse_precond
 from .reduced import CGStop, ReducedSystem, build_reduced, pcg_progress
 
@@ -34,8 +34,9 @@ REUSE_JOINED = 0.10
 
 @dataclass
 class SolverConfig:
-    """The solver's settings; defaults match the benchmark settings.  The
-    other limits are fixed: ``gradproj.GP_CAP`` iterates per GP phase,
+    """The solver's settings; defaults match the benchmark settings.  GP and
+    CG steps share one search, ``gradproj.projected_search``.  The other
+    limits are fixed: ``gradproj.GP_CAP`` iterates per GP phase,
     ``gradproj.MAX_HALVINGS`` halvings per search, and as many CG
     iterations as the reduced dimension."""
     tol: float = 1e-4                 # projected-gradient norm target
@@ -110,28 +111,6 @@ class SolveOutcome:
     failure_reason: str | None = None
 
 
-def projected_search_cg(qp: BoundQP, x: np.ndarray, g: np.ndarray, q_x: float,
-                        d: np.ndarray, mu: float
-                        ) -> tuple[np.ndarray, float, np.ndarray, float]:
-    """Backtrack over alpha in {1, 1/2, 1/4, ...} until the projected step
-    along d satisfies the sufficient decrease test; one matvec per trial.
-    Returns (x+, alpha, A x+, q(x+)); g and q_x are the gradient and q at x."""
-    if not 0.0 < mu < 0.5:
-        raise ValueError("sufficient decrease constant must lie in (0, 1/2)")
-    alpha = 1.0
-    step = np.empty_like(x)  # x + alpha d, then x_trial - x
-    for _ in range(MAX_HALVINGS + 1):
-        np.multiply(d, alpha, out=step)
-        np.add(x, step, out=step)
-        x_trial = _project(qp, step)
-        Ax = mat_vec(qp.A, x_trial)
-        q_trial = objective(qp, x_trial, Ax)
-        if q_trial <= q_x + mu * dot(g, np.subtract(x_trial, x, out=step)):
-            return x_trial, alpha, Ax, q_trial
-        alpha *= 0.5
-    raise SearchFailed(f"no acceptable step within {MAX_HALVINGS} halvings")
-
-
 def _grown_positions(factored: np.ndarray, free: np.ndarray) -> np.ndarray | None:
     """Where the variables ``factored`` sit in ``free`` (both strictly
     increasing index sets) when ``free`` holds them all; else None."""
@@ -169,18 +148,16 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
             eta2 = cfg.cg_progress
             outer_cg_iters = 0
             try:
-                gp = gp_phase(qp, x, cfg.gp_progress, cfg.sufficient_decrease,
-                              cfg.tol, Ax)
-                x, Ax, q, g = gp.x_out, gp.Ax, gp.q, gp.g
+                gp = gp_phase(qp, x, Ax, q, g, cfg.gp_progress,
+                              cfg.sufficient_decrease, cfg.tol)
+                x, Ax, q, g, pg_norm = gp.x_out, gp.Ax, gp.q, gp.g, gp.pg_norm
                 stats.gp_iters_total += gp.iterates_taken
                 for rec in gp.records:
                     stats.trace.append(TraceRecord(
                         outer, "gp", rec.q, rec.pg_norm, n - rec.n_active, 0,
                         eta2))
-                pg_norm = norm2(_projected_gradient(qp, x, g))
                 log.info("outer %d: gp took %d iterates (%s), pg_norm=%.3e",
-                         outer, gp.iterates_taken, gp.termination.value,
-                         pg_norm)
+                         outer, gp.iterates_taken, gp.termination.value, pg_norm)
                 held = None  # free set, A_k and preconditioner of the last CG call
                 while pg_norm > cfg.tol:
                     free = np.flatnonzero(~_active_mask(qp, x))
@@ -214,10 +191,10 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                         if cg.termination is CGStop.BREAKDOWN:
                             raise GPCGError(f"CG breakdown: the {cg.breakdown} "
                                             "is not positive definite")
-                        d = np.zeros(n)
-                        d[free] = cg.w
-                        x, alpha, Ax, q = projected_search_cg(
-                            qp, x, g, q, d, cfg.sufficient_decrease)
+                        d = np.zeros(n)  # the search steps along -d
+                        d[free] = -cg.w
+                        x, alpha, _, Ax, q = projected_search_cg(
+                            qp, x, g, q, d, 1.0, cfg.sufficient_decrease)
                         g = gradient(qp, x, Ax)
                         pg_norm = norm2(_projected_gradient(qp, x, g))
                     finally:  # the row describes the point kept

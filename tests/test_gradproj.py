@@ -5,11 +5,11 @@ from numpy.testing import assert_allclose
 
 from gpcg import (AlreadyStationary, BearingSpec, BoundQP, GPStop,
                   NotConvexError, SearchFailed, SparseMatrixCSR,
-                  cauchy_step_size, dot, generate, gp_phase, gradient,
-                  mat_vec, norm2, objective, project, projected_gradient,
-                  projected_search_gp)
+                  cauchy_step_size, dot, generate, gradient, mat_vec, norm2,
+                  objective, project, projected_gradient)
 
 import gpcg.gradproj
+from gpcg.gradproj import projected_search
 
 from conftest import random_bound_qp, unconstrained_qp
 
@@ -17,6 +17,14 @@ from conftest import random_bound_qp, unconstrained_qp
 def _one_d(curv, lin, lo, hi):
     A = SparseMatrixCSR.from_dense(np.array([[curv]]), symmetric=True)
     return BoundQP(A, np.array([lin]), 0.0, np.array([lo]), np.array([hi]))
+
+
+def gp_phase(qp, x, eta1, mu, tau):
+    """The phase from x, with the product, value and gradient it is given
+    computed here."""
+    Ax = mat_vec(qp.A, x)
+    return gpcg.gradproj.gp_phase(qp, x, Ax, objective(qp, x, Ax),
+                                  gradient(qp, x, Ax), eta1, mu, tau)
 
 
 class TestCauchyStepSize:
@@ -70,12 +78,14 @@ class TestCauchyStepSize:
 
 
 class TestProjectedSearchGP:
+    """The search as the GP phase takes it: along d = g."""
+
     def test_accepts_exact_step_immediately(self):
         qp = _one_d(1.0, 0.0, -np.inf, np.inf)
         y = np.ones(1)
         g = gradient(qp, y)
-        y_next, alpha, halvings, _, _ = projected_search_gp(
-            qp, y, g, objective(qp, y), 1.0, 0.1)
+        y_next, alpha, halvings, _, _ = projected_search(
+            qp, y, g, objective(qp, y), g, 1.0, 0.1)
         assert y_next[0] == 0.0
         assert alpha == 1.0
         assert halvings == 0
@@ -86,8 +96,8 @@ class TestProjectedSearchGP:
         qp = _one_d(1.0, 0.0, -np.inf, np.inf)
         y = np.ones(1)
         g = gradient(qp, y)
-        y_next, alpha, halvings, _, _ = projected_search_gp(
-            qp, y, g, objective(qp, y), 8.0, 0.1)
+        y_next, alpha, halvings, _, _ = projected_search(
+            qp, y, g, objective(qp, y), g, 8.0, 0.1)
         assert alpha == 1.0
         assert halvings == 3
         assert y_next[0] == 0.0
@@ -98,8 +108,8 @@ class TestProjectedSearchGP:
         qp = _one_d(1.0, 3.0, 0.0, np.inf)
         y = np.full(1, 2.0)
         g = gradient(qp, y)
-        y_next, alpha, halvings, _, _ = projected_search_gp(
-            qp, y, g, objective(qp, y), 1.0, 0.1)
+        y_next, alpha, halvings, _, _ = projected_search(
+            qp, y, g, objective(qp, y), g, 1.0, 0.1)
         assert y_next[0] == 0.0
         assert halvings == 0
 
@@ -111,14 +121,22 @@ class TestProjectedSearchGP:
         g = gradient(qp, y)
         # trial alpha=1 gives q drop 0.5 and <g, dy> = -1; accepted iff
         # 0 <= 0.5 - mu, true for every valid mu
-        _, alpha, _, _, _ = projected_search_gp(qp, y, g, objective(qp, y),
-                                                1.0, 0.49)
+        _, alpha, _, _, _ = projected_search(qp, y, g, objective(qp, y), g,
+                                             1.0, 0.49)
         assert alpha == 1.0
 
     def test_invalid_mu_rejected(self):
         qp = _one_d(1.0, 0.0, -1.0, 1.0)
         with pytest.raises(ValueError):
-            projected_search_gp(qp, np.ones(1), np.ones(1), 0.5, 1.0, 0.5)
+            projected_search(qp, np.ones(1), np.ones(1), 0.5, np.ones(1), 1.0,
+                             0.5)
+
+    def test_invalid_initial_step_rejected(self):
+        qp = _one_d(1.0, 0.0, -1.0, 1.0)
+        for alpha0 in (0.0, -1.0):
+            with pytest.raises(ValueError, match="initial step"):
+                projected_search(qp, np.ones(1), np.ones(1), 0.5, np.ones(1),
+                                 alpha0, 0.1)
 
     def test_exhaustion_raises(self, monkeypatch):
         qp = _one_d(1.0, 0.0, -np.inf, np.inf)
@@ -126,7 +144,7 @@ class TestProjectedSearchGP:
         g = gradient(qp, y)
         monkeypatch.setattr(gpcg.gradproj, "MAX_HALVINGS", 3)
         with pytest.raises(SearchFailed, match="within 3 halvings"):
-            projected_search_gp(qp, y, g, objective(qp, y), 2.0 ** 40, 0.1)
+            projected_search(qp, y, g, objective(qp, y), g, 2.0 ** 40, 0.1)
 
 
 class TestGPPhase:
@@ -175,24 +193,23 @@ class TestGPPhase:
         with pytest.raises(ValueError):
             gp_phase(qp, np.zeros(1), 1.0, 0.1, 1e-8)
 
-    @pytest.mark.parametrize("given_ax", [False, True])
     def test_result_carries_exact_product_objective_and_gradient(
-            self, given_ax, monkeypatch):
+            self, monkeypatch):
         qp = generate(BearingSpec(16, 16, 0.8))
         for cap in (0, 1, 40):
             monkeypatch.setattr(gpcg.gradproj, "GP_CAP", cap)
-            Ax = mat_vec(qp.A, qp.l) if given_ax else None
-            out = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6, Ax=Ax)
+            out = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6)
             assert np.array_equal(out.Ax, mat_vec(qp.A, out.x_out))
             assert out.q == objective(qp, out.x_out)
             assert np.array_equal(out.g, gradient(qp, out.x_out))
+            assert out.pg_norm == norm2(projected_gradient(qp, out.x_out, out.g))
 
     def test_search_returns_product_and_objective_of_accepted_point(self):
         qp = generate(BearingSpec(8, 8, 0.5))
         y = qp.l
         g = gradient(qp, y)
-        y_next, _, _, Ay, q_next = projected_search_gp(
-            qp, y, g, objective(qp, y), 64.0, 0.1)
+        y_next, _, _, Ay, q_next = projected_search(
+            qp, y, g, objective(qp, y), g, 64.0, 0.1)
         assert np.array_equal(Ay, mat_vec(qp.A, y_next))
         assert q_next == objective(qp, y_next)
 

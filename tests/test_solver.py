@@ -12,9 +12,9 @@ import gpcg.linalg
 import gpcg.solver
 from gpcg import (BearingSpec, BoundQP, SearchFailed, SolveStatus,
                   SolverConfig, SparseMatrixCSR, build_reduced, dense_solve,
-                  free_set, generate, gradient, make_preconditioner, norm2,
-                  objective, projected_gradient, projected_search_cg, solve,
-                  solve_enum)
+                  free_set, generate, gradient, make_preconditioner, mat_vec,
+                  norm2, objective, project, projected_gradient,
+                  projected_search_cg, solve, solve_enum)
 
 from conftest import (dense_spd, hand_qp, random_bound_qp, reference_objective,
                       reference_pg_norm, unconstrained_qp)
@@ -26,28 +26,31 @@ def _trace_invariant(outcome):
 
 
 class TestProjectedSearchCG:
+    """The search as the solver takes it after CG: along d = -w from
+    alpha0 = 1, where w is the CG step."""
+
     def test_full_step_accepted_on_descent_direction(self):
         qp = hand_qp()
         x = np.array([1.0, 1.0])
-        d = np.array([0.5, -0.5])  # strict descent: <g, d> < 0
-        x_next, alpha, _, _ = projected_search_cg(
-            qp, x, gradient(qp, x), objective(qp, x), d, 0.1)
-        assert alpha == 1.0
+        w = np.array([0.5, -0.5])  # strict descent: <g, w> < 0
+        x_next, alpha, halvings, _, _ = projected_search_cg(
+            qp, x, gradient(qp, x), objective(qp, x), -w, 1.0, 0.1)
+        assert alpha == 1.0 and halvings == 0
         assert_array_equal(x_next, [1.5, 0.5])
 
     def test_projection_keeps_trial_feasible(self):
         qp = hand_qp()
         x = np.array([1.0, 1.0])
-        x_next, _, _, _ = projected_search_cg(
-            qp, x, gradient(qp, x), objective(qp, x), np.array([5.0, -5.0]),
-            0.1)
+        x_next, _, _, _, _ = projected_search_cg(
+            qp, x, gradient(qp, x), objective(qp, x), -np.array([5.0, -5.0]),
+            1.0, 0.1)
         assert (x_next >= qp.l).all() and (x_next <= qp.u).all()
 
     def test_zero_direction_is_degenerate_accept(self):
         qp = hand_qp()
         x = np.array([1.0, 1.0])
-        x_next, alpha, _, _ = projected_search_cg(
-            qp, x, gradient(qp, x), objective(qp, x), np.zeros(2), 0.1)
+        x_next, alpha, _, _, _ = projected_search_cg(
+            qp, x, gradient(qp, x), objective(qp, x), np.zeros(2), 1.0, 0.1)
         assert alpha == 1.0
         assert_array_equal(x_next, x)
 
@@ -58,12 +61,31 @@ class TestProjectedSearchCG:
         x = np.ones(1)
         with pytest.raises(SearchFailed):
             projected_search_cg(qp, x, gradient(qp, x), objective(qp, x),
-                                np.ones(1), 0.1)
+                                -np.ones(1), 1.0, 0.1)
 
     def test_invalid_mu(self):
         with pytest.raises(ValueError):
             projected_search_cg(hand_qp(), np.zeros(2), np.zeros(2), 0.0,
-                                np.zeros(2), 0.6)
+                                np.zeros(2), 1.0, 0.6)
+
+    def test_halved_step_clipped_at_both_bounds(self):
+        # box [-1, 1]^2, both bounds finite: the full step from x lands
+        # outside both sides and is clipped to (-1, 1), which fails the
+        # decrease test; half the step is accepted
+        A = SparseMatrixCSR.from_dense(np.array([[2.0, 0.5], [0.5, 1.0]]),
+                                       symmetric=True)
+        qp = BoundQP(A, np.zeros(2), 0.0, -np.ones(2), np.ones(2))
+        x = np.array([0.9, -0.8])
+        w = np.array([-3.1, 2.7])
+        g = gradient(qp, x)
+        full = np.clip(x + w, qp.l, qp.u)
+        assert full[0] == qp.l[0] and full[1] == qp.u[1]
+        x_next, alpha, halvings, Ax, q = projected_search_cg(
+            qp, x, g, objective(qp, x), -w, 1.0, 0.1)
+        assert halvings == 1 and alpha == 0.5
+        assert x_next.tobytes() == project(qp, x + alpha * w).tobytes()
+        assert Ax.tobytes() == mat_vec(qp.A, x_next).tobytes()
+        assert q == objective(qp, x_next)
 
 
 class TestSolveBasics:
@@ -562,6 +584,66 @@ class TestMatvecEconomy:
         for rec in out.stats.trace:
             if rec.phase == "outer" and rec.outer == out.stats.outer_iters:
                 assert rec.q == objective(qp, x)
+
+
+class TestOneEvaluationPerPoint:
+    """q is computed once at each point the solver evaluates (the start and
+    every search trial), grad q once at each point it keeps (the start and
+    every accepted trial): a GP phase continues from the point, product,
+    value and gradient that solve hands it, and reports the norm of its
+    projected gradient.  The GP and CG searches, one code under two names,
+    are counted apart."""
+
+    @pytest.mark.parametrize("case", ["bearing", "box"])
+    def test_objective_and_gradient_once_per_point(self, monkeypatch, case):
+        if case == "bearing":
+            qp = generate(BearingSpec(30, 30, 0.1))
+            x0 = qp.l
+        else:  # finite upper bounds: [-1, 1]^40
+            qp = TestReducedSystemReuse.sparse_box_qp(0)
+            x0 = np.zeros(qp.n)
+        counts = {"objective": 0, "gradient": 0, "trials": 0, "gp": 0, "cg": 0}
+        phases = []
+
+        def counted(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                result = fn(*args, **kwargs)
+                if key in ("gp", "cg"):
+                    counts["trials"] += result[2] + 1
+                return result
+            return wrapped
+
+        def phase(*args, **kwargs):
+            phases.append(real_phase(*args, **kwargs))
+            return phases[-1]
+
+        real_phase = gpcg.solver.gp_phase
+        # rebind every gpcg module's own name for each, as the tracer does
+        originals = {"objective": gpcg.model.objective,
+                     "gradient": gpcg.model.gradient,
+                     "gp": gpcg.gradproj.projected_search_gp,
+                     "cg": gpcg.solver.projected_search_cg}
+        for key, original in originals.items():
+            wrapped = counted(key, original)
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "gpcg":
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, wrapped)
+        monkeypatch.setattr(gpcg.solver, "gp_phase", phase)
+        out = solve(qp, x0, SolverConfig(precond="jacobi"))
+        st = out.stats
+        assert out.status is SolveStatus.CONVERGED
+        assert counts["gp"] == st.gp_iters_total > 0
+        assert counts["cg"] == st.cg_calls > 0
+        assert counts["objective"] == 1 + counts["trials"]
+        assert counts["gradient"] == 1 + counts["gp"] + counts["cg"]
+        monkeypatch.undo()
+        assert len(phases) == st.outer_iters
+        for gp in phases:
+            fresh = norm2(projected_gradient(qp, gp.x_out, gradient(qp, gp.x_out)))
+            assert gp.pg_norm == fresh
 
 
 @pytest.mark.skipif(os.environ.get("GPCG_HEAVY", "") != "1",
