@@ -13,8 +13,7 @@ import numpy as np
 
 from .errors import AlreadyStationary, NotConvexError, SearchFailed
 from .linalg import dot, mat_vec, norm2
-from .model import (BoundQP, _active_mask, _project, _projected_gradient,
-                    gradient, objective)
+from .model import BoundQP, _bound_test, _project, gradient, objective
 
 GP_CAP = 100        # iterates per GP phase
 MAX_HALVINGS = 50   # step halvings per projected search
@@ -41,8 +40,9 @@ class GPIterate:
 @dataclass
 class GPResult:
     """Where the phase ended: x_out with Ax = A x_out, q = q(x_out),
-    g = grad q(x_out) and pg_norm = ||projected gradient||, computed exactly
-    as ``objective``/``gradient``/``norm2`` would."""
+    g = grad q(x_out), pg_norm = ||projected gradient|| and its active mask,
+    computed exactly as ``objective``/``gradient``/``norm2``/``active_set``
+    would."""
     x_out: np.ndarray
     iterates_taken: int
     termination: GPStop
@@ -51,16 +51,17 @@ class GPResult:
     q: float
     g: np.ndarray
     pg_norm: float
+    active: np.ndarray
     records: list[GPIterate] = field(default_factory=list)
 
 
 def cauchy_step_size(qp: BoundQP, g: np.ndarray, d: np.ndarray) -> float:
     """Exact minimizer of the quadratic along -d from a point whose gradient
     is g: <g, d> / <d, Ad>.  One matvec, A d."""
-    if not d.any():
-        raise AlreadyStationary("direction is zero")
     curvature = dot(d, mat_vec(qp.A, d))
     if curvature <= 0.0:
+        if not d.any():
+            raise AlreadyStationary("direction is zero")
         raise NotConvexError(f"curvature along the step is {curvature}")
     return dot(g, d) / curvature
 
@@ -98,20 +99,20 @@ projected_search_cg = types.FunctionType(projected_search.__code__, globals(),
 
 
 def gp_phase(qp: BoundQP, x: np.ndarray, Ax: np.ndarray, q: float,
-             g: np.ndarray, eta1: float, mu: float, tau: float) -> GPResult:
-    """Run projected-gradient iterates from x (with Ax = A x, q = q(x) and
-    g = grad q(x)) until the active set repeats, the decrease falls below
-    eta1 times the best so far, the convergence test fires, or GP_CAP
+             g: np.ndarray, pg: np.ndarray, pg_norm: float, active: np.ndarray,
+             eta1: float, mu: float, tau: float) -> GPResult:
+    """Run projected-gradient iterates from x (with Ax = A x, q = q(x),
+    g = grad q(x), and pg, pg_norm and active as ``_bound_test`` and
+    ``norm2`` give them) until the active set repeats, the decrease falls
+    below eta1 times the best so far, the convergence test fires, or GP_CAP
     iterates are taken; each costs one matvec plus one per search trial."""
     if not 0.0 < eta1 < 1.0:
         raise ValueError("progress tolerance must lie in (0, 1)")
-    pg = _projected_gradient(qp, x, g)
-    pg_norm = norm2(pg)
     decreases: list[float] = []
     records: list[GPIterate] = []
     if pg_norm <= tau:
-        return GPResult(x, 0, GPStop.CONVERGED, np.zeros(0), Ax, q, g, pg_norm)
-    prev_active = _active_mask(qp, x)
+        return GPResult(x, 0, GPStop.CONVERGED, np.zeros(0), Ax, q, g, pg_norm,
+                        active)
     termination = GPStop.ITERATION_CAP
     for j in range(1, GP_CAP + 1):
         alpha0 = cauchy_step_size(qp, g, pg)
@@ -120,21 +121,20 @@ def gp_phase(qp: BoundQP, x: np.ndarray, Ax: np.ndarray, q: float,
         decreases.append(q - q_next)
         x, q = x_next, q_next
         g = gradient(qp, x, Ax)
-        pg = _projected_gradient(qp, x, g)
+        prev_active = active
+        pg, active = _bound_test(qp, x, g)
         pg_norm = norm2(pg)
-        cur_active = _active_mask(qp, x)
         records.append(GPIterate(j, q, alpha, halvings,
-                                 int(np.count_nonzero(cur_active)), pg_norm))
+                                 int(np.count_nonzero(active)), pg_norm))
         if pg_norm <= tau:
             termination = GPStop.CONVERGED
             break
-        if np.array_equal(cur_active, prev_active):
+        if np.array_equal(active, prev_active):
             termination = GPStop.ACTIVE_SET_SETTLED
             break
         if j >= 2 and decreases[-1] <= eta1 * best:
             termination = GPStop.INSUFFICIENT_PROGRESS
             break
         best = max(best, decreases[-1]) if j >= 2 else decreases[0]  # max(decreases)
-        prev_active = cur_active
     return GPResult(x, len(decreases), termination, np.asarray(decreases),
-                    Ax, q, g, pg_norm, records)
+                    Ax, q, g, pg_norm, active, records)

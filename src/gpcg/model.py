@@ -101,22 +101,27 @@ def projected_gradient(qp: BoundQP, x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient with components clipped at active bounds; zero exactly at
     optimal points."""
     _check_feasible(qp, x)
-    return _projected_gradient(qp, x, g)
+    return _bound_test(qp, x, g)[0]
 
 
-def _projected_gradient(qp: BoundQP, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``projected_gradient`` without the feasibility check: min(g, 0) at a
-    lower bound, max(g, 0) at an upper one, 0 at both."""
+def _bound_test(qp: BoundQP, x: np.ndarray, g: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The projected gradient and the active mask of x, without the
+    feasibility check, from one comparison per finite bound side: the
+    projected gradient is min(g, 0) at a lower bound, max(g, 0) at an upper
+    one, 0 at both."""
     pg = g.copy()
     if qp.has_lower:
-        at_l = x == qp.l
-        np.minimum(g, 0.0, out=pg, where=at_l)
+        active = x == qp.l
+        np.minimum(g, 0.0, out=pg, where=active)
+    else:
+        active = np.zeros(x.shape, dtype=bool)
     if qp.has_upper:
         at_u = x == qp.u
         np.maximum(g, 0.0, out=pg, where=at_u)
-        if qp.has_lower:
-            pg[at_l & at_u] = 0.0
-    return pg
+        pg[active & at_u] = 0.0
+        active |= at_u
+    return pg, active
 
 
 def _active_mask(qp: BoundQP, x: np.ndarray) -> np.ndarray:
@@ -138,18 +143,13 @@ def free_set(qp: BoundQP, x: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~_active_mask(qp, x))
 
 
-def _binding_mask(qp: BoundQP, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    mask = ((x == qp.l) & (g >= 0.0) if qp.has_lower
-            else np.zeros(x.shape, dtype=bool))
-    if qp.has_upper:
-        mask |= (x == qp.u) & (g <= 0.0)
-    return mask
-
-
 def binding_set(qp: BoundQP, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Active indices whose gradient sign certifies staying on the bound."""
+    """Active indices whose gradient sign certifies staying on the bound:
+    those where the projected gradient is zero, that is g >= 0 at a lower
+    bound, g <= 0 at an upper one, and every fixed variable."""
     _check_feasible(qp, x)
-    return np.flatnonzero(_binding_mask(qp, x, g))
+    pg, active = _bound_test(qp, x, g)
+    return np.flatnonzero(active & (pg == 0.0))
 
 
 def converged(qp: BoundQP, x: np.ndarray, g: np.ndarray, tau: float) -> bool:

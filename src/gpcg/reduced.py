@@ -69,9 +69,10 @@ def pcg_progress(sys: ReducedSystem, P: Preconditioner, eta2: float) -> CGResult
     scaled = np.empty(m)  # alpha p, then alpha Ap
     # residual of A_k w = -r_k, i.e. the negative reduced gradient at w = 0
     res = -sys.r_k
-    exact_tol = 1e-14 * (1.0 + norm2(sys.r_k))
+    res_norm = norm2(sys.r_k)  # also norm2(res): negation is exact
+    exact_tol = 1e-14 * (1.0 + res_norm)
     decreases: list[float] = []
-    if norm2(res) <= exact_tol:
+    if res_norm <= exact_tol:
         return CGResult(w, 0, np.zeros(0), CGStop.EXACT_SOLVE)
     z = P.apply(res)
     rho = dot(res, z)
@@ -88,8 +89,9 @@ def pcg_progress(sys: ReducedSystem, P: Preconditioner, eta2: float) -> CGResult
             termination, breakdown = CGStop.BREAKDOWN, "reduced matrix"
             break
         alpha = rho / pAp
-        # exact decrease of the quadratic: alpha*<res,p> - alpha^2/2*<p,Ap>
-        decreases.append(alpha * (dot(res, p) - 0.5 * alpha * pAp))
+        # the decrease of the quadratic, alpha*<res,p> - alpha^2/2*<p,Ap>, is
+        # alpha*rho/2: from w = 0, <res,p> = rho and alpha*<p,Ap> = rho
+        decreases.append(0.5 * alpha * rho)
         w += np.multiply(p, alpha, out=scaled)
         res -= np.multiply(Ap, alpha, out=scaled)
         if norm2(res) <= exact_tol:

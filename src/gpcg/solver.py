@@ -17,8 +17,7 @@ import numpy as np
 from .errors import GPCGError
 from .gradproj import gp_phase, projected_search_cg
 from .linalg import mat_vec, norm2
-from .model import (BoundQP, _active_mask, _binding_mask, _projected_gradient,
-                    gradient, objective, project)
+from .model import BoundQP, _bound_test, gradient, objective, project
 from .precond import BlockJacobiILU, make_preconditioner, parse_precond
 from .reduced import CGStop, ReducedSystem, build_reduced, pcg_progress
 
@@ -122,8 +121,9 @@ def _grown_positions(factored: np.ndarray, free: np.ndarray) -> np.ndarray | Non
 
 def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> SolveOutcome:
     """Minimize the bound-constrained quadratic starting from x0 (projected
-    onto the box first).  The iterate x travels with Ax = A x, q = q(x) and
-    g = grad q(x), so each is computed once per point."""
+    onto the box first).  The iterate x travels with Ax = A x, q = q(x),
+    g = grad q(x), its projected-gradient norm and its active mask, so each
+    is computed once per point."""
     if cfg is None:
         cfg = SolverConfig()
     start = time.perf_counter()
@@ -135,7 +135,8 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
     Ax = mat_vec(qp.A, x)
     q = objective(qp, x, Ax)
     g = gradient(qp, x, Ax)
-    pg_norm = norm2(_projected_gradient(qp, x, g))
+    pg, active = _bound_test(qp, x, g)
+    pg_norm = norm2(pg)
     faces: set[bytes] = set()
     factored = None  # free set covered by the IC(k) factors, and their preconditioner
     status = SolveStatus.MAX_OUTER_REACHED
@@ -148,9 +149,10 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
             eta2 = cfg.cg_progress
             outer_cg_iters = 0
             try:
-                gp = gp_phase(qp, x, Ax, q, g, cfg.gp_progress,
-                              cfg.sufficient_decrease, cfg.tol)
-                x, Ax, q, g, pg_norm = gp.x_out, gp.Ax, gp.q, gp.g, gp.pg_norm
+                gp = gp_phase(qp, x, Ax, q, g, pg, pg_norm, active,
+                              cfg.gp_progress, cfg.sufficient_decrease, cfg.tol)
+                x, Ax, q, g = gp.x_out, gp.Ax, gp.q, gp.g
+                pg_norm, active = gp.pg_norm, gp.active
                 stats.gp_iters_total += gp.iterates_taken
                 for rec in gp.records:
                     stats.trace.append(TraceRecord(
@@ -160,7 +162,7 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                          outer, gp.iterates_taken, gp.termination.value, pg_norm)
                 held = None  # free set, A_k and preconditioner of the last CG call
                 while pg_norm > cfg.tol:
-                    free = np.flatnonzero(~_active_mask(qp, x))
+                    free = np.flatnonzero(~active)
                     if held is None or not np.array_equal(free, held[0]):
                         held = None  # let the last A_k go before the next is extracted
                         sys = build_reduced(qp, g, free)
@@ -182,6 +184,7 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                         held, P = (free, sys.A_k, P), None  # held is its only holder
                     else:  # the same face: only the gradient is new
                         sys = ReducedSystem(held[1], g[free])
+                    pg = None  # not held across CG: the searched point gets its own
                     cg = pcg_progress(sys, held[2], eta2)
                     sys = None
                     stats.cg_iters_total += cg.iterations
@@ -196,22 +199,23 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                         x, alpha, _, Ax, q = projected_search_cg(
                             qp, x, g, q, d, 1.0, cfg.sufficient_decrease)
                         g = gradient(qp, x, Ax)
-                        pg_norm = norm2(_projected_gradient(qp, x, g))
+                        pg, active = _bound_test(qp, x, g)
+                        pg_norm = norm2(pg)
                     finally:  # the row describes the point kept
                         stats.trace.append(TraceRecord(
                             outer, "cg", q, pg_norm, free.size, cg.iterations, eta2))
                     log.debug("outer %d: cg %d iters (%s), step %.3g, "
                               "pg_norm=%.3e, eta2=%.2e", outer, cg.iterations,
                               cg.termination.value, alpha, pg_norm, eta2)
-                    if not np.array_equal(_binding_mask(qp, x, g),
-                                          _active_mask(qp, x)):
+                    # the binding set is the active set exactly when the
+                    # projected gradient is zero on every active variable
+                    if pg[active].any():
                         break  # face not yet optimal: back to a GP phase
                     if eta2 <= CG_PROGRESS_FLOOR:
                         break
                     eta2 = max(eta2 * CG_PROGRESS_SHRINK, CG_PROGRESS_FLOOR)
                 held = None  # the GP phase runs without A_k; an IC(k) factor stays
             finally:
-                active = _active_mask(qp, x)
                 faces.add(np.packbits(active).tobytes())  # n / 8 bytes a face
                 stats.trace.append(TraceRecord(
                     outer, "outer", q, pg_norm, n - int(np.count_nonzero(active)),
@@ -225,7 +229,7 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
 
     stats.faces_visited = len(faces)
     stats.free_fraction_final = (
-        (n - int(np.count_nonzero(_active_mask(qp, x)))) / n if n else 0.0)
+        (n - int(np.count_nonzero(active))) / n if n else 0.0)
     stats.final_pg_norm = pg_norm
     stats.objective_final = q
     stats.wall_time_seconds = time.perf_counter() - start

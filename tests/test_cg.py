@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gpcg import (BoundQP, CGStop, NoFreeVariables, SparseMatrixCSR,
-                  build_reduced, gradient, make_preconditioner, pcg_progress)
+import gpcg.solver
+from gpcg import (BearingSpec, BoundQP, CGStop, NoFreeVariables, SolverConfig,
+                  SolveStatus, SparseMatrixCSR, build_reduced, dot, generate,
+                  gradient, make_preconditioner, mat_vec, pcg_progress, solve)
 from gpcg.precond import Preconditioner
 from gpcg.reduced import ReducedSystem
 
@@ -130,6 +132,37 @@ class TestPCG:
         # q_r(0) = 0, so the drop is -q_r(w) = -(w'D w / 2 + r'w)
         drop = -(0.5 * out.w @ D @ out.w + sys.r_k @ out.w)
         assert_allclose(drop, out.decreases.sum(), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("precond", ["jacobi", "bjacobi-ilu2"])
+    def test_decrease_is_half_alpha_rho(self, monkeypatch, precond):
+        # from w = 0, <res,p> = rho and alpha <p,Ap> = rho in exact
+        # arithmetic, so each recorded decrease alpha*rho/2 is the decrease
+        # alpha*(<res,p> - alpha/2 <p,Ap>) of the quadratic; checked on the
+        # faces of a bearing solve, replayed with both formulas
+        calls = []
+
+        def captured(sys, P, eta2):
+            calls.append((sys, P, pcg_progress(sys, P, eta2)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(gpcg.solver, "pcg_progress", captured)
+        qp = generate(BearingSpec(30, 30, 0.1))
+        assert solve(qp, qp.l, SolverConfig(precond=precond)).status is SolveStatus.CONVERGED
+        assert sum(out.iterations for _, _, out in calls) > 2 * len(calls) > 0
+        for sys, P, out in calls:
+            res, p = -sys.r_k, P.apply(-sys.r_k)
+            rho = dot(res, p)
+            want = []
+            for _ in range(out.iterations):
+                Ap = mat_vec(sys.A_k, p)
+                pAp = dot(p, Ap)
+                alpha = rho / pAp
+                want.append(alpha * (dot(res, p) - 0.5 * alpha * pAp))
+                res = res - alpha * Ap
+                z = P.apply(res)
+                rho_next = dot(res, z)
+                p, rho = z + (rho_next / rho) * p, rho_next
+            assert_allclose(out.decreases, want, rtol=1e-10, atol=0.0)
 
     def test_breakdown_on_indefinite_matrix(self):
         D = np.diag([1.0, -1.0])

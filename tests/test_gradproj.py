@@ -10,6 +10,7 @@ from gpcg import (AlreadyStationary, BearingSpec, BoundQP, GPStop,
 
 import gpcg.gradproj
 from gpcg.gradproj import projected_search
+from gpcg.model import _bound_test
 
 from conftest import random_bound_qp, unconstrained_qp
 
@@ -20,11 +21,13 @@ def _one_d(curv, lin, lo, hi):
 
 
 def gp_phase(qp, x, eta1, mu, tau):
-    """The phase from x, with the product, value and gradient it is given
-    computed here."""
+    """The phase from x, with the product, value, gradient, projected
+    gradient, its norm and the active mask it is given computed here."""
     Ax = mat_vec(qp.A, x)
-    return gpcg.gradproj.gp_phase(qp, x, Ax, objective(qp, x, Ax),
-                                  gradient(qp, x, Ax), eta1, mu, tau)
+    g = gradient(qp, x, Ax)
+    pg, active = _bound_test(qp, x, g)
+    return gpcg.gradproj.gp_phase(qp, x, Ax, objective(qp, x, Ax), g, pg,
+                                  norm2(pg), active, eta1, mu, tau)
 
 
 class TestCauchyStepSize:

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from gpcg import (BoundQP, SparseMatrixCSR, active_set, binding_set,
                   converged, free_set, gradient, objective, project,
                   projected_gradient)
+from gpcg.model import _bound_test
 
 from conftest import dense_spd, random_bound_qp
 
@@ -234,6 +235,79 @@ class TestIndexSets:
             act = set(active_set(qp, x).tolist())
             bnd = set(binding_set(qp, x, g).tolist())
             assert bnd <= act
+
+
+BOX_KINDS = ("lower-only", "upper-only", "two-sided", "fixed", "infinite sides")
+
+
+def _box_point(kind, rng, n=60):
+    """A box of the given kind, a feasible point with components on every
+    finite bound and between them, and a gradient with both signs and
+    zeros."""
+    lo, hi = -rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+    inf = np.full(n, np.inf)
+    if kind == "lower-only":
+        hi = inf
+    elif kind == "upper-only":
+        lo = -inf
+    elif kind == "fixed":  # two-sided, a third of the variables with l == u
+        fixed = rng.random(n) < 0.33
+        lo[fixed] = hi[fixed]
+    elif kind == "infinite sides":  # some sides infinite, some fixed
+        lo[rng.random(n) < 0.3] = -np.inf
+        hi[rng.random(n) < 0.3] = np.inf
+        fixed = (rng.random(n) < 0.2) & np.isfinite(lo)
+        hi[fixed] = lo[fixed]
+    M = SparseMatrixCSR.from_dense(np.eye(n), symmetric=True)
+    qp = BoundQP(M, np.zeros(n), 0.0, lo, hi)
+    pick = rng.integers(0, 3, n)
+    x = np.where((pick == 0) & np.isfinite(lo), lo,
+                 np.where((pick == 1) & np.isfinite(hi), hi,
+                          np.clip(rng.uniform(-0.4, 0.4, n), lo, hi)))
+    g = rng.standard_normal(n) * (rng.random(n) < 0.85)
+    return qp, x, g
+
+
+class TestBoundTest:
+    """``_bound_test``, which the solver and the GP phase call once per
+    point, agrees bit for bit with the public ``projected_gradient``,
+    ``active_set`` and ``binding_set`` and with the definitions written out
+    here, on every kind of box; no bearing has a finite upper bound, so
+    only these boxes reach its upper-bound branches."""
+
+    @pytest.mark.parametrize("kind", BOX_KINDS)
+    def test_matches_the_public_sets_and_the_definitions(self, kind):
+        rng = np.random.default_rng(BOX_KINDS.index(kind))
+        seen = []
+        for _ in range(10):
+            qp, x, g = _box_point(kind, rng)
+            assert (qp.has_lower, qp.has_upper) == {
+                "lower-only": (True, False), "upper-only": (False, True)
+            }.get(kind, (True, True))
+            pg, active = _bound_test(qp, x, g)
+            assert active.dtype == bool
+            at_l, at_u = x == qp.l, x == qp.u
+            want_pg = np.where(at_l & at_u, 0.0,
+                               np.where(at_l, np.minimum(g, 0.0),
+                                        np.where(at_u, np.maximum(g, 0.0), g)))
+            want_binding = (at_l & (g >= 0.0)) | (at_u & (g <= 0.0))
+            assert pg.tobytes() == want_pg.tobytes()
+            assert_array_equal(active, at_l | at_u)
+            assert pg.tobytes() == projected_gradient(qp, x, g).tobytes()
+            assert_array_equal(np.flatnonzero(active), active_set(qp, x))
+            assert_array_equal(np.flatnonzero(active & (pg == 0.0)),
+                               binding_set(qp, x, g))
+            assert_array_equal(np.flatnonzero(want_binding), binding_set(qp, x, g))
+            # the solver's test that the binding set is the active set
+            assert (not pg[active].any()) == np.array_equal(want_binding, active)
+            # where each side of the box bites, with either gradient sign
+            for where in (at_l & at_u, at_l & ~at_u, at_u & ~at_l):
+                seen.append([np.count_nonzero(where & (g > 0.0)),
+                             np.count_nonzero(where & (g < 0.0))])
+        seen = np.asarray(seen).reshape(10, 3, 2).sum(axis=0)
+        assert (seen[0] > 0).all() == (kind in ("fixed", "infinite sides"))
+        assert (seen[1] > 0).all() == qp.has_lower
+        assert (seen[2] > 0).all() == qp.has_upper
 
 
 class TestConverged:

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import gpcg.gradproj
 import gpcg.linalg
 import gpcg.solver
-from gpcg import (BearingSpec, BoundQP, SearchFailed, SolveStatus,
+from gpcg import (BearingSpec, BoundQP, CGStop, SearchFailed, SolveStatus,
                   SolverConfig, SparseMatrixCSR, build_reduced, dense_solve,
                   free_set, generate, gradient, make_preconditioner, mat_vec,
                   norm2, objective, project, projected_gradient,
@@ -586,6 +586,16 @@ class TestMatvecEconomy:
                 assert rec.q == objective(qp, x)
 
 
+def _rebind_everywhere(monkeypatch, original, wrapped):
+    """Rebind every gpcg module's own names for ``original``, as the tracer
+    does."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "gpcg":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapped)
+
+
 class TestOneEvaluationPerPoint:
     """q is computed once at each point the solver evaluates (the start and
     every search trial), grad q once at each point it keeps (the start and
@@ -619,18 +629,12 @@ class TestOneEvaluationPerPoint:
             return phases[-1]
 
         real_phase = gpcg.solver.gp_phase
-        # rebind every gpcg module's own name for each, as the tracer does
         originals = {"objective": gpcg.model.objective,
                      "gradient": gpcg.model.gradient,
                      "gp": gpcg.gradproj.projected_search_gp,
                      "cg": gpcg.solver.projected_search_cg}
         for key, original in originals.items():
-            wrapped = counted(key, original)
-            for name, module in list(sys.modules.items()):
-                if name.split(".")[0] == "gpcg":
-                    for attr, value in list(vars(module).items()):
-                        if value is original:
-                            monkeypatch.setattr(module, attr, wrapped)
+            _rebind_everywhere(monkeypatch, original, counted(key, original))
         monkeypatch.setattr(gpcg.solver, "gp_phase", phase)
         out = solve(qp, x0, SolverConfig(precond="jacobi"))
         st = out.stats
@@ -644,6 +648,87 @@ class TestOneEvaluationPerPoint:
         for gp in phases:
             fresh = norm2(projected_gradient(qp, gp.x_out, gradient(qp, gp.x_out)))
             assert gp.pg_norm == fresh
+
+
+class TestReductionsOncePerPoint:
+    """Each point the solver keeps (the start and every accepted search
+    trial) pays for one bound-test pass and one norm2, a GP phase does not
+    repeat those of the point it is handed, and no active mask is made
+    apart.  A CG iteration takes two
+    dots (p'Ap and the next rho) and one norm2 (the exact-solve test); its
+    decrease is alpha*rho/2, and the exact-solve test at w = 0 reuses
+    norm2(r_k).  Every dot is counted: two per objective, one per
+    sufficient-decrease test and two per Cauchy step."""
+
+    @pytest.mark.parametrize("case", ["bearing", "box"])
+    def test_counts_per_phase_call(self, monkeypatch, case):
+        if case == "bearing":
+            qp = generate(BearingSpec(30, 30, 0.1))
+            x0 = qp.l
+        else:  # finite upper bounds: [-1, 1]^40
+            qp = TestReducedSystemReuse.sparse_box_qp(0)
+            x0 = np.zeros(qp.n)
+        counts = {"dot": 0, "norm2": 0, "bound_test": 0, "active_mask": 0,
+                  "trials": 0}
+        calls = {"gp": [], "cg": [], "solver": []}  # (result, count deltas)
+
+        def counted(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def searched(fn):
+            def wrapped(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                counts["trials"] += result[2] + 1
+                return result
+            return wrapped
+
+        def phase(key, fn):
+            def wrapped(*args, **kwargs):
+                before = dict(counts)
+                result = fn(*args, **kwargs)
+                calls[key].append((result, {k: counts[k] - before[k] for k in counts}))
+                return result
+            return wrapped
+
+        originals = {"dot": gpcg.linalg.dot, "norm2": gpcg.linalg.norm2,
+                     "bound_test": gpcg.model._bound_test,
+                     "active_mask": gpcg.model._active_mask}
+        for key, original in originals.items():
+            _rebind_everywhere(monkeypatch, original, counted(key, original))
+        monkeypatch.setattr(gpcg.gradproj, "projected_search_gp",
+                            searched(gpcg.gradproj.projected_search_gp))
+        monkeypatch.setattr(gpcg.solver, "projected_search_cg",
+                            searched(gpcg.solver.projected_search_cg))
+        monkeypatch.setattr(gpcg.solver, "gp_phase", phase("gp", gpcg.solver.gp_phase))
+        monkeypatch.setattr(gpcg.solver, "pcg_progress",
+                            phase("cg", gpcg.solver.pcg_progress))
+        out = phase("solver", solve)(qp, x0, SolverConfig(precond="jacobi"))
+        st = out.stats
+        assert out.status is SolveStatus.CONVERGED  # so no CG call broke down
+        assert len(calls["gp"]) == st.outer_iters
+        assert len(calls["cg"]) == st.cg_calls > 0
+        assert st.gp_iters_total > 0 and st.cg_iters_total > st.cg_calls
+        for gp, n in calls["gp"]:
+            k = gp.iterates_taken
+            assert n["bound_test"] == n["norm2"] == k
+            assert n["dot"] == 2 * k + 3 * n["trials"]
+        for cg, n in calls["cg"]:
+            k = cg.iterations
+            assert n["bound_test"] == 0
+            assert n["norm2"] == k + 1
+            assert n["dot"] == 2 * k + (cg.termination is CGStop.MAX_ITER)
+        # the start, and the point after every CG call's search
+        [(_, total)] = calls["solver"]
+        solver = {key: total[key] - sum(n[key] for _, n in calls["gp"] + calls["cg"])
+                  for key in total}
+        assert solver["bound_test"] == 1 + st.cg_calls
+        assert solver["norm2"] == 1 + st.cg_calls
+        assert solver["dot"] == 2 + 3 * solver["trials"]
+        # free sets, binding tests and face records use the masks kept
+        assert total["active_mask"] == 0
 
 
 @pytest.mark.skipif(os.environ.get("GPCG_HEAVY", "") != "1",
