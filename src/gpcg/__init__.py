@@ -12,8 +12,7 @@ from .linalg import SparseMatrixCSR, dot, extract_submatrix, mat_vec, norm2
 from .model import (BoundQP, active_set, binding_set, converged, free_set,
                     gradient, objective, project, projected_gradient)
 from .oracle import dense_solve, solve_enum
-from .precond import (BlockJacobiILU, PointJacobi, Preconditioner,
-                      make_preconditioner, parse_precond)
+from .precond import Preconditioner, make_preconditioner, parse_precond
 from .reduced import CGResult, CGStop, ReducedSystem, build_reduced, pcg_progress
 from .solver import (SolveOutcome, SolveStatus, SolverConfig, SolverStats,
                      TraceRecord, projected_search_cg, solve)
@@ -21,17 +20,16 @@ from .solver import (SolveOutcome, SolveStatus, SolverConfig, SolverStats,
 __version__ = "1.0.0"
 
 __all__ = [
-    "AlreadyStationary", "BearingSpec", "BlockJacobiILU", "BoundQP",
-    "CGResult", "CGStop", "GPCGError", "GPResult", "GPStop",
-    "ILUFactorization", "NoFreeVariables", "NotConvexError",
-    "PointJacobi", "Preconditioner", "ReducedSystem", "SearchFailed",
-    "SolveOutcome", "SolveStatus", "SolverConfig", "SolverStats",
-    "SparseMatrixCSR", "TraceRecord", "ZeroPivot", "active_set",
-    "binding_set", "build_reduced", "cauchy_step_size", "converged",
-    "dense_solve", "dot", "extract_submatrix", "free_set", "generate",
-    "gp_phase", "gradient", "ilu_k", "load_problem", "make_preconditioner",
-    "mat_vec", "norm2", "objective", "parse_precond", "pcg_progress",
-    "project", "projected_gradient", "projected_search_cg",
+    "AlreadyStationary", "BearingSpec", "BoundQP", "CGResult", "CGStop",
+    "GPCGError", "GPResult", "GPStop", "ILUFactorization",
+    "NoFreeVariables", "NotConvexError", "Preconditioner", "ReducedSystem",
+    "SearchFailed", "SolveOutcome", "SolveStatus", "SolverConfig",
+    "SolverStats", "SparseMatrixCSR", "TraceRecord", "ZeroPivot",
+    "active_set", "binding_set", "build_reduced", "cauchy_step_size",
+    "converged", "dense_solve", "dot", "extract_submatrix", "free_set",
+    "generate", "gp_phase", "gradient", "ilu_k", "load_problem",
+    "make_preconditioner", "mat_vec", "norm2", "objective", "parse_precond",
+    "pcg_progress", "project", "projected_gradient", "projected_search_cg",
     "projected_search_gp", "read_matrix", "read_vector", "save_problem",
     "solve", "solve_enum", "wl", "wq", "write_matrix", "write_trace",
     "write_vector",

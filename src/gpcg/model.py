@@ -76,8 +76,11 @@ def objective(qp: BoundQP, x: np.ndarray, Ax: np.ndarray | None = None) -> float
 
 def gradient(qp: BoundQP, x: np.ndarray, Ax: np.ndarray | None = None) -> np.ndarray:
     """Ax + b; pass Ax = mat_vec(qp.A, x) to reuse a product already made."""
-    _check_dim(qp, x)
-    Ax = mat_vec(qp.A, x) if Ax is None else Ax
+    if Ax is None:
+        _check_dim(qp, x)
+        Ax = mat_vec(qp.A, x)
+    else:  # x is not read: the product must be of the right length
+        _check_dim(qp, Ax)
     return Ax + qp.b
 
 

@@ -1,5 +1,5 @@
-"""Preconditioners for the reduced CG solve: identity, inverse diagonal, and
-block Jacobi with an incomplete LU solve per diagonal block.
+"""The preconditioner of the reduced CG solve: IC(k) factors of diagonal
+blocks, then point Jacobi or the identity on the rows they leave.
 
 Selection strings: ``none``, ``jacobi``, ``bjacobi-ilu<k>`` (for example
 ``bjacobi-ilu0`` or ``bjacobi-ilu2``).  The block count of block Jacobi is
@@ -46,14 +46,6 @@ def block_ranges(m: int, blocks: int) -> list[tuple[int, int]]:
     return ranges
 
 
-class Preconditioner:
-    """Base preconditioner: identity.  ``apply`` returns a new array, which
-    CG then updates in place."""
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return r.copy()
-
-
 def _inverse_diagonal(M: SparseMatrixCSR, rows: np.ndarray | None = None) -> np.ndarray:
     """1 / a_ii of M on ``rows``, or on every row when None."""
     diag = M.diagonal()
@@ -67,44 +59,35 @@ def _inverse_diagonal(M: SparseMatrixCSR, rows: np.ndarray | None = None) -> np.
     return 1.0 / diag
 
 
-class PointJacobi(Preconditioner):
-    def __init__(self, M: SparseMatrixCSR):
-        self.inv_diag = _inverse_diagonal(M)
+class Preconditioner:
+    """IC(k) factors of diagonal blocks of an m-row matrix M, then point
+    Jacobi on the rows they leave, or the identity there when ``inv_diag``
+    is None: ``none`` has no factors and no ``inv_diag``, ``jacobi`` no
+    factors.  ``order`` lists M's rows: first each factor's rows, at the
+    range ``blocks`` pairs with it, then the rows left, whose 1 / a_ii are
+    ``inv_diag``; None is M's own order.  The operator is block diagonal,
+    so it is symmetric positive definite when each factor is.  ``grown``
+    and ``extended`` put the factors to work on a matrix with more rows.
+    ``apply`` returns a new array, which CG then updates in place."""
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        if r.shape[0] != self.inv_diag.shape[0]:
-            raise ValueError("dimension mismatch")
-        return r * self.inv_diag
-
-
-class BlockJacobiILU(Preconditioner):
-    """IC(k) factors of diagonal blocks of M, and point Jacobi on the rows
-    they leave.  ``order`` lists M's rows: first each factor's rows, at the
-    range ``blocks`` pairs with it, then the rows left, increasing, whose
-    1 / a_ii are ``inv_diag``.  None, as built, is M's own order with no
-    rows left.  The operator is block diagonal, so it is symmetric
-    positive definite when each factor is.  ``grown`` and ``extended`` put
-    the factors to work on a matrix with more rows."""
-
-    def __init__(self, M: SparseMatrixCSR, fill_level: int, blocks: int):
-        self.m = M.nrows
+    def __init__(self, m: int, fill_level: int | None = None):
+        self.m = m
         self.fill_level = fill_level
         self.order = self.inverse = self.inv_diag = None
         self.blocks: list[tuple[slice, ILUFactorization]] = []
-        for lo, hi in block_ranges(M.nrows, blocks):
-            # one block spanning M factors M itself, with any zeros M
-            # stores; an extracted block drops them
-            block = M if hi - lo == M.nrows else extract_submatrix(
-                M, np.arange(lo, hi, dtype=np.int64))
-            self.blocks.append((slice(lo, hi), ilu_k(block, fill_level)))
+
+    @property
+    def factored(self) -> int:
+        """How many rows, the first of ``order``, the factors cover."""
+        return self.blocks[-1][0].stop if self.blocks else 0
 
     def _moved(self, pos: np.ndarray, M: SparseMatrixCSR
-               ) -> tuple[BlockJacobiILU, np.ndarray]:
+               ) -> tuple[Preconditioner, np.ndarray]:
         """A copy for M, whose rows ``pos`` (increasing) are this
         preconditioner's rows in order, with the factors' rows first in its
         ``order``; and the rows of M after them, for the caller to give an
         operator."""
-        factored = self.blocks[-1][0].stop
+        factored = self.factored
         head = pos if self.order is None else pos[self.order[:factored]]
         rest = np.ones(M.nrows, dtype=bool)
         rest[head] = False
@@ -115,7 +98,7 @@ class BlockJacobiILU(Preconditioner):
         moved.inverse[moved.order] = np.arange(M.nrows)
         return moved, moved.order[factored:]
 
-    def grown(self, pos: np.ndarray, M: SparseMatrixCSR) -> BlockJacobiILU:
+    def grown(self, pos: np.ndarray, M: SparseMatrixCSR) -> Preconditioner:
         """This preconditioner for M, whose rows ``pos`` (increasing) are
         its rows in order: the factors on their rows, point Jacobi on the
         others.  Returns self when M has no other rows."""
@@ -125,7 +108,7 @@ class BlockJacobiILU(Preconditioner):
         grown.inv_diag = _inverse_diagonal(M, rows)
         return grown
 
-    def extended(self, pos: np.ndarray, M: SparseMatrixCSR) -> BlockJacobiILU:
+    def extended(self, pos: np.ndarray, M: SparseMatrixCSR) -> Preconditioner:
         """This preconditioner for M, whose rows ``pos`` (increasing) are
         its rows in order: the factors on their rows, and the IC(k) factor
         of M's principal submatrix on the others as one more block."""
@@ -143,9 +126,13 @@ class BlockJacobiILU(Preconditioner):
         z = np.empty_like(r)
         for rows, factor in self.blocks:
             z[rows] = factor.solve(r[rows])
-        if self.inv_diag is not None:
-            left = slice(self.m - self.inv_diag.size, self.m)
-            np.multiply(r[left], self.inv_diag, out=z[left])
+        factored = self.factored
+        if factored < self.m:
+            left = slice(factored, self.m)
+            if self.inv_diag is None:
+                z[left] = r[left]
+            else:
+                np.multiply(r[left], self.inv_diag, out=z[left])
         return z if self.order is None else z.take(self.inverse)
 
 
@@ -154,8 +141,14 @@ def make_preconditioner(M: SparseMatrixCSR, precond: str,
     """Build the preconditioner that the selection string names for M;
     ``blocks`` is the diagonal block count of block Jacobi."""
     fill_level = parse_precond(precond)
+    P = Preconditioner(M.nrows, fill_level)
     if fill_level is not None:
-        return BlockJacobiILU(M, fill_level, blocks)
-    if precond.strip() == "none":
-        return Preconditioner()
-    return PointJacobi(M)
+        for lo, hi in block_ranges(M.nrows, blocks):
+            # one block spanning M factors M itself, with any zeros M
+            # stores; an extracted block drops them
+            block = M if hi - lo == M.nrows else extract_submatrix(
+                M, np.arange(lo, hi, dtype=np.int64))
+            P.blocks.append((slice(lo, hi), ilu_k(block, fill_level)))
+    elif precond.strip() == "jacobi":
+        P.inv_diag = _inverse_diagonal(M)
+    return P

@@ -18,7 +18,7 @@ from .errors import GPCGError
 from .gradproj import gp_phase, projected_search_cg
 from .linalg import mat_vec, norm2
 from .model import BoundQP, _bound_test, gradient, objective, project
-from .precond import BlockJacobiILU, make_preconditioner, parse_precond
+from .precond import make_preconditioner, parse_precond
 from .reduced import CGStop, ReducedSystem, build_reduced, pcg_progress
 
 log = logging.getLogger("gpcg")
@@ -172,7 +172,7 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                             factored = None  # let the factors go before the next are built
                             P = make_preconditioner(sys.A_k, cfg.precond, cfg.blocks)
                             stats.precond_builds += 1
-                            if isinstance(P, BlockJacobiILU):
+                            if P.blocks:
                                 factored = free, P
                         elif free.size - pos.size <= REUSE_JOINED * free.size:
                             P = factored[1].grown(pos, sys.A_k)

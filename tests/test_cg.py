@@ -46,7 +46,7 @@ class TestPCG:
         D = np.diag([1.0, 2.0, 4.0])
         r = np.array([1.0, -2.0, 8.0])
         sys = _system(D, r)
-        out = pcg_progress(sys, Preconditioner(), 1e-12)
+        out = pcg_progress(sys, Preconditioner(sys.m), 1e-12)
         assert out.termination is CGStop.EXACT_SOLVE
         assert_allclose(out.w, -r / np.diag(D), rtol=0, atol=1e-12)
 
@@ -57,7 +57,7 @@ class TestPCG:
         rng = np.random.default_rng(62)
         D = np.diag(rng.choice([1.0, 2.0, 4.0], size=25))
         sys = _system(D, rng.standard_normal(25))
-        out = pcg_progress(sys, Preconditioner(), 1e-30)
+        out = pcg_progress(sys, Preconditioner(sys.m), 1e-30)
         assert out.termination is CGStop.EXACT_SOLVE
         assert out.iterations <= 3
         assert_allclose(D @ out.w, -sys.r_k, rtol=0, atol=1e-12)
@@ -68,7 +68,7 @@ class TestPCG:
         rng = np.random.default_rng(68)
         D = dense_spd(rng, 25)
         sys = _system(D, rng.standard_normal(25))
-        out = pcg_progress(sys, Preconditioner(), 1e-30)
+        out = pcg_progress(sys, Preconditioner(sys.m), 1e-30)
         assert out.termination in (CGStop.EXACT_SOLVE, CGStop.MAX_ITER)
         assert out.iterations <= 25
         assert np.abs(D @ out.w + sys.r_k).max() <= 1e-6 * (
@@ -77,7 +77,7 @@ class TestPCG:
     def test_start_at_solution_takes_no_iterations(self):
         # CG starts from w = 0, which solves the system when r_k = 0
         sys = _system(np.diag([2.0, 5.0]), np.zeros(2))
-        out = pcg_progress(sys, Preconditioner(), 1e-12)
+        out = pcg_progress(sys, Preconditioner(sys.m), 1e-12)
         assert out.termination is CGStop.EXACT_SOLVE
         assert out.iterations == 0
         assert_array_equal(out.w, 0.0)
@@ -88,14 +88,14 @@ class TestPCG:
         D = np.diag(np.logspace(0, 8, 40))
         rng = np.random.default_rng(64)
         sys = _system(D, rng.standard_normal(40))
-        out = pcg_progress(sys, Preconditioner(), 1e-12)
+        out = pcg_progress(sys, Preconditioner(sys.m), 1e-12)
         assert out.termination is CGStop.MAX_ITER
         assert out.iterations == 40
 
     def test_cap_never_exceeds_dimension(self):
         D = np.diag([1.0, 3.0])
         sys = _system(D, np.array([1.0, 1.0]))
-        out = pcg_progress(sys, Preconditioner(), 1e-12)
+        out = pcg_progress(sys, Preconditioner(sys.m), 1e-12)
         assert out.iterations <= 2
 
     def test_progress_test_stops_early(self):
@@ -104,7 +104,7 @@ class TestPCG:
         D = np.diag(np.logspace(0, 10, 50))
         rng = np.random.default_rng(65)
         sys = _system(D, rng.standard_normal(50))
-        out = pcg_progress(sys, Preconditioner(), 0.25)
+        out = pcg_progress(sys, Preconditioner(sys.m), 0.25)
         assert out.termination is CGStop.PROGRESS_TEST
         assert 2 <= out.iterations < 50
 
@@ -115,7 +115,7 @@ class TestPCG:
         # the largest before it
         D = np.diag(np.logspace(0, 10, 50))
         sys = _system(D, np.random.default_rng(65).standard_normal(50))
-        out = pcg_progress(sys, Preconditioner(), eta2)
+        out = pcg_progress(sys, Preconditioner(sys.m), eta2)
         d = out.decreases.tolist()
         fired = [j for j in range(1, len(d)) if d[j] <= eta2 * max(d[:j])]
         if out.termination is CGStop.PROGRESS_TEST:
@@ -127,7 +127,7 @@ class TestPCG:
         rng = np.random.default_rng(66)
         D = dense_spd(rng, 12)
         sys = _system(D, rng.standard_normal(12))
-        out = pcg_progress(sys, Preconditioner(), 0.05)
+        out = pcg_progress(sys, Preconditioner(sys.m), 0.05)
         assert (out.decreases > 0).all()
         # q_r(0) = 0, so the drop is -q_r(w) = -(w'D w / 2 + r'w)
         drop = -(0.5 * out.w @ D @ out.w + sys.r_k @ out.w)
@@ -167,7 +167,7 @@ class TestPCG:
     def test_breakdown_on_indefinite_matrix(self):
         D = np.diag([1.0, -1.0])
         sys = _system(D, np.array([0.0, 1.0]))
-        out = pcg_progress(sys, Preconditioner(), 0.05)
+        out = pcg_progress(sys, Preconditioner(sys.m), 0.05)
         assert out.termination is CGStop.BREAKDOWN
         assert out.iterations == 0
 
@@ -177,20 +177,20 @@ class TestPCG:
                 return -r
 
         sys = _system(np.diag([1.0, -1.0]), np.array([0.0, 1.0]))
-        out = pcg_progress(sys, Preconditioner(), 0.05)
+        out = pcg_progress(sys, Preconditioner(sys.m), 0.05)
         assert out.breakdown == "reduced matrix"  # p'Ap <= 0
         sys = _system(np.eye(2), np.ones(2))
-        out = pcg_progress(sys, Negated(), 0.05)
+        out = pcg_progress(sys, Negated(sys.m), 0.05)
         assert out.termination is CGStop.BREAKDOWN
         assert out.breakdown == "preconditioner"  # r'z <= 0
-        out = pcg_progress(sys, Preconditioner(), 0.05)
+        out = pcg_progress(sys, Preconditioner(sys.m), 0.05)
         assert out.termination is not CGStop.BREAKDOWN
         assert out.breakdown is None
 
     def test_invalid_tolerance(self):
         sys = _system(np.eye(2), np.ones(2))
         with pytest.raises(ValueError):
-            pcg_progress(sys, Preconditioner(), 0.0)
+            pcg_progress(sys, Preconditioner(sys.m), 0.0)
 
     def test_preconditioning_cuts_iterations_on_grid_problem(self):
         D = _grid_laplacian(12)

@@ -750,12 +750,12 @@ def test_one_block_factors_the_matrix_itself(monkeypatch, k):
         return extract_submatrix(M, idx)
 
     monkeypatch.setattr(precond, "extract_submatrix", spy)
-    [(_rows, got)] = precond.BlockJacobiILU(A, k, 1).blocks
+    [(_rows, got)] = precond.make_preconditioner(A, f"bjacobi-ilu{k}", 1).blocks
     assert calls == []
     for name in ("u_indptr", "u_indices", "u_data"):
         assert_bytes_equal(getattr(got, name), getattr(want, name))
     # more blocks are extracted, one call each
-    precond.BlockJacobiILU(A, k, 2)
+    precond.make_preconditioner(A, f"bjacobi-ilu{k}", 2)
     assert len(calls) == 2
 
 

@@ -319,10 +319,11 @@ class TestVectorOps:
     def test_forward_only_helpers_are_gone(self):
         # axpy, norm_inf and apply_precond only forwarded to numpy or to
         # Preconditioner.apply, and IndexSet, gather, scatter and
-        # pointwise_median to numpy indexing and clipping; they are deleted,
-        # not kept as aliases
+        # pointwise_median to numpy indexing and clipping; BlockJacobiILU and
+        # PointJacobi are Preconditioner with factors or with point Jacobi
+        # on every row.  They are deleted, not kept as aliases
         gone = {"axpy", "norm_inf", "apply_precond", "IndexSet", "gather",
-                "scatter", "pointwise_median"}
+                "scatter", "pointwise_median", "BlockJacobiILU", "PointJacobi"}
         for name in gone:
             for module in (gpcg, gpcg.linalg, gpcg.precond, gpcg.model):
                 assert not hasattr(module, name), (module, name)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from gpcg import (BoundQP, SparseMatrixCSR, active_set, binding_set,
-                  converged, free_set, gradient, objective, project,
-                  projected_gradient)
+from gpcg import (BearingSpec, BoundQP, SparseMatrixCSR, active_set,
+                  binding_set, converged, free_set, generate, gradient,
+                  mat_vec, objective, project, projected_gradient)
 from gpcg.model import _bound_test
 
 from conftest import dense_spd, random_bound_qp
@@ -123,6 +123,16 @@ class TestObjectiveGradient:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             objective(_tiny_qp(), np.zeros(3))
+
+    def test_product_of_the_wrong_length_is_rejected(self):
+        # a length-1 product would broadcast into an n-vector gradient
+        qp = generate(BearingSpec(3, 3, 0.1))
+        Ax = np.array([5.0])
+        with pytest.raises(ValueError):
+            objective(qp, qp.l, Ax)
+        with pytest.raises(ValueError, match="length 1, expected 9"):
+            gradient(qp, qp.l, Ax)
+        assert_array_equal(gradient(qp, qp.l, mat_vec(qp.A, qp.l)), gradient(qp, qp.l))
 
 
 class TestProjection:

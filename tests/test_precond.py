@@ -6,8 +6,7 @@ from gpcg import (BearingSpec, NotConvexError, SolverConfig, SparseMatrixCSR,
                   extract_submatrix, free_set, generate, make_preconditioner,
                   parse_precond, solve)
 from gpcg.ilu import ilu_k
-from gpcg.precond import (BlockJacobiILU, PointJacobi, Preconditioner,
-                          block_ranges)
+from gpcg.precond import Preconditioner, block_ranges
 
 from conftest import random_sparse_spd
 
@@ -58,9 +57,13 @@ class TestBlockRanges:
         assert len(block_ranges(3, 100)) == 3
 
 
+def _bjacobi(M, k, blocks):
+    return make_preconditioner(M, f"bjacobi-ilu{k}", blocks)
+
+
 class TestApply:
     def test_identity_returns_copy(self):
-        P = Preconditioner()
+        P = Preconditioner(2)
         r = np.array([1.0, 2.0])
         z = P.apply(r)
         assert_array_equal(z, r)
@@ -69,7 +72,7 @@ class TestApply:
 
     def test_point_jacobi_divides_by_diagonal(self):
         M = SparseMatrixCSR.from_dense(np.diag([2.0, 4.0]), symmetric=True)
-        P = PointJacobi(M)
+        P = make_preconditioner(M, "jacobi")
         assert_array_equal(P.apply(np.array([2.0, 2.0])),
                            [1.0, 0.5])
 
@@ -78,12 +81,33 @@ class TestApply:
         M = SparseMatrixCSR.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]),
                                        symmetric=True)
         with pytest.raises(NotConvexError, match="row 0"):
-            PointJacobi(M)
+            make_preconditioner(M, "jacobi")
+
+    @pytest.mark.parametrize("precond", ["none", "jacobi", "bjacobi-ilu0", "bjacobi-ilu2"])
+    def test_each_kind_is_its_formula_bit_for_bit(self, precond):
+        # signed zeros show a copy, a product or a solve that lost a sign
+        rng = np.random.default_rng(57)
+        M, _ = random_sparse_spd(rng, 12, 3)
+        r = rng.standard_normal(12)
+        r[[1, 4, 9]], r[[2, 7]] = 0.0, -0.0
+        P = make_preconditioner(M, precond, blocks=3)
+        z = P.apply(r)
+        if precond == "none":
+            want = r.copy()
+        elif precond == "jacobi":
+            want = r * (1.0 / M.diagonal())
+        else:
+            want = np.concatenate([ilu_k(extract_submatrix(M, np.arange(lo, hi)),
+                                         parse_precond(precond)).solve(r[lo:hi])
+                                   for lo, hi in block_ranges(12, 3)])
+        assert z.dtype == want.dtype and z.tobytes() == want.tobytes()
+        # a new array, which CG may update in place
+        assert z is not r and not np.shares_memory(z, r)
 
     def test_single_block_full_fill_inverts(self):
         rng = np.random.default_rng(50)
         M, D = random_sparse_spd(rng, 16, 3)
-        P = BlockJacobiILU(M, 16, 1)
+        P = _bjacobi(M, 16, 1)
         r = rng.standard_normal(16)
         assert_allclose(P.apply(r), np.linalg.solve(D, r),
                         rtol=0, atol=1e-10)
@@ -91,7 +115,7 @@ class TestApply:
     def test_blocks_solve_independent_diagonal_pieces(self):
         rng = np.random.default_rng(51)
         M, D = random_sparse_spd(rng, 12, 3)
-        P = BlockJacobiILU(M, 12, 3)
+        P = _bjacobi(M, 12, 3)
         r = rng.standard_normal(12)
         z = P.apply(r)
         expected = np.empty(12)
@@ -103,18 +127,17 @@ class TestApply:
         # <r, P r> > 0 is what CG needs from every preconditioner
         rng = np.random.default_rng(52)
         M, _ = random_sparse_spd(rng, 30, 3)
-        for P in (Preconditioner(), PointJacobi(M),
-                  BlockJacobiILU(M, 0, 1), BlockJacobiILU(M, 2, 5)):
+        for P in (make_preconditioner(M, "none"), make_preconditioner(M, "jacobi"),
+                  _bjacobi(M, 0, 1), _bjacobi(M, 2, 5)):
             for _ in range(5):
                 r = rng.standard_normal(30)
                 assert np.dot(r, P.apply(r)) > 0.0
 
     def test_dimension_check(self):
         M = SparseMatrixCSR.from_dense(np.eye(3), symmetric=True)
-        with pytest.raises(ValueError):
-            PointJacobi(M).apply(np.zeros(2))
-        with pytest.raises(ValueError):
-            BlockJacobiILU(M, 0, 1).apply(np.zeros(2))
+        for precond in ("none", "jacobi", "bjacobi-ilu0"):
+            with pytest.raises(ValueError):
+                make_preconditioner(M, precond).apply(np.zeros(2))
 
 
 class TestGrown:
@@ -128,7 +151,7 @@ class TestGrown:
         qp = generate(BearingSpec(14, 14, 0.1))
         free = free_set(qp, solve(qp, qp.l, SolverConfig(precond="jacobi")).x_star)
         factored = free[np.arange(free.size) % 8 != 3]
-        built = BlockJacobiILU(extract_submatrix(qp.A, factored), k, blocks)
+        built = _bjacobi(extract_submatrix(qp.A, factored), k, blocks)
         A_k = extract_submatrix(qp.A, free)
         pos = free.searchsorted(factored)
         return built, built.grown(pos, A_k), pos, A_k
@@ -160,7 +183,7 @@ class TestGrown:
 
     def test_joined_variable_without_positive_curvature_is_not_convex(self):
         M = SparseMatrixCSR.from_dense(np.diag([2.0, 0.0, 3.0]), symmetric=True)
-        built = BlockJacobiILU(extract_submatrix(M, np.array([0, 2])), 0, 1)
+        built = _bjacobi(extract_submatrix(M, np.array([0, 2])), 0, 1)
         with pytest.raises(NotConvexError, match="row 1"):
             built.grown(np.array([0, 2]), M)
 
@@ -178,7 +201,7 @@ class TestExtended:
         free = free_set(qp, solve(qp, qp.l, SolverConfig(precond="jacobi")).x_star)
         F1 = free[np.arange(free.size) % 8 != 3]
         F0 = free[~np.isin(np.arange(free.size) % 8, (3, 5))]
-        built = BlockJacobiILU(extract_submatrix(qp.A, F0), k, blocks)
+        built = _bjacobi(extract_submatrix(qp.A, F0), k, blocks)
         A1, A2 = extract_submatrix(qp.A, F1), extract_submatrix(qp.A, free)
         extended = built.extended(F1.searchsorted(F0), A1)
         return built, extended, A1, F0, F1, free, A2
@@ -223,11 +246,17 @@ class TestExtended:
 
 class TestFactory:
     def test_builds_each_kind(self):
+        # one class: the kinds differ in their factors and their tail
         M, _ = random_sparse_spd(np.random.default_rng(53), 10, 2)
-        assert type(make_preconditioner(M, "none")) is Preconditioner
-        assert isinstance(make_preconditioner(M, "jacobi"), PointJacobi)
-        assert isinstance(make_preconditioner(M, "bjacobi-ilu0"),
-                          BlockJacobiILU)
+        kinds = {precond: make_preconditioner(M, precond)
+                 for precond in ("none", "jacobi", "bjacobi-ilu0")}
+        assert {type(P) for P in kinds.values()} == {Preconditioner}
+        assert kinds["none"].blocks == [] and kinds["none"].inv_diag is None
+        assert kinds["jacobi"].blocks == []
+        assert_array_equal(kinds["jacobi"].inv_diag, 1.0 / M.diagonal())
+        assert kinds["bjacobi-ilu0"].factored == 10
+        assert kinds["bjacobi-ilu0"].inv_diag is None
+        assert all(P.m == 10 and P.order is None for P in kinds.values())
 
     def test_blocks_argument_sets_block_count(self):
         M, _ = random_sparse_spd(np.random.default_rng(54), 10, 2)
@@ -241,8 +270,8 @@ class TestFactory:
         assert P.fill_level == 1
         assert len(P.blocks) == 2
         # surrounding blanks are accepted, as the parser accepts them
-        assert type(make_preconditioner(M, " none ")) is Preconditioner
-        assert isinstance(make_preconditioner(M, " jacobi"), PointJacobi)
+        assert make_preconditioner(M, " none ").inv_diag is None
+        assert make_preconditioner(M, " jacobi").inv_diag is not None
         assert make_preconditioner(M, "bjacobi-ilu3 ").fill_level == 3
         with pytest.raises(ValueError, match="unrecognized"):
             make_preconditioner(M, "jacoby")
