@@ -17,13 +17,15 @@ bearing workloads do, with BLAS pinned to one thread.  It records:
   extract_s       the part of it spent in ``extract_submatrix``, summed
                   over the calls with ``perf_counter``
   status, outer, gp_iters, cg_iters, cg_calls, faces, precond_builds,
-  precond_extensions
+  precond_reuses, precond_extensions
                   the solve's status and ``SolverStats`` counts;
                   ``precond_builds`` is the preconditioners built, fewer
-                  than the faces where IC(k) factors were kept, and
+                  than the faces where IC(k) factors were kept,
+                  ``precond_reuses`` the faces that kept them and gave
+                  point Jacobi to the variables joined since, and
                   ``precond_extensions`` the faces that kept them and
-                  factored the joined variables as one more block; both
-                  read null on a commit whose ``SolverStats`` lacks them
+                  factored the joined variables as one more block; each
+                  reads null on a commit whose ``SolverStats`` lacks it
   pg_norm         the projected-gradient norm at x_star, recomputed with
                   ``scipy.sparse`` arithmetic from the problem's arrays
   x_digest        the first 16 hex digits of sha256(x_star)
@@ -52,9 +54,10 @@ cold solves of the two trees, N pairs per size and preconditioner, the
 first of a pair alternating between the trees.  A warm-up solve of each
 tree on a small bearing comes first.  Each row holds, per tree (``this``
 and ``against``): the solve times, their median, the pairs it won, the
-status, counts and pg_norm of its first solve, its x_digest and whether
-every repeat reproduced it; ``commits`` names both trees
-(``git describe --always --dirty``, or null outside a checkout):
+status, counts (the preconditioner's among them) and pg_norm of its first
+solve, its x_digest and whether every repeat reproduced it; ``commits``
+names both trees (``git describe --always --dirty``, or null outside a
+checkout):
 
   git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
   python3 benchmarks/bench_scale.py --sizes 400 --preconds jacobi bjacobi-ilu2 \
@@ -159,6 +162,13 @@ def digest(x) -> str:
     return hashlib.sha256(np.ascontiguousarray(x).tobytes()).hexdigest()[:16]
 
 
+def precond_counts(st) -> dict:
+    """The solve's preconditioner builds, reuses and extensions, each None
+    on a commit whose ``SolverStats`` lacks it."""
+    return {key: getattr(st, key, None)
+            for key in ("precond_builds", "precond_reuses", "precond_extensions")}
+
+
 def one_run(nx: int, precond: str, memory: bool) -> dict:
     """Generate and solve one bearing in this interpreter."""
     import numpy  # noqa: F401
@@ -199,9 +209,7 @@ def one_run(nx: int, precond: str, memory: bool) -> dict:
         "status": out.status.value,
         "outer": st.outer_iters, "gp_iters": st.gp_iters_total,
         "cg_iters": st.cg_iters_total, "cg_calls": st.cg_calls,
-        "faces": st.faces_visited,
-        "precond_builds": getattr(st, "precond_builds", None),
-        "precond_extensions": getattr(st, "precond_extensions", None),
+        "faces": st.faces_visited, **precond_counts(st),
         "pg_norm": projected_gradient_norm(qp, out.x_star),
         "x_digest": digest(out.x_star),
     }
@@ -258,7 +266,7 @@ def ab_row(trees: dict, nx: int, precond: str, pairs: int) -> dict:
             "median_s": round(statistics.median(times[name]), 4),
             "wins": won, "status": out.status.value,
             "outer": st.outer_iters, "gp_iters": st.gp_iters_total,
-            "cg_iters": st.cg_iters_total,
+            "cg_iters": st.cg_iters_total, **precond_counts(st),
             "pg_norm": projected_gradient_norm(qp, out.x_star),
             "x_digest": digest(out.x_star),
             "repeats_identical": len(digests[name]) == 1,
@@ -308,6 +316,7 @@ def fresh_runs(args) -> dict:
             print(f"bearing {nx}x{nx} {precond}: {run['solve_s']:.2f} s, "
                   f"{run['outer']} outer / {run['cg_iters']} CG / "
                   f"{run['precond_builds']} builds / "
+                  f"{run['precond_reuses']} reuses / "
                   f"{run['precond_extensions']} extensions, "
                   f"peak RSS {run['peak_rss_mb']:.1f} MB "
                   f"(imports {run['import_rss_mb']:.1f} MB), "

@@ -1,5 +1,6 @@
 """The preconditioner of the reduced CG solve: IC(k) factors of diagonal
-blocks, then point Jacobi or the identity on the rows they leave.
+blocks, then point Jacobi or the identity on the rows they leave; and
+``FaceRule``, which decides the operator of each new face of a solve.
 
 Selection strings: ``none``, ``jacobi``, ``bjacobi-ilu<k>`` (for example
 ``bjacobi-ilu0`` or ``bjacobi-ilu2``).  The block count of block Jacobi is
@@ -8,13 +9,13 @@ a separate argument, ``SolverConfig.blocks`` in the solver.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from .errors import NotConvexError
 from .ilu import ILUFactorization, ilu_k
 from .linalg import SparseMatrixCSR, extract_submatrix
+
+REUSE_JOINED = 0.10  # largest share of a face's variables that ``reuse`` leaves unfactored
 
 
 def parse_precond(text: str) -> int | None:
@@ -66,9 +67,8 @@ class Preconditioner:
     factors.  ``order`` lists M's rows: first each factor's rows, at the
     range ``blocks`` pairs with it, then the rows left, whose 1 / a_ii are
     ``inv_diag``; None is M's own order.  The operator is block diagonal,
-    so it is symmetric positive definite when each factor is.  ``grown``
-    and ``extended`` put the factors to work on a matrix with more rows.
-    ``apply`` returns a new array, which CG then updates in place."""
+    so it is symmetric positive definite when each factor is.  ``apply``
+    returns a new array, which CG then updates in place."""
 
     def __init__(self, m: int, fill_level: int | None = None):
         self.m = m
@@ -81,42 +81,29 @@ class Preconditioner:
         """How many rows, the first of ``order``, the factors cover."""
         return self.blocks[-1][0].stop if self.blocks else 0
 
-    def _moved(self, pos: np.ndarray, M: SparseMatrixCSR
-               ) -> tuple[Preconditioner, np.ndarray]:
-        """A copy for M, whose rows ``pos`` (increasing) are this
-        preconditioner's rows in order, with the factors' rows first in its
-        ``order``; and the rows of M after them, for the caller to give an
-        operator."""
+    def _follow(self, pos: np.ndarray, M: SparseMatrixCSR,
+                extend: bool) -> Preconditioner:
+        """This preconditioner for M, whose rows ``pos`` (increasing) are
+        its rows in order: the factors on their rows, first in ``order``,
+        then point Jacobi on M's other rows, or with ``extend`` the IC(k)
+        factor of their principal submatrix; self when M has no others."""
+        if pos.size == M.nrows:
+            return self
         factored = self.factored
         head = pos if self.order is None else pos[self.order[:factored]]
         rest = np.ones(M.nrows, dtype=bool)
         rest[head] = False
-        moved = copy.copy(self)
-        moved.m = M.nrows
+        moved = Preconditioner(M.nrows, self.fill_level)
         moved.order = np.concatenate((head, np.flatnonzero(rest)))
         moved.inverse = np.empty_like(moved.order)
         moved.inverse[moved.order] = np.arange(M.nrows)
-        return moved, moved.order[factored:]
-
-    def grown(self, pos: np.ndarray, M: SparseMatrixCSR) -> Preconditioner:
-        """This preconditioner for M, whose rows ``pos`` (increasing) are
-        its rows in order: the factors on their rows, point Jacobi on the
-        others.  Returns self when M has no other rows."""
-        if pos.size == M.nrows:
-            return self
-        grown, rows = self._moved(pos, M)
-        grown.inv_diag = _inverse_diagonal(M, rows)
-        return grown
-
-    def extended(self, pos: np.ndarray, M: SparseMatrixCSR) -> Preconditioner:
-        """This preconditioner for M, whose rows ``pos`` (increasing) are
-        its rows in order: the factors on their rows, and the IC(k) factor
-        of M's principal submatrix on the others as one more block."""
-        extended, rows = self._moved(pos, M)
-        extended.inv_diag = None
-        extended.blocks = [*self.blocks, (slice(M.nrows - rows.size, M.nrows),
-                                          ilu_k(extract_submatrix(M, rows), self.fill_level))]
-        return extended
+        rows = moved.order[factored:]
+        if extend:
+            moved.blocks = [*self.blocks, (slice(factored, M.nrows),
+                                           ilu_k(extract_submatrix(M, rows), self.fill_level))]
+        else:
+            moved.blocks, moved.inv_diag = self.blocks, _inverse_diagonal(M, rows)
+        return moved
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         if r.shape[0] != self.m:
@@ -152,3 +139,38 @@ def make_preconditioner(M: SparseMatrixCSR, precond: str,
     elif precond.strip() == "jacobi":
         P.inv_diag = _inverse_diagonal(M)
     return P
+
+
+def _grown_positions(factored: np.ndarray, free: np.ndarray) -> np.ndarray | None:
+    """Where the variables ``factored`` sit in ``free`` (both strictly
+    increasing index sets) when ``free`` holds them all; else None."""
+    if free.size < factored.size:
+        return None
+    pos = free.searchsorted(factored)
+    return pos if np.array_equal(free.take(pos, mode="clip"), factored) else None
+
+
+class FaceRule:
+    """The preconditioner of each new face of one solve.  A face that holds
+    every variable factored keeps the IC(k) factors and gives the variables
+    joined since point Jacobi (``reuse``) or one more factor (``extend``);
+    any other face gets a new preconditioner (``build``)."""
+
+    def __init__(self, precond: str, blocks: int = 1):
+        self.precond, self.blocks = precond, blocks
+        self.kept = None  # free set the IC(k) factors cover, and their preconditioner
+
+    def for_face(self, free: np.ndarray, A_k: SparseMatrixCSR
+                 ) -> tuple[Preconditioner, str]:
+        """The preconditioner of A_k, the reduced matrix of the free set
+        ``free``, and how it was made: ``build``, ``reuse`` or ``extend``."""
+        pos = None if self.kept is None else _grown_positions(self.kept[0], free)
+        if pos is None:  # the first face, or one that lost a factored variable
+            self.kept = None  # let the factors go before the next are built
+            P, outcome = make_preconditioner(A_k, self.precond, self.blocks), "build"
+        elif free.size - pos.size <= REUSE_JOINED * free.size:
+            return self.kept[1]._follow(pos, A_k, extend=False), "reuse"
+        else:
+            P, outcome = self.kept[1]._follow(pos, A_k, extend=True), "extend"
+        self.kept = (free, P) if P.blocks else None
+        return P, outcome

@@ -18,17 +18,13 @@ from .errors import GPCGError
 from .gradproj import gp_phase, projected_search_cg
 from .linalg import mat_vec, norm2
 from .model import BoundQP, _bound_test, gradient, objective, project
-from .precond import make_preconditioner, parse_precond
+from .precond import FaceRule, parse_precond
 from .reduced import CGStop, ReducedSystem, build_reduced, pcg_progress
 
 log = logging.getLogger("gpcg")
 
 CG_PROGRESS_SHRINK = 0.1    # refinement factor of eta2 on the optimal face
 CG_PROGRESS_FLOOR = 1e-12   # smallest eta2, reached within 13 refinements
-# A face that holds every variable factored keeps the IC(k) factors and
-# gives point Jacobi to the variables joined since while they are at most
-# this share of its own; more joined are factored as one more block
-REUSE_JOINED = 0.10
 
 
 @dataclass
@@ -110,15 +106,6 @@ class SolveOutcome:
     failure_reason: str | None = None
 
 
-def _grown_positions(factored: np.ndarray, free: np.ndarray) -> np.ndarray | None:
-    """Where the variables ``factored`` sit in ``free`` (both strictly
-    increasing index sets) when ``free`` holds them all; else None."""
-    if free.size < factored.size:
-        return None
-    pos = free.searchsorted(factored)
-    return pos if np.array_equal(free.take(pos, mode="clip"), factored) else None
-
-
 def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> SolveOutcome:
     """Minimize the bound-constrained quadratic starting from x0 (projected
     onto the box first).  The iterate x travels with Ax = A x, q = q(x),
@@ -138,7 +125,7 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
     pg, active = _bound_test(qp, x, g)
     pg_norm = norm2(pg)
     faces: set[bytes] = set()
-    factored = None  # free set covered by the IC(k) factors, and their preconditioner
+    rule = FaceRule(cfg.precond, cfg.blocks)  # each new face's preconditioner
     status = SolveStatus.MAX_OUTER_REACHED
     reason = None
     try:
@@ -166,21 +153,11 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                     if held is None or not np.array_equal(free, held[0]):
                         held = None  # let the last A_k go before the next is extracted
                         sys = build_reduced(qp, g, free)
-                        pos = (None if factored is None
-                               else _grown_positions(factored[0], free))
-                        if pos is None:  # the first face, or one that lost a variable
-                            factored = None  # let the factors go before the next are built
-                            P = make_preconditioner(sys.A_k, cfg.precond, cfg.blocks)
-                            stats.precond_builds += 1
-                            if P.blocks:
-                                factored = free, P
-                        elif free.size - pos.size <= REUSE_JOINED * free.size:
-                            P = factored[1].grown(pos, sys.A_k)
-                            stats.precond_reuses += 1
-                        else:
-                            P = factored[1].extended(pos, sys.A_k)
-                            factored = free, P
-                            stats.precond_extensions += 1
+                        P, outcome = rule.for_face(free, sys.A_k)
+                        stats.precond_builds += outcome == "build"
+                        stats.precond_reuses += outcome == "reuse"
+                        stats.precond_extensions += outcome == "extend"
+                        log.debug("outer %d: face of %d free: %s", outer, free.size, outcome)
                         held, P = (free, sys.A_k, P), None  # held is its only holder
                     else:  # the same face: only the gradient is new
                         sys = ReducedSystem(held[1], g[free])

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import gpcg.precond
 from gpcg import (BearingSpec, NotConvexError, SolverConfig, SparseMatrixCSR,
                   extract_submatrix, free_set, generate, make_preconditioner,
                   parse_precond, solve)
 from gpcg.ilu import ilu_k
-from gpcg.precond import Preconditioner, block_ranges
+from gpcg.precond import FaceRule, Preconditioner, block_ranges
 
 from conftest import random_sparse_spd
 
@@ -154,7 +155,7 @@ class TestGrown:
         built = _bjacobi(extract_submatrix(qp.A, factored), k, blocks)
         A_k = extract_submatrix(qp.A, free)
         pos = free.searchsorted(factored)
-        return built, built.grown(pos, A_k), pos, A_k
+        return built, built._follow(pos, A_k, extend=False), pos, A_k
 
     @staticmethod
     def dense(P):
@@ -177,7 +178,7 @@ class TestGrown:
     def test_same_rows_give_the_built_preconditioner(self):
         built, grown, _pos, _A_k = self.bearing_face()
         same = SparseMatrixCSR.from_dense(np.eye(built.m), symmetric=True)
-        assert built.grown(np.arange(built.m), same) is built
+        assert built._follow(np.arange(built.m), same, extend=False) is built
         with pytest.raises(ValueError, match="dimension"):
             grown.apply(np.zeros(built.m))
 
@@ -185,7 +186,7 @@ class TestGrown:
         M = SparseMatrixCSR.from_dense(np.diag([2.0, 0.0, 3.0]), symmetric=True)
         built = _bjacobi(extract_submatrix(M, np.array([0, 2])), 0, 1)
         with pytest.raises(NotConvexError, match="row 1"):
-            built.grown(np.array([0, 2]), M)
+            built._follow(np.array([0, 2]), M, extend=False)
 
 
 class TestExtended:
@@ -203,7 +204,7 @@ class TestExtended:
         F0 = free[~np.isin(np.arange(free.size) % 8, (3, 5))]
         built = _bjacobi(extract_submatrix(qp.A, F0), k, blocks)
         A1, A2 = extract_submatrix(qp.A, F1), extract_submatrix(qp.A, free)
-        extended = built.extended(F1.searchsorted(F0), A1)
+        extended = built._follow(F1.searchsorted(F0), A1, extend=True)
         return built, extended, A1, F0, F1, free, A2
 
     def test_extended_operator_is_block_diagonal_and_positive_definite(self):
@@ -227,7 +228,7 @@ class TestExtended:
     def test_grown_after_an_extension_gives_point_jacobi_to_later_joins_only(self):
         _built, extended, _A1, _F0, F1, free, A2 = self.nested_faces()
         pos = free.searchsorted(F1)
-        grown = extended.grown(pos, A2)
+        grown = extended._follow(pos, A2, extend=False)
         later = np.flatnonzero(~np.isin(free, F1))
         assert_array_equal(grown.order[F1.size:], later)
         assert_array_equal(grown.inv_diag, 1.0 / A2.diagonal()[later])
@@ -237,11 +238,45 @@ class TestExtended:
 
     def test_grown_twice_keeps_point_jacobi_on_earlier_joins(self):
         built, _extended, A1, F0, F1, free, A2 = self.nested_faces()
-        once = built.grown(F1.searchsorted(F0), A1)
-        twice = once.grown(free.searchsorted(F1), A2)
+        once = built._follow(F1.searchsorted(F0), A1, extend=False)
+        twice = once._follow(free.searchsorted(F1), A2, extend=False)
         assert_array_equal(twice.order[F0.size:], np.flatnonzero(~np.isin(free, F0)))
         Z = TestGrown.dense(twice)
-        assert_array_equal(Z, TestGrown.dense(built.grown(free.searchsorted(F0), A2)))
+        direct = built._follow(free.searchsorted(F0), A2, extend=False)
+        assert_array_equal(Z, TestGrown.dense(direct))
+
+
+class TestFaceRule:
+    """Each new face's operator: built, or the kept IC(k) factors reused or
+    extended, as ``FaceRule.for_face`` decides it."""
+
+    def test_outcomes_and_operators_follow_the_faces(self, monkeypatch):
+        built, extended, A1, F0, F1, free, A2 = TestExtended.nested_faces()
+        A0 = extract_submatrix(A2, free.searchsorted(F0))
+        dense = TestGrown.dense
+        rule = FaceRule("bjacobi-ilu2", 3)
+        P0, outcome = rule.for_face(F0, A0)
+        assert outcome == "build"
+        assert_array_equal(dense(P0), dense(built))
+        # F1 joined 1 / 7 of its variables, more than REUSE_JOINED
+        P1, outcome = rule.for_face(F1, A1)
+        assert outcome == "extend"
+        assert_array_equal(dense(P1), dense(extended))
+        assert rule.for_face(F1, A1) == (P1, "reuse")  # nothing joined
+        assert rule.for_face(free, A2)[1] == "extend"
+        assert rule.for_face(F0, A0)[1] == "build"  # lost variables of F1
+        # a larger share lets F2 reuse the factors built on F1
+        monkeypatch.setattr(gpcg.precond, "REUSE_JOINED", 0.2)
+        rule = FaceRule("bjacobi-ilu2", 3)
+        P1 = rule.for_face(F1, A1)[0]
+        P2, outcome = rule.for_face(free, A2)
+        assert outcome == "reuse"
+        assert_array_equal(dense(P2), dense(P1._follow(free.searchsorted(F1), A2,
+                                                       extend=False)))
+        # a reuse keeps F1 as the factored set: back at the default share,
+        # the same face is extended
+        monkeypatch.setattr(gpcg.precond, "REUSE_JOINED", 0.10)
+        assert rule.for_face(free, A2)[1] == "extend"
 
 
 class TestFactory:

@@ -1,6 +1,10 @@
 import dataclasses
+import gc
+import logging
 import os
+import re
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import gpcg.gradproj
 import gpcg.linalg
+import gpcg.precond
 import gpcg.solver
 from gpcg import (BearingSpec, BoundQP, CGStop, SearchFailed, SolveStatus,
                   SolverConfig, SparseMatrixCSR, build_reduced, dense_solve,
@@ -392,16 +397,16 @@ class TestReducedSystemReuse:
         # then the point and gradient its search starts from
         events, setups = [], []
 
-        def spy(name, record):
-            original = getattr(gpcg.solver, name)
+        def spy(name, record, module=gpcg.solver):
+            original = getattr(module, name)
 
             def wrapped(*args, **kwargs):
                 record(*args)
                 return original(*args, **kwargs)
-            monkeypatch.setattr(gpcg.solver, name, wrapped)
+            monkeypatch.setattr(module, name, wrapped)
 
         spy("gp_phase", lambda *args: events.append("gp"))
-        spy("make_preconditioner", lambda *args: setups.append(args[0].nrows))
+        spy("make_preconditioner", lambda *args: setups.append(args[0].nrows), gpcg.precond)
         spy("pcg_progress", lambda sys, P, *args: events.append([sys.A_k, sys.r_k, P]))
         spy("projected_search_cg", lambda qp, x, g, *args: events[-1].extend([x, g]))
         out = solve(qp, np.zeros(qp.n), SolverConfig(precond=precond))
@@ -435,16 +440,16 @@ class TestFactorReuse:
 
     def test_positions_only_for_a_face_that_holds_every_factored_variable(self):
         factored = np.arange(0, 90, 2)  # 45 variables
-        same = gpcg.solver._grown_positions(factored, factored)
+        same = gpcg.precond._grown_positions(factored, factored)
         assert_array_equal(same, np.arange(45))
         for joined in ([1, 3, 5, 7, 89], np.arange(1, 200, 2)):  # 5 of 50, 100 of 145
             free = np.union1d(factored, joined)
-            pos = gpcg.solver._grown_positions(factored, free)
+            pos = gpcg.precond._grown_positions(factored, free)
             assert_array_equal(free[pos], factored)
         for free in (np.union1d(factored[:-1], [1, 3]),  # the last one left
                      np.union1d(np.delete(factored, 7), [1, 3]),  # one inside left
                      factored[1:]):
-            assert gpcg.solver._grown_positions(factored, free) is None
+            assert gpcg.precond._grown_positions(factored, free) is None
 
     @staticmethod
     def new_faces(monkeypatch, qp, x0, precond):
@@ -452,7 +457,7 @@ class TestFactorReuse:
         was built on, whether a preconditioner was built with it and the
         row counts of the IC(k) factors made for it."""
         faces = []
-        real_build, real_make = gpcg.solver.build_reduced, gpcg.solver.make_preconditioner
+        real_build, real_make = gpcg.solver.build_reduced, gpcg.precond.make_preconditioner
         real_ilu_k = gpcg.precond.ilu_k
 
         def build_reduced(qp, g, free):
@@ -468,7 +473,7 @@ class TestFactorReuse:
             return real_ilu_k(M, k)
 
         monkeypatch.setattr(gpcg.solver, "build_reduced", build_reduced)
-        monkeypatch.setattr(gpcg.solver, "make_preconditioner", make_preconditioner)
+        monkeypatch.setattr(gpcg.precond, "make_preconditioner", make_preconditioner)
         monkeypatch.setattr(gpcg.precond, "ilu_k", ilu_k)
         return solve(qp, x0, SolverConfig(precond=precond)), faces
 
@@ -491,7 +496,7 @@ class TestFactorReuse:
                 outcome = "build"
                 assert built and factors == [len(F)], (outcomes, outcome)
                 factored = F
-            elif len(F - factored) <= gpcg.solver.REUSE_JOINED * len(F):
+            elif len(F - factored) <= gpcg.precond.REUSE_JOINED * len(F):
                 outcome = "reuse"
                 assert not built and factors == [], (outcomes, outcome)
             else:
@@ -514,6 +519,51 @@ class TestFactorReuse:
         st = solve(qp, qp.l, SolverConfig(precond="bjacobi-ilu2")).stats
         assert st.precond_builds == 1 < st.faces_visited
         assert st.precond_extensions >= 1 and st.precond_reuses > 0
+
+    def test_each_new_face_is_logged_with_its_size_and_outcome(self, caplog):
+        qp = generate(BearingSpec(30, 30, 0.1))
+        with caplog.at_level(logging.DEBUG, logger="gpcg"):
+            out = solve(qp, qp.l, SolverConfig(precond="bjacobi-ilu2"))
+        faces = [re.fullmatch(r"outer (\d+): face of (\d+) free: (\w+)", r.getMessage())
+                 for r in caplog.records]
+        outer, sizes, outcomes = zip(*(m.groups() for m in faces if m))
+        st = out.stats
+        assert [outcomes.count(o) for o in ("build", "reuse", "extend")] == [
+            st.precond_builds, st.precond_reuses, st.precond_extensions]
+        assert len(outcomes) > 1 and outcomes[0] == "build"
+        sizes = [int(size) for size in sizes]  # the bearing's faces only grow
+        assert sizes == sorted(sizes) and 0 < sizes[0] and sizes[-1] < qp.n
+        outer = [int(o) for o in outer]
+        assert outer == sorted(outer) and outer[-1] <= st.outer_iters
+
+    @pytest.mark.parametrize("case", ["bearing", 0, 1, 3, 4])
+    def test_earlier_preconditioners_are_freed_before_each_build(self, monkeypatch, case):
+        # the bearing under point Jacobi builds on every face; the random
+        # boxes' faces lose variables, so IC(0) factors are built again.  An
+        # operator still alive at the next build would hold its memory
+        # through it; with gc off, only reference counts free them
+        if case == "bearing":
+            qp = generate(BearingSpec(30, 30, 0.1))
+            x0, precond = qp.l, "jacobi"
+        else:
+            qp = TestReducedSystemReuse.sparse_box_qp(case)
+            x0, precond = np.zeros(qp.n), "bjacobi-ilu0"
+        real_make, made, alive = gpcg.precond.make_preconditioner, [], []
+
+        def make_preconditioner(*args):
+            alive.append(sum(ref() is not None for ref in made))
+            P = real_make(*args)
+            made.append(weakref.ref(P))
+            return P
+
+        monkeypatch.setattr(gpcg.precond, "make_preconditioner", make_preconditioner)
+        gc.disable()
+        try:
+            out = solve(qp, x0, SolverConfig(precond=precond))
+        finally:
+            gc.enable()
+        assert out.status is SolveStatus.CONVERGED
+        assert len(alive) > 1 and not any(alive), alive
 
     @pytest.mark.parametrize("precond", ["jacobi", "none"])
     def test_diagonal_and_identity_build_on_every_face(self, monkeypatch, precond):
