@@ -34,7 +34,11 @@ With ``--memory`` each run is repeated in another interpreter under
 tracemalloc (which slows it, so it is timed apart), adding
 ``extract_calls`` and ``extract_peak_ratio``: the largest ratio, over the
 solve's ``extract_submatrix`` calls, of a call's tracemalloc peak to the
-bytes of the matrix it returns.
+bytes of the matrix it returns; and ``ilu_calls`` and ``ilu_peak_ratio``:
+the same for the solve's ``ilu_k`` calls that factor by levels (blocks of
+``ilu.LEVEL_MIN_ROWS`` rows or more) and the bytes of the factor each
+returns, U, both solve operands and the pivots (0.0 when none does);
+and ``ilu_factor_mb``, the bytes of the largest factor, by levels or not.
 
 Results are merged run by run into ``--out`` (default ``BENCH_scale.json``
 at the repo root) under ``--label``.  The script measures the tree it sits
@@ -57,7 +61,9 @@ and ``against``): the solve times, their median, the pairs it won, the
 status, counts (the preconditioner's among them) and pg_norm of its first
 solve, its x_digest and whether every repeat reproduced it; ``commits``
 names both trees (``git describe --always --dirty``, or null outside a
-checkout):
+checkout), each with the first 16 hex digits of a sha256 over its
+``src/gpcg/*.py`` (``this_src``, ``against_src``), which tells two dirty
+checkouts of one commit apart:
 
   git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
   python3 benchmarks/bench_scale.py --sizes 400 --preconds jacobi bjacobi-ilu2 \
@@ -149,6 +155,28 @@ def spy_on_extraction(gpcg):
     return ratios
 
 
+def spy_on_factoring(gpcg):
+    """Record each ``ilu_k`` call's tracemalloc peak over the bytes of the
+    factor it returns, None for a block the row loop factors, and those
+    bytes."""
+    ratios, kept_bytes = [], []
+    real = gpcg.precond.ilu_k
+
+    def traced(M, k):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        factor = real(M, k)
+        peak = tracemalloc.get_traced_memory()[1] - start
+        kept = sum(a.nbytes for a in (factor.u_indptr, factor.u_indices, factor.u_data,
+                                      *factor.lower, *factor.upper, factor.pivots))
+        ratios.append(peak / kept if M.nrows >= gpcg.ilu.LEVEL_MIN_ROWS else None)
+        kept_bytes.append(kept)
+        return factor
+
+    gpcg.precond.ilu_k = traced
+    return ratios, kept_bytes
+
+
 def import_this_tree():
     sys.path.insert(0, str(ROOT / "src"))
     import gpcg
@@ -185,7 +213,7 @@ def one_run(nx: int, precond: str, memory: bool) -> dict:
                                       qp.b, qp.l, qp.u))
     generate_peak_ratio = tracemalloc.get_traced_memory()[1] / returned
     if memory:
-        ratios = spy_on_extraction(gpcg)
+        ratios, (factorings, kept_bytes) = spy_on_extraction(gpcg), spy_on_factoring(gpcg)
     else:
         tracemalloc.stop()
         extract_s = time_extraction(gpcg)
@@ -196,8 +224,12 @@ def one_run(nx: int, precond: str, memory: bool) -> dict:
     peak = rss_mb()
     if memory:
         tracemalloc.stop()
+        by_levels = [r for r in factorings if r is not None]
         return {"extract_calls": len(ratios),
-                "extract_peak_ratio": round(max(ratios, default=0.0), 4)}
+                "extract_peak_ratio": round(max(ratios, default=0.0), 4),
+                "ilu_calls": len(factorings),
+                "ilu_peak_ratio": round(max(by_levels, default=0.0), 4),
+                "ilu_factor_mb": round(max(kept_bytes, default=0) / 2**20, 3)}
     st = out.stats
     return {
         "n": qp.n, "precond": precond,
@@ -233,6 +265,15 @@ def describe(path: Path) -> str | None:
     except OSError:  # no git
         return None
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def src_digest(path: Path) -> str:
+    """The first 16 hex digits of a sha256 over the names and contents of
+    ``path/src/gpcg/*.py``, in name order."""
+    h = hashlib.sha256()
+    for file in sorted((path / "src" / "gpcg").glob("*.py")):
+        h.update(file.name.encode() + b"\0" + file.read_bytes() + b"\0")
+    return h.hexdigest()[:16]
 
 
 def timed_solve(gpcg, nx: int, precond: str):
@@ -293,7 +334,8 @@ def ab_runs(args) -> tuple[dict, dict]:
                   f"against {other['median_s']:.3f} s, won {this['wins']}/{args.pairs}, "
                   f"digests {this['x_digest']} / {other['x_digest']}, "
                   f"{this['status']} / {other['status']}", flush=True)
-    return results, {"this": describe(ROOT), "against": describe(against)}
+    return results, {"this": describe(ROOT), "this_src": src_digest(ROOT),
+                     "against": describe(against), "against_src": src_digest(against)}
 
 
 def child(nx: int, precond: str, memory: bool) -> dict:
@@ -353,7 +395,7 @@ def main():
     ap.add_argument("--preconds", nargs="+",
                     default=["jacobi", "bjacobi-ilu0", "bjacobi-ilu2"])
     ap.add_argument("--memory", action="store_true",
-                    help="also trace extraction's memory, in a second run")
+                    help="also trace extraction's and IC(k) set-up's memory, in a second run")
     ap.add_argument("--label", default="change")
     ap.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
     ap.add_argument("--against", metavar="PATH",

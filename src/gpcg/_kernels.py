@@ -28,6 +28,14 @@ off on large blocks, and ``ilu.ilu_k`` picks the form from the size.
 ``lu_solve_operands`` stores strict U divided by its pivots, reversed, and
 its transpose, and ``lu_solve`` runs each substitution as one compiled CSR
 product.
+
+Index arrays follow one rule, scipy's (``index_dtype``): int32 when the
+matrix's size and entry count fit, else int64.  The kernels keep the
+input's index dtype, the IC(k) factor, its schedule and its solve operands
+included, and widen only where a pattern outgrows int32.  A compiled
+routine takes one index dtype a call; numpy's indexing casts other dtypes
+to int64 on every call, so the level form casts each chunk's pair indices
+once.
 """
 
 import numpy as np
@@ -48,14 +56,22 @@ from scipy.sparse._sparsetools import csr_matvec
 # what ``csr_array[rows]`` calls.
 from scipy.sparse._sparsetools import csr_row_index
 # Position of each (row, column) pair in a canonical CSR pattern, -1 where
-# the pattern has no such entry.
-from scipy.sparse._sparsetools import csr_sample_offsets
+# the pattern has no such entry; and its value, 0 where there is none.
+from scipy.sparse._sparsetools import csr_sample_offsets, csr_sample_values
 # The transpose of a CSR matrix, as CSR arrays with sorted indices.
 from scipy.sparse._sparsetools import csr_tocsc
 
 # No compiled backend exists; the constant stays for readers of the
 # benchmark's environment record.
 JIT_ENABLED = False
+
+INT32_MAX = np.iinfo(np.int32).max
+
+
+def index_dtype(*sizes) -> type:
+    """The CSR index dtype of a matrix whose dimensions and entry count are
+    ``sizes``: int32 when all fit, else int64."""
+    return np.int32 if max(sizes) <= INT32_MAX else np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -113,43 +129,52 @@ def csr_extract(n, indptr, indices, data, idx):
 # ---------------------------------------------------------------------------
 
 def _spans(starts, counts):
-    """Concatenated ranges ``starts[i] .. starts[i] + counts[i] - 1``."""
+    """Concatenated ranges ``starts[i] .. starts[i] + counts[i] - 1``, as
+    int64 whatever the inputs' dtype."""
     ends = counts.cumsum()
-    total = ends[-1] if ends.size else 0
-    return np.arange(total) - (ends - counts - starts).repeat(counts)
+    out = np.arange(ends[-1] if ends.size else 0)
+    out -= (ends - counts - starts).repeat(counts)
+    return out
+
+
+def _transpose(n, indptr, indices, data):
+    """The transpose of an n x n CSR matrix, with sorted indices, as arrays
+    of the input's dtypes."""
+    out = np.empty_like(indptr), np.empty_like(indices), np.empty_like(data)
+    csr_tocsc(n, n, indptr, indices, data, *out)
+    return out
 
 
 def symmetry_holds(n, indptr, indices, data):
     """Whether an n x n CSR matrix with sorted, distinct indices per row
-    equals its transpose, array for array: ``csr_tocsc`` forms the
-    transpose with sorted indices too."""
+    equals its transpose, array for array."""
     arrays = indptr, indices, data
-    transposed = [np.empty_like(a) for a in arrays]
-    csr_tocsc(n, n, *arrays, *transposed)
-    return all(map(np.array_equal, transposed, arrays))
+    return all(map(np.array_equal, _transpose(n, *arrays), arrays))
 
 
 def _upper(n, indptr, indices):
     """The entries (i, j) with j >= i of an n-row CSR pattern, in stored
-    order, as indptr and indices (by array methods: see ``lu_solve_operands``).
-    The offsets are a running sum over the kept entries' row counts, which
-    ``bincount`` takes in one pass."""
+    order, as indptr and indices of its index dtype (by array methods: see
+    ``lu_solve_operands``).  The offsets are a running count of the kept
+    entries, read at each row's start."""
     ptr = indptr[:n + 1]
-    rows = np.arange(n).repeat(ptr[1:] - ptr[:-1])
-    kept = (indices[:ptr[n]] >= rows).nonzero()[0]
-    out_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[kept], minlength=n), out=out_indptr[1:])
-    return out_indptr, indices[kept]
+    nnz = int(ptr[n])
+    keep = indices[:nnz] >= np.arange(n, dtype=indices.dtype).repeat(ptr[1:] - ptr[:-1])
+    kept = np.zeros(nnz + 1, dtype=indices.dtype)  # kept entries before each one
+    keep.cumsum(out=kept[1:])
+    return kept[ptr], indices[:nnz][keep]
 
 
 def _combine(op, n, a, b):
     """``csr_matmat``, ``csr_plus_csr`` or ``csr_gt_csr`` on n x n CSR
     patterns a and b as bool matrices: a @ b, a + b (their union) or a > b
-    (the entries of a not in b), as indptr and indices."""
+    (the entries of a not in b), as indptr and indices of the inputs'
+    index dtype, or int64 when the result could outgrow it."""
     (a_indptr, a_indices), (b_indptr, b_indices) = a, b
     size = (csr_matmat_maxnnz(n, n, a_indptr, a_indices, b_indptr, b_indices)
             if op is csr_matmat else a_indices.size + b_indices.size)
-    indptr, indices = np.empty(n + 1, dtype=np.int64), np.empty(size, dtype=np.int64)
+    dtype = np.result_type(a_indices, b_indices, index_dtype(n, size))
+    indptr, indices = np.empty(n + 1, dtype=dtype), np.empty(size, dtype=dtype)
     op(n, n, a_indptr, a_indices, np.ones(a_indices.size, dtype=bool), b_indptr,
        b_indices, np.ones(b_indices.size, dtype=bool), indptr, indices,
        np.empty(size, dtype=bool))
@@ -167,18 +192,16 @@ def ilu_symbolic(n, a_indptr, a_indices, fill_level):
     ILU(k) levels, which are symmetric.  So the level-l entries of U are
     the upper triangle of the pattern of the sum over a + b = l - 1 of
     U_a^T @ U_b, U_a the strict-U entries of level a, less lower levels.
-    The patterns are int64 CSR arrays, which scipy's compiled routines
-    multiply, add, compare and transpose as bool matrices.
+    The patterns are CSR arrays of the input's index dtype, which scipy's
+    compiled routines multiply, add, compare and transpose as bool matrices.
     """
     indptr, indices = _upper(n, a_indptr, a_indices)
-    # int64 whatever the input's index dtype: the IC(k) kernels index with it
-    indices = indices.astype(np.int64, copy=False)
     if fill_level > 0:
         pattern = indptr, indices
         # U_l by level; U_0 is U less each row's first entry, its pivot
         first = np.ones(indices.size, dtype=bool)
         first[indptr[:-1]] = False
-        strict = [(indptr - np.arange(n + 1), indices[first])]
+        strict = [(indptr - np.arange(n + 1, dtype=indptr.dtype), indices[first])]
         top, lev = 0, 1  # the highest level with an entry, the next level
         # a level-l entry needs two entries whose levels sum to l - 1
         while lev <= fill_level and lev - 1 <= 2 * top:
@@ -207,10 +230,8 @@ def lower_pattern(u_indptr, u_indices):
     """The transpose of the pattern U and the position in U of each entry:
     row i holds the rows p <= i whose U has column i, in ascending order,
     its pivot rows (strict L) and then its diagonal."""
-    n, nnz = u_indptr.size - 1, u_indices.size
-    indptr, (indices, at) = np.empty(n + 1, dtype=np.int64), np.empty((2, nnz), dtype=np.int64)
-    csr_tocsc(n, n, u_indptr, u_indices, np.arange(nnz, dtype=np.int64), indptr, indices, at)
-    return indptr, indices, at
+    positions = np.arange(u_indices.size, dtype=u_indices.dtype)
+    return _transpose(u_indptr.size - 1, u_indptr, u_indices, positions)
 
 
 def _longest_paths(n, ptr, deps, weight):
@@ -219,6 +240,7 @@ def _longest_paths(n, ptr, deps, weight):
     all less than i and ascending, through edges of weight
     ``w = weight[ptr[i]:ptr[i + 1]]``; an edge to row i - 1 that comes last
     in its row must weigh 1, and every value must lie in [-1, deps.size].
+    The values come in the dtype of ``deps``, which holds deps.size + n.
 
     The rows run in chunks [s, e) whose rows depend on one another only
     through their predecessor: the other dependencies of row i lie before s.
@@ -230,31 +252,35 @@ def _longest_paths(n, ptr, deps, weight):
     chunks are a few rows long, and the per-chunk numpy calls cost more
     than a row loop would.
     """
+    dtype = deps.dtype
     ends = ptr[1:]
     link = np.zeros(n, dtype=bool)  # row i depends on row i - 1, last
-    rows = np.flatnonzero(ends > ptr[:-1])
+    rows = (ends > ptr[:-1]).nonzero()[0]
     link[rows] = deps[ends[rows] - 1] == rows - 1
     keep = np.ones(deps.size, dtype=bool)
     keep[ends[link] - 1] = False
+    del rows
     # each row's other dependencies, then row n (value 0) at weight -1
     others = np.diff(ptr) - link
-    other_ptr = np.zeros(n + 1, dtype=np.int64)
+    other_ptr = np.zeros(n + 1, dtype=dtype)
     np.cumsum(others + 1, out=other_ptr[1:])
     slot = np.ones(int(other_ptr[n]), dtype=bool)
     slot[other_ptr[1:] - 1] = False
-    other = np.full(slot.size, n, dtype=np.int64)
+    other = np.full(slot.size, n, dtype=dtype)
     other[slot] = deps[keep]
-    other_weight = np.full(slot.size, -1, dtype=np.int64)
+    other_weight = np.full(slot.size, -1, dtype=dtype)
     other_weight[slot] = weight[keep]
+    del slot, keep
     last_other = np.where(others > 0, other[other_ptr[1:] - 2], -1)
     # a chunk starting at s ends at the first row with another dependency >= s
-    reach = np.searchsorted(np.maximum.accumulate(last_other), np.arange(n)).tolist()
+    reach = np.maximum.accumulate(last_other).searchsorted(np.arange(n, dtype=dtype))
+    del others, last_other
     # run offsets: a new run starts above anything the last one reached
     shift = np.cumsum(~link) * (deps.size + n + 2) - np.arange(n)
     value = np.zeros(n + 1, dtype=np.int64)
     s = 0
     while s < n:
-        e = reach[s]
+        e = int(reach[s])
         a, b = other_ptr[s], other_ptr[e]
         ext = np.maximum.reduceat(value[other[a:b]] + other_weight[a:b], other_ptr[s:e] - a)
         if link[s]:
@@ -264,7 +290,7 @@ def _longest_paths(n, ptr, deps, weight):
         ext -= shift[s:e]
         value[s:e] = ext
         s = e
-    return value[:n]
+    return value[:n].astype(dtype)
 
 
 def elimination_steps(u_indptr, lower):
@@ -283,25 +309,49 @@ def elimination_steps(u_indptr, lower):
     Returns the strict-L entries in step order, as the position in U of
     each entry's u_pi (p its pivot row, i its row), its row and step, the
     position of u_pp and the number of entries of U's row p from u_pi on;
-    and where each step starts in these arrays, plus the end.
+    and where each step starts in these arrays, plus the end.  All are of
+    the pattern's index dtype, as is every per-entry temporary but the
+    sort's permutation.
     """
     l_indptr, pivot_rows, l_at = lower
+    dtype = pivot_rows.dtype
     n = l_indptr.size - 1
     nl = np.diff(l_indptr) - 1
-    ptr = l_indptr - np.arange(n + 1)  # strict L's rows
-    t = _spans(l_indptr[:-1], nl)
-    p = pivot_rows[t]
-    rows = np.repeat(np.arange(n), nl)
-    k = np.arange(t.size) - ptr[rows]
-    finish = _longest_paths(n, ptr, p, nl[rows] - k)
-    # running maximum of F(p_j) - j within each row
-    offset = rows * (t.size + n + 2)
-    step = np.maximum.accumulate(finish[p] - k + offset) - offset + k + 1
-    by_step = np.argsort(step, kind="stable")
-    p, step = p[by_step], step[by_step]
-    at = l_at[t[by_step]]
-    step_starts = np.searchsorted(step, np.arange(finish.max(initial=-1) + 2))
-    return at, rows[by_step], step, u_indptr[p], u_indptr[p + 1] - at, step_starts
+    ptr = l_indptr - np.arange(n + 1, dtype=dtype)  # strict L's rows
+    strict = np.ones(pivot_rows.size, dtype=bool)
+    strict[l_indptr[1:] - 1] = False
+    p = pivot_rows[strict]
+    weight = ptr[1:].repeat(nl)  # n_i - j: the row's end less the entry's place
+    weight -= np.arange(p.size, dtype=dtype)
+    finish = _longest_paths(n, ptr, p, weight)
+    del weight
+    # the largest F(p_j) - j over j <= k within each row: a running maximum
+    # by doubling distances (Hillis & Steele 1986), one pass per power of
+    # two below the longest row; numpy reads an overlapping input as it
+    # was before the pass
+    k = np.arange(p.size, dtype=dtype)
+    k -= ptr[:-1].repeat(nl)
+    step = finish[p]
+    step -= k
+    d, longest = 1, nl.max(initial=0)
+    while d < longest:
+        np.maximum(step[d:], step[:-d], out=step[d:], where=k[d:] >= d)
+        d *= 2
+    step += k
+    step += 1
+    del k
+    by_step = step.argsort(kind="stable")
+    step = step[by_step]
+    rows = np.arange(n, dtype=dtype).repeat(nl)[by_step]
+    at = l_at[strict][by_step]
+    p = p[by_step]
+    del by_step, strict
+    pivot = u_indptr[p]
+    p += 1
+    count = u_indptr[p]  # the end of row p
+    count -= at
+    step_starts = step.searchsorted(np.arange(finish.max(initial=-1) + 2, dtype=dtype))
+    return at, rows, step, pivot, count, step_starts.astype(dtype)
 
 
 def ilu_numeric(n, a_indptr, a_indices, a_data, u_indptr, u_indices, lower, steps=None):
@@ -309,27 +359,24 @@ def ilu_numeric(n, a_indptr, a_indices, a_data, u_indptr, u_indices, lower, step
     transpose: u_ij = a_ij - sum over p < i of (u_pi / u_pp) u_pj for
     j >= i, without pivoting, each row taking its pivot rows in ascending
     order.  Given ``steps`` from ``elimination_steps``, the pivots of
-    many rows are eliminated together, with the same result.
+    many rows are eliminated together, with the same result, and
+    ``lower`` is not read.
     Returns the values and the first row whose pivot is exactly zero (-1
     when there is none); the values are then incomplete.
     """
-    nnz = int(a_indptr[n])
-    # the input's position on the pattern, -1 below the diagonal; the
-    # input's columns as int64, the pattern's index dtype
-    at = np.empty(nnz, dtype=np.int64)
-    rows = np.arange(n).repeat(a_indptr[1:n + 1] - a_indptr[:n])
-    csr_sample_offsets(n, n, u_indptr, u_indices, nnz, rows,
-                       a_indices[:nnz].astype(np.int64, copy=False), at)
-    upper = at >= 0
-    u_data = np.zeros(u_indices.size, dtype=np.float64)
-    u_data[at[upper]] = a_data[:nnz][upper]
+    # a_ij on the pattern, 0 at the fill entries
+    u_data = np.empty(u_indices.size, dtype=np.float64)
+    u_rows = np.arange(n, dtype=u_indices.dtype).repeat(u_indptr[1:] - u_indptr[:-1])
+    csr_sample_values(n, n, a_indptr, a_indices, a_data, u_indices.size, u_rows,
+                      u_indices, u_data)
+    del u_rows
     if steps is None:
         return u_data, _eliminate_rows(n, u_indptr, u_indices, u_data, lower)
     # Later steps divide by the zero pivot, if there is one; the row loop
     # would have stopped there, so the values are incomplete either way.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         _eliminate_steps(n, u_indptr, u_indices, u_data, steps)
-    zero = np.flatnonzero(u_data[u_indptr[:-1]] == 0.0)
+    zero = (u_data[u_indptr[:-1]] == 0.0).nonzero()[0]
     return u_data, int(zero[0]) if zero.size else -1
 
 
@@ -363,8 +410,10 @@ def _eliminate_rows(n, u_indptr, u_indices, u_data, lower):
 
 
 # Largest number of candidate (L entry, pivot-row U entry) pairs that
-# ``_eliminate_steps`` expands at once; bounds its temporary memory to
-# about 1 MB whatever the factor's size.
+# ``_eliminate_steps`` expands at once: about 1 MB of temporaries whatever
+# the factor's size.  A small schedule takes chunks of a quarter as many
+# pairs as it has entries, about 16 bytes each, so that its chunks' 30-40
+# bytes a pair stay below a third of its factor's bytes.
 PAIR_CHUNK = 1 << 14
 
 
@@ -377,28 +426,34 @@ def _eliminate_steps(n, u_indptr, u_indices, u_data, steps):
     are distinct, so no step updates an entry twice, and every entry sees
     its updates in the row loop's order."""
     at, row, step, pivot, count, step_starts = steps
-    # chunks of whole steps, of about PAIR_CHUNK candidate pairs each
-    before = np.concatenate(([0], np.cumsum(count)))[step_starts]
+    # the pairs before each step, and chunks of whole steps of about
+    # ``chunk`` pairs each
+    before = np.zeros(step_starts.size, dtype=np.int64)
+    np.add.reduceat(count, step_starts[:-1], dtype=np.int64).cumsum(out=before[1:])
+    chunk = min(PAIR_CHUNK, max(at.size // 4, 1))
     cuts = np.unique(np.concatenate(
-        ([0], np.searchsorted(before, np.arange(PAIR_CHUNK, before[-1], PAIR_CHUNK)),
+        ([0], before.searchsorted(np.arange(chunk, before[-1], chunk)),
          [step_starts.size - 1]))).tolist()
+    del before
     val = u_data
     ss = step_starts.tolist()
     for c0, c1 in zip(cuts[:-1], cuts[1:]):
         a, b = ss[c0], ss[c1]
         cnt = count[a:b]
-        src = _spans(at[a:b], cnt)                    # row p from u_pi on
-        dst = np.empty(src.size, dtype=np.int64)      # same column in row i
-        csr_sample_offsets(n, n, u_indptr, u_indices, src.size,
-                           np.repeat(row[a:b], cnt), u_indices[src], dst)
+        src = _spans(at[a:b], cnt)                       # row p from u_pi on
+        dst = np.empty(src.size, dtype=u_indices.dtype)  # same column in row i
+        csr_sample_offsets(n, n, u_indptr, u_indices, src.size, row[a:b].repeat(cnt),
+                           u_indices[src], dst)
         hit = dst >= 0
-        src, dst = src[hit], dst[hit]
+        # the pairs that update an entry, in int64, which numpy indexes with:
+        # cast once a chunk, not once a step
+        src, dst = src[hit], dst[hit].astype(np.int64)
         # u_pi and u_pp of each pair: dividing once a pair gives the bits
         # of dividing once an entry
-        num = np.repeat(at[a:b], cnt)[hit]
-        den = np.repeat(pivot[a:b], cnt)[hit]
-        ps = np.searchsorted(np.repeat(step[a:b], cnt)[hit],
-                             np.arange(c0, c1 + 1)).tolist()
+        num = at[a:b].astype(np.int64).repeat(cnt)[hit]
+        den = pivot[a:b].astype(np.int64).repeat(cnt)[hit]
+        ps = step[a:b].repeat(cnt)[hit].searchsorted(
+            np.arange(c0, c1 + 1, dtype=step.dtype)).tolist()
         for q0, q1 in zip(ps[:-1], ps[1:]):
             q = slice(q0, q1)
             val[dst[q]] -= val[num[q]] / val[den[q]] * val[src[q]]
@@ -413,25 +468,28 @@ def lu_solve_operands(u_indptr, u_indices, u_data):
     V = -(strict U divided row by row by its pivot), transposed, its row i
     holding -u_ji / u_jj for j < i in column order; V with rows and
     columns reversed (index i becomes n - 1 - i), each row keeping its
-    column order; and the pivots reversed."""
+    column order; and the pivots reversed.  Index arrays keep U's dtype."""
     # array methods, not the numpy functions: a factor of n = 40 costs
     # tens of calls, and the functions' dispatch doubles their cost
     n = u_indptr.size - 1
     strict = np.ones(u_indices.size, dtype=bool)
     strict[u_indptr[:-1]] = False
-    v_indptr = u_indptr - np.arange(n + 1)
+    v_indptr = u_indptr - np.arange(n + 1, dtype=u_indptr.dtype)
     pivots = u_data[u_indptr[:-1]]
+    v_data = u_data[strict]
     # a tiny pivot overflows a quotient to inf, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        v_data = u_data[strict] / (-pivots).repeat(v_indptr[1:] - v_indptr[:-1])
-    lower = (np.empty_like(v_indptr), np.empty(v_data.size, dtype=np.int64),
-             np.empty_like(v_data))
-    csr_tocsc(n, n, v_indptr, u_indices[strict], v_data, *lower)
+        v_data /= (-pivots).repeat(v_indptr[1:] - v_indptr[:-1])
+    lower = _transpose(n, v_indptr, u_indices[strict], v_data)
+    del strict, v_data
     # the transpose of the lower operand with its columns reversed holds
-    # V's rows reversed, each in column order, with V's columns as indices
-    upper = np.empty_like(v_indptr), np.empty_like(lower[1]), np.empty_like(v_data)
-    csr_tocsc(n, n, lower[0], (n - 1) - lower[1], lower[2], *upper)
-    upper[1][:] = (n - 1) - upper[1]
+    # V's rows reversed, each in column order, with V's columns as indices;
+    # the lower operand's columns are reversed in place, and back
+    columns = lower[1]
+    np.subtract(n - 1, columns, out=columns)
+    upper = _transpose(n, lower[0], columns, lower[2])
+    np.subtract(n - 1, columns, out=columns)
+    np.subtract(n - 1, upper[1], out=upper[1])
     return lower, upper, pivots[::-1]
 
 

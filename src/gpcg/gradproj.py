@@ -129,7 +129,7 @@ def gp_phase(qp: BoundQP, x: np.ndarray, Ax: np.ndarray, q: float,
         if pg_norm <= tau:
             termination = GPStop.CONVERGED
             break
-        if np.array_equal(active, prev_active):
+        if (active == prev_active).all():
             termination = GPStop.ACTIVE_SET_SETTLED
             break
         if j >= 2 and decreases[-1] <= eta1 * best:

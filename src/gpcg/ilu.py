@@ -5,7 +5,10 @@ U, and only U is filled, stored and updated (``_kernels``).  Fill entries
 enter while their level, min over pivots p of lev(p,i) + lev(p,j) + 1 with
 originals at level 0, stays within the bound.  Large blocks are factored
 by levels, small ones row by row, with the same bits; every factor solves
-in two compiled calls.
+in two compiled calls.  The factor's index arrays, and those of its solve
+operands, take the matrix's index dtype (``linalg.index_dtype``) unless
+fill outgrows int32; set-up by levels peaks below 1.8 times the factor's
+bytes.
 """
 
 from __future__ import annotations
@@ -58,9 +61,13 @@ def ilu_k(M: SparseMatrixCSR, k: int) -> ILUFactorization:
     n = M.nrows
     u_indptr, u_indices = _kernels.ilu_symbolic(n, M.indptr, M.indices, k)
     lower = _kernels.lower_pattern(u_indptr, u_indices)
-    steps = _kernels.elimination_steps(u_indptr, lower) if n >= LEVEL_MIN_ROWS else None
+    steps = None
+    if n >= LEVEL_MIN_ROWS:  # the level form reads the schedule alone
+        steps = _kernels.elimination_steps(u_indptr, lower)
+        lower = None
     u_data, fail_row = _kernels.ilu_numeric(
         n, M.indptr, M.indices, M.data, u_indptr, u_indices, lower, steps)
+    del lower, steps  # before the solve operands are built
     if fail_row >= 0:
         raise ZeroPivot(int(fail_row))
     return ILUFactorization(n, u_indptr, u_indices, u_data)

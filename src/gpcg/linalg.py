@@ -11,10 +11,12 @@ other vectors are expected to be finite.  An index set is a strictly
 increasing integer array, as ``np.flatnonzero`` returns it.  CSR index
 arrays are int32 when the matrix's dimensions and entry count fit, else
 int64 (``index_dtype``, scipy's own rule): every product then reads half
-the index bytes.  ``mat_vec`` sums
-each row left to right, so its result does not depend on the machine or
-thread count; ``dot`` and ``norm2`` call BLAS, whose summation order may
-depend on both.
+the index bytes.  The rule holds for every CSR array the solver makes:
+extracted submatrices and their IC(k) factors, solve operands included,
+keep their matrix's index dtype, unless fill outgrows int32.
+``mat_vec`` sums each row left to right, so its result does not depend
+on the machine or thread count; ``dot`` and ``norm2`` call BLAS, whose
+summation order may depend on both.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-
-
-def index_dtype(*sizes) -> type:
-    """The CSR index dtype of a matrix whose dimensions and entry count are
-    ``sizes``: int32 when all fit, else int64."""
-    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
+from ._kernels import index_dtype
 
 
 def as_vector(values) -> np.ndarray:
@@ -156,7 +153,7 @@ def extract_submatrix(A: SparseMatrixCSR, idx: np.ndarray) -> SparseMatrixCSR:
 
 
 def dot(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.dot(x, y))  # unequal lengths raise ValueError
+    return float(x.dot(y))  # unequal lengths raise ValueError
 
 
 def norm2(x: np.ndarray) -> float:

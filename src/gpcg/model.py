@@ -143,7 +143,7 @@ def active_set(qp: BoundQP, x: np.ndarray) -> np.ndarray:
 def free_set(qp: BoundQP, x: np.ndarray) -> np.ndarray:
     """Complement of the active set."""
     _check_feasible(qp, x)
-    return np.flatnonzero(~_active_mask(qp, x))
+    return (~_active_mask(qp, x)).nonzero()[0]
 
 
 def binding_set(qp: BoundQP, x: np.ndarray, g: np.ndarray) -> np.ndarray:

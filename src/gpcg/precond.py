@@ -66,9 +66,12 @@ class Preconditioner:
     is None: ``none`` has no factors and no ``inv_diag``, ``jacobi`` no
     factors.  ``order`` lists M's rows: first each factor's rows, at the
     range ``blocks`` pairs with it, then the rows left, whose 1 / a_ii are
-    ``inv_diag``; None is M's own order.  The operator is block diagonal,
-    so it is symmetric positive definite when each factor is.  ``apply``
-    returns a new array, which CG then updates in place."""
+    ``inv_diag``; None is M's own order.  ``order`` and its ``inverse``
+    are int64, numpy's index dtype, unlike the factors' index arrays:
+    ``apply`` takes with them, and ``take`` would cast an int32 index array
+    on every call.  The operator is block diagonal, so it is symmetric
+    positive definite when each factor is.  ``apply`` returns a new array,
+    which CG then updates in place."""
 
     def __init__(self, m: int, fill_level: int | None = None):
         self.m = m
@@ -94,7 +97,7 @@ class Preconditioner:
         rest = np.ones(M.nrows, dtype=bool)
         rest[head] = False
         moved = Preconditioner(M.nrows, self.fill_level)
-        moved.order = np.concatenate((head, np.flatnonzero(rest)))
+        moved.order = np.concatenate((head, rest.nonzero()[0]))
         moved.inverse = np.empty_like(moved.order)
         moved.inverse[moved.order] = np.arange(M.nrows)
         rows = moved.order[factored:]
@@ -147,7 +150,7 @@ def _grown_positions(factored: np.ndarray, free: np.ndarray) -> np.ndarray | Non
     if free.size < factored.size:
         return None
     pos = free.searchsorted(factored)
-    return pos if np.array_equal(free.take(pos, mode="clip"), factored) else None
+    return pos if (free.take(pos, mode="clip") == factored).all() else None
 
 
 class FaceRule:

@@ -149,8 +149,9 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                          outer, gp.iterates_taken, gp.termination.value, pg_norm)
                 held = None  # free set, A_k and preconditioner of the last CG call
                 while pg_norm > cfg.tol:
-                    free = np.flatnonzero(~active)
-                    if held is None or not np.array_equal(free, held[0]):
+                    free = (~active).nonzero()[0]
+                    if (held is None or free.size != held[0].size
+                            or (free != held[0]).any()):
                         held = None  # let the last A_k go before the next is extracted
                         sys = build_reduced(qp, g, free)
                         P, outcome = rule.for_face(free, sys.A_k)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gpcg import SparseMatrixCSR, ZeroPivot, ilu_k
+from gpcg import (BearingSpec, SparseMatrixCSR, ZeroPivot, extract_submatrix, generate,
+                  ilu, ilu_k, linalg)
 
 from conftest import random_sparse_spd
 
@@ -184,3 +187,41 @@ def _grid_laplacian(side):
             if j < side - 1:
                 D[v, v + side] = -1.0
     return D
+
+
+def bearing_face(nx):
+    """The reduced matrix of a bearing nx x nx face whose free variables are
+    the first 70 % of each grid line, as the solver factors it."""
+    A = generate(BearingSpec(nx, nx, 0.1)).A
+    return extract_submatrix(A, (np.arange(A.nrows) % nx < 0.7 * nx).nonzero()[0])
+
+
+def factor_bytes(fact):
+    """The bytes the factor keeps: U, both solve operands and the pivots."""
+    arrays = (fact.u_indptr, fact.u_indices, fact.u_data, *fact.lower, *fact.upper,
+              fact.pivots)
+    return sum(a.nbytes for a in arrays)
+
+
+class TestSetupMemory:
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_factor_keeps_the_index_dtype_on_a_bearing_face(self, k):
+        M = bearing_face(60)
+        assert M.indices.dtype == linalg.index_dtype(M.nrows, M.nnz) == np.int32
+        fact = ilu_k(M, k)
+        for a in (fact.u_indptr, fact.u_indices, *fact.lower[:2], *fact.upper[:2]):
+            assert a.dtype == np.int32
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_setup_by_levels_peaks_below_1_8_times_the_factor(self, k):
+        M = bearing_face(60)
+        assert M.nrows >= ilu.LEVEL_MIN_ROWS  # factored by levels
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            fact = ilu_k(M, k)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8 * factor_bytes(fact)

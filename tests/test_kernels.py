@@ -147,15 +147,16 @@ def ref_lu_solve_divide_after_sum(lu_indptr, lu_indices, lu_data, lu_diag, r):
     return z
 
 
-def ref_schedule(u_indptr, l_indptr, l_indices, l_at):
+def ref_schedule(u_indptr, l_indptr, l_indices, l_at, dtype):
     """The level form's schedule by plain loops, given U's pattern and its
     transpose with positions (``lower_pattern``): row i takes its strict-L
     entries in column order, the k-th, with pivot row p, only after row p
     is complete, at step T(i, k) = max(T(i, k - 1), F(p)) + 1, where F(p)
     is the step of row p's last entry (-1 for a row without any).  Returns
-    ``elimination_steps``'s arrays: the entries sorted stably by step, as
-    the position in U of u_pi, the row, the step, the position of u_pp and
-    the length of U's row p from u_pi on; and where each step starts."""
+    ``elimination_steps``'s arrays, of index dtype ``dtype``: the entries
+    sorted stably by step, as the position in U of u_pi, the row, the step,
+    the position of u_pp and the length of U's row p from u_pi on; and
+    where each step starts."""
     n = len(l_indptr) - 1
     finish = [-1] * n
     entries = []  # (at, row, step, pivot, count), in row order
@@ -173,7 +174,7 @@ def ref_schedule(u_indptr, l_indptr, l_indices, l_at):
     for s in range(1, len(starts)):
         starts[s] += starts[s - 1]
     columns = [[entry[c] for entry in entries] for c in range(5)]
-    return [np.array(c, dtype=np.int64) for c in columns + [starts]]
+    return [np.array(c, dtype=dtype) for c in columns + [starts]]
 
 
 def ref_matvec(A, x):
@@ -239,15 +240,15 @@ def ref_ic_solve(u_indptr, u_indices, u_data, r):
     return z
 
 
-def upper_triangle(n, indptr, indices):
-    """The entries on and above the diagonal of a CSR pattern: their indptr,
-    indices and a mask of them over the pattern; int64, as ``ilu_symbolic``
-    returns a pattern whatever the input's index dtype."""
+def upper_triangle(n, indptr, indices, dtype):
+    """The entries on and above the diagonal of a CSR pattern: their indptr
+    and indices, of index dtype ``dtype``, and a mask of them over the
+    pattern."""
     rows = np.repeat(np.arange(n), np.diff(indptr))
     keep = indices >= rows
-    up = np.zeros(n + 1, dtype=np.int64)
+    up = np.zeros(n + 1, dtype=dtype)
     np.cumsum(np.bincount(rows[keep], minlength=n), out=up[1:])
-    return up, indices[keep].astype(np.int64), keep
+    return up, indices[keep].astype(dtype), keep
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +294,31 @@ def case_matrix(case):
     return random_pattern_matrix(*case)
 
 
+def with_index_dtype(A, dtype):
+    """A with its index arrays in ``dtype``."""
+    A.indptr, A.indices = A.indptr.astype(dtype), A.indices.astype(dtype)
+    return A
+
+
 def assert_bytes_equal(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("case, k", FACTOR_CASES,
-                         ids=[f"{k}-{case}" for case, k in FACTOR_CASES])
-def test_factor_and_solve_match_reference_loops(case, k):
-    A = case_matrix(case)
+# each case with int32 input indices, as SparseMatrixCSR stores them, and
+# with int64, as it would store a matrix too large for int32
+FACTOR_DTYPE_CASES = [(case, k, dtype) for dtype in (np.int32, np.int64)
+                      for case, k in FACTOR_CASES]
+
+
+@pytest.mark.parametrize("case, k, dtype", FACTOR_DTYPE_CASES,
+                         ids=[f"{k}-{case}" + ("-int64" if dtype is np.int64 else "")
+                              for case, k, dtype in FACTOR_DTYPE_CASES])
+def test_factor_and_solve_match_reference_loops(case, k, dtype):
+    # the values are the same bits whatever the input's index dtype, and
+    # every index array of the pattern, the schedule and the factor takes it
+    A = with_index_dtype(case_matrix(case), dtype)
     n = A.nrows
     fill = n if k == "n" else k
     if not A.symmetric:
@@ -311,7 +327,7 @@ def test_factor_and_solve_match_reference_loops(case, k):
             ilu_k(A, fill)
         return
     lu_indptr, lu_indices, lu_diag = ref_ilu_symbolic(n, A.indptr, A.indices, fill)
-    u_indptr, u_indices, upper = upper_triangle(n, lu_indptr, lu_indices)
+    u_indptr, u_indices, upper = upper_triangle(n, lu_indptr, lu_indices, dtype)
     for got, want in zip(_kernels.ilu_symbolic(n, A.indptr, A.indices, fill),
                          (u_indptr, u_indices)):
         assert_bytes_equal(got, want)
@@ -320,6 +336,7 @@ def test_factor_and_solve_match_reference_loops(case, k):
     assert ic_fail == -1
     # both numeric forms on every case
     lower = _kernels.lower_pattern(u_indptr, u_indices)
+    assert [a.dtype for a in lower] == [dtype] * 3
     for steps in (None, assert_schedule_matches_reference(u_indptr, lower)):
         data, fail = _kernels.ilu_numeric(n, A.indptr, A.indices, A.data,
                                           u_indptr, u_indices, lower, steps)
@@ -333,14 +350,16 @@ def test_factor_and_solve_match_reference_loops(case, k):
     scale = np.abs(lu_data).max()
     assert_bytes_equal(factor.u_indptr, u_indptr)
     assert_bytes_equal(factor.u_indices, u_indices)
+    for operand in (factor.lower, factor.upper):
+        assert [a.dtype for a in operand] == [dtype, dtype, np.float64]
     assert np.abs(ic_data - lu_data[upper]).max() <= 1e-12 * scale
-    rows = np.repeat(np.arange(n), np.diff(u_indptr))
+    rows = np.repeat(np.arange(n, dtype=dtype), np.diff(u_indptr))
     strict = u_indices > rows
     l_rows, l_cols = u_indices[strict], rows[strict]
     order = np.lexsort((l_cols, l_rows))  # the reference's row-major order
-    lu_rows = np.repeat(np.arange(n), np.diff(lu_indptr))
+    lu_rows = np.repeat(np.arange(n, dtype=dtype), np.diff(lu_indptr))
     assert_bytes_equal(l_rows[order], lu_rows[~upper])
-    assert_bytes_equal(l_cols[order], lu_indices[~upper])
+    assert_bytes_equal(l_cols[order], lu_indices[~upper].astype(dtype))
     l_data = ic_data[strict] / ic_data[u_indptr[l_cols]]  # rows start with their pivots
     assert np.abs(l_data[order] - lu_data[~upper]).max(initial=0.0) <= 1e-12 * scale
     assert_solves_match_reference_loops(factor, lu_indptr, lu_indices, lu_data, lu_diag)
@@ -574,15 +593,17 @@ def test_level_schedule_matches_reference_loop(case, k):
         # the schedule reads any upper pattern with its diagonal: here the
         # upper triangle of the unsymmetric ILU(k) pattern
         lu_indptr, lu_indices, _lu_diag = ref_ilu_symbolic(A.nrows, A.indptr, A.indices, k)
-        u_indptr, u_indices, _upper = upper_triangle(A.nrows, lu_indptr, lu_indices)
+        u_indptr, u_indices, _upper = upper_triangle(A.nrows, lu_indptr, lu_indices,
+                                                     A.indices.dtype)
     assert_schedule_matches_reference(u_indptr, _kernels.lower_pattern(u_indptr, u_indices))
 
 
 def assert_schedule_matches_reference(u_indptr, lower):
-    """``elimination_steps`` equals ``ref_schedule`` byte for byte.
-    Returns the schedule."""
+    """``elimination_steps`` equals ``ref_schedule`` byte for byte, in the
+    pattern's index dtype.  Returns the schedule."""
     schedule = _kernels.elimination_steps(u_indptr, lower)
-    for got, ref in zip(schedule, ref_schedule(u_indptr, *lower), strict=True):
+    for got, ref in zip(schedule, ref_schedule(u_indptr, *lower, u_indptr.dtype),
+                        strict=True):
         assert_bytes_equal(got, ref)
     return schedule
 
@@ -609,21 +630,22 @@ def test_lower_pattern_is_the_transpose_with_positions():
     A = grid_block(12, 4)
     u_indptr, u_indices = _kernels.ilu_symbolic(A.nrows, A.indptr, A.indices, 2)
     l_indptr, l_indices, at = _kernels.lower_pattern(u_indptr, u_indices)
-    rows = np.repeat(np.arange(A.nrows), np.diff(l_indptr))
+    rows = np.repeat(np.arange(A.nrows, dtype=u_indices.dtype), np.diff(l_indptr))
     # entry t of the lower pattern is (rows[t], l_indices[t]), U's entry
     # (l_indices[t], rows[t]) at position at[t]
     assert_bytes_equal(u_indices[at], rows)
     assert (np.diff(l_indices)[np.diff(rows) == 0] > 0).all()
     assert_bytes_equal(at[l_indptr[1:] - 1], u_indptr[:-1])  # the diagonal
-    assert_bytes_equal(np.sort(at), np.arange(u_indices.size))
+    assert_bytes_equal(np.sort(at), np.arange(u_indices.size, dtype=u_indices.dtype))
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 @pytest.mark.parametrize("seed", range(4))
 def test_upper_matches_the_searchsorted_form(seed, dtype):
-    # the running sum of the kept entries' row counts gives the offsets
-    # that searching the kept positions for each row's start gives, dtypes
-    # included, on rows in any order, empty rows and rows with no upper entry
+    # the running count of the kept entries gives the offsets that
+    # searching the kept positions for each row's start gives, in the
+    # input's dtype, on rows in any order, empty rows and rows with no
+    # upper entry
     rng = np.random.default_rng(seed)
     n = 80
     rows = [rng.permutation(n)[:rng.integers(0, 12)] for _ in range(n)]
@@ -632,7 +654,7 @@ def test_upper_matches_the_searchsorted_form(seed, dtype):
     indices = np.concatenate(rows).astype(dtype)
     kept = (indices >= np.arange(n).repeat(np.diff(indptr))).nonzero()[0]
     got = _kernels._upper(n, indptr, indices)
-    assert_bytes_equal(got[0], kept.searchsorted(indptr))
+    assert_bytes_equal(got[0], kept.searchsorted(indptr).astype(dtype))
     assert_bytes_equal(got[1], indices[kept])
 
 
@@ -693,7 +715,7 @@ def test_ilu_symbolic_keeps_a_symmetric_pattern_symmetric(case, k):
     lu_indptr, lu_indices, _lu_diag = ref_ilu_symbolic(n, A.indptr, A.indices, fill)
     pattern = dense_pattern(n, lu_indptr, lu_indices)
     assert (pattern == pattern.T).all()
-    u_indptr, u_indices, _keep = upper_triangle(n, lu_indptr, lu_indices)
+    u_indptr, u_indices, _keep = upper_triangle(n, lu_indptr, lu_indices, A.indices.dtype)
     got = _kernels.ilu_symbolic(n, A.indptr, A.indices, fill)
     assert_bytes_equal(got[0], u_indptr)
     assert_bytes_equal(got[1], u_indices)
@@ -731,7 +753,8 @@ def test_without_fill_the_factor_keeps_the_upper_input_pattern():
     # IC(0) keeps every pattern; a tridiagonal pattern gains no fill at
     # any level, the random one gains some at level 1
     for M, k, kept in ((A, 0, True), (tridiagonal, 2, True), (A, 1, False)):
-        u_indptr, u_indices, _keep = upper_triangle(M.nrows, M.indptr, M.indices)
+        u_indptr, u_indices, _keep = upper_triangle(M.nrows, M.indptr, M.indices,
+                                                    M.indices.dtype)
         got = _kernels.ilu_symbolic(M.nrows, M.indptr, M.indices, k)
         assert (got[1].size == u_indices.size) == kept
         if kept:
