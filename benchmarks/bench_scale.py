@@ -38,7 +38,10 @@ bytes of the matrix it returns; and ``ilu_calls`` and ``ilu_peak_ratio``:
 the same for the solve's ``ilu_k`` calls that factor by levels (blocks of
 ``ilu.LEVEL_MIN_ROWS`` rows or more) and the bytes of the factor each
 returns, U, both solve operands and the pivots (0.0 when none does);
-and ``ilu_factor_mb``, the bytes of the largest factor, by levels or not.
+``ilu_factor_mb``, the bytes of the largest factor, by levels or not; and
+``solve_peak_mb``, the tracemalloc peak of ``gpcg.solve`` above the state
+it starts from, which parts the solver's own memory from the imports and
+the problem that ``peak_rss_mb`` also counts.
 
 Results are merged run by run into ``--out`` (default ``BENCH_scale.json``
 at the repo root) under ``--label``.  The script measures the tree it sits
@@ -138,13 +141,20 @@ def time_extraction(gpcg):
     return seconds
 
 
-def spy_on_extraction(gpcg):
+def reset_peak(seen):
+    """``tracemalloc.reset_peak``, first raising ``seen[0]`` to the peak it
+    ends, so a caller still learns the peak of the whole solve."""
+    seen[0] = max(seen[0], tracemalloc.get_traced_memory()[1])
+    tracemalloc.reset_peak()
+
+
+def spy_on_extraction(gpcg, seen):
     """Record each ``extract_submatrix`` call's tracemalloc peak over the
-    bytes it returns."""
+    bytes it returns; ``seen`` as for ``reset_peak``."""
     ratios = []
 
     def traced(real, A, idx):
-        tracemalloc.reset_peak()
+        reset_peak(seen)
         start = tracemalloc.get_traced_memory()[0]
         S = real(A, idx)
         result = S.indptr.nbytes + S.indices.nbytes + S.data.nbytes
@@ -155,15 +165,15 @@ def spy_on_extraction(gpcg):
     return ratios
 
 
-def spy_on_factoring(gpcg):
+def spy_on_factoring(gpcg, seen):
     """Record each ``ilu_k`` call's tracemalloc peak over the bytes of the
     factor it returns, None for a block the row loop factors, and those
-    bytes."""
+    bytes; ``seen`` as for ``reset_peak``."""
     ratios, kept_bytes = [], []
     real = gpcg.precond.ilu_k
 
     def traced(M, k):
-        tracemalloc.reset_peak()
+        reset_peak(seen)
         start = tracemalloc.get_traced_memory()[0]
         factor = real(M, k)
         peak = tracemalloc.get_traced_memory()[1] - start
@@ -212,24 +222,31 @@ def one_run(nx: int, precond: str, memory: bool) -> dict:
     returned = sum(a.nbytes for a in (qp.A.indptr, qp.A.indices, qp.A.data,
                                       qp.b, qp.l, qp.u))
     generate_peak_ratio = tracemalloc.get_traced_memory()[1] / returned
+    x0 = qp.l.copy()
     if memory:
-        ratios, (factorings, kept_bytes) = spy_on_extraction(gpcg), spy_on_factoring(gpcg)
+        seen = [0]  # the solve's peak before the spies' last reset
+        ratios = spy_on_extraction(gpcg, seen)
+        factorings, kept_bytes = spy_on_factoring(gpcg, seen)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
     else:
         tracemalloc.stop()
         extract_s = time_extraction(gpcg)
 
     t0 = time.perf_counter()
-    out = gpcg.solve(qp, qp.l.copy(), gpcg.SolverConfig(precond=precond, tol=TOL))
+    out = gpcg.solve(qp, x0, gpcg.SolverConfig(precond=precond, tol=TOL))
     solve_s = time.perf_counter() - t0
     peak = rss_mb()
     if memory:
+        solve_peak = max(seen[0], tracemalloc.get_traced_memory()[1]) - start
         tracemalloc.stop()
         by_levels = [r for r in factorings if r is not None]
         return {"extract_calls": len(ratios),
                 "extract_peak_ratio": round(max(ratios, default=0.0), 4),
                 "ilu_calls": len(factorings),
                 "ilu_peak_ratio": round(max(by_levels, default=0.0), 4),
-                "ilu_factor_mb": round(max(kept_bytes, default=0) / 2**20, 3)}
+                "ilu_factor_mb": round(max(kept_bytes, default=0) / 2**20, 3),
+                "solve_peak_mb": round(solve_peak / 2**20, 3)}
     st = out.stats
     return {
         "n": qp.n, "precond": precond,

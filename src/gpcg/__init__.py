@@ -5,7 +5,7 @@ journal-bearing benchmark generator and brute-force reference solvers."""
 from .bearing import BearingSpec, generate, wl, wq
 from .errors import (AlreadyStationary, GPCGError, NoFreeVariables,
                      NotConvexError, SearchFailed, ZeroPivot)
-from .gradproj import GPResult, GPStop, cauchy_step_size, gp_phase, projected_search_gp
+from .gradproj import GPResult, GPStop, Iterate, cauchy_step_size, gp_phase, projected_search_gp
 from .ilu import ILUFactorization, ilu_k
 from .io import load_problem, read_matrix, read_vector, save_problem, write_matrix, write_trace, write_vector
 from .linalg import SparseMatrixCSR, dot, extract_submatrix, mat_vec, norm2
@@ -21,7 +21,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AlreadyStationary", "BearingSpec", "BoundQP", "CGResult", "CGStop",
-    "GPCGError", "GPResult", "GPStop", "ILUFactorization",
+    "GPCGError", "GPResult", "GPStop", "ILUFactorization", "Iterate",
     "NoFreeVariables", "NotConvexError", "Preconditioner", "ReducedSystem",
     "SearchFailed", "SolveOutcome", "SolveStatus", "SolverConfig",
     "SolverStats", "SparseMatrixCSR", "TraceRecord", "ZeroPivot",

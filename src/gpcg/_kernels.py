@@ -493,9 +493,10 @@ def lu_solve_operands(u_indptr, u_indices, u_data):
     return lower, upper, pivots[::-1]
 
 
-def lu_solve(lower, upper, pivots, r):
-    """(U^T D^-1 U)^-1 r as a new float64 array, given
-    ``lu_solve_operands``: two ``csr_matvec`` calls, each in place.
+def lu_solve(lower, upper, pivots, r, out=None):
+    """(U^T D^-1 U)^-1 r, given ``lu_solve_operands``: two ``csr_matvec``
+    calls, each in place.  The result goes into ``out``, a contiguous
+    float64 vector that may be r itself, or else into a new array.
 
     ``csr_matvec`` adds a CSR product into its output, taking the rows in
     order and each row's entries in stored order, and reads its input as it
@@ -509,9 +510,17 @@ def lu_solve(lower, upper, pivots, r):
     order.
     """
     n = pivots.size
-    z = np.array(r, dtype=np.float64)
+    if out is None:
+        z = np.array(r, dtype=np.float64)
+    else:
+        z = out
+        if out is not r:
+            out[...] = r
     csr_matvec(n, n, *lower, z, z)
     with np.errstate(over="ignore", invalid="ignore"):
         w = z[::-1] / pivots
     csr_matvec(n, n, *upper, w, w)
-    return w[::-1]
+    if out is None:
+        return w[::-1]
+    out[...] = w[::-1]
+    return out

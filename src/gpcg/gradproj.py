@@ -38,20 +38,44 @@ class GPIterate:
 
 
 @dataclass
+class Iterate:
+    """The point a solve carries: x with Ax = A x, q = q(x), g = grad q(x),
+    pg, pg_norm and active as ``_bound_test`` and ``norm2`` give them, each
+    computed once.  ``gp_phase`` and the solver's CG step advance it in
+    place, rebinding each field, so the old array goes once the record
+    lets it go; Ax and pg are None while a search makes the next ones."""
+    x: np.ndarray
+    Ax: np.ndarray | None
+    q: float
+    g: np.ndarray
+    pg: np.ndarray | None
+    pg_norm: float
+    active: np.ndarray
+
+    @classmethod
+    def at(cls, qp: BoundQP, x: np.ndarray) -> Iterate:
+        """The record of x, a point in the box."""
+        Ax = mat_vec(qp.A, x)
+        it = cls(x, Ax, objective(qp, x, Ax), None, None, 0.0, None)
+        it.regrade(qp)
+        return it
+
+    def regrade(self, qp: BoundQP):
+        """Make g, pg, pg_norm and active those of x, from Ax; the old g
+        goes before the new is made."""
+        self.g = None
+        self.g = gradient(qp, self.x, self.Ax)
+        self.pg, self.active = _bound_test(qp, self.x, self.g)
+        self.pg_norm = norm2(self.pg)
+
+
+@dataclass
 class GPResult:
-    """Where the phase ended: x_out with Ax = A x_out, q = q(x_out),
-    g = grad q(x_out), pg_norm = ||projected gradient|| and its active mask,
-    computed exactly as ``objective``/``gradient``/``norm2``/``active_set``
-    would."""
-    x_out: np.ndarray
+    """How the phase ended; the point it reached is in the ``Iterate`` it
+    advanced."""
     iterates_taken: int
     termination: GPStop
     decreases: np.ndarray
-    Ax: np.ndarray
-    q: float
-    g: np.ndarray
-    pg_norm: float
-    active: np.ndarray
     records: list[GPIterate] = field(default_factory=list)
 
 
@@ -98,43 +122,42 @@ projected_search_cg = types.FunctionType(projected_search.__code__, globals(),
                                          "projected_search_cg")
 
 
-def gp_phase(qp: BoundQP, x: np.ndarray, Ax: np.ndarray, q: float,
-             g: np.ndarray, pg: np.ndarray, pg_norm: float, active: np.ndarray,
-             eta1: float, mu: float, tau: float) -> GPResult:
-    """Run projected-gradient iterates from x (with Ax = A x, q = q(x),
-    g = grad q(x), and pg, pg_norm and active as ``_bound_test`` and
-    ``norm2`` give them) until the active set repeats, the decrease falls
-    below eta1 times the best so far, the convergence test fires, or GP_CAP
-    iterates are taken; each costs one matvec plus one per search trial."""
+def gp_phase(qp: BoundQP, it: Iterate, eta1: float, mu: float,
+             tau: float) -> GPResult:
+    """Run projected-gradient iterates from the point ``it`` until the
+    active set repeats, the decrease falls below eta1 times the best so far,
+    the convergence test fires, or GP_CAP iterates are taken; each costs one
+    matvec plus one per search trial.  The phase advances ``it`` in place
+    and holds no array of its own past an iterate: pg, read once for the
+    step size, and Ax, which the search makes anew, go before the search;
+    the old x as the search returns, and the old g before the next is
+    made.  On an error ``it`` still describes the last point accepted,
+    without Ax or pg."""
     if not 0.0 < eta1 < 1.0:
         raise ValueError("progress tolerance must lie in (0, 1)")
     decreases: list[float] = []
     records: list[GPIterate] = []
-    if pg_norm <= tau:
-        return GPResult(x, 0, GPStop.CONVERGED, np.zeros(0), Ax, q, g, pg_norm,
-                        active)
+    if it.pg_norm <= tau:
+        return GPResult(0, GPStop.CONVERGED, np.zeros(0))
     termination = GPStop.ITERATION_CAP
     for j in range(1, GP_CAP + 1):
-        alpha0 = cauchy_step_size(qp, g, pg)
-        x_next, alpha, halvings, Ax, q_next = projected_search_gp(
-            qp, x, g, q, g, alpha0, mu)
-        decreases.append(q - q_next)
-        x, q = x_next, q_next
-        g = gradient(qp, x, Ax)
-        prev_active = active
-        pg, active = _bound_test(qp, x, g)
-        pg_norm = norm2(pg)
+        alpha0 = cauchy_step_size(qp, it.g, it.pg)
+        it.Ax = it.pg = None
+        it.x, alpha, halvings, it.Ax, q = projected_search_gp(
+            qp, it.x, it.g, it.q, it.g, alpha0, mu)
+        decreases.append(it.q - q)
+        it.q, prev_active = q, it.active
+        it.regrade(qp)
         records.append(GPIterate(j, q, alpha, halvings,
-                                 int(np.count_nonzero(active)), pg_norm))
-        if pg_norm <= tau:
+                                 int(np.count_nonzero(it.active)), it.pg_norm))
+        if it.pg_norm <= tau:
             termination = GPStop.CONVERGED
             break
-        if (active == prev_active).all():
+        if (it.active == prev_active).all():
             termination = GPStop.ACTIVE_SET_SETTLED
             break
         if j >= 2 and decreases[-1] <= eta1 * best:
             termination = GPStop.INSUFFICIENT_PROGRESS
             break
         best = max(best, decreases[-1]) if j >= 2 else decreases[0]  # max(decreases)
-    return GPResult(x, len(decreases), termination, np.asarray(decreases),
-                    Ax, q, g, pg_norm, active, records)
+    return GPResult(len(decreases), termination, np.asarray(decreases), records)

@@ -39,11 +39,17 @@ class ILUFactorization:
 
     nnz = property(lambda self: self.u_indices.size, doc="Stored entries of U.")
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        """Forward/back substitution: returns (U^T D^-1 U)^-1 r."""
+    def solve(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Forward/back substitution: returns (U^T D^-1 U)^-1 r, written
+        into ``out`` when given, a contiguous float64 vector of length n
+        that may be r itself, else as a new array."""
         if r.shape[0] != self.n:
             raise ValueError(f"vector has length {r.shape[0]}, expected {self.n}")
-        return _kernels.lu_solve(self.lower, self.upper, self.pivots, r)
+        if out is not None and not (out.shape == (self.n,) and out.dtype == np.float64
+                                    and out.flags.c_contiguous):
+            # a strided output would be solved in a copy, not in place
+            raise ValueError(f"out must be a contiguous float64 vector of length {self.n}")
+        return _kernels.lu_solve(self.lower, self.upper, self.pivots, r, out)
 
 
 def ilu_k(M: SparseMatrixCSR, k: int) -> ILUFactorization:

@@ -111,18 +111,17 @@ class Preconditioner:
     def apply(self, r: np.ndarray) -> np.ndarray:
         if r.shape[0] != self.m:
             raise ValueError("dimension mismatch")
-        if self.order is not None:
-            r = r.take(self.order)
-        z = np.empty_like(r)
+        # each block is solved in z: in place in the gathered copy of r, or
+        # from r itself, which is never written
+        z = np.empty_like(r) if self.order is None else r.take(self.order)
+        src = r if self.order is None else z
         for rows, factor in self.blocks:
-            z[rows] = factor.solve(r[rows])
-        factored = self.factored
-        if factored < self.m:
-            left = slice(factored, self.m)
-            if self.inv_diag is None:
-                z[left] = r[left]
-            else:
-                np.multiply(r[left], self.inv_diag, out=z[left])
+            factor.solve(src[rows], out=z[rows])
+        left = slice(self.factored, self.m)
+        if self.inv_diag is not None:
+            np.multiply(src[left], self.inv_diag, out=z[left])
+        elif src is r:
+            z[left] = r[left]
         return z if self.order is None else z.take(self.inverse)
 
 

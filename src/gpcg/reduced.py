@@ -61,15 +61,23 @@ def build_reduced(qp: BoundQP, g: np.ndarray, free: np.ndarray) -> ReducedSystem
 def pcg_progress(sys: ReducedSystem, P: Preconditioner, eta2: float) -> CGResult:
     """Preconditioned CG on the reduced objective starting from w = 0.
     w, the residual and the direction are updated in place, with the
-    operations, and so the bits, of forming each anew."""
+    operations, and so the bits, of forming each anew.
+
+    The caller hands ``sys`` over: r_k is read once, to make the residual,
+    and goes then unless the caller kept a reference.  Each Ap goes after
+    its last read, the residual update, and each z after it joins the
+    direction, so neither lives through the next product or apply.  The
+    result's w is the only m-vector that outlives the call."""
     if eta2 <= 0.0:
         raise ValueError("progress tolerance must be positive")
-    m = sys.m
-    w = np.zeros(m)
-    scaled = np.empty(m)  # alpha p, then alpha Ap
+    A_k = sys.A_k
     # residual of A_k w = -r_k, i.e. the negative reduced gradient at w = 0
     res = -sys.r_k
     res_norm = norm2(sys.r_k)  # also norm2(res): negation is exact
+    del sys
+    m = A_k.nrows
+    w = np.zeros(m)
+    scaled = np.empty(m)  # alpha p, then alpha Ap
     exact_tol = 1e-14 * (1.0 + res_norm)
     decreases: list[float] = []
     if res_norm <= exact_tol:
@@ -83,7 +91,7 @@ def pcg_progress(sys: ReducedSystem, P: Preconditioner, eta2: float) -> CGResult
         if rho <= 0.0:
             termination, breakdown = CGStop.BREAKDOWN, "preconditioner"
             break
-        Ap = mat_vec(sys.A_k, p)
+        Ap = mat_vec(A_k, p)
         pAp = dot(p, Ap)
         if pAp <= 0.0:
             termination, breakdown = CGStop.BREAKDOWN, "reduced matrix"
@@ -94,6 +102,7 @@ def pcg_progress(sys: ReducedSystem, P: Preconditioner, eta2: float) -> CGResult
         decreases.append(0.5 * alpha * rho)
         w += np.multiply(p, alpha, out=scaled)
         res -= np.multiply(Ap, alpha, out=scaled)
+        Ap = None
         if norm2(res) <= exact_tol:
             termination = CGStop.EXACT_SOLVE
             break
@@ -105,6 +114,7 @@ def pcg_progress(sys: ReducedSystem, P: Preconditioner, eta2: float) -> CGResult
         rho_next = dot(res, z)
         p *= rho_next / rho
         p += z  # z + beta p: IEEE addition commutes
+        z = None
         rho = rho_next
     return CGResult(w, len(decreases), np.asarray(decreases), termination,
                     breakdown)

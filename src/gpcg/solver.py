@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GPCGError
-from .gradproj import gp_phase, projected_search_cg
-from .linalg import mat_vec, norm2
-from .model import BoundQP, _bound_test, gradient, objective, project
+from .gradproj import Iterate, gp_phase, projected_search_cg
+# gradient is made in gradproj's Iterate, but stays a name of this module:
+# perfbench's tracer test reads gpcg.solver.gradient
+from .model import BoundQP, gradient, project  # noqa: F401
 from .precond import FaceRule, parse_precond
 from .reduced import CGStop, ReducedSystem, build_reduced, pcg_progress
 
@@ -108,9 +109,18 @@ class SolveOutcome:
 
 def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> SolveOutcome:
     """Minimize the bound-constrained quadratic starting from x0 (projected
-    onto the box first).  The iterate x travels with Ax = A x, q = q(x),
-    g = grad q(x), its projected-gradient norm and its active mask, so each
-    is computed once per point."""
+    onto the box first).  The iterate travels as one ``Iterate``, x with
+    Ax = A x, q = q(x), g = grad q(x), the projected gradient, its norm
+    and the active mask, so each is computed once per point.
+
+    The record is the only holder of the point's arrays: a GP phase
+    advances it in place, and each CG step goes from it with none of the
+    last step's arrays.  Before each CG call the solve lets go of the last
+    CGResult, the last search direction d, Ax and pg, which the CG search
+    makes anew; the reduced system goes to ``pcg_progress`` as its only
+    holder, and the CG step w goes once d is made from it.  Across a face's
+    CG calls the solve holds the free set, A_k and the preconditioner; a GP
+    phase runs without them."""
     if cfg is None:
         cfg = SolverConfig()
     start = time.perf_counter()
@@ -119,52 +129,54 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
     x = project(qp, x0)
     if not np.isfinite(x).all():  # NaN, or infinite where the bound is
         raise ValueError("starting point must be finite after projection")
-    Ax = mat_vec(qp.A, x)
-    q = objective(qp, x, Ax)
-    g = gradient(qp, x, Ax)
-    pg, active = _bound_test(qp, x, g)
-    pg_norm = norm2(pg)
+    it = Iterate.at(qp, x)
+    del x  # the record is its only holder
     faces: set[bytes] = set()
     rule = FaceRule(cfg.precond, cfg.blocks)  # each new face's preconditioner
+    held = None  # free set, A_k and preconditioner of the last CG call
+
+    def reduced_system(free: np.ndarray) -> ReducedSystem:
+        """The reduced system of the face ``free`` at the iterate; a new
+        face's A_k and preconditioner are made and held, the same face
+        keeps them."""
+        nonlocal held
+        if held is not None and free.size == held[0].size and (free == held[0]).all():
+            return ReducedSystem(held[1], it.g[free])  # only the gradient is new
+        held = None  # let the last A_k go before the next is extracted
+        sys = build_reduced(qp, it.g, free)
+        P, outcome = rule.for_face(free, sys.A_k)
+        stats.precond_builds += outcome == "build"
+        stats.precond_reuses += outcome == "reuse"
+        stats.precond_extensions += outcome == "extend"
+        log.debug("outer %d: face of %d free: %s", outer, free.size, outcome)
+        held = (free, sys.A_k, P)
+        return sys
+
     status = SolveStatus.MAX_OUTER_REACHED
     reason = None
     try:
         for outer in range(1, cfg.max_outer + 1):
-            if pg_norm <= cfg.tol:
+            if it.pg_norm <= cfg.tol:
                 break
             stats.outer_iters = outer
             eta2 = cfg.cg_progress
             outer_cg_iters = 0
             try:
-                gp = gp_phase(qp, x, Ax, q, g, pg, pg_norm, active,
-                              cfg.gp_progress, cfg.sufficient_decrease, cfg.tol)
-                x, Ax, q, g = gp.x_out, gp.Ax, gp.q, gp.g
-                pg_norm, active = gp.pg_norm, gp.active
+                gp = gp_phase(qp, it, cfg.gp_progress, cfg.sufficient_decrease, cfg.tol)
                 stats.gp_iters_total += gp.iterates_taken
                 for rec in gp.records:
                     stats.trace.append(TraceRecord(
                         outer, "gp", rec.q, rec.pg_norm, n - rec.n_active, 0,
                         eta2))
                 log.info("outer %d: gp took %d iterates (%s), pg_norm=%.3e",
-                         outer, gp.iterates_taken, gp.termination.value, pg_norm)
-                held = None  # free set, A_k and preconditioner of the last CG call
-                while pg_norm > cfg.tol:
-                    free = (~active).nonzero()[0]
-                    if (held is None or free.size != held[0].size
-                            or (free != held[0]).any()):
-                        held = None  # let the last A_k go before the next is extracted
-                        sys = build_reduced(qp, g, free)
-                        P, outcome = rule.for_face(free, sys.A_k)
-                        stats.precond_builds += outcome == "build"
-                        stats.precond_reuses += outcome == "reuse"
-                        stats.precond_extensions += outcome == "extend"
-                        log.debug("outer %d: face of %d free: %s", outer, free.size, outcome)
-                        held, P = (free, sys.A_k, P), None  # held is its only holder
-                    else:  # the same face: only the gradient is new
-                        sys = ReducedSystem(held[1], g[free])
-                    pg = None  # not held across CG: the searched point gets its own
-                    cg = pcg_progress(sys, held[2], eta2)
-                    sys = None
+                         outer, gp.iterates_taken, gp.termination.value, it.pg_norm)
+                while it.pg_norm > cfg.tol:
+                    free = (~it.active).nonzero()[0]
+                    # the search makes the next Ax and pg; held is the
+                    # face's once reduced_system returns, as arguments are
+                    # taken in order
+                    it.Ax = it.pg = cg = d = None
+                    cg = pcg_progress(reduced_system(free), held[2], eta2)
                     stats.cg_iters_total += cg.iterations
                     outer_cg_iters += cg.iterations
                     stats.cg_calls += 1
@@ -174,31 +186,30 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                                             "is not positive definite")
                         d = np.zeros(n)  # the search steps along -d
                         d[free] = -cg.w
-                        x, alpha, _, Ax, q = projected_search_cg(
-                            qp, x, g, q, d, 1.0, cfg.sufficient_decrease)
-                        g = gradient(qp, x, Ax)
-                        pg, active = _bound_test(qp, x, g)
-                        pg_norm = norm2(pg)
+                        cg.w = None  # its last read: the search runs without it
+                        it.x, alpha, _, it.Ax, it.q = projected_search_cg(
+                            qp, it.x, it.g, it.q, d, 1.0, cfg.sufficient_decrease)
+                        it.regrade(qp)
                     finally:  # the row describes the point kept
                         stats.trace.append(TraceRecord(
-                            outer, "cg", q, pg_norm, free.size, cg.iterations, eta2))
+                            outer, "cg", it.q, it.pg_norm, free.size, cg.iterations, eta2))
                     log.debug("outer %d: cg %d iters (%s), step %.3g, "
                               "pg_norm=%.3e, eta2=%.2e", outer, cg.iterations,
-                              cg.termination.value, alpha, pg_norm, eta2)
+                              cg.termination.value, alpha, it.pg_norm, eta2)
                     # the binding set is the active set exactly when the
                     # projected gradient is zero on every active variable
-                    if pg[active].any():
+                    if it.pg[it.active].any():
                         break  # face not yet optimal: back to a GP phase
                     if eta2 <= CG_PROGRESS_FLOOR:
                         break
                     eta2 = max(eta2 * CG_PROGRESS_SHRINK, CG_PROGRESS_FLOOR)
-                held = None  # the GP phase runs without A_k; an IC(k) factor stays
+                held = cg = d = None  # the GP phase runs without A_k; an IC(k) factor stays
             finally:
-                faces.add(np.packbits(active).tobytes())  # n / 8 bytes a face
+                faces.add(np.packbits(it.active).tobytes())  # n / 8 bytes a face
                 stats.trace.append(TraceRecord(
-                    outer, "outer", q, pg_norm, n - int(np.count_nonzero(active)),
+                    outer, "outer", it.q, it.pg_norm, n - int(np.count_nonzero(it.active)),
                     outer_cg_iters, eta2))
-        if pg_norm <= cfg.tol:
+        if it.pg_norm <= cfg.tol:
             status = SolveStatus.CONVERGED
     except GPCGError as exc:
         status = SolveStatus.FAILED
@@ -207,8 +218,8 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
 
     stats.faces_visited = len(faces)
     stats.free_fraction_final = (
-        (n - int(np.count_nonzero(active))) / n if n else 0.0)
-    stats.final_pg_norm = pg_norm
-    stats.objective_final = q
+        (n - int(np.count_nonzero(it.active))) / n if n else 0.0)
+    stats.final_pg_norm = it.pg_norm
+    stats.objective_final = it.q
     stats.wall_time_seconds = time.perf_counter() - start
-    return SolveOutcome(x, stats, status, reason)
+    return SolveOutcome(it.x, stats, status, reason)

@@ -9,8 +9,7 @@ from gpcg import (AlreadyStationary, BearingSpec, BoundQP, GPStop,
                   objective, project, projected_gradient)
 
 import gpcg.gradproj
-from gpcg.gradproj import projected_search
-from gpcg.model import _bound_test
+from gpcg.gradproj import Iterate, projected_search
 
 from conftest import random_bound_qp, unconstrained_qp
 
@@ -21,13 +20,10 @@ def _one_d(curv, lin, lo, hi):
 
 
 def gp_phase(qp, x, eta1, mu, tau):
-    """The phase from x, with the product, value, gradient, projected
-    gradient, its norm and the active mask it is given computed here."""
-    Ax = mat_vec(qp.A, x)
-    g = gradient(qp, x, Ax)
-    pg, active = _bound_test(qp, x, g)
-    return gpcg.gradproj.gp_phase(qp, x, Ax, objective(qp, x, Ax), g, pg,
-                                  norm2(pg), active, eta1, mu, tau)
+    """The phase from x, whose record ``Iterate.at`` makes; returns the
+    phase's result and the record it advanced to the point it reached."""
+    it = Iterate.at(qp, x)
+    return gpcg.gradproj.gp_phase(qp, it, eta1, mu, tau), it
 
 
 class TestCauchyStepSize:
@@ -153,29 +149,29 @@ class TestProjectedSearchGP:
 class TestGPPhase:
     def test_already_converged_takes_no_iterates(self):
         qp = _one_d(2.0, -4.0, -10.0, 10.0)
-        out = gp_phase(qp, np.full(1, 2.0), 0.1, 0.1, 1e-8)
+        out, _ = gp_phase(qp, np.full(1, 2.0), 0.1, 0.1, 1e-8)
         assert out.iterates_taken == 0
         assert out.termination is GPStop.CONVERGED
 
     def test_interior_minimizer_found_in_one_iterate(self):
         qp = _one_d(2.0, -4.0, -10.0, 10.0)
-        out = gp_phase(qp, np.zeros(1), 0.1, 0.1, 1e-8)
+        out, it = gp_phase(qp, np.zeros(1), 0.1, 0.1, 1e-8)
         assert out.termination is GPStop.CONVERGED
         assert out.iterates_taken == 1
-        assert out.x_out[0] == 2.0
+        assert it.x[0] == 2.0
 
     def test_unconstrained_settles_after_one_iterate(self):
         # the active set is empty before and after the first step
         rng = np.random.default_rng(31)
         qp = unconstrained_qp(rng, 12)
-        out = gp_phase(qp, np.zeros(12), 0.1, 0.1, 1e-12)
+        out, _ = gp_phase(qp, np.zeros(12), 0.1, 0.1, 1e-12)
         assert out.termination is GPStop.ACTIVE_SET_SETTLED
         assert out.iterates_taken == 1
 
     def test_iteration_cap(self, monkeypatch):
         qp = generate(BearingSpec(8, 8, 0.5))
         monkeypatch.setattr(gpcg.gradproj, "GP_CAP", 1)
-        out = gp_phase(qp, qp.l, 0.01, 0.1, 1e-12)
+        out, _ = gp_phase(qp, qp.l, 0.01, 0.1, 1e-12)
         assert out.termination is GPStop.ITERATION_CAP
         assert out.iterates_taken == 1
 
@@ -185,11 +181,11 @@ class TestGPPhase:
         for _ in range(10):
             qp = random_bound_qp(rng, 7)
             x0 = np.clip(rng.standard_normal(7), qp.l, qp.u)
-            out = gp_phase(qp, x0, 0.1, 0.1, 1e-10)
+            out, it = gp_phase(qp, x0, 0.1, 0.1, 1e-10)
             if out.iterates_taken == 0:
                 continue
             assert (out.decreases > 0).all()
-            assert objective(qp, out.x_out) < objective(qp, x0)
+            assert objective(qp, it.x) < objective(qp, x0)
 
     def test_invalid_progress_tolerance(self):
         qp = _one_d(1.0, 0.0, -1.0, 1.0)
@@ -201,11 +197,13 @@ class TestGPPhase:
         qp = generate(BearingSpec(16, 16, 0.8))
         for cap in (0, 1, 40):
             monkeypatch.setattr(gpcg.gradproj, "GP_CAP", cap)
-            out = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6)
-            assert np.array_equal(out.Ax, mat_vec(qp.A, out.x_out))
-            assert out.q == objective(qp, out.x_out)
-            assert np.array_equal(out.g, gradient(qp, out.x_out))
-            assert out.pg_norm == norm2(projected_gradient(qp, out.x_out, out.g))
+            _, it = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6)
+            assert np.array_equal(it.Ax, mat_vec(qp.A, it.x))
+            assert it.q == objective(qp, it.x)
+            assert np.array_equal(it.g, gradient(qp, it.x))
+            assert np.array_equal(it.pg, projected_gradient(qp, it.x, it.g))
+            assert it.pg_norm == norm2(projected_gradient(qp, it.x, it.g))
+            assert np.array_equal(it.active, (it.x == qp.l) | (it.x == qp.u))
 
     def test_search_returns_product_and_objective_of_accepted_point(self):
         qp = generate(BearingSpec(8, 8, 0.5))
@@ -223,10 +221,10 @@ class TestGPPhase:
         monkeypatch.setattr(gpcg.gradproj, "GP_CAP", 40)
         for spec in (BearingSpec(16, 16, 0.8), BearingSpec(20, 12, 0.1)):
             qp = generate(spec)
-            out = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6)
+            out, it = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6)
             x_ref, qs, steps = _uncached_gp_reference(qp, qp.l, 0.1, 0.1,
                                                       1e-6, 40)
-            assert out.x_out.tobytes() == x_ref.tobytes()
+            assert it.x.tobytes() == x_ref.tobytes()
             assert [rec.q for rec in out.records] == qs
             assert [rec.step for rec in out.records] == steps
 
@@ -234,7 +232,7 @@ class TestGPPhase:
         # same iterates as a freshly coded dense implementation
         qp = generate(BearingSpec(16, 16, 0.8))
         monkeypatch.setattr(gpcg.gradproj, "GP_CAP", 40)
-        out = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6)
+        out, _ = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6)
         ref_qs = _dense_gp_reference(qp.A.to_dense(), qp.b, qp.l, qp.u,
                                      np.array(qp.l), 0.1, 0.1, 1e-6, 40)
         got_qs = [rec.q for rec in out.records]

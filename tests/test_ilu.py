@@ -170,6 +170,29 @@ class TestFailures:
             ilu_k(M, 0).solve(np.zeros(3))
 
 
+class TestSolveInto:
+    """``solve`` writes into ``out`` when given, with the bits of the new
+    array it returns without one."""
+
+    def test_into_another_vector_or_in_place_matches_a_new_array(self):
+        rng = np.random.default_rng(60)
+        M, _ = random_sparse_spd(rng, 20, 3)
+        fact = ilu_k(M, 1)
+        r = rng.standard_normal(20)
+        want, kept, out = fact.solve(r), r.copy(), np.empty(20)
+        assert fact.solve(r, out=out) is out
+        assert out.tobytes() == want.tobytes() and r.tobytes() == kept.tobytes()
+        assert fact.solve(r, out=r) is r
+        assert r.tobytes() == want.tobytes()
+
+    def test_out_must_be_a_contiguous_float64_vector_of_length_n(self):
+        M, _ = _tridiag(4)
+        fact = ilu_k(M, 0)
+        for out in (np.empty(3), np.empty(4, dtype=np.float32), np.empty(8)[::2]):
+            with pytest.raises(ValueError, match="out"):
+                fact.solve(np.ones(4), out=out)
+
+
 def _grid_laplacian(side):
     """Five-point stencil on a side x side interior grid, dense."""
     n = side * side

@@ -246,6 +246,17 @@ class TestExtended:
         assert_array_equal(Z, TestGrown.dense(direct))
 
 
+    def test_apply_leaves_its_input_unwritten(self):
+        # each block is solved in the apply's own vector, never in CG's residual
+        built, extended, _A1, _F0, F1, free, A2 = self.nested_faces()
+        grown = extended._follow(free.searchsorted(F1), A2, extend=False)
+        rng = np.random.default_rng(58)
+        for P in (built, extended, grown):
+            r = rng.standard_normal(P.m)
+            kept = r.copy()
+            z = P.apply(r)
+            assert r.tobytes() == kept.tobytes() and not np.shares_memory(z, r)
+
 class TestFaceRule:
     """Each new face's operator: built, or the kept IC(k) factors reused or
     extended, as ``FaceRule.for_face`` decides it."""
