@@ -34,9 +34,6 @@ STATS_FIELDS = tuple(f.name for f in fields(SolverStats) if f.name != "trace")
 # report's config key.  compare-preconds takes --preconds for --precond.
 SOLVER_FLAGS = (
     ("tau", "tol", "projected-gradient norm tolerance"),
-    ("eta1", "gp_progress", "gradient-projection progress tolerance"),
-    ("eta2", "cg_progress", "initial CG progress tolerance"),
-    ("mu", "sufficient_decrease", "sufficient decrease constant"),
     ("max_outer", "max_outer", "outer iteration limit"),
     ("precond", "precond", "none | jacobi | bjacobi-ilu<k>, e.g. bjacobi-ilu2 "
                            "(block count: --blocks)"),

@@ -15,8 +15,10 @@ from .errors import AlreadyStationary, NotConvexError, SearchFailed
 from .linalg import dot, mat_vec, norm2
 from .model import BoundQP, _bound_test, _project, gradient, objective
 
-GP_CAP = 100        # iterates per GP phase
-MAX_HALVINGS = 50   # step halvings per projected search
+GP_CAP = 100               # iterates per GP phase
+MAX_HALVINGS = 50          # step halvings per projected search
+GP_PROGRESS = 0.1          # eta1: decrease ratio ending the GP phase
+SUFFICIENT_DECREASE = 0.1  # mu: fraction of the linear model a search step needs
 
 
 class GPStop(enum.Enum):
@@ -91,14 +93,13 @@ def cauchy_step_size(qp: BoundQP, g: np.ndarray, d: np.ndarray) -> float:
 
 
 def projected_search(qp: BoundQP, x: np.ndarray, g: np.ndarray, q_x: float,
-                     d: np.ndarray, alpha0: float, mu: float
+                     d: np.ndarray, alpha0: float
                      ) -> tuple[np.ndarray, float, int, np.ndarray, float]:
-    """Backtrack over alpha0 * (1/2)^j until P(x - alpha d) satisfies the
-    sufficient decrease test; one matvec per trial.  GP steps take d = g,
-    CG steps d = -w (w the CG step) and alpha0 = 1.  Returns (x+, alpha,
-    halvings, A x+, q(x+)); g and q_x are the gradient and q at x."""
-    if not 0.0 < mu < 0.5:
-        raise ValueError("sufficient decrease constant must lie in (0, 1/2)")
+    """Backtrack over alpha0 * (1/2)^j until x+ = P(x - alpha d) satisfies
+    q(x+) <= q_x + SUFFICIENT_DECREASE * <g, x+ - x>; one matvec per trial.
+    GP steps take d = g, CG steps d = -w (w the CG step) and alpha0 = 1.
+    Returns (x+, alpha, halvings, A x+, q(x+)); g and q_x are the gradient
+    and q at x."""
     if alpha0 <= 0.0:
         raise ValueError("initial step size must be positive")
     alpha = alpha0
@@ -109,7 +110,7 @@ def projected_search(qp: BoundQP, x: np.ndarray, g: np.ndarray, q_x: float,
         x_trial = _project(qp, step)
         Ax = mat_vec(qp.A, x_trial)
         q_trial = objective(qp, x_trial, Ax)
-        if q_trial <= q_x + mu * dot(g, np.subtract(x_trial, x, out=step)):
+        if q_trial <= q_x + SUFFICIENT_DECREASE * dot(g, np.subtract(x_trial, x, out=step)):
             return x_trial, alpha, halvings, Ax, q_trial
         alpha *= 0.5
     raise SearchFailed(f"no acceptable step within {MAX_HALVINGS} halvings")
@@ -122,19 +123,16 @@ projected_search_cg = types.FunctionType(projected_search.__code__, globals(),
                                          "projected_search_cg")
 
 
-def gp_phase(qp: BoundQP, it: Iterate, eta1: float, mu: float,
-             tau: float) -> GPResult:
+def gp_phase(qp: BoundQP, it: Iterate, tau: float) -> GPResult:
     """Run projected-gradient iterates from the point ``it`` until the
-    active set repeats, the decrease falls below eta1 times the best so far,
-    the convergence test fires, or GP_CAP iterates are taken; each costs one
-    matvec plus one per search trial.  The phase advances ``it`` in place
-    and holds no array of its own past an iterate: pg, read once for the
-    step size, and Ax, which the search makes anew, go before the search;
-    the old x as the search returns, and the old g before the next is
-    made.  On an error ``it`` still describes the last point accepted,
+    active set repeats, the decrease falls to GP_PROGRESS times the best so
+    far, the convergence test fires, or GP_CAP iterates are taken; each
+    costs one matvec plus one per search trial.  The phase advances ``it``
+    in place and holds no array of its own past an iterate: pg, read once
+    for the step size, and Ax, which the search makes anew, go before the
+    search; the old x as the search returns, and the old g before the next
+    is made.  On an error ``it`` still describes the last point accepted,
     without Ax or pg."""
-    if not 0.0 < eta1 < 1.0:
-        raise ValueError("progress tolerance must lie in (0, 1)")
     decreases: list[float] = []
     records: list[GPIterate] = []
     if it.pg_norm <= tau:
@@ -144,7 +142,7 @@ def gp_phase(qp: BoundQP, it: Iterate, eta1: float, mu: float,
         alpha0 = cauchy_step_size(qp, it.g, it.pg)
         it.Ax = it.pg = None
         it.x, alpha, halvings, it.Ax, q = projected_search_gp(
-            qp, it.x, it.g, it.q, it.g, alpha0, mu)
+            qp, it.x, it.g, it.q, it.g, alpha0)
         decreases.append(it.q - q)
         it.q, prev_active = q, it.active
         it.regrade(qp)
@@ -156,7 +154,7 @@ def gp_phase(qp: BoundQP, it: Iterate, eta1: float, mu: float,
         if (it.active == prev_active).all():
             termination = GPStop.ACTIVE_SET_SETTLED
             break
-        if j >= 2 and decreases[-1] <= eta1 * best:
+        if j >= 2 and decreases[-1] <= GP_PROGRESS * best:
             termination = GPStop.INSUFFICIENT_PROGRESS
             break
         best = max(best, decreases[-1]) if j >= 2 else decreases[0]  # max(decreases)

@@ -24,6 +24,7 @@ from .reduced import CGStop, ReducedSystem, build_reduced, pcg_progress
 
 log = logging.getLogger("gpcg")
 
+CG_PROGRESS = 0.05          # eta2 at the start of each outer iteration
 CG_PROGRESS_SHRINK = 0.1    # refinement factor of eta2 on the optimal face
 CG_PROGRESS_FLOOR = 1e-12   # smallest eta2, reached within 13 refinements
 
@@ -31,27 +32,20 @@ CG_PROGRESS_FLOOR = 1e-12   # smallest eta2, reached within 13 refinements
 @dataclass
 class SolverConfig:
     """The solver's settings; defaults match the benchmark settings.  GP and
-    CG steps share one search, ``gradproj.projected_search``.  The other
-    limits are fixed: ``gradproj.GP_CAP`` iterates per GP phase,
+    CG steps share one search, ``gradproj.projected_search``.  The method's
+    constants are fixed: eta1 ``gradproj.GP_PROGRESS``, mu
+    ``gradproj.SUFFICIENT_DECREASE`` and eta2 ``CG_PROGRESS``, as are the
+    other limits: ``gradproj.GP_CAP`` iterates per GP phase,
     ``gradproj.MAX_HALVINGS`` halvings per search, and as many CG
     iterations as the reduced dimension."""
-    tol: float = 1e-4                 # projected-gradient norm target
-    gp_progress: float = 0.1          # decrease ratio ending the GP phase
-    cg_progress: float = 0.05         # initial CG decrease ratio
-    sufficient_decrease: float = 0.1  # fraction of the linear model required
+    tol: float = 1e-4       # projected-gradient norm target
     max_outer: int = 500
     precond: str = "none"
-    blocks: int = 1                   # diagonal blocks of block Jacobi
+    blocks: int = 1         # diagonal blocks of block Jacobi
 
     def __post_init__(self):
         if not isinstance(self.precond, str):
             raise ValueError("preconditioner must be a string such as 'jacobi'")
-        if not 0.0 < self.sufficient_decrease < 0.5:
-            raise ValueError("sufficient decrease constant must lie in (0, 1/2)")
-        if not 0.0 < self.gp_progress < 1.0:
-            raise ValueError("GP progress tolerance must lie in (0, 1)")
-        if not 0.0 < self.cg_progress < 1.0:
-            raise ValueError("CG progress tolerance must lie in (0, 1)")
         if not self.tol > 0.0:
             raise ValueError("convergence tolerance must be positive")
         for what, count in (("block count", self.blocks),
@@ -159,10 +153,10 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
             if it.pg_norm <= cfg.tol:
                 break
             stats.outer_iters = outer
-            eta2 = cfg.cg_progress
+            eta2 = CG_PROGRESS
             outer_cg_iters = 0
             try:
-                gp = gp_phase(qp, it, cfg.gp_progress, cfg.sufficient_decrease, cfg.tol)
+                gp = gp_phase(qp, it, cfg.tol)
                 stats.gp_iters_total += gp.iterates_taken
                 for rec in gp.records:
                     stats.trace.append(TraceRecord(
@@ -188,7 +182,7 @@ def solve(qp: BoundQP, x0: np.ndarray, cfg: SolverConfig | None = None) -> Solve
                         d[free] = -cg.w
                         cg.w = None  # its last read: the search runs without it
                         it.x, alpha, _, it.Ax, it.q = projected_search_cg(
-                            qp, it.x, it.g, it.q, d, 1.0, cfg.sufficient_decrease)
+                            qp, it.x, it.g, it.q, d, 1.0)
                         it.regrade(qp)
                     finally:  # the row describes the point kept
                         stats.trace.append(TraceRecord(

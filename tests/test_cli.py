@@ -85,6 +85,15 @@ class TestBearingCommand:
             main(["bearing", "--ny", "4", "--eps", "0.1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--eta1", "--eta2", "--mu"])
+    def test_method_constant_flags_are_refused(self, capsys, flag):
+        # eta1, eta2 and mu are module constants of the solver, not options
+        with pytest.raises(SystemExit) as exc:
+            main(["bearing", "--nx", "4", "--ny", "4", "--eps", "0.1",
+                  flag, "0.2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_bad_eccentricity_exits_two(self, capsys):
         rc, _, err = _run(capsys, ["bearing", "--nx", "4", "--ny", "4",
                                    "--eps", "1.5"])

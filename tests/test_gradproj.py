@@ -9,7 +9,8 @@ from gpcg import (AlreadyStationary, BearingSpec, BoundQP, GPStop,
                   objective, project, projected_gradient)
 
 import gpcg.gradproj
-from gpcg.gradproj import Iterate, projected_search
+from gpcg.gradproj import (GP_PROGRESS, SUFFICIENT_DECREASE, Iterate,
+                           projected_search)
 
 from conftest import random_bound_qp, unconstrained_qp
 
@@ -19,11 +20,11 @@ def _one_d(curv, lin, lo, hi):
     return BoundQP(A, np.array([lin]), 0.0, np.array([lo]), np.array([hi]))
 
 
-def gp_phase(qp, x, eta1, mu, tau):
+def gp_phase(qp, x, tau):
     """The phase from x, whose record ``Iterate.at`` makes; returns the
     phase's result and the record it advanced to the point it reached."""
     it = Iterate.at(qp, x)
-    return gpcg.gradproj.gp_phase(qp, it, eta1, mu, tau), it
+    return gpcg.gradproj.gp_phase(qp, it, tau), it
 
 
 class TestCauchyStepSize:
@@ -84,7 +85,7 @@ class TestProjectedSearchGP:
         y = np.ones(1)
         g = gradient(qp, y)
         y_next, alpha, halvings, _, _ = projected_search(
-            qp, y, g, objective(qp, y), g, 1.0, 0.1)
+            qp, y, g, objective(qp, y), g, 1.0)
         assert y_next[0] == 0.0
         assert alpha == 1.0
         assert halvings == 0
@@ -96,7 +97,7 @@ class TestProjectedSearchGP:
         y = np.ones(1)
         g = gradient(qp, y)
         y_next, alpha, halvings, _, _ = projected_search(
-            qp, y, g, objective(qp, y), g, 8.0, 0.1)
+            qp, y, g, objective(qp, y), g, 8.0)
         assert alpha == 1.0
         assert halvings == 3
         assert y_next[0] == 0.0
@@ -108,34 +109,29 @@ class TestProjectedSearchGP:
         y = np.full(1, 2.0)
         g = gradient(qp, y)
         y_next, alpha, halvings, _, _ = projected_search(
-            qp, y, g, objective(qp, y), g, 1.0, 0.1)
+            qp, y, g, objective(qp, y), g, 1.0)
         assert y_next[0] == 0.0
         assert halvings == 0
 
-    def test_decrease_test_uses_full_gradient_inner_product(self):
+    def test_decrease_test_uses_full_gradient_inner_product(self, monkeypatch):
         # the acceptance threshold moves with <g, y+ - y>, checked by hand:
         # q = x^2/2 from y=1 with mu just below the exact-step margin
         qp = _one_d(1.0, 0.0, -np.inf, np.inf)
         y = np.ones(1)
         g = gradient(qp, y)
+        monkeypatch.setattr(gpcg.gradproj, "SUFFICIENT_DECREASE", 0.49)
         # trial alpha=1 gives q drop 0.5 and <g, dy> = -1; accepted iff
-        # 0 <= 0.5 - mu, true for every valid mu
+        # 0 <= 0.5 - mu, true for every mu in (0, 1/2)
         _, alpha, _, _, _ = projected_search(qp, y, g, objective(qp, y), g,
-                                             1.0, 0.49)
+                                             1.0)
         assert alpha == 1.0
-
-    def test_invalid_mu_rejected(self):
-        qp = _one_d(1.0, 0.0, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            projected_search(qp, np.ones(1), np.ones(1), 0.5, np.ones(1), 1.0,
-                             0.5)
 
     def test_invalid_initial_step_rejected(self):
         qp = _one_d(1.0, 0.0, -1.0, 1.0)
         for alpha0 in (0.0, -1.0):
             with pytest.raises(ValueError, match="initial step"):
                 projected_search(qp, np.ones(1), np.ones(1), 0.5, np.ones(1),
-                                 alpha0, 0.1)
+                                 alpha0)
 
     def test_exhaustion_raises(self, monkeypatch):
         qp = _one_d(1.0, 0.0, -np.inf, np.inf)
@@ -143,19 +139,19 @@ class TestProjectedSearchGP:
         g = gradient(qp, y)
         monkeypatch.setattr(gpcg.gradproj, "MAX_HALVINGS", 3)
         with pytest.raises(SearchFailed, match="within 3 halvings"):
-            projected_search(qp, y, g, objective(qp, y), g, 2.0 ** 40, 0.1)
+            projected_search(qp, y, g, objective(qp, y), g, 2.0 ** 40)
 
 
 class TestGPPhase:
     def test_already_converged_takes_no_iterates(self):
         qp = _one_d(2.0, -4.0, -10.0, 10.0)
-        out, _ = gp_phase(qp, np.full(1, 2.0), 0.1, 0.1, 1e-8)
+        out, _ = gp_phase(qp, np.full(1, 2.0), 1e-8)
         assert out.iterates_taken == 0
         assert out.termination is GPStop.CONVERGED
 
     def test_interior_minimizer_found_in_one_iterate(self):
         qp = _one_d(2.0, -4.0, -10.0, 10.0)
-        out, it = gp_phase(qp, np.zeros(1), 0.1, 0.1, 1e-8)
+        out, it = gp_phase(qp, np.zeros(1), 1e-8)
         assert out.termination is GPStop.CONVERGED
         assert out.iterates_taken == 1
         assert it.x[0] == 2.0
@@ -164,14 +160,14 @@ class TestGPPhase:
         # the active set is empty before and after the first step
         rng = np.random.default_rng(31)
         qp = unconstrained_qp(rng, 12)
-        out, _ = gp_phase(qp, np.zeros(12), 0.1, 0.1, 1e-12)
+        out, _ = gp_phase(qp, np.zeros(12), 1e-12)
         assert out.termination is GPStop.ACTIVE_SET_SETTLED
         assert out.iterates_taken == 1
 
     def test_iteration_cap(self, monkeypatch):
         qp = generate(BearingSpec(8, 8, 0.5))
         monkeypatch.setattr(gpcg.gradproj, "GP_CAP", 1)
-        out, _ = gp_phase(qp, qp.l, 0.01, 0.1, 1e-12)
+        out, _ = gp_phase(qp, qp.l, 1e-12)
         assert out.termination is GPStop.ITERATION_CAP
         assert out.iterates_taken == 1
 
@@ -181,23 +177,18 @@ class TestGPPhase:
         for _ in range(10):
             qp = random_bound_qp(rng, 7)
             x0 = np.clip(rng.standard_normal(7), qp.l, qp.u)
-            out, it = gp_phase(qp, x0, 0.1, 0.1, 1e-10)
+            out, it = gp_phase(qp, x0, 1e-10)
             if out.iterates_taken == 0:
                 continue
             assert (out.decreases > 0).all()
             assert objective(qp, it.x) < objective(qp, x0)
-
-    def test_invalid_progress_tolerance(self):
-        qp = _one_d(1.0, 0.0, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            gp_phase(qp, np.zeros(1), 1.0, 0.1, 1e-8)
 
     def test_result_carries_exact_product_objective_and_gradient(
             self, monkeypatch):
         qp = generate(BearingSpec(16, 16, 0.8))
         for cap in (0, 1, 40):
             monkeypatch.setattr(gpcg.gradproj, "GP_CAP", cap)
-            _, it = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6)
+            _, it = gp_phase(qp, qp.l, 1e-6)
             assert np.array_equal(it.Ax, mat_vec(qp.A, it.x))
             assert it.q == objective(qp, it.x)
             assert np.array_equal(it.g, gradient(qp, it.x))
@@ -210,7 +201,7 @@ class TestGPPhase:
         y = qp.l
         g = gradient(qp, y)
         y_next, _, _, Ay, q_next = projected_search(
-            qp, y, g, objective(qp, y), g, 64.0, 0.1)
+            qp, y, g, objective(qp, y), g, 64.0)
         assert np.array_equal(Ay, mat_vec(qp.A, y_next))
         assert q_next == objective(qp, y_next)
 
@@ -221,9 +212,9 @@ class TestGPPhase:
         monkeypatch.setattr(gpcg.gradproj, "GP_CAP", 40)
         for spec in (BearingSpec(16, 16, 0.8), BearingSpec(20, 12, 0.1)):
             qp = generate(spec)
-            out, it = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6)
-            x_ref, qs, steps = _uncached_gp_reference(qp, qp.l, 0.1, 0.1,
-                                                      1e-6, 40)
+            out, it = gp_phase(qp, qp.l, 1e-6)
+            x_ref, qs, steps = _uncached_gp_reference(
+                qp, qp.l, GP_PROGRESS, SUFFICIENT_DECREASE, 1e-6, 40)
             assert it.x.tobytes() == x_ref.tobytes()
             assert [rec.q for rec in out.records] == qs
             assert [rec.step for rec in out.records] == steps
@@ -232,9 +223,10 @@ class TestGPPhase:
         # same iterates as a freshly coded dense implementation
         qp = generate(BearingSpec(16, 16, 0.8))
         monkeypatch.setattr(gpcg.gradproj, "GP_CAP", 40)
-        out, _ = gp_phase(qp, qp.l, 0.1, 0.1, 1e-6)
+        out, _ = gp_phase(qp, qp.l, 1e-6)
         ref_qs = _dense_gp_reference(qp.A.to_dense(), qp.b, qp.l, qp.u,
-                                     np.array(qp.l), 0.1, 0.1, 1e-6, 40)
+                                     np.array(qp.l), GP_PROGRESS,
+                                     SUFFICIENT_DECREASE, 1e-6, 40)
         got_qs = [rec.q for rec in out.records]
         assert len(got_qs) == len(ref_qs)
         assert_allclose(got_qs, ref_qs, rtol=1e-10, atol=1e-12)

@@ -40,7 +40,7 @@ class TestProjectedSearchCG:
         x = np.array([1.0, 1.0])
         w = np.array([0.5, -0.5])  # strict descent: <g, w> < 0
         x_next, alpha, halvings, _, _ = projected_search_cg(
-            qp, x, gradient(qp, x), objective(qp, x), -w, 1.0, 0.1)
+            qp, x, gradient(qp, x), objective(qp, x), -w, 1.0)
         assert alpha == 1.0 and halvings == 0
         assert_array_equal(x_next, [1.5, 0.5])
 
@@ -49,14 +49,14 @@ class TestProjectedSearchCG:
         x = np.array([1.0, 1.0])
         x_next, _, _, _, _ = projected_search_cg(
             qp, x, gradient(qp, x), objective(qp, x), -np.array([5.0, -5.0]),
-            1.0, 0.1)
+            1.0)
         assert (x_next >= qp.l).all() and (x_next <= qp.u).all()
 
     def test_zero_direction_is_degenerate_accept(self):
         qp = hand_qp()
         x = np.array([1.0, 1.0])
         x_next, alpha, _, _, _ = projected_search_cg(
-            qp, x, gradient(qp, x), objective(qp, x), np.zeros(2), 1.0, 0.1)
+            qp, x, gradient(qp, x), objective(qp, x), np.zeros(2), 1.0)
         assert alpha == 1.0
         assert_array_equal(x_next, x)
 
@@ -67,12 +67,7 @@ class TestProjectedSearchCG:
         x = np.ones(1)
         with pytest.raises(SearchFailed):
             projected_search_cg(qp, x, gradient(qp, x), objective(qp, x),
-                                -np.ones(1), 1.0, 0.1)
-
-    def test_invalid_mu(self):
-        with pytest.raises(ValueError):
-            projected_search_cg(hand_qp(), np.zeros(2), np.zeros(2), 0.0,
-                                np.zeros(2), 1.0, 0.6)
+                                -np.ones(1), 1.0)
 
     def test_halved_step_clipped_at_both_bounds(self):
         # box [-1, 1]^2, both bounds finite: the full step from x lands
@@ -87,7 +82,7 @@ class TestProjectedSearchCG:
         full = np.clip(x + w, qp.l, qp.u)
         assert full[0] == qp.l[0] and full[1] == qp.u[1]
         x_next, alpha, halvings, Ax, q = projected_search_cg(
-            qp, x, g, objective(qp, x), -w, 1.0, 0.1)
+            qp, x, g, objective(qp, x), -w, 1.0)
         assert halvings == 1 and alpha == 0.5
         assert x_next.tobytes() == project(qp, x + alpha * w).tobytes()
         assert Ax.tobytes() == mat_vec(qp.A, x_next).tobytes()
@@ -230,10 +225,7 @@ class TestSolveTermination:
         _trace_invariant(out)
 
     def test_invalid_configs_rejected(self):
-        for kwargs in ({"sufficient_decrease": 0.5},
-                       {"sufficient_decrease": 0.0},
-                       {"gp_progress": 1.0}, {"cg_progress": 0.0},
-                       {"tol": 0.0},
+        for kwargs in ({"tol": 0.0},
                        {"blocks": 0}, {"blocks": 2.5}, {"precond": "nope"},
                        {"precond": None}, {"precond": 2}):
             with pytest.raises(ValueError):
@@ -276,7 +268,8 @@ class TestSolveTermination:
             SolverConfig(warm_start_cg=True)
         # constants of the solver module, not config fields
         for name in ("gp_cap", "max_refines", "cg_progress_floor",
-                     "cg_progress_shrink"):
+                     "cg_progress_shrink", "gp_progress", "cg_progress",
+                     "sufficient_decrease"):
             with pytest.raises(TypeError):
                 SolverConfig(**{name: 1})
 
